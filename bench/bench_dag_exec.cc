@@ -3,19 +3,24 @@
 // snapshot EXCEPT ALL uses each rewritten input in both splits), so the
 // executor's per-run memo turns what used to be exponential tree
 // expansion for nested DISTINCT/EXCEPT chains into one execution per
-// unique node.  The third workload measures the middleware serving
-// path: repeated Query() calls with the bound-plan cache on vs off.
-// Record medians into BENCH_dag_exec.json per docs/benchmarks.md.
+// unique node; the no-memo reference runs each plan's tree expansion
+// (tests/tree_expansion.h).  The third workload measures the middleware
+// serving path: repeated Query() calls served from the bound-plan cache
+// vs. the same statement made distinct per call (a numbered trailing
+// comment), so every call misses and plans from scratch.  Record
+// medians into BENCH_dag_exec.json per docs/benchmarks.md.
 #include <cstdio>
 #include <cstdlib>
 #include <string>
 
 #include "bench_common.h"
 #include "common/rng.h"
+#include "common/str_util.h"
 #include "engine/executor.h"
 #include "middleware/temporal_db.h"
 #include "ra/plan.h"
 #include "rewrite/rewriter.h"
+#include "tests/tree_expansion.h"
 
 namespace periodk {
 namespace {
@@ -93,18 +98,16 @@ int main() {
   for (const Workload& w : workloads) {
     // Sanity: identical bags before timing anything.
     ExecStats memo_stats;
-    Relation memoized = Execute(w.plan, catalog, &memo_stats);
+    Relation memoized = Execute(w.plan, catalog, {}, &memo_stats);
     ExecStats ref_stats;
-    Relation expanded =
-        Execute(w.plan, catalog, &ref_stats, /*memoize=*/false);
+    Relation expanded = ExecuteTreeExpanded(w.plan, catalog, &ref_stats);
     if (!memoized.BagEquals(expanded)) {
       std::fprintf(stderr, "FATAL: memoized execution diverges on %s\n",
                    w.name.c_str());
       return 1;
     }
     double no_memo = bench::TimeMedian(
-        [&] { Execute(w.plan, catalog, nullptr, /*memoize=*/false); },
-        repeats);
+        [&] { ExecuteTreeExpanded(w.plan, catalog); }, repeats);
     double memo = bench::TimeMedian(
         [&] { Execute(w.plan, catalog); }, repeats);
     char speedup[32];
@@ -120,8 +123,9 @@ int main() {
                     std::to_string(memo_stats.memo_hits), nodes});
   }
 
-  // Serving workload: the same statement issued over and over.  With
-  // the plan cache every call after the first skips parse/bind/rewrite.
+  // Serving workload: the same statement issued over and over.  From
+  // the plan cache every call after the first skips parse/bind/rewrite;
+  // a distinct trailing comment per call defeats the cache.
   TemporalDB db(domain);
   {
     // Point-lookup-sized tables: a serving workload's per-query work is
@@ -137,9 +141,11 @@ int main() {
   const std::string sql =
       "SEQ VT (SELECT r.k, count(*) AS cnt FROM r, s "
       "WHERE r.k = s.k AND r.v >= 1 GROUP BY r.k)";
-  auto serve = [&](int n) {
+  int64_t numbered = 0;  // distinct across repeats, so no call can hit
+  auto serve = [&](int n, bool distinct) {
     for (int i = 0; i < n; ++i) {
-      auto result = db.Query(sql);
+      auto result = db.Query(
+          distinct ? StrCat(sql, " -- ", numbered++) : sql);
       if (!result.ok()) {
         std::fprintf(stderr, "FATAL: %s\n",
                      result.status().ToString().c_str());
@@ -147,10 +153,10 @@ int main() {
       }
     }
   };
-  db.set_plan_cache_enabled(false);
-  double uncached = bench::TimeMedian([&] { serve(queries); }, repeats);
-  db.set_plan_cache_enabled(true);
-  double cached = bench::TimeMedian([&] { serve(queries); }, repeats);
+  double uncached =
+      bench::TimeMedian([&] { serve(queries, /*distinct=*/true); }, repeats);
+  double cached =
+      bench::TimeMedian([&] { serve(queries, /*distinct=*/false); }, repeats);
 
   std::printf("\nrepeated-query serving (%d x same statement):\n", queries);
   bench::TablePrinter serving({"Plan cache", "Total", "Queries/s"},
@@ -158,9 +164,9 @@ int main() {
   serving.PrintHeader();
   char qps[32];
   std::snprintf(qps, sizeof(qps), "%.0f", queries / uncached);
-  serving.PrintRow({"off", bench::TablePrinter::Seconds(uncached), qps});
+  serving.PrintRow({"miss", bench::TablePrinter::Seconds(uncached), qps});
   std::snprintf(qps, sizeof(qps), "%.0f", queries / cached);
-  serving.PrintRow({"on", bench::TablePrinter::Seconds(cached), qps});
+  serving.PrintRow({"hit", bench::TablePrinter::Seconds(cached), qps});
   std::printf("plan-cache speedup: %.2fx; %s\n", uncached / cached,
               db.plan_cache_stats().ToString().c_str());
   return 0;

@@ -29,7 +29,7 @@ constexpr int64_t kSplitBudget = 30'000'000;
 
 /// Runs the query; returns median seconds, or -1 on budget timeout.
 double TimeQuery(const TemporalDB& db, const std::string& sql,
-                 const RewriteOptions& options, bool final_coalesce,
+                 const RewriteOptions& options, bool coalesce_result,
                  size_t* rows_out, int repeats) {
   try {
     double t = bench::TimeMedian(
@@ -42,7 +42,7 @@ double TimeQuery(const TemporalDB& db, const std::string& sql,
             std::exit(1);
           }
           Relation relation = std::move(result.value());
-          if (final_coalesce) relation = CoalesceNative(relation);
+          if (coalesce_result) relation = CoalesceNative(relation);
           *rows_out = relation.size();
         },
         repeats);
@@ -92,7 +92,7 @@ int main() {
     double t_seq = TimeQuery(db, q.sql, seq, false, &rows, repeats);
     double t_win = TimeQuery(db, q.sql, seq_win, false, &rows, repeats);
     double t_nat =
-        TimeQuery(db, q.sql, nat, /*final_coalesce=*/true, &nat_rows,
+        TimeQuery(db, q.sql, nat, /*coalesce_result=*/true, &nat_rows,
                   repeats);
     table.PrintRow({q.name, bench::TablePrinter::Seconds(t_seq),
                     bench::TablePrinter::Seconds(t_win),

@@ -2,13 +2,13 @@
 // (engine/timeline_index.h WithDelta + middleware maintenance): indexed
 // read latency must stay flat while writes stream in, because each
 // append publishes a bounded delta next to the warm index instead of
-// invalidating it.  Series: read-only indexed baseline, streaming
-// inserts with differential maintenance (the claim: within ~2x of the
-// baseline), rebuild-per-insert (the pre-differential behavior — every
-// post-write read pays a full index rebuild), and the O(table) scan
-// reference.  All outputs are checked row-exact against the scan path
-// before anything is timed.  Record medians into
-// BENCH_incremental_index.json per docs/benchmarks.md.
+// invalidating it, and every few hundred writes the writer folds the
+// delta into a fresh index inline.  Series: read-only indexed baseline,
+// streaming inserts with differential maintenance (the claim: within
+// ~2x of the baseline), and the O(table) scan reference.  All outputs
+// are checked row-exact against the scan path before anything is
+// timed.  Record medians into BENCH_incremental_index.json per
+// docs/benchmarks.md.
 #include <algorithm>
 #include <cstdio>
 #include <memory>
@@ -35,9 +35,8 @@ Row RandomRow(Rng* rng) {
           Value::Int(b), Value::Int(e)};
 }
 
-TemporalDB MakeDb(Rng* rng, int rows, const IndexMaintenanceOptions& maint) {
+TemporalDB MakeDb(Rng* rng, int rows) {
   TemporalDB db(TimeDomain{0, kDomainEnd});
-  db.set_index_maintenance(maint);
   if (!db.CreatePeriodTable("t", {"k", "v", "ts", "te"}, "ts", "te").ok()) {
     std::fprintf(stderr, "FATAL: CreatePeriodTable failed\n");
     std::exit(1);
@@ -104,23 +103,19 @@ std::string Sci(double seconds) {
 int main() {
   using namespace periodk;
   int rows = bench::EnvInt("PERIODK_BENCH_INCR_ROWS", 100000);
-  int writes = bench::EnvInt("PERIODK_BENCH_INCR_WRITES", 300);
+  // At 100k rows the compaction threshold is its 4096-event maximum;
+  // the default mix (below) averages 9.5 events per write, so 900
+  // writes cross two inline compactions.
+  int writes = bench::EnvInt("PERIODK_BENCH_INCR_WRITES", 900);
   int probes_per_write = bench::EnvInt("PERIODK_BENCH_INCR_PROBES", 4);
   // Every 4th write is a batch of this many rows (a mixed single/bulk
-  // insert stream), and the streaming series caps the compaction
-  // threshold here so the fold-and-republish path is part of what is
-  // measured, not just the delta appends.
+  // insert stream).
   int batch_rows = bench::EnvInt("PERIODK_BENCH_INCR_BATCH_ROWS", 16);
-  int compact_events = bench::EnvInt("PERIODK_BENCH_INCR_COMPACT_EVENTS", 256);
-  // Rebuild-per-insert pays a full O(n log n) build per write; cap it
-  // so the degenerate series stays bounded at record scale.
-  int rebuild_writes =
-      std::min(writes, bench::EnvInt("PERIODK_BENCH_INCR_REBUILD_WRITES", 20));
 
   bench::PrintBanner(
       "incremental index maintenance: AS-OF latency under streaming inserts",
       "Scale via PERIODK_BENCH_INCR_ROWS (preloaded rows, default 100000) "
-      "and PERIODK_BENCH_INCR_WRITES (streamed inserts, default 300).");
+      "and PERIODK_BENCH_INCR_WRITES (streamed inserts, default 900).");
 
   Rng rng(20260807);
   std::vector<TimePoint> probes;
@@ -136,7 +131,7 @@ int main() {
   // --- Read-only indexed baseline. -----------------------------------------
   double baseline;
   {
-    TemporalDB db = MakeDb(&rng, rows, IndexMaintenanceOptions{});
+    TemporalDB db = MakeDb(&rng, rows);
     Probe(db, probes[0]);  // warm (lazy index build)
     for (int i = 0; i < 8; ++i) CheckExact(db, probes[i], "baseline");
     std::vector<double> lat;
@@ -148,16 +143,12 @@ int main() {
                     Sci(baseline), "1.0x"});
   }
 
-  // --- Streaming inserts, differential maintenance (this PR). --------------
+  // --- Streaming inserts, differential maintenance. -----------------------
   double streaming;
   double write_seconds;
   IndexMaintenanceStats maint_stats;
   {
-    IndexMaintenanceOptions maint;
-    maint.min_compaction_events = std::min<int64_t>(
-        maint.min_compaction_events, compact_events);
-    maint.max_compaction_events = compact_events;
-    TemporalDB db = MakeDb(&rng, rows, maint);
+    TemporalDB db = MakeDb(&rng, rows);
     Probe(db, probes[0]);  // warm, so appends maintain differentially
     std::vector<double> lat;
     std::vector<double> wlat;
@@ -186,34 +177,9 @@ int main() {
                     std::to_string(writes), Sci(streaming), rel});
   }
 
-  // --- Rebuild-per-insert (pre-differential behavior). ---------------------
-  double rebuild;
-  {
-    IndexMaintenanceOptions maint;
-    maint.maintain_indexes = false;  // writes drop the index slot
-    TemporalDB db = MakeDb(&rng, rows, maint);
-    Probe(db, probes[0]);
-    CheckExact(db, probes[1], "rebuild-per-insert");
-    std::vector<double> lat;
-    for (int w = 0; w < rebuild_writes; ++w) {
-      Row row = RandomRow(&rng);
-      if (!db.Insert("t", std::move(row)).ok()) {
-        std::fprintf(stderr, "FATAL: insert failed\n");
-        std::exit(1);
-      }
-      // The first read after the write pays the full lazy rebuild.
-      lat.push_back(bench::TimeOnce([&] { Probe(db, probes[w]); }));
-    }
-    rebuild = Median(std::move(lat));
-    char rel[32];
-    std::snprintf(rel, sizeof(rel), "%.1fx", rebuild / baseline);
-    table.PrintRow({"rebuild-per-insert", std::to_string(rows),
-                    std::to_string(rebuild_writes), Sci(rebuild), rel});
-  }
-
   // --- O(table) scan reference. --------------------------------------------
   {
-    TemporalDB db = MakeDb(&rng, rows, IndexMaintenanceOptions{});
+    TemporalDB db = MakeDb(&rng, rows);
     RewriteOptions opts = db.options();
     opts.use_timeline_index = false;
     db.set_options(opts);
@@ -231,8 +197,8 @@ int main() {
   std::printf(
       "\nstreamed writes: %s s/insert (median); %s\n"
       "claim check: streaming read latency %.2fx of read-only baseline "
-      "(target ~2x); rebuild-per-insert %.1fx\n",
+      "(target ~2x)\n",
       Sci(write_seconds).c_str(), maint_stats.ToString().c_str(),
-      streaming / baseline, rebuild / baseline);
+      streaming / baseline);
   return 0;
 }

@@ -23,7 +23,7 @@ constexpr int64_t kSplitBudget = 30'000'000;
 
 
 double TimeQuery(const TemporalDB& db, const std::string& sql,
-                 const RewriteOptions& options, bool final_coalesce,
+                 const RewriteOptions& options, bool coalesce_result,
                  size_t* rows_out, int repeats) {
   try {
     return bench::TimeMedian(
@@ -36,7 +36,7 @@ double TimeQuery(const TemporalDB& db, const std::string& sql,
             std::exit(1);
           }
           Relation relation = std::move(result.value());
-          if (final_coalesce) relation = CoalesceNative(relation);
+          if (coalesce_result) relation = CoalesceNative(relation);
           *rows_out = relation.size();
         },
         repeats);

@@ -136,44 +136,6 @@ void ThreadPool::Run(std::vector<std::function<void()>> tasks) {
   if (error) std::rethrow_exception(error);
 }
 
-void ThreadPool::Post(std::function<void()> task) {
-  {
-    MutexLock lock(drain_mu_);
-    ++detached_remaining_;
-  }
-  auto wrapped = [this, task = std::move(task)] {
-    try {
-      task();
-    } catch (...) {
-      // Fire-and-forget: no caller is left to rethrow to.  The task
-      // owner must catch anything it cares about.
-    }
-    MutexLock lock(drain_mu_);
-    if (--detached_remaining_ == 0) drain_cv_.NotifyAll();
-  };
-  if (workers_.empty()) {
-    wrapped();
-    return;
-  }
-  {
-    Queue& q = *queues_[0];
-    MutexLock lock(q.mu);
-    q.tasks.push_back(std::move(wrapped));
-  }
-  pending_.fetch_add(1, std::memory_order_relaxed);
-  {
-    // Pair the pending_ update with the workers' wait-loop check so no
-    // wakeup is lost between check and wait (same as Run()).
-    MutexLock lock(wake_mu_);
-  }
-  wake_cv_.NotifyAll();
-}
-
-void ThreadPool::Drain() {
-  MutexLock lock(drain_mu_);
-  while (detached_remaining_ != 0) drain_cv_.Wait(drain_mu_);
-}
-
 std::vector<std::pair<int64_t, int64_t>> PlanChunks(int num_threads,
                                                     int64_t n,
                                                     int64_t min_grain) {

@@ -51,20 +51,6 @@ class ThreadPool {
   /// task observes a half-abandoned batch).
   void Run(std::vector<std::function<void()>> tasks);
 
-  /// Fire-and-forget: enqueues one task for the workers and returns
-  /// immediately (runs it inline when the pool spawned no workers).
-  /// Background tasks own their error handling — exceptions are
-  /// swallowed, never rethrown (there is no caller left to receive
-  /// them).  An owner that posted tasks must Drain() before destroying
-  /// the pool: destruction stops workers without claiming queued tasks.
-  /// Used for index-compaction handoff (middleware/temporal_db.cc).
-  void Post(std::function<void()> task);
-
-  /// Blocks until every task Post()ed so far has finished.  Safe to
-  /// call concurrently with Post from other threads; tasks posted while
-  /// draining extend the wait.
-  void Drain() PERIODK_EXCLUDES(drain_mu_);
-
  private:
   struct Queue {
     Mutex mu;
@@ -85,12 +71,6 @@ class ThreadPool {
   // Tasks pushed but not yet claimed; workers sleep while it is zero.
   std::atomic<int64_t> pending_{0};
   bool stop_ PERIODK_GUARDED_BY(wake_mu_) = false;
-
-  // Post()/Drain() completion accounting (Run() has its own per-batch
-  // state and never touches these).
-  Mutex drain_mu_;
-  CondVar drain_cv_;
-  int64_t detached_remaining_ PERIODK_GUARDED_BY(drain_mu_) = 0;
 };
 
 /// Creates the pool on first use: a query whose operators all stay

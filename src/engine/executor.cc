@@ -453,18 +453,17 @@ Relation ExecSort(const Plan& plan, Relation input) {
 // only while use_count proves other consumers remain.
 class ExecutionContext {
  public:
-  ExecutionContext(const Catalog& catalog, ExecStats* stats, bool memoize,
+  ExecutionContext(const Catalog& catalog, ExecStats* stats,
                    LazyThreadPool* pool, bool use_timeline_index,
                    bool use_cost_model)
       : catalog_(catalog),
         stats_(stats),
-        memoize_(memoize),
         pool_(pool),
         use_timeline_index_(use_timeline_index),
         use_cost_model_(use_cost_model) {}
 
   RelHandle Run(const PlanPtr& plan) {
-    if (memoize_) CountConsumers(plan);
+    CountConsumers(plan);
     return ExecuteNode(plan);
   }
 
@@ -480,7 +479,6 @@ class ExecutionContext {
   }
 
   RelHandle ExecuteNode(const PlanPtr& plan) {
-    if (!memoize_) return Compute(plan);
     int& left = consumers_left_.at(plan.get());
     auto it = memo_.find(plan.get());
     if (it != memo_.end()) {
@@ -705,7 +703,6 @@ class ExecutionContext {
 
   const Catalog& catalog_;
   ExecStats* stats_;
-  bool memoize_;
   LazyThreadPool* pool_;
   bool use_timeline_index_;
   bool use_cost_model_;
@@ -775,18 +772,11 @@ Relation Execute(const PlanPtr& plan, const Catalog& catalog,
   // small (single-chunk) queries cost no thread churn even at high
   // num_threads settings.
   LazyThreadPool pool(options.num_threads);
-  ExecutionContext context(catalog, stats, options.memoize,
+  ExecutionContext context(catalog, stats,
                            options.num_threads > 1 ? &pool : nullptr,
                            options.use_timeline_index,
                            options.use_cost_model);
   return Materialize(context.Run(plan));
-}
-
-Relation Execute(const PlanPtr& plan, const Catalog& catalog,
-                 ExecStats* stats, bool memoize) {
-  ExecOptions options;
-  options.memoize = memoize;
-  return Execute(plan, catalog, options, stats);
 }
 
 }  // namespace periodk

@@ -106,8 +106,8 @@ class Catalog {
 /// them into the run's stats at their join points, so no counter is
 /// ever written concurrently.
 struct ExecStats {
-  /// Operator evaluations actually performed (one per *unique* reachable
-  /// plan node when memoization is on; one per tree-expanded node off).
+  /// Operator evaluations actually performed: one per *unique* reachable
+  /// plan node, however many parents share it.
   int64_t nodes_executed = 0;
   /// Node requests answered from the memo instead of re-executing.
   int64_t memo_hits = 0;
@@ -123,7 +123,7 @@ struct ExecStats {
   /// Differential-layer events consulted by indexed lookups: the sum of
   /// the delta sizes of every index answered from (0 when each index
   /// was fully compacted).  Measures how much uncompacted write traffic
-  /// a read crossed — see TemporalDB's IndexMaintenanceOptions.
+  /// a read crossed — see TemporalDB's IndexMaintenanceStats.
   int64_t index_delta_events = 0;
   /// Interval-join sides whose sweep input was pre-filtered with
   /// TimelineIndex::AliveInRange candidates (rows provably outside the
@@ -150,9 +150,6 @@ struct ExecStats {
 
 /// Execution-time knobs, distinct from the plan-shaping RewriteOptions.
 struct ExecOptions {
-  /// false disables shared-subplan reuse (reference semantics for tests
-  /// and ablation: the plan DAG is executed as its full tree expansion).
-  bool memoize = true;
   /// Intra-query parallelism: partitioned operators fan out to a
   /// work-stealing pool of this many threads.  1 (the default) keeps
   /// execution on the calling thread and bit-identical to the
@@ -210,11 +207,7 @@ Relation GatherChunks(std::vector<Relation> outs,
 /// invariant violations (e.g. unknown table).  `stats`, when non-null,
 /// receives the run's counters.
 Relation Execute(const PlanPtr& plan, const Catalog& catalog,
-                 const ExecOptions& options, ExecStats* stats = nullptr);
-
-/// Legacy signature; `memoize` = false maps to ExecOptions::memoize.
-Relation Execute(const PlanPtr& plan, const Catalog& catalog,
-                 ExecStats* stats = nullptr, bool memoize = true);
+                 const ExecOptions& options = {}, ExecStats* stats = nullptr);
 
 }  // namespace periodk
 

@@ -1,6 +1,7 @@
 #include "engine/expr.h"
 
 #include <cmath>
+#include <limits>
 
 #include "common/status.h"
 #include "common/str_util.h"
@@ -42,16 +43,25 @@ Value EvalArith(ArithOp op, const Value& a, const Value& b) {
   }
   bool both_int =
       a.type() == ValueType::kInt && b.type() == ValueType::kInt;
+  // Integer + - * that overflows int64 widens to double, like / and the
+  // aggregate sums (and SQLite, so the differential oracle agrees).
+  int64_t exact = 0;
   switch (op) {
     case ArithOp::kAdd:
-      return both_int ? Value::Int(a.AsInt() + b.AsInt())
-                      : Value::Double(a.NumericAsDouble() + b.NumericAsDouble());
+      if (both_int && !__builtin_add_overflow(a.AsInt(), b.AsInt(), &exact)) {
+        return Value::Int(exact);
+      }
+      return Value::Double(a.NumericAsDouble() + b.NumericAsDouble());
     case ArithOp::kSub:
-      return both_int ? Value::Int(a.AsInt() - b.AsInt())
-                      : Value::Double(a.NumericAsDouble() - b.NumericAsDouble());
+      if (both_int && !__builtin_sub_overflow(a.AsInt(), b.AsInt(), &exact)) {
+        return Value::Int(exact);
+      }
+      return Value::Double(a.NumericAsDouble() - b.NumericAsDouble());
     case ArithOp::kMul:
-      return both_int ? Value::Int(a.AsInt() * b.AsInt())
-                      : Value::Double(a.NumericAsDouble() * b.NumericAsDouble());
+      if (both_int && !__builtin_mul_overflow(a.AsInt(), b.AsInt(), &exact)) {
+        return Value::Int(exact);
+      }
+      return Value::Double(a.NumericAsDouble() * b.NumericAsDouble());
     case ArithOp::kDiv: {
       // Division always yields double (decimal semantics); x / 0 -> NULL.
       double d = b.NumericAsDouble();
@@ -61,6 +71,8 @@ Value EvalArith(ArithOp op, const Value& a, const Value& b) {
     case ArithOp::kMod: {
       if (!both_int) throw EngineError("%% requires integer operands");
       if (b.AsInt() == 0) return Value::Null();
+      // x % -1 is 0; computing INT64_MIN % -1 would trap.
+      if (b.AsInt() == -1) return Value::Int(0);
       return Value::Int(a.AsInt() % b.AsInt());
     }
   }
@@ -88,7 +100,8 @@ Value EvalFunc(ScalarFunc f, const std::vector<Value>& args) {
     case ScalarFunc::kAbs: {
       const Value& v = args.at(0);
       if (v.is_null()) return Value::Null();
-      if (v.type() == ValueType::kInt) {
+      if (v.type() == ValueType::kInt &&
+          v.AsInt() != std::numeric_limits<int64_t>::min()) {
         return Value::Int(v.AsInt() < 0 ? -v.AsInt() : v.AsInt());
       }
       return Value::Double(std::fabs(v.NumericAsDouble()));
@@ -200,7 +213,11 @@ Value Expr::Eval(const Row& row) const {
     case ExprKind::kNeg: {
       Value a = children[0]->Eval(row);
       if (a.is_null()) return Value::Null();
-      if (a.type() == ValueType::kInt) return Value::Int(-a.AsInt());
+      // -INT64_MIN is not an int64: it widens, like binary arithmetic.
+      if (a.type() == ValueType::kInt &&
+          a.AsInt() != std::numeric_limits<int64_t>::min()) {
+        return Value::Int(-a.AsInt());
+      }
       return Value::Double(-a.NumericAsDouble());
     }
     case ExprKind::kFunc: {

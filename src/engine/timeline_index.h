@@ -32,7 +32,7 @@
 // Chained appends flatten — the base of a delta-carrying index never
 // itself carries a delta — and the delta is checkpointed like the base,
 // so replay stays bounded by K even before compaction folds the delta
-// into a fresh full index (see TemporalDB's IndexMaintenanceOptions).
+// into a fresh full index (see TemporalDB's IndexMaintenanceStats).
 #ifndef PERIODK_ENGINE_TIMELINE_INDEX_H_
 #define PERIODK_ENGINE_TIMELINE_INDEX_H_
 

@@ -19,6 +19,15 @@ namespace {
 /// workload inlining distinct literals must not grow memory forever).
 constexpr size_t kPlanCacheMaxEntries = 1024;
 
+/// An append's delta is folded into a fresh full index once it reaches
+/// clamp(kCompactionRatio * base events, kMinCompactionEvents,
+/// kMaxCompactionEvents) events.  The delta is checkpointed too, so the
+/// threshold bounds memory and merge overhead, not correctness or
+/// per-lookup replay.
+constexpr double kCompactionRatio = 0.10;
+constexpr int64_t kMinCompactionEvents = 64;
+constexpr int64_t kMaxCompactionEvents = 4096;
+
 /// Cache key for a (SQL text, rewrite options) pair.  Every option that
 /// changes the produced plan is part of the key — use_cost_model shapes
 /// plans (join reorder, strategy hints), so it is included — and plans
@@ -31,26 +40,8 @@ std::string PlanCacheKey(const std::string& sql,
                 static_cast<int>(options.hoist_coalesce),
                 static_cast<int>(options.fuse_aggregation),
                 static_cast<int>(options.pre_aggregate),
-                static_cast<int>(options.final_coalesce),
                 static_cast<int>(options.coalesce_impl),
-                static_cast<int>(options.push_down_timeslice),
                 static_cast<int>(options.use_cost_model), "|", sql);
-}
-
-/// A mutated table ready to publish: the shared relation handle plus
-/// its statistics, both built *outside* the catalog locks (stats are a
-/// pure function of the immutable relation).  Period tables profile
-/// their stored interval columns; (-1, -1) means no period columns.
-struct PublishedTable {
-  std::shared_ptr<const Relation> relation;
-  std::shared_ptr<const TableStats> stats;
-};
-
-// periodk-lint: allow(relation-by-value): ownership sink, callers move
-PublishedTable PrepareTable(Relation relation, int begin_col, int end_col) {
-  auto shared = std::make_shared<const Relation>(std::move(relation));
-  auto stats = TableStats::Collect(shared, begin_col, end_col);
-  return PublishedTable{std::move(shared), std::move(stats)};
 }
 
 }  // namespace
@@ -62,8 +53,7 @@ std::string PlanCacheStats::ToString() const {
 
 std::string IndexMaintenanceStats::ToString() const {
   return StrCat("index maintenance: ", delta_publishes, " delta publishes, ",
-                compactions, " compactions, ", background_compactions,
-                " background compactions");
+                compactions, " compactions");
 }
 
 TemporalDB::TemporalDB(TemporalDB&& other)
@@ -79,133 +69,86 @@ TemporalDB::TemporalDB(TemporalDB&& other)
   period_tables_ = std::move(other.period_tables_);
   catalog_generation_ = other.catalog_generation_;
   table_versions_ = std::move(other.table_versions_);
-  columnar_storage_ = other.columnar_storage_;
-  index_maintenance_ = other.index_maintenance_;
-  {
-    MutexLock maintenance_lock(other.maintenance_mu_);
-    maintenance_stats_ = other.maintenance_stats_;
-  }
-  // compaction_pool_ stays with `other`: its in-flight tasks captured
-  // `other`'s `this` and drain against the (now empty) moved-from
-  // catalog, where every generation-tag check fails harmlessly.
-  plan_cache_enabled_ = other.plan_cache_enabled_;
+  maintenance_stats_ = other.maintenance_stats_;
   plan_cache_ = std::move(other.plan_cache_);
   cache_stats_ = other.cache_stats_;
 }
 
-TemporalDB::~TemporalDB() {
-  // Serialize with writers so no new compaction can be scheduled, then
-  // wait out the in-flight ones: their tasks dereference this object.
-  MutexLock writer_lock(writer_mu_);
-  if (compaction_pool_ != nullptr) compaction_pool_->Drain();
-}
-
 IndexMaintenanceStats TemporalDB::index_maintenance_stats() const {
-  MutexLock lock(maintenance_mu_);
+  SharedReaderLock lock(catalog_mu_);
   return maintenance_stats_;
-}
-
-void TemporalDB::WaitForIndexMaintenance() {
-  MutexLock writer_lock(writer_mu_);
-  if (compaction_pool_ != nullptr) compaction_pool_->Drain();
 }
 
 // --- Writers.  All serialize on writer_mu_, build new table state
 // outside the reader lock, and publish with a brief exclusive lock so
 // readers only ever block for a pointer swap. -------------------------------
 
-TemporalDB::AppendIndexPlan TemporalDB::PlanAppendIndex(
+std::shared_ptr<const TimelineIndex> TemporalDB::MaintainIndex(
     const std::shared_ptr<const Relation>& old_relation,
     const std::shared_ptr<const TimelineIndex>& old_index,
     const std::shared_ptr<const Relation>& next,
     const std::shared_ptr<const TableStats>& next_stats, int begin_idx,
     int end_idx) const {
-  AppendIndexPlan plan;
-  if (!index_maintenance_.maintain_indexes || old_index == nullptr) {
-    return plan;  // nothing to maintain: the slot drops, reads rebuild
-  }
   // Only a current index over exactly the columns the period metadata
-  // names can be extended; anything else (a racing layout change, a
-  // hand-attached index) is dropped like before.
-  if (!old_index->BuiltFor(old_relation.get()) ||
-      old_index->begin_col() != begin_idx ||
-      old_index->end_col() != end_idx) {
-    return plan;
+  // names can be extended; anything else (no index yet, a racing layout
+  // change, a hand-attached index) drops the slot for a lazy rebuild.
+  if (old_index == nullptr || !old_index->BuiltFor(old_relation.get()) ||
+      old_index->begin_col() != begin_idx || old_index->end_col() != end_idx) {
+    return nullptr;
   }
-  plan.index = TimelineIndex::WithDelta(old_index, next);
-  if (plan.index == nullptr) return plan;  // unindexable appended rows
-  // Threshold: ratio of the compacted core, clamped.  The delta is
-  // checkpointed too, so this bounds memory/merge overhead rather than
-  // correctness or per-lookup replay.
-  int64_t base_events = static_cast<int64_t>(plan.index->num_events() -
-                                             plan.index->num_delta_events());
-  int64_t threshold = static_cast<int64_t>(
-      index_maintenance_.compaction_ratio * static_cast<double>(base_events));
-  threshold = std::clamp(threshold, index_maintenance_.min_compaction_events,
-                         index_maintenance_.max_compaction_events);
-  bool compact =
-      static_cast<int64_t>(plan.index->num_delta_events()) >= threshold;
+  std::shared_ptr<const TimelineIndex> delta =
+      TimelineIndex::WithDelta(old_index, next);
+  if (delta == nullptr) return nullptr;  // unindexable appended rows
+  const int64_t base_events =
+      static_cast<int64_t>(delta->num_events() - delta->num_delta_events());
+  const int64_t threshold = std::clamp(
+      static_cast<int64_t>(kCompactionRatio * static_cast<double>(base_events)),
+      kMinCompactionEvents, kMaxCompactionEvents);
+  if (static_cast<int64_t>(delta->num_delta_events()) < threshold) {
+    return delta;
+  }
   // Checkpoint-K for the folded index comes from the fresh statistics
   // when the cost model is on, like the lazy build path.
-  plan.checkpoint_interval = TimelineIndex::kDefaultCheckpointInterval;
+  int64_t checkpoint_interval = TimelineIndex::kDefaultCheckpointInterval;
   if (options_.use_cost_model && next_stats != nullptr &&
       next_stats->BuiltFor(next.get())) {
-    plan.checkpoint_interval = CostModel::PickCheckpointInterval(*next_stats);
+    checkpoint_interval = CostModel::PickCheckpointInterval(*next_stats);
   }
-  if (compact && !index_maintenance_.background_compaction) {
-    std::shared_ptr<const TimelineIndex> folded = TimelineIndex::Build(
-        next, begin_idx, end_idx, plan.checkpoint_interval);
-    if (folded != nullptr) {
-      plan.index = std::move(folded);
-      MutexLock lock(maintenance_mu_);
-      ++maintenance_stats_.compactions;
-      return plan;
-    }
-  }
-  plan.compact_in_background =
-      compact && index_maintenance_.background_compaction;
-  MutexLock lock(maintenance_mu_);
-  ++maintenance_stats_.delta_publishes;
-  return plan;
+  std::shared_ptr<const TimelineIndex> folded =
+      TimelineIndex::Build(next, begin_idx, end_idx, checkpoint_interval);
+  return folded != nullptr ? folded : delta;
 }
 
-void TemporalDB::ScheduleBackgroundCompaction(
-    const std::string& table, std::shared_ptr<const Relation> relation,
-    int begin_idx, int end_idx, int64_t checkpoint_interval,
-    uint64_t published_version) {
-  {
-    // One in-flight rebuild per table: a burst of appends keeps growing
-    // the delta and re-arms once the current rebuild settles.
-    MutexLock lock(maintenance_mu_);
-    if (!pending_compactions_.insert(table).second) return;
+// periodk-lint: allow(relation-by-value): ownership sink, callers move
+void TemporalDB::Publish(
+    const std::string& name, Relation relation, int begin_idx, int end_idx,
+    const sql::PeriodTableInfo* period,
+    const std::shared_ptr<const Relation>& old_relation,
+    const std::shared_ptr<const TimelineIndex>& old_index) {
+  relation.ToColumnar();
+  auto next = std::make_shared<const Relation>(std::move(relation));
+  // Statistics are a pure function of the immutable relation; period
+  // tables profile their stored interval columns, (-1, -1) means none.
+  std::shared_ptr<const TableStats> stats =
+      TableStats::Collect(next, begin_idx, end_idx);
+  // Index maintenance rides the same copy-on-write publication: the old
+  // index plus the appended rows become a differential index (or, past
+  // the threshold, a freshly folded one) — still outside the locks.
+  std::shared_ptr<const TimelineIndex> index =
+      MaintainIndex(old_relation, old_index, next, stats, begin_idx, end_idx);
+  SharedMutexLock lock(catalog_mu_);
+  catalog_.PutShared(name, std::move(next));
+  catalog_.PutStats(name, std::move(stats));
+  // PutShared dropped the index slot; restore the maintained index in
+  // the same critical section so no reader observes the gap.
+  if (index != nullptr) {
+    ++(index->has_delta() ? maintenance_stats_.delta_publishes
+                          : maintenance_stats_.compactions);
+    catalog_.PutIndex(name, std::move(index));
   }
-  if (compaction_pool_ == nullptr) {
-    compaction_pool_ = std::make_unique<ThreadPool>(2);
-  }
-  compaction_pool_->Post([this, table, relation = std::move(relation),
-                          begin_idx, end_idx, checkpoint_interval,
-                          published_version] {
-    // Build outside every lock — the expensive part.
-    std::shared_ptr<const TimelineIndex> folded = TimelineIndex::Build(
-        relation, begin_idx, end_idx, checkpoint_interval);
-    bool published = false;
-    if (folded != nullptr) {
-      // Double-checked publication under the generation tag, like the
-      // lazy read-side build: the folded index replaces the delta index
-      // only while the table is still the exact published state it was
-      // built from; any later append's publication wins.
-      SharedMutexLock lock(catalog_mu_);
-      auto version = table_versions_.find(table);
-      if (version != table_versions_.end() &&
-          version->second == published_version) {
-        catalog_.PutIndex(table, folded);
-        published = true;
-      }
-    }
-    MutexLock lock(maintenance_mu_);
-    if (published) ++maintenance_stats_.background_compactions;
-    pending_compactions_.erase(table);
-  });
+  if (period != nullptr) period_tables_[name] = *period;
+  ++catalog_generation_;
+  table_versions_[name] = catalog_generation_;
 }
 
 Status TemporalDB::CreateTable(const std::string& name,
@@ -221,16 +164,7 @@ Status TemporalDB::CreateTable(const std::string& name,
       return Status::AlreadyExists(StrCat("table exists: ", name));
     }
   }
-  Relation table{Schema::FromNames(columns)};
-  if (columnar_storage_) table.ToColumnar();
-  PublishedTable pub = PrepareTable(std::move(table), -1, -1);
-  {
-    SharedMutexLock lock(catalog_mu_);
-    catalog_.PutShared(name, std::move(pub.relation));
-    catalog_.PutStats(name, std::move(pub.stats));
-    ++catalog_generation_;
-    table_versions_[name] = catalog_generation_;
-  }
+  Publish(name, Relation{Schema::FromNames(columns)}, -1, -1, nullptr);
   InvalidatePlanCache();
   return Status::OK();
 }
@@ -259,17 +193,8 @@ Status TemporalDB::CreatePeriodTable(const std::string& name,
   }
   const int begin_idx = schema.Find("", begin_column);
   const int end_idx = schema.Find("", end_column);
-  Relation table{std::move(schema)};
-  if (columnar_storage_) table.ToColumnar();
-  PublishedTable pub = PrepareTable(std::move(table), begin_idx, end_idx);
-  {
-    SharedMutexLock lock(catalog_mu_);
-    catalog_.PutShared(name, std::move(pub.relation));
-    catalog_.PutStats(name, std::move(pub.stats));
-    period_tables_[name] = sql::PeriodTableInfo{begin_column, end_column};
-    ++catalog_generation_;
-    table_versions_[name] = catalog_generation_;
-  }
+  const sql::PeriodTableInfo period{begin_column, end_column};
+  Publish(name, Relation{std::move(schema)}, begin_idx, end_idx, &period);
   InvalidatePlanCache();
   return Status::OK();
 }
@@ -283,84 +208,17 @@ Status TemporalDB::PutPeriodTable(const std::string& name, Relation relation,
         StrCat("period begin and end must be distinct columns, got (",
                begin_column, ", ", end_column, ")"));
   }
-  if (relation.schema().Find("", begin_column) < 0 ||
-      relation.schema().Find("", end_column) < 0) {
+  const int begin_idx = relation.schema().Find("", begin_column);
+  const int end_idx = relation.schema().Find("", end_column);
+  if (begin_idx < 0 || end_idx < 0) {
     return Status::InvalidArgument(
         StrCat("period columns (", begin_column, ", ", end_column,
                ") must be part of the schema"));
   }
   MutexLock writer_lock(writer_mu_);
-  if (columnar_storage_) relation.ToColumnar();
-  const int begin_idx = relation.schema().Find("", begin_column);
-  const int end_idx = relation.schema().Find("", end_column);
-  PublishedTable pub = PrepareTable(std::move(relation), begin_idx, end_idx);
-  {
-    SharedMutexLock lock(catalog_mu_);
-    catalog_.PutShared(name, std::move(pub.relation));
-    catalog_.PutStats(name, std::move(pub.stats));
-    period_tables_[name] = sql::PeriodTableInfo{begin_column, end_column};
-    ++catalog_generation_;
-    table_versions_[name] = catalog_generation_;
-  }
+  const sql::PeriodTableInfo period{begin_column, end_column};
+  Publish(name, std::move(relation), begin_idx, end_idx, &period);
   InvalidatePlanCacheForTable(name);
-  return Status::OK();
-}
-
-Status TemporalDB::Insert(const std::string& table, Row row) {
-  MutexLock writer_lock(writer_mu_);
-  std::shared_ptr<const Relation> current;
-  std::shared_ptr<const TimelineIndex> old_index;
-  int begin_idx = -1;
-  int end_idx = -1;
-  {
-    SharedReaderLock lock(catalog_mu_);
-    if (!catalog_.Has(table)) {
-      return Status::NotFound(StrCat("unknown table: ", table));
-    }
-    current = catalog_.GetShared(table);
-    old_index = catalog_.GetIndex(table);
-    auto pt = period_tables_.find(table);
-    if (pt != period_tables_.end()) {
-      begin_idx = current->schema().Find("", pt->second.begin_column);
-      end_idx = current->schema().Find("", pt->second.end_column);
-    }
-  }
-  if (row.size() != current->schema().size()) {
-    return Status::InvalidArgument(
-        StrCat("arity mismatch inserting into ", table, ": got ", row.size(),
-               " values, expected ", current->schema().size()));
-  }
-  // Copy-on-write outside the reader lock: pinned snapshots keep the
-  // old relation alive and untouched.
-  Relation next = *current;
-  next.AddRow(std::move(row));
-  if (columnar_storage_) next.ToColumnar();
-  PublishedTable pub = PrepareTable(std::move(next), begin_idx, end_idx);
-  // Index maintenance rides the same copy-on-write publication: the old
-  // index plus the appended row become a differential index (or, past
-  // the threshold, a freshly folded one) — still outside the locks.
-  AppendIndexPlan index_plan = PlanAppendIndex(
-      current, old_index, pub.relation, pub.stats, begin_idx, end_idx);
-  uint64_t published_version = 0;
-  {
-    SharedMutexLock lock(catalog_mu_);
-    catalog_.PutShared(table, pub.relation);
-    catalog_.PutStats(table, std::move(pub.stats));
-    // PutShared dropped the index slot; restore the maintained index in
-    // the same critical section so no reader observes the gap.
-    if (index_plan.index != nullptr) {
-      catalog_.PutIndex(table, index_plan.index);
-    }
-    ++catalog_generation_;
-    table_versions_[table] = catalog_generation_;
-    published_version = catalog_generation_;
-  }
-  InvalidatePlanCacheForTable(table);
-  if (index_plan.compact_in_background) {
-    ScheduleBackgroundCompaction(table, pub.relation, begin_idx, end_idx,
-                                 index_plan.checkpoint_interval,
-                                 published_version);
-  }
   return Status::OK();
 }
 
@@ -394,31 +252,14 @@ Status TemporalDB::InsertRows(const std::string& table,
     }
   }
   if (rows.empty()) return Status::OK();
+  // Copy-on-write outside the reader lock: pinned snapshots keep the
+  // old relation alive and untouched.
   Relation next = *current;
   next.Reserve(next.size() + rows.size());
   for (Row& row : rows) next.AddRow(std::move(row));
-  if (columnar_storage_) next.ToColumnar();
-  PublishedTable pub = PrepareTable(std::move(next), begin_idx, end_idx);
-  AppendIndexPlan index_plan = PlanAppendIndex(
-      current, old_index, pub.relation, pub.stats, begin_idx, end_idx);
-  uint64_t published_version = 0;
-  {
-    SharedMutexLock lock(catalog_mu_);
-    catalog_.PutShared(table, pub.relation);
-    catalog_.PutStats(table, std::move(pub.stats));
-    if (index_plan.index != nullptr) {
-      catalog_.PutIndex(table, index_plan.index);
-    }
-    ++catalog_generation_;
-    table_versions_[table] = catalog_generation_;
-    published_version = catalog_generation_;
-  }
+  Publish(table, std::move(next), begin_idx, end_idx, nullptr, current,
+          old_index);
   InvalidatePlanCacheForTable(table);
-  if (index_plan.compact_in_background) {
-    ScheduleBackgroundCompaction(table, pub.relation, begin_idx, end_idx,
-                                 index_plan.checkpoint_interval,
-                                 published_version);
-  }
   return Status::OK();
 }
 
@@ -457,16 +298,6 @@ PlanCacheStats TemporalDB::plan_cache_stats() const {
   PlanCacheStats stats = cache_stats_;
   stats.entries = static_cast<int64_t>(plan_cache_.size());
   return stats;
-}
-
-void TemporalDB::set_plan_cache_enabled(bool enabled) {
-  MutexLock lock(plan_cache_mu_);
-  plan_cache_enabled_ = enabled;
-  // Disabling drops every entry: a bound plan from before the toggle
-  // must not resurface after re-enabling (the per-table version tags
-  // would already refuse to serve stale entries, but an explicit
-  // disable means "no cached state, period").
-  if (!enabled) plan_cache_.clear();
 }
 
 // --- Readers.  Every entry point pins one snapshot and runs entirely
@@ -546,126 +377,118 @@ void TemporalDB::EnsureTimelineIndexes(const PlanPtr& plan, Snapshot& snap,
   }
 }
 
-Result<sql::BoundStatement> TemporalDB::BindSql(const std::string& sql,
-                                                const Snapshot& snap) const {
-  Result<sql::Statement> parsed = sql::Parse(sql);
-  if (!parsed.ok()) return parsed.status();
-  sql::Binder binder(&snap.catalog, &snap.period_tables);
-  return binder.Bind(*parsed);
+Result<PlanPtr> TemporalDB::PlanSql(const std::string& sql,
+                                    const RewriteOptions& options,
+                                    const Snapshot& snap) const {
+  try {
+    Result<sql::Statement> parsed = sql::Parse(sql);
+    if (!parsed.ok()) return parsed.status();
+    sql::Binder binder(&snap.catalog, &snap.period_tables);
+    Result<sql::BoundStatement> bound = binder.Bind(*parsed);
+    if (!bound.ok()) return bound.status();
+    return PlanBound(*bound, options, snap);
+  } catch (const std::exception& error) {
+    // Planning reports every failure as a Status; this is the backstop
+    // that keeps every read entry point's no-throw boundary airtight.
+    return Status::Internal(error.what());
+  }
 }
 
 Result<PlanPtr> TemporalDB::PlanBound(const sql::BoundStatement& bound,
                                       const RewriteOptions& options,
                                       const Snapshot& snap) const {
-  try {
-    PlanPtr plan = bound.plan;
-    // One model per planning pass: it reads the snapshot's statistics
-    // and memoizes per plan node, so the rewriter's reorder pre-pass
-    // and the strategy-hint pass below share estimates.
-    std::optional<CostModel> cost;
-    if (options.use_cost_model) cost.emplace(&snap.catalog, domain_);
-    if (bound.snapshot) {
-      SnapshotRewriter rewriter(domain_, options, bound.encoded_tables,
-                                cost.has_value() ? &*cost : nullptr);
-      plan = rewriter.Rewrite(plan);
-      if (bound.as_of.has_value()) {
-        // tau_T of the snapshot result (Thm 6.3 guarantees this equals
-        // evaluating the query over the sliced database).
-        if (!domain_.Contains(*bound.as_of)) {
-          return Status::InvalidArgument(
-              StrCat("AS OF time ", *bound.as_of, " outside the domain ",
-                     domain_.ToString()));
-        }
-        plan = MakeTimeslice(std::move(plan), *bound.as_of);
-        if (options.push_down_timeslice) {
-          // Move tau below the final coalesce and through the REWR
-          // select/project shapes so it lands on the scans, where the
-          // executor can answer it from the timeline index.
-          plan = PushDownTimeslice(plan);
-        }
+  PlanPtr plan = bound.plan;
+  // One model per planning pass: it reads the snapshot's statistics
+  // and memoizes per plan node, so the rewriter's reorder pre-pass
+  // and the strategy-hint pass below share estimates.
+  std::optional<CostModel> cost;
+  if (options.use_cost_model) cost.emplace(&snap.catalog, domain_);
+  if (bound.snapshot) {
+    SnapshotRewriter rewriter(domain_, options, bound.encoded_tables,
+                              cost.has_value() ? &*cost : nullptr);
+    plan = rewriter.Rewrite(plan);
+    if (bound.as_of.has_value()) {
+      // tau_T of the snapshot result (Thm 6.3 guarantees this equals
+      // evaluating the query over the sliced database).
+      if (!domain_.Contains(*bound.as_of)) {
+        return Status::InvalidArgument(
+            StrCat("AS OF time ", *bound.as_of, " outside the domain ",
+                   domain_.ToString()));
       }
-    } else if (cost.has_value()) {
-      // Non-snapshot statements scan stored tables directly; their
-      // commutative join clusters reorder with the same model.
-      plan = ReorderJoins(plan, *cost);
+      // Move tau below the final coalesce and through the REWR
+      // select/project shapes so it lands on the scans, where the
+      // executor can answer it from the timeline index.
+      plan = PushDownTimeslice(MakeTimeslice(std::move(plan), *bound.as_of));
     }
-    if (cost.has_value()) {
-      // Mark tiny overlap joins for the nested loop.  Runs on the final
-      // encoded plan (post-rewrite/pushdown) so the hint lands on the
-      // joins that actually execute.
-      plan = ApplyJoinStrategyHints(plan, *cost);
-    }
-    if (!bound.order_by.empty()) {
-      Result<std::vector<SortKey>> keys =
-          sql::BindOrderBy(bound.order_by, plan->schema);
-      if (!keys.ok()) return keys.status();
-      plan = MakeSort(std::move(plan), std::move(keys.value()));
-    }
-    return plan;
-  } catch (const EngineError& error) {
-    return Status::Internal(error.what());
+  } else if (cost.has_value()) {
+    // Non-snapshot statements scan stored tables directly; their
+    // commutative join clusters reorder with the same model.
+    plan = ReorderJoins(plan, *cost);
   }
+  if (cost.has_value()) {
+    // Mark tiny overlap joins for the nested loop.  Runs on the final
+    // encoded plan (post-rewrite/pushdown) so the hint lands on the
+    // joins that actually execute.
+    plan = ApplyJoinStrategyHints(plan, *cost);
+  }
+  if (!bound.order_by.empty()) {
+    Result<std::vector<SortKey>> keys =
+        sql::BindOrderBy(bound.order_by, plan->schema);
+    if (!keys.ok()) return keys.status();
+    plan = MakeSort(std::move(plan), std::move(keys.value()));
+  }
+  return plan;
 }
 
 Result<PlanPtr> TemporalDB::PlanForSnapshot(const std::string& sql,
                                             const RewriteOptions& options,
                                             const Snapshot& snap) const {
   const std::string key = PlanCacheKey(sql, options);
-  bool use_cache;
   {
     MutexLock lock(plan_cache_mu_);
-    use_cache = plan_cache_enabled_;
-    if (use_cache) {
-      auto it = plan_cache_.find(key);
-      if (it != plan_cache_.end()) {
-        // An entry is served iff every base table it was bound against
-        // is still at the version the binding saw.  Mutations of tables
-        // the plan never reads leave it hot.
-        bool valid = true;
-        for (const auto& [table, version] : it->second.table_versions) {
-          auto tv = snap.table_versions.find(table);
-          if (tv == snap.table_versions.end() || tv->second != version) {
-            valid = false;
-            break;
-          }
-        }
-        if (valid) {
-          ++cache_stats_.hits;
-          return it->second.plan;
+    auto it = plan_cache_.find(key);
+    if (it != plan_cache_.end()) {
+      // An entry is served iff every base table it was bound against
+      // is still at the version the binding saw.  Mutations of tables
+      // the plan never reads leave it hot.
+      bool valid = true;
+      for (const auto& [table, version] : it->second.table_versions) {
+        auto tv = snap.table_versions.find(table);
+        if (tv == snap.table_versions.end() || tv->second != version) {
+          valid = false;
+          break;
         }
       }
-      ++cache_stats_.misses;
+      if (valid) {
+        ++cache_stats_.hits;
+        return it->second.plan;
+      }
     }
+    ++cache_stats_.misses;
   }
   // Parse/bind/rewrite outside the lock: planning is the expensive part
   // and touches no cache state.  Failed statements are not cached: they
   // carry no plan to reuse and an error may be transient (e.g. a table
   // created later).
-  Result<sql::BoundStatement> bound = BindSql(sql, snap);
-  if (!bound.ok()) return bound.status();
-  Result<PlanPtr> plan = PlanBound(*bound, options, snap);
-  if (use_cache && plan.ok()) {
-    // Record the base tables the plan reads at the versions the pinned
-    // snapshot saw: the entry stays valid exactly as long as none of
-    // those tables mutates.  A table absent from the snapshot's version
-    // map (never published through a writer) pins version 0 and can
-    // never be served once it appears — the conservative direction.
-    std::vector<std::pair<std::string, uint64_t>> versions;
-    for (const std::string& table : CollectScanTables(*plan)) {
-      auto tv = snap.table_versions.find(table);
-      versions.emplace_back(table,
-                            tv == snap.table_versions.end() ? 0 : tv->second);
-    }
-    MutexLock lock(plan_cache_mu_);
-    // Re-check the toggle: a disable while we planned means "cache
-    // nothing".  The version tags carry the snapshot state this plan is
-    // valid for, so an insert racing a catalog mutation is harmless —
-    // queries pinned to any other state simply miss.
-    if (plan_cache_enabled_) {
-      if (plan_cache_.size() >= kPlanCacheMaxEntries) plan_cache_.clear();
-      plan_cache_.insert_or_assign(key, CachedPlan{*plan, std::move(versions)});
-    }
+  Result<PlanPtr> plan = PlanSql(sql, options, snap);
+  if (!plan.ok()) return plan;
+  // Record the base tables the plan reads at the versions the pinned
+  // snapshot saw: the entry stays valid exactly as long as none of
+  // those tables mutates.  A table absent from the snapshot's version
+  // map (never published through a writer) pins version 0 and can
+  // never be served once it appears — the conservative direction.
+  std::vector<std::pair<std::string, uint64_t>> versions;
+  for (const std::string& table : CollectScanTables(*plan)) {
+    auto tv = snap.table_versions.find(table);
+    versions.emplace_back(table,
+                          tv == snap.table_versions.end() ? 0 : tv->second);
   }
+  // The version tags carry the snapshot state this plan is valid for,
+  // so an insert racing a catalog mutation is harmless — queries pinned
+  // to any other state simply miss.
+  MutexLock lock(plan_cache_mu_);
+  if (plan_cache_.size() >= kPlanCacheMaxEntries) plan_cache_.clear();
+  plan_cache_.insert_or_assign(key, CachedPlan{*plan, std::move(versions)});
   return plan;
 }
 
@@ -675,13 +498,7 @@ Result<PlanPtr> TemporalDB::Plan(const std::string& sql) const {
 
 Result<PlanPtr> TemporalDB::Plan(const std::string& sql,
                                  const RewriteOptions& options) const {
-  try {
-    return PlanForSnapshot(sql, options, PinSnapshot());
-  } catch (const std::exception& error) {
-    // Planning reports every failure as a Status; this is the backstop
-    // that keeps the no-throw middleware boundary airtight.
-    return Status::Internal(error.what());
-  }
+  return PlanForSnapshot(sql, options, PinSnapshot());
 }
 
 Result<PlanPtr> TemporalDB::Prepare(const std::string& sql) const {

@@ -28,34 +28,30 @@
 // and the per-table version each was at when the plan was bound; an
 // entry is served only to queries whose pinned snapshot still has every
 // one of those tables at the recorded version, so a plan raced by a
-// catalog mutation (or by a cache disable/re-enable toggle) can never
-// be served stale.  Invalidation is per table: mutating T (Insert /
-// InsertRows / PutPeriodTable) evicts only the plans that read T, so a
-// hot plan survives writes to unrelated tables.  Creating a table
-// conservatively flushes everything; disabling the cache drops it
-// outright.  Tables are stored columnar (engine/column.h) by default:
-// writers re-encode the mutated copy before publishing it, so every
-// query scans typed column arrays.
+// catalog mutation can never be served stale.  Invalidation is per
+// table: mutating T (Insert / InsertRows / PutPeriodTable) evicts only
+// the plans that read T, so a hot plan survives writes to unrelated
+// tables.  Creating a table conservatively flushes everything.  Tables
+// are stored columnar (engine/column.h): writers re-encode the mutated
+// copy before publishing it, so every query scans typed column arrays.
 // Point-in-time reads (SEQ VT AS OF, Timeslice) are answered from
 // per-table timeline indexes (engine/timeline_index.h) built lazily on
 // the first indexed read.  Appends keep them warm: the new rows become
-// a differential delta published next to the base index, folded into a
-// fresh full index by threshold-triggered compaction (inline or
-// background — IndexMaintenanceOptions); see docs/architecture.md §8.
+// a differential delta published next to the base index, which the
+// writer folds into a fresh full index once the delta reaches a fixed
+// share of the index; see docs/architecture.md §8.
 #ifndef PERIODK_MIDDLEWARE_TEMPORAL_DB_H_
 #define PERIODK_MIDDLEWARE_TEMPORAL_DB_H_
 
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
 #include "common/thread_annotations.h"
-#include "common/thread_pool.h"
 #include "engine/executor.h"
 #include "rewrite/rewriter.h"
 #include "sql/binder.h"
@@ -72,39 +68,14 @@ struct PlanCacheStats {
   std::string ToString() const;
 };
 
-/// Write-path index maintenance (ROADMAP "incremental index maintenance
-/// under write traffic").  With maintenance on, Insert/InsertRows keep
-/// a table's timeline index warm instead of dropping it: the appended
-/// rows become a differential delta (TimelineIndex::WithDelta) published
-/// in the catalog slot alongside the new relation, and once the delta
-/// crosses the compaction threshold the writer folds it into a fresh
-/// fully checkpointed index — inline by default, or handed to a
-/// work-stealing pool when background_compaction is set (published
-/// double-checked under the table's generation tag, so a racing writer
-/// simply wins).  Either mode answers every query identically; the
-/// knobs trade write latency against read-side delta replay.
-struct IndexMaintenanceOptions {
-  /// Master switch.  Off restores the pre-differential behavior: every
-  /// append drops the index for a lazy rebuild-from-scratch.
-  bool maintain_indexes = true;
-  /// Compaction triggers when the delta reaches
-  /// clamp(compaction_ratio * base_events, min_compaction_events,
-  /// max_compaction_events) events.
-  int64_t min_compaction_events = 64;
-  int64_t max_compaction_events = 4096;
-  double compaction_ratio = 0.10;
-  /// Hand compactions to a background worker instead of running them on
-  /// the writer.  The delta index is still published immediately — the
-  /// compacted replacement lands asynchronously (WaitForIndexMaintenance
-  /// blocks until in-flight compactions settle).
-  bool background_compaction = false;
-};
-
-/// Counters of the write-path index maintenance.
+/// Counters of the write-path index maintenance.  An append to a table
+/// with a warm timeline index publishes the appended rows as a
+/// differential delta next to it (TimelineIndex::WithDelta); once the
+/// delta reaches clamp(10% of the base index's events, 64, 4096) events
+/// the writer folds it into a fresh full index instead.
 struct IndexMaintenanceStats {
-  int64_t delta_publishes = 0;        // appends that published a delta index
-  int64_t compactions = 0;            // deltas folded inline by the writer
-  int64_t background_compactions = 0; // compactions completed on the pool
+  int64_t delta_publishes = 0;  // appends that published a delta index
+  int64_t compactions = 0;      // deltas folded into a full index
   std::string ToString() const;
 };
 
@@ -123,11 +94,6 @@ class TemporalDB {
   /// (no tables, no cached plans) and safe only to destroy or reassign.
   TemporalDB(TemporalDB&& other);
   TemporalDB& operator=(TemporalDB&&) = delete;
-
-  /// Waits for in-flight background compactions before tearing the
-  /// catalog down (their tasks reference this object's locks and
-  /// catalog state).
-  ~TemporalDB();
 
   const TimeDomain& domain() const { return domain_; }
   const RewriteOptions& options() const { return options_; }
@@ -162,7 +128,9 @@ class TemporalDB {
   /// seeing the table without the row.  O(table) per call — batch with
   /// InsertRows when loading.  InvalidArgument on arity mismatch,
   /// NotFound for unknown tables.  Thread-safe.
-  [[nodiscard]] Status Insert(const std::string& table, Row row);
+  [[nodiscard]] Status Insert(const std::string& table, Row row) {
+    return InsertRows(table, {std::move(row)});
+  }
   /// Bulk insert; atomic: every row's arity is validated before any row
   /// lands, so a failure leaves the table untouched.  O(table + batch)
   /// per call.  Thread-safe.
@@ -231,38 +199,12 @@ class TemporalDB {
     return period_tables_.count(name) > 0;
   }
 
-  /// Plan-cache observability and control.  Disabling the cache (for
-  /// ablation/benchmarks) also drops every existing entry, so a plan
-  /// bound before the toggle can never be served after re-enabling.
+  /// Plan-cache observability.  Thread-safe.
   [[nodiscard]] PlanCacheStats plan_cache_stats() const;
-  void set_plan_cache_enabled(bool enabled);
 
-  /// Columnar table storage (on by default): writers re-encode each
-  /// mutated table copy as typed columns before publishing, so scans
-  /// and the vectorized kernels read contiguous arrays.  Turning it off
-  /// keeps subsequently published tables in row storage (ablation /
-  /// differential testing).  Not synchronized: configure before sharing
-  /// the instance across threads.
-  void set_columnar_storage(bool enabled) { columnar_storage_ = enabled; }
-  bool columnar_storage() const { return columnar_storage_; }
-
-  /// Write-path index maintenance knobs (see IndexMaintenanceOptions).
-  /// Not synchronized: configure before sharing the instance across
-  /// threads, like set_columnar_storage.
-  void set_index_maintenance(const IndexMaintenanceOptions& options) {
-    index_maintenance_ = options;
-  }
-  const IndexMaintenanceOptions& index_maintenance() const {
-    return index_maintenance_;
-  }
   /// Maintenance observability: delta publishes and compactions so far.
   /// Thread-safe.
   [[nodiscard]] IndexMaintenanceStats index_maintenance_stats() const;
-  /// Blocks until every background compaction scheduled so far has
-  /// finished (each either published its index or lost its
-  /// generation-tag race and discarded it).  No-op when background
-  /// compaction never ran.  Thread-safe; serializes with writers.
-  void WaitForIndexMaintenance();
 
  private:
   /// An immutable view of the catalog pinned by one read operation: the
@@ -298,50 +240,38 @@ class TemporalDB {
   void EnsureTimelineIndexes(const PlanPtr& plan, Snapshot& snap,
                              bool use_cost_model) const;
 
-  /// What an append publishes into the table's index slot, decided by
-  /// PlanAppendIndex.
-  struct AppendIndexPlan {
-    /// Published next to the relation in the same exclusive-lock
-    /// section; nullptr drops the slot (maintenance off, stale index,
-    /// or unindexable appended rows) for a lazy rebuild on read.
-    std::shared_ptr<const TimelineIndex> index;
-    /// The delta crossed the threshold but compaction is deferred to
-    /// the pool: the writer publishes `index` (the delta) now and
-    /// schedules ScheduleBackgroundCompaction after the publication.
-    bool compact_in_background = false;
-    int64_t checkpoint_interval = 0;
-  };
-  /// Maintains `table`'s timeline index across a copy-on-write append:
-  /// wraps the current index and the appended rows of `next` into a
-  /// differential index, or — past the compaction threshold — folds
-  /// them into a fresh full index (checkpoint-K sized from `next`'s
-  /// statistics when the cost model is on).  Pure apart from the
-  /// maintenance counters; runs outside the catalog locks like the rest
-  /// of the writer's build phase.
-  AppendIndexPlan PlanAppendIndex(
+  /// Maintains a table's timeline index across a copy-on-write append
+  /// from `old_relation` to `next`: wraps the current index and the
+  /// appended rows into a differential index, or — once the delta
+  /// reaches the compaction threshold — folds them into a fresh full
+  /// index (checkpoint-K sized from `next_stats` when the cost model is
+  /// on).  nullptr drops the slot (no warm index, a stale one, or
+  /// unindexable appended rows) for a lazy rebuild on read.  Pure; runs
+  /// outside the catalog locks like the rest of the writer's build phase.
+  std::shared_ptr<const TimelineIndex> MaintainIndex(
       const std::shared_ptr<const Relation>& old_relation,
       const std::shared_ptr<const TimelineIndex>& old_index,
       const std::shared_ptr<const Relation>& next,
       const std::shared_ptr<const TableStats>& next_stats, int begin_idx,
-      int end_idx) const PERIODK_EXCLUDES(catalog_mu_, maintenance_mu_);
-  /// Hands a full rebuild of `table`'s index (over `relation`, the
-  /// just-published state at `published_version`) to the compaction
-  /// pool.  The task builds outside every lock and publishes
-  /// double-checked under the generation tag: only while the table is
-  /// still at `published_version` — a writer that raced in between
-  /// simply wins and the stale index is discarded.  At most one
-  /// compaction is in flight per table (later appends re-arm once it
-  /// settles).  Caller must hold writer_mu_ (the pool handle is
-  /// writer state).
-  void ScheduleBackgroundCompaction(const std::string& table,
-                                    std::shared_ptr<const Relation> relation,
-                                    int begin_idx, int end_idx,
-                                    int64_t checkpoint_interval,
-                                    uint64_t published_version)
-      PERIODK_REQUIRES(writer_mu_) PERIODK_EXCLUDES(maintenance_mu_);
+      int end_idx) const;
+  /// The tail every writer shares.  Encodes `relation` as columns and
+  /// collects its statistics outside the catalog lock; when
+  /// `old_index` is set (an append to `old_relation`), maintains it.
+  /// Then publishes relation, statistics, index and — when `period`
+  /// is set — the period metadata in one exclusive section, bumping the
+  /// generation so no reader observes a partial state.
+  // periodk-lint: allow(relation-by-value): ownership sink, callers move
+  void Publish(const std::string& name, Relation relation, int begin_idx,
+               int end_idx, const sql::PeriodTableInfo* period,
+               const std::shared_ptr<const Relation>& old_relation = nullptr,
+               const std::shared_ptr<const TimelineIndex>& old_index = nullptr)
+      PERIODK_REQUIRES(writer_mu_) PERIODK_EXCLUDES(catalog_mu_);
 
-  [[nodiscard]] Result<sql::BoundStatement> BindSql(
-      const std::string& sql, const Snapshot& snap) const;
+  /// Parses, binds and plans `sql` against `snap`, bypassing the cache.
+  /// Never throws: every failure, exceptions included, is the Status.
+  [[nodiscard]] Result<PlanPtr> PlanSql(const std::string& sql,
+                                        const RewriteOptions& options,
+                                        const Snapshot& snap) const;
   /// Plans a bound statement against `snap` (the snapshot supplies the
   /// statistics the cost model reads when options.use_cost_model is on).
   [[nodiscard]] Result<PlanPtr> PlanBound(
@@ -351,7 +281,7 @@ class TemporalDB {
   [[nodiscard]] Result<PlanPtr> PlanForSnapshot(
       const std::string& sql, const RewriteOptions& options,
       const Snapshot& snap) const;
-  /// Flushes every cached plan (table creation, cache disable).
+  /// Flushes every cached plan (table creation).
   void InvalidatePlanCache() PERIODK_EXCLUDES(plan_cache_mu_);
   /// Evicts only the cached plans whose base-table set contains
   /// `table` (Insert / InsertRows / PutPeriodTable).  Plans over other
@@ -383,30 +313,9 @@ class TemporalDB {
   // table name -> generation at which that table was last published.
   std::map<std::string, uint64_t> table_versions_
       PERIODK_GUARDED_BY(catalog_mu_);
-  // See set_columnar_storage().
-  bool columnar_storage_ = true;
-  // See set_index_maintenance().
-  IndexMaintenanceOptions index_maintenance_;
-
-  // Maintenance bookkeeping.  maintenance_mu_ guards the counters and
-  // the per-table in-flight set; it is leaf-level (nothing is acquired
-  // under it), so background tasks may take it while a writer holds
-  // writer_mu_ waiting in Drain() without a cycle.  Mutable: readers
-  // (index_maintenance_stats, ExplainAnalyze) snapshot the counters.
-  mutable Mutex maintenance_mu_;
-  mutable IndexMaintenanceStats maintenance_stats_
-      PERIODK_GUARDED_BY(maintenance_mu_);
-  // Tables with a background compaction in flight; gates re-scheduling
-  // so a write burst queues at most one rebuild per table.
-  std::set<std::string> pending_compactions_
-      PERIODK_GUARDED_BY(maintenance_mu_);
-  // Background compaction workers, created on first use.  Writer state:
-  // only writers (who serialize on writer_mu_) schedule tasks, and
-  // WaitForIndexMaintenance/the destructor drain under the same lock.
-  // Deliberately not moved by the move constructor: in-flight tasks
-  // capture `this` of the moved-from object, which therefore keeps its
-  // pool and drains it at destruction (against its then-empty catalog).
-  std::unique_ptr<ThreadPool> compaction_pool_ PERIODK_GUARDED_BY(writer_mu_);
+  // Write-path maintenance counters; they change in the same exclusive
+  // section as the publication they count.
+  IndexMaintenanceStats maintenance_stats_ PERIODK_GUARDED_BY(catalog_mu_);
 
   // Bound-plan cache, keyed by (SQL text, rewrite options).  Mutable:
   // Query()/Plan() are logically const; the cache is an optimization.
@@ -426,7 +335,6 @@ class TemporalDB {
     std::vector<std::pair<std::string, uint64_t>> table_versions;
   };
   mutable Mutex plan_cache_mu_;
-  bool plan_cache_enabled_ PERIODK_GUARDED_BY(plan_cache_mu_) = true;
   mutable std::unordered_map<std::string, CachedPlan> plan_cache_
       PERIODK_GUARDED_BY(plan_cache_mu_);
   mutable PlanCacheStats cache_stats_ PERIODK_GUARDED_BY(plan_cache_mu_);

@@ -322,21 +322,25 @@ double CostModel::Selectivity(const ExprPtr& predicate,
         const auto range = RangeOf(*this, catalog_, input, cl->column);
         if (lit != nullptr && range.has_value() &&
             range->second > range->first) {
-          const double width =
-              static_cast<double>(range->second - range->first) + 1.0;
+          // In double: the int64 differences can overflow (a literal or
+          // a column range near the ends of int64).
+          const double lo = static_cast<double>(range->first);
+          const double hi = static_cast<double>(range->second);
+          const double v = static_cast<double>(*lit);
+          const double width = hi - lo + 1.0;
           double frac = kDefaultSelectivity;
           switch (cl->op) {
             case CompareOp::kLt:
-              frac = static_cast<double>(*lit - range->first) / width;
+              frac = (v - lo) / width;
               break;
             case CompareOp::kLe:
-              frac = (static_cast<double>(*lit - range->first) + 1.0) / width;
+              frac = (v - lo + 1.0) / width;
               break;
             case CompareOp::kGt:
-              frac = static_cast<double>(range->second - *lit) / width;
+              frac = (hi - v) / width;
               break;
             case CompareOp::kGe:
-              frac = (static_cast<double>(range->second - *lit) + 1.0) / width;
+              frac = (hi - v + 1.0) / width;
               break;
             default:
               break;
@@ -357,13 +361,12 @@ double CostModel::Selectivity(const ExprPtr& predicate,
       if (x->kind == ExprKind::kColumn && lo != nullptr && hi != nullptr) {
         const auto range = RangeOf(*this, catalog_, input, x->column);
         if (range.has_value() && range->second > range->first) {
-          const double width =
-              static_cast<double>(range->second - range->first) + 1.0;
-          const double covered =
-              std::max(0.0, static_cast<double>(
-                                std::min(*hi, range->second) -
-                                std::max(*lo, range->first)) +
-                                1.0);
+          // In double, like the comparison case above.
+          const double width = static_cast<double>(range->second) -
+                               static_cast<double>(range->first) + 1.0;
+          const double covered = std::max(
+              0.0, static_cast<double>(std::min(*hi, range->second)) -
+                       static_cast<double>(std::max(*lo, range->first)) + 1.0);
           const double frac = ClampSel(covered / width);
           return e.negated ? std::clamp(1.0 - frac, 0.0, 1.0) : frac;
         }

@@ -55,10 +55,9 @@ PlanPtr SnapshotRewriter::Rewrite(const PlanPtr& query) const {
     q = ReorderJoins(q, *cost_model_);
   }
   PlanPtr rewritten = RewriteNode(q);
-  if (options_.semantics != SnapshotSemantics::kPeriodK ||
-      !options_.final_coalesce) {
-    return rewritten;
-  }
+  // Period-K always ends in a coalesce: it makes the output encoding
+  // unique (Def 8.2); the baselines' encodings are not.
+  if (options_.semantics != SnapshotSemantics::kPeriodK) return rewritten;
   if (rewritten->kind == PlanKind::kCoalesce) return rewritten;
   return MakeCoalesce(std::move(rewritten), options_.coalesce_impl);
 }

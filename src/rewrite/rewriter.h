@@ -56,15 +56,7 @@ struct RewriteOptions {
   bool fuse_aggregation = true;
   /// Pre-aggregate per (group, begin, end) inside the fused operator.
   bool pre_aggregate = true;
-  /// Apply the final coalesce that makes the output encoding unique.
-  bool final_coalesce = true;
   CoalesceImpl coalesce_impl = CoalesceImpl::kNative;
-  /// Push the kTimeslice of a SEQ VT AS OF query below the final
-  /// coalesce and through selections/projections toward the scans (see
-  /// PushDownTimeslice), so point-in-time queries reach the timeline
-  /// index before materializing anything.  Plan-shaping: part of the
-  /// middleware's plan-cache key.
-  bool push_down_timeslice = true;
   /// Intra-query parallelism for execution (not a rewrite knob, but
   /// plumbed here so middleware callers configure one options struct):
   /// partitioned operators fan out to this many threads; 1 keeps

@@ -44,6 +44,9 @@ struct SqlExpr {
   bool negated = false;   // kIn / kBetween / kIsNull / kLike
   bool has_else = false;  // kCase
   std::vector<SqlExprPtr> args;
+  /// Nodes on the longest downward path, this one included (1 for a
+  /// leaf).  Set by the parser, which bounds statement depth with it.
+  int height = 1;
 
   /// Round-trippable-ish rendering for diagnostics.
   std::string ToString() const;
@@ -100,6 +103,9 @@ struct SqlQuery {
   std::shared_ptr<SelectQuery> select;  // kSelect
   std::shared_ptr<SqlQuery> left;
   std::shared_ptr<SqlQuery> right;
+  /// Like SqlExpr::height; a SELECT block counts one level above its
+  /// tallest expression or FROM subquery.
+  int height = 1;
 };
 
 struct Statement {

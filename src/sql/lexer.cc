@@ -1,6 +1,9 @@
 #include "sql/lexer.h"
 
 #include <cctype>
+#include <cerrno>
+#include <cmath>
+#include <cstdlib>
 
 #include "common/str_util.h"
 
@@ -54,12 +57,23 @@ Result<std::vector<Token>> Tokenize(const std::string& sql) {
         while (i < n && std::isdigit(static_cast<unsigned char>(sql[i]))) ++i;
       }
       std::string text = sql.substr(start, i - start);
+      // Literals are unsigned here (a leading '-' is the unary operator),
+      // so 9223372036854775808 is out of range even as -9223372036854775808.
+      bool out_of_range = false;
       if (is_float) {
         token.type = TokenType::kFloat;
-        token.float_value = std::stod(text);
+        token.float_value = std::strtod(text.c_str(), nullptr);
+        // Overflow only: a fraction too small for a double rounds to it.
+        out_of_range = std::isinf(token.float_value);
       } else {
         token.type = TokenType::kInt;
-        token.int_value = std::stoll(text);
+        errno = 0;
+        token.int_value = std::strtoll(text.c_str(), nullptr, 10);
+        out_of_range = errno == ERANGE;
+      }
+      if (out_of_range) {
+        return Status::ParseError(StrCat(
+            "numeric literal out of range at offset ", token.offset));
       }
       token.text = std::move(text);
       tokens.push_back(std::move(token));

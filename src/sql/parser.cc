@@ -1,5 +1,6 @@
 #include "sql/parser.h"
 
+#include <algorithm>
 #include <set>
 
 #include "common/str_util.h"
@@ -70,6 +71,66 @@ class Parser {
     size_t offset;
   };
 
+  /// Holds one nesting level while a nested construct parses.
+  class Nested {
+   public:
+    explicit Nested(Parser* parser) : parser_(parser) {
+      parser_->CheckDepth(++parser_->depth_);
+    }
+    ~Nested() { --parser_->depth_; }
+    Nested(const Nested&) = delete;
+    Nested& operator=(const Nested&) = delete;
+
+   private:
+    Parser* parser_;
+  };
+
+  void CheckDepth(int depth) const {
+    if (depth > kMaxNestingDepth) {
+      throw ParseFailure(StrCat("statement nests deeper than ",
+                                kMaxNestingDepth, " levels"),
+                         Peek().offset);
+    }
+  }
+
+  /// Sets an interior node's height from its children and bounds the
+  /// levels open around it plus the height of the tree built below it.
+  SqlExprPtr Sealed(SqlExprPtr node) {
+    for (const SqlExprPtr& arg : node->args) {
+      node->height = std::max(node->height, arg->height + 1);
+    }
+    CheckDepth(depth_ + node->height);
+    return node;
+  }
+
+  std::shared_ptr<SqlQuery> Sealed(std::shared_ptr<SqlQuery> query) {
+    int tallest = 0;
+    if (query->kind != SqlQuery::Kind::kSelect) {
+      tallest = std::max(query->left->height, query->right->height);
+    } else {
+      const SelectQuery& select = *query->select;
+      auto visit = [&tallest](const SqlExprPtr& e) {
+        if (e != nullptr) tallest = std::max(tallest, e->height);
+      };
+      for (const SelectItem& item : select.items) visit(item.expr);
+      // FROM binds to a left-deep join over its entries: a conservative
+      // entry depth is the join count plus the entry's own height.
+      const int joins = static_cast<int>(select.from.size()) - 1;
+      for (const TableRef& ref : select.from) {
+        tallest = std::max(tallest, joins + (ref.subquery != nullptr
+                                                 ? ref.subquery->height
+                                                 : 1));
+      }
+      for (const SqlExprPtr& e : select.join_conditions) visit(e);
+      visit(select.where);
+      for (const SqlExprPtr& e : select.group_by) visit(e);
+      visit(select.having);
+    }
+    query->height = tallest + 1;
+    CheckDepth(depth_ + query->height);
+    return query;
+  }
+
   const Token& Peek(size_t ahead = 0) const {
     size_t i = pos_ + ahead;
     return i < tokens_.size() ? tokens_[i] : tokens_.back();
@@ -128,9 +189,8 @@ class Parser {
   // --- Query structure. ----------------------------------------------------
 
   std::shared_ptr<SqlQuery> ParseQuery() {
-    auto query = std::make_shared<SqlQuery>();
-    query->kind = SqlQuery::Kind::kSelect;
-    query->select = ParseSelect();
+    Nested nested(this);
+    std::shared_ptr<SqlQuery> query = ParseSelectBlock();
     while (PeekKeyword("union") || PeekKeyword("except")) {
       bool is_union = MatchKeyword("union");
       if (!is_union) ExpectKeyword("except");
@@ -139,13 +199,17 @@ class Parser {
       parent->kind = is_union ? SqlQuery::Kind::kUnionAll
                               : SqlQuery::Kind::kExceptAll;
       parent->left = query;
-      auto rhs = std::make_shared<SqlQuery>();
-      rhs->kind = SqlQuery::Kind::kSelect;
-      rhs->select = ParseSelect();
-      parent->right = rhs;
-      query = parent;
+      parent->right = ParseSelectBlock();
+      query = Sealed(std::move(parent));
     }
     return query;
+  }
+
+  std::shared_ptr<SqlQuery> ParseSelectBlock() {
+    auto block = std::make_shared<SqlQuery>();
+    block->kind = SqlQuery::Kind::kSelect;
+    block->select = ParseSelect();
+    return Sealed(std::move(block));
   }
 
   std::shared_ptr<SelectQuery> ParseSelect() {
@@ -257,23 +321,27 @@ class Parser {
 
   // --- Expressions (precedence climbing). -----------------------------------
 
-  SqlExprPtr ParseExpr() { return ParseOr(); }
+  SqlExprPtr ParseExpr() {
+    Nested nested(this);
+    return ParseOr();
+  }
 
   SqlExprPtr ParseOr() {
     SqlExprPtr e = ParseAnd();
-    while (MatchKeyword("or")) e = MakeBinary("or", e, ParseAnd());
+    while (MatchKeyword("or")) e = Sealed(MakeBinary("or", e, ParseAnd()));
     return e;
   }
 
   SqlExprPtr ParseAnd() {
     SqlExprPtr e = ParseNot();
-    while (MatchKeyword("and")) e = MakeBinary("and", e, ParseNot());
+    while (MatchKeyword("and")) e = Sealed(MakeBinary("and", e, ParseNot()));
     return e;
   }
 
   SqlExprPtr ParseNot() {
-    if (MatchKeyword("not")) return MakeUnary("not", ParseNot());
-    return ParsePredicate();
+    if (!MatchKeyword("not")) return ParsePredicate();
+    Nested nested(this);
+    return Sealed(MakeUnary("not", ParseNot()));
   }
 
   SqlExprPtr ParsePredicate() {
@@ -283,8 +351,8 @@ class Parser {
     for (const char* op : kCompare) {
       if (PeekSymbol(op)) {
         Advance();
-        return MakeBinary(op == std::string("!=") ? "<>" : op, e,
-                          ParseAdditive());
+        return Sealed(MakeBinary(op == std::string("!=") ? "<>" : op, e,
+                                 ParseAdditive()));
       }
     }
     bool negated = false;
@@ -302,7 +370,7 @@ class Parser {
       node->args.push_back(ParseAdditive());
       ExpectKeyword("and");
       node->args.push_back(ParseAdditive());
-      return node;
+      return Sealed(std::move(node));
     }
     if (MatchKeyword("in")) {
       ExpectSymbol("(");
@@ -313,7 +381,7 @@ class Parser {
       node->args.push_back(ParseExpr());
       while (MatchSymbol(",")) node->args.push_back(ParseExpr());
       ExpectSymbol(")");
-      return node;
+      return Sealed(std::move(node));
     }
     if (MatchKeyword("like")) {
       auto node = std::make_shared<SqlExpr>();
@@ -321,7 +389,7 @@ class Parser {
       node->negated = negated;
       node->args.push_back(e);
       node->args.push_back(ParseAdditive());
-      return node;
+      return Sealed(std::move(node));
     }
     if (MatchKeyword("is")) {
       auto node = std::make_shared<SqlExpr>();
@@ -329,7 +397,7 @@ class Parser {
       node->negated = MatchKeyword("not");
       ExpectKeyword("null");
       node->args.push_back(e);
-      return node;
+      return Sealed(std::move(node));
     }
     return e;
   }
@@ -338,7 +406,7 @@ class Parser {
     SqlExprPtr e = ParseMultiplicative();
     while (PeekSymbol("+") || PeekSymbol("-")) {
       std::string op = Advance().text;
-      e = MakeBinary(op, e, ParseMultiplicative());
+      e = Sealed(MakeBinary(op, e, ParseMultiplicative()));
     }
     return e;
   }
@@ -347,14 +415,15 @@ class Parser {
     SqlExprPtr e = ParseUnary();
     while (PeekSymbol("*") || PeekSymbol("/") || PeekSymbol("%")) {
       std::string op = Advance().text;
-      e = MakeBinary(op, e, ParseUnary());
+      e = Sealed(MakeBinary(op, e, ParseUnary()));
     }
     return e;
   }
 
   SqlExprPtr ParseUnary() {
-    if (MatchSymbol("-")) return MakeUnary("-", ParseUnary());
-    return ParsePrimary();
+    if (!MatchSymbol("-")) return ParsePrimary();
+    Nested nested(this);
+    return Sealed(MakeUnary("-", ParseUnary()));
   }
 
   SqlExprPtr ParsePrimary() {
@@ -396,7 +465,7 @@ class Parser {
             while (MatchSymbol(",")) args.push_back(ParseExpr());
           }
           ExpectSymbol(")");
-          return MakeFuncCall(name, std::move(args));
+          return Sealed(MakeFuncCall(name, std::move(args)));
         }
         // Column reference: ident or ident.ident.
         std::string first = Advance().text;
@@ -431,11 +500,12 @@ class Parser {
       node->args.push_back(ParseExpr());
     }
     ExpectKeyword("end");
-    return node;
+    return Sealed(std::move(node));
   }
 
   std::vector<Token> tokens_;
   size_t pos_ = 0;
+  int depth_ = 0;  // levels open around the construct being parsed
 };
 
 }  // namespace

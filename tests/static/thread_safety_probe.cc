@@ -61,13 +61,14 @@ class SharedCounter {
   int64_t value_ PERIODK_GUARDED_BY(mu_) = 0;
 };
 
-// Model of the catalog's index-slot publish protocol (differential
-// index maintenance): the slot is guarded by the catalog's SharedMutex,
-// and a background compaction may only publish its folded index while
-// holding that lock exclusively (double-checked against the generation
-// tag).  With -DPERIODK_SEED_TS_COMPACTION_VIOLATION the publish skips
-// the lock -- exactly the race a miswritten compaction task would
-// introduce -- and -Wthread-safety must reject the unit (WILL_FAIL).
+// Model of the catalog's index-slot publish protocol: the slot is
+// guarded by the catalog's SharedMutex, and a reader that lazily built
+// an index off its pinned snapshot (EnsureTimelineIndex) may only
+// publish it back while holding that lock exclusively (double-checked
+// against the generation tag).  With
+// -DPERIODK_SEED_TS_COMPACTION_VIOLATION the publish skips the lock --
+// exactly the race a miswritten publish would introduce -- and
+// -Wthread-safety must reject the unit (WILL_FAIL).
 class IndexSlot {
  public:
   void ReaderConsult(int64_t* out) const {
@@ -75,7 +76,7 @@ class IndexSlot {
     *out = slot_ + generation_;
   }
 
-  void PublishCompacted(int64_t built_for_generation, int64_t index) {
+  void PublishBuilt(int64_t built_for_generation, int64_t index) {
 #ifdef PERIODK_SEED_TS_COMPACTION_VIOLATION
     // Unlocked publish: races every reader and writer on the slot.
     if (generation_ == built_for_generation) slot_ = index;
@@ -105,7 +106,7 @@ int64_t Drive() {
   s.Set(c.Read());
   IndexSlot slot;
   slot.WriterAppend(1);
-  slot.PublishCompacted(1, 2);
+  slot.PublishBuilt(1, 2);
   int64_t consulted = 0;
   slot.ReaderConsult(&consulted);
   return s.Get() + c.Touch() + consulted;

@@ -279,7 +279,6 @@ TEST(ColumnarEquivalenceTest, TwoHundredRandomPlansMatchRowPath) {
     options.hoist_coalesce = rng.Chance(0.5);
     options.fuse_aggregation = rng.Chance(0.5);
     options.pre_aggregate = rng.Chance(0.5);
-    options.final_coalesce = rng.Chance(0.7);
     options.coalesce_impl =
         rng.Chance(0.5) ? CoalesceImpl::kNative : CoalesceImpl::kWindow;
 

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/str_util.h"
 #include "middleware/temporal_db.h"
 
 namespace periodk {
@@ -136,11 +137,13 @@ TEST(ConcurrencyTest, ReadersNeverObserveTornTableReplacements) {
   for (std::thread& t : readers) t.join();
 }
 
-// Readers racing the plan-cache enable/disable toggle and catalog
-// mutations: generation-tagged entries mean a plan bound against one
-// catalog state is never served against another, whatever the
-// interleaving.  The correctness signal is the same count invariant.
-TEST(ConcurrencyTest, PlanCacheToggleRacesStayConsistent) {
+// Readers racing whole-cache flushes and per-table invalidations: the
+// writer interleaves inserts into "t" with creating unrelated tables
+// (which flushes every cached plan).  Version-tagged entries mean a
+// plan bound against one catalog state is never served against
+// another, whatever the interleaving.  The correctness signal is the
+// same count invariant.
+TEST(ConcurrencyTest, PlanCacheFlushRacesStayConsistent) {
   TemporalDB db(TimeDomain{0, 1000});
   ASSERT_TRUE(
       db.CreatePeriodTable("t", {"v", "ts", "te"}, "ts", "te").ok());
@@ -156,7 +159,9 @@ TEST(ConcurrencyTest, PlanCacheToggleRacesStayConsistent) {
           db.Insert("t", {Value::Int(i), Value::Int(0), Value::Int(100)})
               .ok());
       completed.fetch_add(1);
-      db.set_plan_cache_enabled(i % 2 == 0);
+      if (i % 2 == 0) {
+        ASSERT_TRUE(db.CreateTable(StrCat("u", i), {"x"}).ok());
+      }
     }
   });
   std::vector<std::thread> readers;
@@ -175,25 +180,17 @@ TEST(ConcurrencyTest, PlanCacheToggleRacesStayConsistent) {
   }
   writer.join();
   for (std::thread& t : readers) t.join();
-  db.set_plan_cache_enabled(true);
 }
 
 // Differential index maintenance under contention: reader threads issue
 // indexed timeslices (both the SQL AS-OF route and the Timeslice entry
-// point) while a writer streams inserts and background compactions race
-// the whole time.  Each insert publishes relation + delta index in one
+// point) while a writer streams inserts, compacting inline every 32 of
+// them.  Each insert publishes relation + delta or folded index in one
 // exclusive section, so the snapshot count invariant (floor from
 // completed inserts, ceiling from started ones) must hold on every
-// schedule; after draining maintenance, the settled index must agree
-// with the scan path row-for-row.
+// schedule; afterwards the index must agree with the scan path.
 TEST(ConcurrencyTest, IndexedReadsRaceStreamingWritesAndCompaction) {
   TemporalDB db(TimeDomain{0, 1000});
-  IndexMaintenanceOptions maint;
-  maint.background_compaction = true;
-  // A tiny threshold keeps compactions racing throughout the run.
-  maint.min_compaction_events = 16;
-  maint.max_compaction_events = 16;
-  db.set_index_maintenance(maint);
   ASSERT_TRUE(
       db.CreatePeriodTable("t", {"v", "ts", "te"}, "ts", "te").ok());
   // Warm the index so every append maintains it differentially instead
@@ -260,19 +257,18 @@ TEST(ConcurrencyTest, IndexedReadsRaceStreamingWritesAndCompaction) {
   for (std::thread& t : readers) t.join();
   EXPECT_FALSE(failed.load());
 
-  db.WaitForIndexMaintenance();
   auto indexed = db.Timeslice("t", 50);
   ASSERT_TRUE(indexed.ok());
   EXPECT_EQ(indexed->size(), static_cast<size_t>(kInserts));
   RewriteOptions scan_opts = db.options();
   scan_opts.use_timeline_index = false;
-  scan_opts.push_down_timeslice = false;
   auto scanned =
       db.Query("SEQ VT AS OF 50 (SELECT v FROM t)", scan_opts);
   ASSERT_TRUE(scanned.ok());
   EXPECT_EQ(scanned->size(), indexed->size());
   IndexMaintenanceStats stats = db.index_maintenance_stats();
   EXPECT_GT(stats.delta_publishes, 0) << stats.ToString();
+  EXPECT_GT(stats.compactions, 0) << stats.ToString();
 }
 
 }  // namespace

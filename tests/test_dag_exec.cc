@@ -2,7 +2,8 @@
 // snapshot DISTINCT/EXCEPT) must execute exactly once per run, the memo
 // must never hand a consumer a relation another consumer still needs,
 // and memoized execution must be bag-equivalent to the memo-free
-// reference executor on arbitrary plans.
+// reference (the plan's tree expansion, tests/tree_expansion.h) on
+// arbitrary plans.
 #include <gtest/gtest.h>
 
 #include "engine/executor.h"
@@ -10,6 +11,7 @@
 #include "rewrite/rewriter.h"
 #include "tests/random_query.h"
 #include "tests/running_example.h"
+#include "tests/tree_expansion.h"
 
 namespace periodk {
 namespace {
@@ -29,11 +31,11 @@ TEST(DagExecTest, SharedSubplanExecutesOnce) {
   PlanPtr plan = MakeUnionAll(MakeSelect(shared, Ge(Col(0), LitInt(1))),
                               MakeSelect(shared, Lt(Col(0), LitInt(1))));
   ExecStats memo;
-  Relation memoized = Execute(plan, catalog, &memo);
+  Relation memoized = Execute(plan, catalog, {}, &memo);
   EXPECT_EQ(memo.nodes_executed, 5);
   EXPECT_EQ(memo.memo_hits, 1);
   ExecStats reference;
-  Relation expanded = Execute(plan, catalog, &reference, /*memoize=*/false);
+  Relation expanded = ExecuteTreeExpanded(plan, catalog, &reference);
   EXPECT_EQ(reference.nodes_executed, 7);
   EXPECT_EQ(reference.memo_hits, 0);
   EXPECT_TRUE(memoized.BagEquals(expanded)) << memoized.ToString();
@@ -50,9 +52,9 @@ TEST(DagExecTest, MemoizedHandleNotStolenWhileConsumersRemain) {
       {0, 1});
   PlanPtr plan = MakeUnionAll(MakeDistinct(shared), MakeDistinct(shared));
   ExecStats stats;
-  Relation memoized = Execute(plan, catalog, &stats);
+  Relation memoized = Execute(plan, catalog, {}, &stats);
   EXPECT_EQ(stats.memo_hits, 1);
-  Relation reference = Execute(plan, catalog, nullptr, /*memoize=*/false);
+  Relation reference = ExecuteTreeExpanded(plan, catalog);
   EXPECT_TRUE(memoized.BagEquals(reference)) << memoized.ToString();
 }
 
@@ -67,9 +69,9 @@ TEST(DagExecTest, RewrittenNestedDistinctSharesSplitInputs) {
   SnapshotRewriter rewriter(domain);
   PlanPtr plan = rewriter.Rewrite(query);
   ExecStats memo;
-  Relation memoized = Execute(plan, catalog, &memo);
+  Relation memoized = Execute(plan, catalog, {}, &memo);
   ExecStats reference;
-  Relation expanded = Execute(plan, catalog, &reference, /*memoize=*/false);
+  Relation expanded = ExecuteTreeExpanded(plan, catalog, &reference);
   // Two nesting levels -> two shared nodes -> two executions avoided;
   // the tree expansion nearly doubles per level instead.
   EXPECT_EQ(memo.memo_hits, 2);
@@ -88,10 +90,10 @@ TEST(DagExecTest, RewrittenExceptAllExecutesEachInputOnce) {
   SnapshotRewriter rewriter(domain);
   PlanPtr plan = rewriter.Rewrite(query);
   ExecStats memo;
-  Relation memoized = Execute(plan, catalog, &memo);
+  Relation memoized = Execute(plan, catalog, {}, &memo);
   EXPECT_EQ(memo.memo_hits, 2);
   ExecStats reference;
-  Relation expanded = Execute(plan, catalog, &reference, /*memoize=*/false);
+  Relation expanded = ExecuteTreeExpanded(plan, catalog, &reference);
   EXPECT_EQ(reference.nodes_executed, memo.nodes_executed + 2);
   EXPECT_TRUE(memoized.BagEquals(expanded)) << plan->ToString();
 }
@@ -142,9 +144,9 @@ TEST(DagExecPropertyTest, MemoizedMatchesMemoFreeReference) {
     SnapshotRewriter rewriter(domain);
     PlanPtr plan = rewriter.Rewrite(query);
     ExecStats memo;
-    Relation memoized = Execute(plan, catalog, &memo);
+    Relation memoized = Execute(plan, catalog, {}, &memo);
     ExecStats reference;
-    Relation expanded = Execute(plan, catalog, &reference, /*memoize=*/false);
+    Relation expanded = ExecuteTreeExpanded(plan, catalog, &reference);
     ASSERT_TRUE(memoized.BagEquals(expanded))
         << "iter " << iter << "\nquery:\n" << query->ToString()
         << "rewritten:\n" << plan->ToString();

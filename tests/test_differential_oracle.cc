@@ -91,7 +91,6 @@ FuzzCase BuildCase(int seed, double mid_insert_chance = 0.0) {
   options.hoist_coalesce = rng.Chance(0.5);
   options.fuse_aggregation = rng.Chance(0.5);
   options.pre_aggregate = rng.Chance(0.5);
-  options.final_coalesce = rng.Chance(0.7);
   options.coalesce_impl =
       rng.Chance(0.5) ? CoalesceImpl::kNative : CoalesceImpl::kWindow;
   options.use_cost_model = rng.Chance(0.5);
@@ -147,9 +146,9 @@ FuzzCase BuildCase(int seed, double mid_insert_chance = 0.0) {
              SnapshotSemanticsName(options.semantics),
              " hoist=", options.hoist_coalesce, " fuse=",
              options.fuse_aggregation, " preagg=", options.pre_aggregate,
-             " final_coalesce=", options.final_coalesce, " impl=",
-             options.coalesce_impl == CoalesceImpl::kNative ? "native"
-                                                            : "window",
+             " impl=", options.coalesce_impl == CoalesceImpl::kNative
+                           ? "native"
+                           : "window",
              " cost=", options.use_cost_model, " depth=", depth, wrappers);
   // Mid-sequence insert batches are drawn *last*, so a zero-valued knob
   // leaves every existing seed's plan/data stream bit-identical.

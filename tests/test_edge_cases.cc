@@ -3,11 +3,18 @@
 // snapshot blocks, and boundary time points.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <optional>
+#include <string>
+#include <vector>
+
 #include "common/status.h"
+#include "common/str_util.h"
 #include "engine/temporal_ops.h"
 #include "engine/window.h"
 #include "middleware/temporal_db.h"
 #include "rewrite/rewriter.h"
+#include "sql/parser.h"
 #include "tests/running_example.h"
 
 namespace periodk {
@@ -194,6 +201,171 @@ TEST(EdgeCaseTest, LargeMultiplicityCoalescing) {
   Relation out = CoalesceNative(in);
   EXPECT_EQ(out.size(), 500u);
   EXPECT_TRUE(CoalesceWindow(in).BagEquals(out));
+}
+
+std::string Repeat(const std::string& text, int n) {
+  std::string out;
+  for (int i = 0; i < n; ++i) out += text;
+  return out;
+}
+
+/// `n` nested parentheses around a column reference.
+std::string NestedParens(int n) {
+  return StrCat("SELECT ", Repeat("(", n), "a", Repeat(")", n), " FROM t");
+}
+
+/// `n` subqueries nested in FROM, each a SELECT over the one below.
+std::string NestedSubqueries(int n) {
+  std::string query = StrCat(Repeat("SELECT a FROM (", n), "SELECT a FROM t");
+  for (int i = 0; i < n; ++i) query += StrCat(") AS x", i);
+  return query;
+}
+
+/// An `n`-link chain over the same SELECT: a + a + ... or a set
+/// operation sequence.
+std::string AdditionChain(int n) {
+  return StrCat("SELECT a", Repeat(" + a", n), " AS s FROM t");
+}
+std::string UnionChain(int n) {
+  return StrCat("SELECT a FROM t", Repeat(" UNION ALL SELECT a FROM t", n));
+}
+std::string SeqExceptChain(int n) {
+  return StrCat("SEQ VT (SELECT a FROM t",
+                Repeat(" EXCEPT ALL SELECT a FROM t", n), ")");
+}
+
+/// `n` nested SEQ VT blocks that each DISTINCT-aggregate the one below:
+/// per level, the most plan nodes a SELECT block rewrites into.
+std::string SeqNestedAggregates(int n) {
+  std::string query =
+      StrCat("SEQ VT (", Repeat("SELECT DISTINCT a, count(*) AS c FROM (", n),
+             "SELECT a, count(*) AS c FROM t GROUP BY a");
+  for (int i = 0; i < n; ++i) {
+    query += StrCat(") AS x", i,
+                    " WHERE a > -100 GROUP BY a HAVING count(*) > 0");
+  }
+  return query + ")";
+}
+
+/// The largest `n` whose statement the parser accepts: the statement
+/// exactly at the nesting limit.  Every link of these shapes adds a
+/// level, so the search never needs to look past the limit itself.
+int LargestAccepted(const std::function<std::string(int)>& shape) {
+  int lo = 0;
+  int hi = sql::kMaxNestingDepth;
+  while (lo < hi) {
+    const int mid = (lo + hi + 1) / 2;
+    if (sql::Parse(shape(mid)).ok()) {
+      lo = mid;
+    } else {
+      hi = mid - 1;
+    }
+  }
+  return lo;
+}
+
+TemporalDB HostileInputDb() {
+  TemporalDB db(TimeDomain{0, 24});
+  EXPECT_TRUE(db.CreatePeriodTable("t", {"a", "ts", "te"}, "ts", "te").ok());
+  EXPECT_TRUE(db.InsertRows("t", {{Value::Int(1), Value::Int(0),
+                                   Value::Int(10)},
+                                  {Value::Int(-5), Value::Int(5),
+                                   Value::Int(20)}})
+                  .ok());
+  EXPECT_TRUE(db.CreateTable("one", {"a"}).ok());
+  EXPECT_TRUE(db.Insert("one", {Value::Int(0)}).ok());
+  // A column whose range spans nearly all of int64.
+  EXPECT_TRUE(db.CreateTable("wide", {"a"}).ok());
+  EXPECT_TRUE(db.InsertRows("wide", {{Value::Int(-9223372036854775807)},
+                                     {Value::Int(9223372036854775807)}})
+                  .ok());
+  return db;
+}
+
+// Statements that used to crash the process: out-of-range literals
+// (std::terminate), int64 overflow (UB, SIGFPE) in user arithmetic and
+// in the cost model's range estimates, and nesting deep enough to
+// exhaust the stack.  Every one must come back through Query, Prepare
+// and ExplainAnalyze as a Status or as the widened value.  The sanitizer
+// CI jobs run this suite, which makes any UB a failure.
+TEST(EdgeCaseTest, HostileStatementsReturnStatusOrWidenedValue) {
+  struct Case {
+    std::string sql;
+    // The single result cell, or nullopt when the statement must fail
+    // with a ParseError.
+    std::optional<Value> expected;
+  };
+  const double two63 = 9223372036854775808.0;
+  std::vector<Case> cases = {
+      {"SELECT 99999999999999999999 AS v FROM one", std::nullopt},
+      {StrCat("SELECT 1", std::string(399, '0'), ".5 AS v FROM one"),
+       std::nullopt},
+      {"SELECT -9223372036854775808 AS v FROM one", std::nullopt},
+      {"SELECT 9223372036854775807 + 1 AS v FROM one", Value::Double(two63)},
+      {"SELECT -9223372036854775807 - 2 AS v FROM one",
+       Value::Double(-two63)},
+      {"SELECT 9223372036854775807 * 2 AS v FROM one",
+       Value::Double(2 * two63)},
+      {"SELECT -(-9223372036854775807 - 1) AS v FROM one",
+       Value::Double(two63)},
+      {"SELECT (-9223372036854775807 - 1) % -1 AS v FROM one", Value::Int(0)},
+      {"SELECT count(*) AS c FROM t WHERE a < 9223372036854775807",
+       Value::Int(2)},
+      {"SELECT count(*) AS c FROM t, t AS u WHERE t.a < 9223372036854775807",
+       Value::Int(4)},
+      {"SELECT count(*) AS c FROM wide WHERE a < 0", Value::Int(1)},
+      {"SELECT count(*) AS c FROM wide WHERE a BETWEEN 0 AND 5",
+       Value::Int(0)},
+      {NestedParens(20000), std::nullopt},
+      {NestedSubqueries(20000), std::nullopt},
+      {AdditionChain(20000), std::nullopt},
+      {UnionChain(20000), std::nullopt},
+      {SeqExceptChain(1000), std::nullopt},
+  };
+  TemporalDB db = HostileInputDb();
+  for (const Case& c : cases) {
+    const std::string context = c.sql.substr(0, 80);
+    Result<Relation> query = db.Query(c.sql);
+    Result<PlanPtr> prepared = db.Prepare(c.sql);
+    Result<std::string> explained = db.ExplainAnalyze(c.sql);
+    if (!c.expected.has_value()) {
+      EXPECT_EQ(query.status().code(), StatusCode::kParseError) << context;
+      EXPECT_EQ(prepared.status().code(), StatusCode::kParseError) << context;
+      EXPECT_EQ(explained.status().code(), StatusCode::kParseError)
+          << context;
+      continue;
+    }
+    ASSERT_TRUE(query.ok()) << context << ": " << query.status().ToString();
+    ASSERT_EQ(query->size(), 1u) << context;
+    const Value& got = query->rows()[0][0];
+    EXPECT_EQ(got.type(), c.expected->type()) << context;
+    EXPECT_EQ(got, *c.expected) << context << ": " << got.ToString();
+    EXPECT_TRUE(prepared.ok()) << context;
+    EXPECT_TRUE(explained.ok()) << context;
+  }
+}
+
+// The deepest statement the parser accepts runs clean end to end, and
+// one level more is a ParseError, for each shape that nests: plain
+// parentheses, the set-operation chain that REWR turns into the
+// deepest shared plans, and the SELECT block with the most plan nodes
+// per level.
+TEST(EdgeCaseTest, StatementsAtTheNestingLimitRun) {
+  TemporalDB db = HostileInputDb();
+  for (const auto& shape : std::vector<std::function<std::string(int)>>{
+           NestedParens, SeqExceptChain, SeqNestedAggregates}) {
+    const int n = LargestAccepted(shape);
+    const std::string sql = shape(n);
+    const std::string context = StrCat("n=", n, ": ", sql.substr(0, 60));
+    EXPECT_GT(n, sql::kMaxNestingDepth / 2) << context;
+    Result<Relation> query = db.Query(sql);
+    EXPECT_TRUE(query.ok()) << context << ": " << query.status().ToString();
+    EXPECT_TRUE(db.Prepare(sql).ok()) << context;
+    EXPECT_TRUE(db.ExplainAnalyze(sql).ok()) << context;
+    EXPECT_EQ(db.Query(shape(n + 1)).status().code(),
+              StatusCode::kParseError)
+        << context;
+  }
 }
 
 }  // namespace

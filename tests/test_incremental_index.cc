@@ -1,12 +1,12 @@
-// Differential timeline index coverage (ISSUE 10): every merge path of
-// the delta layer must be row-exact against the rebuild-from-scratch
-// oracle and the unindexed scan path.  Unit level: WithDelta across
-// append batches straddling the compaction threshold, K = 1, empty
-// deltas, duplicate rows, and domain-bound endpoints.  Middleware
-// level: random Insert/InsertRows interleaved with Timeslice/AS-OF
-// probes under every maintenance mode (compact-always, thresholded,
-// never-compact, disabled, background), the stale-plan-cache/index
-// regression, and the ExplainAnalyze delta counter.
+// Differential timeline index coverage: every merge path of the delta
+// layer must be row-exact against the rebuild-from-scratch oracle and
+// the unindexed scan path.  Unit level: WithDelta across append batches
+// straddling the compaction threshold, K = 1, empty deltas, duplicate
+// rows, and domain-bound endpoints.  Middleware level: random
+// Insert/InsertRows interleaved with Timeslice/AS-OF probes across
+// inline compactions, the compaction threshold itself, the
+// stale-plan-cache/index regression, and the ExplainAnalyze delta
+// counter.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -190,11 +190,10 @@ TEST(IncrementalIndexTest, WithDeltaRefusesBadShapes) {
             nullptr);
 }
 
-// --- Middleware: maintenance modes, thresholds, plan cache. ----------------
+// --- Middleware: maintenance, the compaction threshold, plan cache. -------
 
-TemporalDB SeededDb(Rng* rng, int rows, IndexMaintenanceOptions maint = {}) {
+TemporalDB SeededDb(Rng* rng, int rows) {
   TemporalDB db(kDomain);
-  db.set_index_maintenance(maint);
   EXPECT_TRUE(
       db.CreatePeriodTable("t", {"grp", "val", "vb", "ve"}, "vb", "ve").ok());
   std::vector<Row> batch;
@@ -205,14 +204,16 @@ TemporalDB SeededDb(Rng* rng, int rows, IndexMaintenanceOptions maint = {}) {
 }
 
 /// One probe round: the DB's indexed answers vs. (a) an index rebuilt
-/// from scratch over the current relation and (b) the scan path.
+/// from scratch over the current relation, (b) the scan path, and (c)
+/// tau_t of the full SEQ VT result (the Thm 6.3 oracle).
 void ExpectProbesExact(TemporalDB& db, Rng* rng, const std::string& context) {
   std::shared_ptr<const Relation> current = db.catalog().GetShared("t");
   auto rebuilt = TimelineIndex::Build(current);
   ASSERT_NE(rebuilt, nullptr) << context;
   RewriteOptions scan_opts;
   scan_opts.use_timeline_index = false;
-  scan_opts.push_down_timeslice = false;
+  auto encoded = db.Query("SEQ VT (SELECT grp, val FROM t)", scan_opts);
+  ASSERT_TRUE(encoded.ok()) << context;
   for (int probe = 0; probe < 3; ++probe) {
     TimePoint t = rng->Range(kDomain.tmin, kDomain.tmax - 1);
     std::string ctx = StrCat(context, " t=", t);
@@ -228,77 +229,76 @@ void ExpectProbesExact(TemporalDB& db, Rng* rng, const std::string& context) {
     auto scanned = db.Query(as_of, scan_opts);
     ASSERT_TRUE(scanned.ok()) << ctx;
     EXPECT_TRUE(indexed->BagEquals(*scanned)) << ctx;
+    EXPECT_TRUE(indexed->BagEquals(TimesliceEncoded(*encoded, t))) << ctx;
   }
 }
 
 TEST(IncrementalIndexMiddlewareTest, InterleavedWritesAndProbesStayExact) {
-  struct Mode {
-    const char* name;
-    IndexMaintenanceOptions maint;
-  };
-  std::vector<Mode> modes;
-  modes.push_back({"compact-always", {}});
-  modes.back().maint.min_compaction_events = 1;
-  modes.back().maint.max_compaction_events = 1;
-  modes.push_back({"threshold-8", {}});
-  modes.back().maint.min_compaction_events = 8;
-  modes.back().maint.max_compaction_events = 8;
-  modes.push_back({"never-compact", {}});
-  modes.back().maint.min_compaction_events = 1 << 30;
-  modes.back().maint.max_compaction_events = 1 << 30;
-  modes.push_back({"background", {}});
-  modes.back().maint.min_compaction_events = 8;
-  modes.back().maint.max_compaction_events = 8;
-  modes.back().maint.background_compaction = true;
-  for (const Mode& mode : modes) {
-    Rng rng(0xBEEF ^ static_cast<uint64_t>(mode.name[0]));
-    TemporalDB db = SeededDb(&rng, 6, mode.maint);
-    ExpectProbesExact(db, &rng, StrCat(mode.name, " warmup"));
-    for (int iter = 0; iter < 30; ++iter) {
-      const Relation& existing = db.catalog().Get("t");
-      if (rng.Chance(0.5)) {
-        ASSERT_TRUE(db.Insert("t", RandomEncodedRow(&rng, existing)).ok());
-      } else {
-        std::vector<Row> batch;
-        for (int i = static_cast<int>(rng.Uniform(5)); i > 0; --i) {
-          batch.push_back(RandomEncodedRow(&rng, existing));
-        }
-        ASSERT_TRUE(db.InsertRows("t", std::move(batch)).ok());
+  Rng rng(0xBEEF);
+  TemporalDB db = SeededDb(&rng, 6);
+  ExpectProbesExact(db, &rng, "warmup");
+  // ~3 events per iteration against the 64-event minimum threshold:
+  // the run crosses several inline compactions.
+  for (int iter = 0; iter < 60; ++iter) {
+    const Relation& existing = db.catalog().Get("t");
+    if (rng.Chance(0.5)) {
+      ASSERT_TRUE(db.Insert("t", RandomEncodedRow(&rng, existing)).ok());
+    } else {
+      std::vector<Row> batch;
+      for (int i = static_cast<int>(rng.Uniform(5)); i > 0; --i) {
+        batch.push_back(RandomEncodedRow(&rng, existing));
       }
-      ExpectProbesExact(db, &rng, StrCat(mode.name, " iter=", iter));
+      ASSERT_TRUE(db.InsertRows("t", std::move(batch)).ok());
     }
-    db.WaitForIndexMaintenance();
-    ExpectProbesExact(db, &rng, StrCat(mode.name, " settled"));
-    IndexMaintenanceStats stats = db.index_maintenance_stats();
-    if (std::string(mode.name) == "compact-always") {
-      EXPECT_GT(stats.compactions, 0) << mode.name;
-    }
-    if (std::string(mode.name) == "never-compact") {
-      EXPECT_GT(stats.delta_publishes, 0) << mode.name;
-      EXPECT_EQ(stats.compactions, 0) << mode.name;
-      auto index = db.catalog().GetIndex("t");
-      ASSERT_NE(index, nullptr);
-      EXPECT_TRUE(index->has_delta());
-      EXPECT_GT(index->num_delta_events(), 8u)
-          << "deltas must keep accumulating past the (disabled) threshold";
-    }
+    ExpectProbesExact(db, &rng, StrCat("iter=", iter));
   }
+  IndexMaintenanceStats stats = db.index_maintenance_stats();
+  EXPECT_GT(stats.compactions, 0) << stats.ToString();
+  EXPECT_GT(stats.delta_publishes, 0) << stats.ToString();
 }
 
-TEST(IncrementalIndexMiddlewareTest, DisabledMaintenanceDropsIndexOnWrite) {
-  IndexMaintenanceOptions maint;
-  maint.maintain_indexes = false;
-  Rng rng(0x0FF);
-  TemporalDB db = SeededDb(&rng, 10, maint);
-  ASSERT_TRUE(db.Query("SEQ VT AS OF 5 (SELECT grp FROM t)").ok());
-  ASSERT_NE(db.catalog().GetIndex("t"), nullptr) << "lazy build on read";
-  ASSERT_TRUE(db.Insert("t", {Value::Int(1), Value::Int(1), Value::Int(0),
-                              Value::Int(16)})
-                  .ok());
-  // Pre-differential behavior: the write dropped the slot outright.
-  EXPECT_EQ(db.catalog().GetIndex("t"), nullptr);
-  EXPECT_EQ(db.index_maintenance_stats().delta_publishes, 0);
-  ExpectProbesExact(db, &rng, "disabled");
+// The delta folds once it reaches clamp(10% of the base index's events,
+// 64, 4096) events.  Every row below is alive on [2, 9), so each
+// contributes exactly two events; one row short of the threshold the
+// index still carries its delta, and the next append compacts.
+TEST(IncrementalIndexMiddlewareTest, CompactionThresholdIsClampedTenPercent) {
+  auto rows = [](int n) {
+    std::vector<Row> out;
+    for (int i = 0; i < n; ++i) {
+      out.push_back({Value::Int(i % 4), Value::Int(i), Value::Int(2),
+                     Value::Int(9)});
+    }
+    return out;
+  };
+  struct Case {
+    int base_rows;
+    int threshold_events;
+  };
+  // 200 base events: the minimum; 2,000: 10%; 60,000: the maximum.
+  for (const Case& c : {Case{100, 64}, Case{1000, 200}, Case{30000, 4096}}) {
+    std::string ctx = StrCat("base rows ", c.base_rows);
+    TemporalDB db(kDomain);
+    ASSERT_TRUE(
+        db.CreatePeriodTable("t", {"grp", "val", "vb", "ve"}, "vb", "ve").ok());
+    ASSERT_TRUE(db.InsertRows("t", rows(c.base_rows)).ok());
+    ASSERT_TRUE(db.Timeslice("t", 5).ok());  // warm the index
+    const int below = c.threshold_events / 2 - 1;
+    ASSERT_TRUE(db.InsertRows("t", rows(below)).ok()) << ctx;
+    auto index = db.catalog().GetIndex("t");
+    ASSERT_NE(index, nullptr) << ctx;
+    EXPECT_TRUE(index->has_delta()) << ctx;
+    EXPECT_EQ(index->num_delta_events(), static_cast<size_t>(2 * below))
+        << ctx;
+    EXPECT_EQ(db.index_maintenance_stats().compactions, 0) << ctx;
+    ASSERT_TRUE(db.InsertRows("t", rows(1)).ok()) << ctx;
+    index = db.catalog().GetIndex("t");
+    ASSERT_NE(index, nullptr) << ctx;
+    EXPECT_FALSE(index->has_delta()) << ctx;
+    EXPECT_TRUE(index->BuiltFor(db.catalog().GetShared("t").get())) << ctx;
+    IndexMaintenanceStats stats = db.index_maintenance_stats();
+    EXPECT_EQ(stats.compactions, 1) << ctx;
+    EXPECT_EQ(stats.delta_publishes, 1) << ctx;
+  }
 }
 
 // The stale-plan-cache / index interaction regression (ISSUE 10): a
@@ -348,52 +348,6 @@ TEST(IncrementalIndexMiddlewareTest, CachedPlanNeverServesPreDeltaIndex) {
       << *explained;
   EXPECT_NE(explained->find("index maintenance: "), std::string::npos)
       << *explained;
-}
-
-TEST(IncrementalIndexMiddlewareTest, BackgroundCompactionPublishesUnderTag) {
-  IndexMaintenanceOptions maint;
-  maint.background_compaction = true;
-  maint.min_compaction_events = 4;
-  maint.max_compaction_events = 4;
-  Rng rng(0xB6);
-  TemporalDB db = SeededDb(&rng, 5, maint);
-  ASSERT_TRUE(db.Query("SEQ VT AS OF 5 (SELECT grp FROM t)").ok());
-  // Two appended rows cross the 4-event threshold; waiting between
-  // inserts makes each scheduled compaction settle deterministically.
-  for (int i = 0; i < 2; ++i) {
-    ASSERT_TRUE(db.Insert("t", {Value::Int(i), Value::Int(i), Value::Int(1),
-                                Value::Int(9)})
-                    .ok());
-    db.WaitForIndexMaintenance();
-  }
-  IndexMaintenanceStats stats = db.index_maintenance_stats();
-  EXPECT_GE(stats.background_compactions, 1) << stats.ToString();
-  EXPECT_GT(stats.delta_publishes, 0) << stats.ToString();
-  auto index = db.catalog().GetIndex("t");
-  ASSERT_NE(index, nullptr);
-  EXPECT_FALSE(index->has_delta()) << "the folded index must have landed";
-  EXPECT_TRUE(index->BuiltFor(db.catalog().GetShared("t").get()));
-
-  // Race a writer against the published version: the compaction built
-  // for the pre-race state must lose its generation-tag check (or the
-  // racing order makes it moot) — either way the live slot may only
-  // hold an index for the *current* relation.
-  ASSERT_TRUE(db.InsertRows("t", {{Value::Int(8), Value::Int(8), Value::Int(0),
-                                   Value::Int(16)},
-                                  {Value::Int(9), Value::Int(9), Value::Int(2),
-                                   Value::Int(7)}})
-                  .ok());
-  ASSERT_TRUE(db.Insert("t", {Value::Int(3), Value::Int(3), Value::Int(4),
-                              Value::Int(12)})
-                  .ok());
-  db.WaitForIndexMaintenance();
-  auto current = db.catalog().GetShared("t");
-  auto settled = db.catalog().GetIndex("t");
-  if (settled != nullptr) {
-    EXPECT_TRUE(settled->BuiltFor(current.get()))
-        << "a stale compaction must never replace a newer index";
-  }
-  ExpectProbesExact(db, &rng, "post-race");
 }
 
 }  // namespace

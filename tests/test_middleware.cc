@@ -360,19 +360,6 @@ TEST(MiddlewareTest, PlanCacheKeyedByRewriteOptions) {
   EXPECT_FALSE(ours->BagEquals(*theirs));
 }
 
-TEST(MiddlewareTest, PlanCacheCanBeDisabled) {
-  TemporalDB db = MakeExampleDB();
-  db.set_plan_cache_enabled(false);
-  const char* sql = "SEQ VT (SELECT skill FROM works)";
-  auto first = db.Query(sql);
-  ASSERT_TRUE(first.ok());
-  auto second = db.Query(sql);
-  ASSERT_TRUE(second.ok());
-  EXPECT_TRUE(first->BagEquals(*second));
-  EXPECT_EQ(db.plan_cache_stats().entries, 0);
-  EXPECT_EQ(db.plan_cache_stats().hits, 0);
-}
-
 TEST(MiddlewareTest, AggregateExpressionOverAggregates) {
   // Arithmetic over aggregate results (needed by TPC-H Q8/Q14).
   TemporalDB db = MakeExampleDB();
@@ -391,31 +378,6 @@ TEST(MiddlewareTest, AggregateExpressionOverAggregates) {
     }
   }
   EXPECT_TRUE(found);
-}
-
-TEST(MiddlewareTest, DisablingPlanCacheDropsExistingEntries) {
-  TemporalDB db = MakeExampleDB();
-  const char* sql = "SEQ VT (SELECT skill FROM works)";
-  ASSERT_TRUE(db.Prepare(sql).ok());
-  ASSERT_EQ(db.plan_cache_stats().entries, 1);
-  // The toggle must not leave a bound plan behind: a plan cached before
-  // a disable/mutate/enable sequence would otherwise be served stale.
-  db.set_plan_cache_enabled(false);
-  EXPECT_EQ(db.plan_cache_stats().entries, 0);
-  ASSERT_TRUE(db.Insert("works", {Value::Int(20), Value::String("Zoe"),
-                                  Value::String("SP"), Value::Int(22)})
-                  .ok());
-  db.set_plan_cache_enabled(true);
-  auto result = db.Query(sql);
-  ASSERT_TRUE(result.ok());
-  bool found = false;
-  for (const Row& row : result->rows()) {
-    if (row[0] == Value::String("SP") && row[1].AsInt() <= 20 &&
-        row[2].AsInt() >= 22) {
-      found = true;
-    }
-  }
-  EXPECT_TRUE(found) << result->ToString();
 }
 
 TEST(MiddlewareTest, PrepareOnUnknownTableReturnsStatus) {

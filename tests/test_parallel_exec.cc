@@ -126,7 +126,8 @@ TEST(ParallelExecTest, IntervalJoinMatchesSequential) {
     PlanPtr plan = OverlapJoinPlan(with_keys);
     Relation seq = Execute(plan, catalog);
     ExecStats stats;
-    Relation par = Execute(plan, catalog, ExecOptions{true, 4}, &stats);
+    Relation par =
+        Execute(plan, catalog, ExecOptions{.num_threads = 4}, &stats);
     EXPECT_TRUE(seq.BagEquals(par)) << "with_keys=" << with_keys;
     if (with_keys) {
       // 64 key partitions fan out; the counter proves the pool ran.
@@ -152,7 +153,7 @@ TEST(ParallelExecTest, HashAggregateMatchesSequential) {
        AggExpr{AggFunc::kAvg, Col(1), "av"}});
   Relation seq = Execute(agg, catalog);
   ExecStats stats;
-  Relation par = Execute(agg, catalog, ExecOptions{true, 4}, &stats);
+  Relation par = Execute(agg, catalog, ExecOptions{.num_threads = 4}, &stats);
   EXPECT_TRUE(seq.BagEquals(par));
   EXPECT_GT(stats.parallel_tasks, 0);
 }
@@ -195,8 +196,8 @@ TEST(ParallelExecTest, RandomizedSnapshotQueriesAgreeAcrossThreadCounts) {
     PlanPtr query = gen.Generate(2 + static_cast<int>(rng.Uniform(2)));
     PlanPtr plan = rewriter.Rewrite(query);
     Relation legacy = Execute(plan, catalog);
-    Relation one = Execute(plan, catalog, ExecOptions{true, 1});
-    Relation four = Execute(plan, catalog, ExecOptions{true, 4});
+    Relation one = Execute(plan, catalog, ExecOptions{.num_threads = 1});
+    Relation four = Execute(plan, catalog, ExecOptions{.num_threads = 4});
     ASSERT_EQ(legacy.rows(), one.rows())
         << "iter " << iter << ": thread count 1 must be bit-identical\n"
         << query->ToString();
@@ -211,7 +212,8 @@ TEST(ParallelExecTest, SequentialRunReportsNoParallelTasks) {
   TimeDomain domain{0, 500};
   Catalog catalog = BigEncodedCatalog(&rng, 3000, 64, domain);
   ExecStats stats;
-  Execute(OverlapJoinPlan(true), catalog, ExecOptions{true, 1}, &stats);
+  Execute(OverlapJoinPlan(true), catalog, ExecOptions{.num_threads = 1},
+          &stats);
   EXPECT_EQ(stats.parallel_tasks, 0);
 }
 
@@ -229,7 +231,8 @@ TEST(ParallelExecTest, OperatorErrorPropagatesFromWorkers) {
   PlanPtr agg = MakeAggregate(
       MakeScan("t", Schema::FromNames({"a", "b"})), {Col(0, "a")},
       {Column("a")}, {AggExpr{AggFunc::kSum, Add(Col(1), LitInt(1)), "s"}});
-  EXPECT_THROW(Execute(agg, catalog, ExecOptions{true, 4}), EngineError);
+  EXPECT_THROW(Execute(agg, catalog, ExecOptions{.num_threads = 4}),
+               EngineError);
 }
 
 }  // namespace

@@ -424,7 +424,6 @@ TEST(TimelineIndexMiddlewareTest, AsOfQueriesMatchScanPathAndOracle) {
 
       RewriteOptions scan_opts;
       scan_opts.use_timeline_index = false;
-      scan_opts.push_down_timeslice = false;
       auto scanned = db.Query(as_of, scan_opts);
       ASSERT_TRUE(scanned.ok()) << as_of;
       EXPECT_TRUE(indexed->BagEquals(*scanned)) << as_of;
@@ -483,18 +482,22 @@ TEST(TimelineIndexMiddlewareTest, NonTrailingPeriodTableServedFromIndex) {
   ASSERT_TRUE(explained.ok());
   EXPECT_NE(explained->find("index timeslices: 1"), std::string::npos)
       << *explained;
+  RewriteOptions scan_opts;
+  scan_opts.use_timeline_index = false;
+  // Thm 6.3 oracle: tau_t of the full SEQ VT result on the scan path.
+  auto encoded = db.Query("SEQ VT (SELECT grp, val FROM t)", scan_opts);
+  ASSERT_TRUE(encoded.ok());
   for (TimePoint t = kDomain.tmin; t < kDomain.tmax; ++t) {
     auto indexed =
         db.Query(StrCat("SEQ VT AS OF ", t, " (SELECT grp, val FROM t)"));
     ASSERT_TRUE(indexed.ok());
-    RewriteOptions scan_opts;
-    scan_opts.use_timeline_index = false;
-    scan_opts.push_down_timeslice = false;
     auto scanned =
         db.Query(StrCat("SEQ VT AS OF ", t, " (SELECT grp, val FROM t)"),
                  scan_opts);
     ASSERT_TRUE(scanned.ok());
     EXPECT_TRUE(indexed->BagEquals(*scanned)) << "t=" << t;
+    EXPECT_TRUE(indexed->BagEquals(TimesliceEncoded(*encoded, t)))
+        << "t=" << t;
   }
 }
 
@@ -546,10 +549,12 @@ TEST(TimelineIndexMiddlewareTest, ConcurrentAsOfServingStaysConsistent) {
   ASSERT_TRUE(final_result.ok());
   RewriteOptions scan_opts;
   scan_opts.use_timeline_index = false;
-  scan_opts.push_down_timeslice = false;
   auto scan_result = db.Query("SEQ VT AS OF 8 (SELECT val FROM t)", scan_opts);
   ASSERT_TRUE(scan_result.ok());
   EXPECT_TRUE(final_result->BagEquals(*scan_result));
+  auto encoded = db.Query("SEQ VT (SELECT val FROM t)", scan_opts);
+  ASSERT_TRUE(encoded.ok());
+  EXPECT_TRUE(final_result->BagEquals(TimesliceEncoded(*encoded, 8)));
 }
 
 }  // namespace
