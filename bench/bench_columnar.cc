@@ -1,10 +1,11 @@
-// Columnar storage ablation (docs/architecture.md §9): the same plans
-// over the same base tables stored as vector<Row> (kernel row lanes)
-// vs typed columns (vectorized lanes reading contiguous endpoint
-// arrays and packed keys).  Four workloads cover the hot loops the
-// refactor targets: hash aggregation over a scan, the partition-then-
-// sweep interval join, native coalescing, and the fused split-
-// aggregate sweep.  Outputs are checked row-identical before timing.
+// Storage-layout ablation (docs/architecture.md §9): the same plans
+// over the same base tables stored as vector<Row> vs typed columns.
+// Every kernel has one typed lane: row-stored inputs are encoded column
+// by column (Relation::ReadColumn) and emit rows, columnar inputs are
+// read in place.  Four workloads cover the hot loops: hash aggregation
+// over a scan, the partition-then-sweep interval join, native
+// coalescing, and the fused split-aggregate sweep.  Outputs are checked
+// row-identical before timing.
 // Record medians into BENCH_columnar.json per docs/benchmarks.md.
 #include <cstdio>
 #include <string>
@@ -97,10 +98,10 @@ int main() {
   for (const Workload& w : workloads) {
     Relation by_rows = Execute(w.plan, row_cat);
     Relation by_cols = Execute(w.plan, col_cat);
-    // Row-identical, not just bag-equal: the vectorized lanes promise
-    // the exact sequential row-path output.
+    // Row-identical, not just bag-equal: the kernels promise the same
+    // sequential output whatever the storage layout.
     if (by_rows.size() != by_cols.size() || !by_rows.BagEquals(by_cols)) {
-      std::fprintf(stderr, "FATAL: columnar path diverges on %s\n",
+      std::fprintf(stderr, "FATAL: columnar run diverges on %s\n",
                    w.name.c_str());
       return 1;
     }

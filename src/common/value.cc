@@ -26,6 +26,22 @@ int TypeClass(ValueType t) {
 
 int Sign(double d) { return d < 0 ? -1 : (d > 0 ? 1 : 0); }
 
+// 2^63 exactly: the first double above every int64.
+constexpr double kTwo63 = 9223372036854775808.0;
+
+// Exact int-vs-double order (SQLite's): no rounding of `i` to double,
+// so equality stays transitive across Int and Double.  NaN compares
+// equal to everything, as the old numeric subtraction made it.
+int CompareIntDouble(int64_t i, double d) {
+  if (std::isnan(d)) return 0;
+  if (d >= kTwo63) return -1;
+  if (d < -kTwo63) return 1;
+  // d is within int64 range here, so its truncation is an exact int64.
+  auto whole = static_cast<int64_t>(d);
+  if (i != whole) return i < whole ? -1 : 1;
+  return Sign(static_cast<double>(whole) - d);
+}
+
 uint64_t Mix64(uint64_t x) {
   // splitmix64 finalizer.
   x += 0x9e3779b97f4a7c15ULL;
@@ -72,10 +88,10 @@ int Value::Compare(const Value& other) const {
         int64_t a = AsInt(), b = other.AsInt();
         return a == b ? 0 : (a < b ? -1 : 1);
       }
-      return Sign(static_cast<double>(AsInt()) - other.AsDouble());
+      return CompareIntDouble(AsInt(), other.AsDouble());
     case ValueType::kDouble:
       if (other.type() == ValueType::kInt) {
-        return Sign(AsDouble() - static_cast<double>(other.AsInt()));
+        return -CompareIntDouble(other.AsInt(), AsDouble());
       }
       return Sign(AsDouble() - other.AsDouble());
     case ValueType::kString:
@@ -117,13 +133,12 @@ uint64_t Value::Hash() const {
     case ValueType::kBool:
       return Mix64(AsBool() ? 2 : 1);
     case ValueType::kInt:
-      // Hash integers through their double representation when exactly
-      // representable so that Int(3) and Double(3.0) collide, matching
-      // Compare-equality.  All benchmark integers are < 2^53.
+      // Integral doubles hash through their int64 value below, so that
+      // Int(3) and Double(3.0) collide, matching Compare-equality.
       return Mix64(static_cast<uint64_t>(AsInt()) ^ 0x496e74ULL);
     case ValueType::kDouble: {
       double d = AsDouble();
-      if (d == std::floor(d) && std::abs(d) < 9.2e18) {
+      if (d == std::floor(d) && d >= -kTwo63 && d < kTwo63) {
         return Mix64(static_cast<uint64_t>(static_cast<int64_t>(d)) ^
                      0x496e74ULL);
       }

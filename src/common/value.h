@@ -58,8 +58,10 @@ class Value {
   double NumericAsDouble() const;
 
   /// Total order used for sorting and grouping: null < bool < numeric <
-  /// string; nulls are equal; int/double are compared numerically.
-  /// Returns <0, 0, >0.
+  /// string; nulls are equal; int/double are compared numerically and
+  /// exactly (the int is never rounded to double, so equality stays
+  /// transitive).  NaN is not ordered: it compares equal to every
+  /// number.  Returns <0, 0, >0.
   int Compare(const Value& other) const;
 
   bool operator==(const Value& other) const { return Compare(other) == 0; }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <numeric>
 #include <unordered_map>
 
 #include "common/status.h"
@@ -114,25 +115,34 @@ ColumnData ColumnData::Encode(const std::vector<Row>& rows, size_t col) {
       }
       break;
     case ColumnTag::kString: {
-      std::vector<std::string> dict;
-      dict.reserve(rows.size() - nulls);
-      for (const Row& row : rows) {
-        if (const std::string* s = row[col].TryString()) dict.push_back(*s);
-      }
-      std::sort(dict.begin(), dict.end());
-      dict.erase(std::unique(dict.begin(), dict.end()), dict.end());
+      // Codes in first-appearance order through one hash lookup per
+      // cell, then a sort of only the distinct strings renumbers them
+      // into dictionary (= string) order.
       std::unordered_map<std::string_view, uint32_t> code_of;
-      code_of.reserve(dict.size());
-      for (size_t c = 0; c < dict.size(); ++c) {
-        code_of.emplace(dict[c], static_cast<uint32_t>(c));
-      }
+      std::vector<std::string_view> distinct;
       out.codes_.resize(rows.size(), 0);
       for (size_t i = 0; i < rows.size(); ++i) {
         if (const std::string* s = rows[i][col].TryString()) {
-          out.codes_[i] = code_of.find(*s)->second;
+          auto [it, inserted] = code_of.try_emplace(
+              *s, static_cast<uint32_t>(distinct.size()));
+          if (inserted) distinct.push_back(*s);
+          out.codes_[i] = it->second;
           if (nulls > 0) out.SetValid(i);
         }
       }
+      std::vector<uint32_t> order(distinct.size());
+      std::iota(order.begin(), order.end(), 0u);
+      std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+        return distinct[a] < distinct[b];
+      });
+      std::vector<uint32_t> rank(distinct.size());
+      std::vector<std::string> dict;
+      dict.reserve(distinct.size());
+      for (uint32_t k = 0; k < order.size(); ++k) {
+        rank[order[k]] = k;
+        dict.emplace_back(distinct[order[k]]);
+      }
+      for (uint32_t& code : out.codes_) code = rank[code];
       out.dict_ = std::make_shared<const StringDict>(std::move(dict));
       break;
     }
@@ -208,6 +218,35 @@ ColumnData ColumnData::Gather(const ColumnData& src,
   return out;
 }
 
+ColumnData ColumnData::Concat(const std::vector<const ColumnData*>& parts) {
+  ColumnData out;
+  out.tag_ = parts.front()->tag_;
+  out.dict_ = parts.front()->dict_;
+  for (const ColumnData* p : parts) {
+    out.size_ += p->size_;
+    out.null_count_ += p->null_count_;
+    out.has_nan_ = out.has_nan_ || p->has_nan_;
+  }
+  if (out.null_count_ > 0) out.InitValidity();
+  size_t base = 0;
+  for (const ColumnData* p : parts) {
+    // Only the payload vector of the shared tag is non-empty.
+    out.ints_.insert(out.ints_.end(), p->ints_.begin(), p->ints_.end());
+    out.doubles_.insert(out.doubles_.end(), p->doubles_.begin(),
+                        p->doubles_.end());
+    out.bools_.insert(out.bools_.end(), p->bools_.begin(), p->bools_.end());
+    out.codes_.insert(out.codes_.end(), p->codes_.begin(), p->codes_.end());
+    out.mixed_.insert(out.mixed_.end(), p->mixed_.begin(), p->mixed_.end());
+    if (out.null_count_ > 0) {
+      for (size_t i = 0; i < p->size_; ++i) {
+        if (!p->IsNull(i)) out.SetValid(base + i);
+      }
+    }
+    base += p->size_;
+  }
+  return out;
+}
+
 Value ColumnData::Get(size_t i) const {
   if (IsNull(i)) return Value::Null();
   switch (tag_) {
@@ -239,56 +278,42 @@ bool FastKeyable(const ColumnData& column) {
   return false;
 }
 
-bool BuildPackedKeys(const std::vector<ColumnData>& columns,
-                     const std::vector<int>& key_cols, size_t num_rows,
-                     std::vector<uint64_t>* out) {
-  if (num_rows >= 0xffffffffull) return false;
-  if (key_cols.size() > 63) return false;
-  for (int c : key_cols) {
-    if (!FastKeyable(columns[static_cast<size_t>(c)])) return false;
-  }
-  size_t width = key_cols.size() + 1;
-  out->assign(num_rows * width, 0);
-  for (size_t j = 0; j < key_cols.size(); ++j) {
-    const ColumnData& col = columns[static_cast<size_t>(key_cols[j])];
-    uint64_t* word = out->data() + j;
-    uint64_t* nulls = out->data() + key_cols.size();
+void BuildPackedKeys(const std::vector<const ColumnData*>& keys,
+                     size_t begin, size_t end, uint64_t* out) {
+  const size_t width = keys.size() + 1;
+  std::fill(out, out + (end - begin) * width, 0);
+  for (size_t j = 0; j < keys.size(); ++j) {
+    const ColumnData& col = *keys[j];
+    uint64_t* word = out + j;
     switch (col.tag()) {
-      case ColumnTag::kInt: {
-        const int64_t* v = col.ints();
-        for (size_t i = 0; i < num_rows; ++i, word += width) {
-          *word = static_cast<uint64_t>(v[i]);
+      case ColumnTag::kInt:
+        for (size_t i = begin; i < end; ++i, word += width) {
+          *word = static_cast<uint64_t>(col.ints()[i]);
         }
         break;
-      }
-      case ColumnTag::kDouble: {
-        const double* v = col.doubles();
-        for (size_t i = 0; i < num_rows; ++i, word += width) {
-          double d = v[i] == 0.0 ? 0.0 : v[i];  // -0.0 == +0.0
-          *word = std::bit_cast<uint64_t>(d);
+      case ColumnTag::kDouble:
+        for (size_t i = begin; i < end; ++i, word += width) {
+          double d = col.doubles()[i];
+          *word = std::bit_cast<uint64_t>(d == 0.0 ? 0.0 : d);  // -0.0 == +0.0
         }
         break;
-      }
-      case ColumnTag::kBool: {
-        const uint8_t* v = col.bools();
-        for (size_t i = 0; i < num_rows; ++i, word += width) {
-          *word = v[i];
+      case ColumnTag::kBool:
+        for (size_t i = begin; i < end; ++i, word += width) {
+          *word = col.bools()[i];
         }
         break;
-      }
-      case ColumnTag::kString: {
-        const uint32_t* v = col.codes();
-        for (size_t i = 0; i < num_rows; ++i, word += width) {
-          *word = v[i];
+      case ColumnTag::kString:
+        for (size_t i = begin; i < end; ++i, word += width) {
+          *word = col.codes()[i];
         }
         break;
-      }
       case ColumnTag::kMixed:
-        return false;  // unreachable: rejected by FastKeyable above
+        throw EngineError("BuildPackedKeys: mixed columns are not keyable");
     }
     if (col.has_nulls()) {
-      word = out->data() + j;
-      for (size_t i = 0; i < num_rows; ++i, word += width, nulls += width) {
+      word = out + j;
+      uint64_t* nulls = out + keys.size();
+      for (size_t i = begin; i < end; ++i, word += width, nulls += width) {
         if (col.IsNull(i)) {
           *word = 0;
           *nulls |= uint64_t{1} << j;
@@ -296,13 +321,12 @@ bool BuildPackedKeys(const std::vector<ColumnData>& columns,
       }
     }
   }
-  return true;
 }
 
 PackedKeyMap::PackedKeyMap(size_t width, size_t expected) : width_(width) {
   size_t cap = 16;
   while (cap < expected * 2) cap *= 2;
-  slots_.assign(cap, kEmptySlot);
+  slots_.assign(cap, kAbsent);
   mask_ = cap - 1;
   arena_.reserve(expected * width_);
 }
@@ -313,12 +337,22 @@ uint64_t PackedKeyMap::HashKey(const uint64_t* key) const {
   return h;
 }
 
+uint32_t PackedKeyMap::Find(const uint64_t* key) const {
+  for (size_t pos = HashKey(key) & mask_;; pos = (pos + 1) & mask_) {
+    uint32_t id = slots_[pos];
+    if (id == kAbsent ||
+        std::equal(key, key + width_, &arena_[id * width_])) {
+      return id;
+    }
+  }
+}
+
 uint32_t PackedKeyMap::FindOrInsert(const uint64_t* key) {
   if ((count_ + 1) * 10 >= slots_.size() * 7) Grow();
   size_t pos = HashKey(key) & mask_;
   while (true) {
     uint32_t id = slots_[pos];
-    if (id == kEmptySlot) {
+    if (id == kAbsent) {
       uint32_t fresh = static_cast<uint32_t>(count_++);
       slots_[pos] = fresh;
       arena_.insert(arena_.end(), key, key + width_);
@@ -331,13 +365,105 @@ uint32_t PackedKeyMap::FindOrInsert(const uint64_t* key) {
 
 void PackedKeyMap::Grow() {
   size_t cap = slots_.size() * 2;
-  slots_.assign(cap, kEmptySlot);
+  slots_.assign(cap, kAbsent);
   mask_ = cap - 1;
   for (uint32_t id = 0; id < count_; ++id) {
     size_t pos = HashKey(&arena_[id * width_]) & mask_;
-    while (slots_[pos] != kEmptySlot) pos = (pos + 1) & mask_;
+    while (slots_[pos] != kAbsent) pos = (pos + 1) & mask_;
     slots_[pos] = id;
   }
+}
+
+namespace {
+
+std::vector<const ColumnData*> Pointers(const std::vector<TypedColumn>& cols) {
+  std::vector<const ColumnData*> out;
+  out.reserve(cols.size());
+  for (const TypedColumn& c : cols) out.push_back(&*c);
+  return out;
+}
+
+}  // namespace
+
+KeyIndex::KeyIndex(const std::vector<TypedColumn>& keys, size_t begin,
+                   size_t end)
+    : sides_{Pointers(keys), {}},
+      width_(keys.size() + 1),
+      stride_(keys.empty() ? 0 : width_),
+      packed_map_(width_, /*expected=*/64) {
+  packed_ = keys.size() < 64;  // one null-bitmap word
+  for (const ColumnData* c : sides_[0]) packed_ = packed_ && FastKeyable(*c);
+  if (packed_) {
+    PackSide(0, begin, keys.empty() ? begin : std::min(end, keys[0]->size()));
+  }
+}
+
+KeyIndex::KeyIndex(const std::vector<TypedColumn>& keys,
+                   const std::vector<TypedColumn>& other)
+    : KeyIndex(keys) {
+  sides_[1] = Pointers(other);
+  for (size_t j = 0; j < sides_[1].size(); ++j) {
+    packed_ = packed_ && FastKeyable(*sides_[1][j]) &&
+              sides_[1][j]->tag() == sides_[0][j]->tag();
+  }
+  if (!packed_) {
+    packed_keys_[0] = std::vector<uint64_t>();  // Value keys after all
+    return;
+  }
+  PackSide(1, 0, other.empty() ? 0 : other[0]->size());
+  // Equal strings carry different codes in different dictionaries.
+  // Both are sorted, so each side-1 string finds its side-0 code by
+  // binary search; strings side 0 lacks get codes past its range --
+  // distinct from every side-0 code and from each other.
+  for (size_t j = 0; j < sides_[1].size(); ++j) {
+    const ColumnData& lc = *sides_[0][j];
+    const ColumnData& rc = *sides_[1][j];
+    if (lc.tag() != ColumnTag::kString || lc.dict() == rc.dict()) continue;
+    const std::vector<std::string>& lv = lc.dict()->values();
+    const std::vector<std::string>& rv = rc.dict()->values();
+    std::vector<uint64_t> remap(rv.size());
+    for (size_t c = 0; c < rv.size(); ++c) {
+      auto it = std::lower_bound(lv.begin(), lv.end(), rv[c]);
+      remap[c] = (it != lv.end() && *it == rv[c])
+                     ? static_cast<uint64_t>(it - lv.begin())
+                     : lv.size() + c;
+    }
+    uint64_t* word = packed_keys_[1].data() + j;
+    for (size_t i = 0; i < rc.size(); ++i, word += width_) {
+      if (!rc.IsNull(i)) *word = remap[*word];
+    }
+  }
+}
+
+void KeyIndex::PackSide(int side, size_t begin, size_t end) {
+  first_row_[side] = begin;
+  if (stride_ == 0) {  // no key columns: every row's key is one 0 word
+    packed_keys_[side].assign(1, 0);
+    return;
+  }
+  packed_keys_[side].resize((end - begin) * width_);
+  BuildPackedKeys(sides_[side], begin, end, packed_keys_[side].data());
+}
+
+Row KeyIndex::ValueKey(size_t row, int side) const {
+  Row key;
+  key.reserve(sides_[side].size());
+  for (const ColumnData* c : sides_[side]) key.push_back(c->Get(row));
+  return key;
+}
+
+uint32_t KeyIndex::Find(size_t row, int side) const {
+  if (packed_) return packed_map_.Find(Packed(row, side));
+  auto it = value_map_.find(ValueKey(row, side));
+  return it == value_map_.end() ? kAbsent : it->second;
+}
+
+bool KeyIndex::HasNull(size_t row, int side) const {
+  if (packed_) return Packed(row, side)[width_ - 1] != 0;
+  for (const ColumnData* c : sides_[side]) {
+    if (c->IsNull(row)) return true;
+  }
+  return false;
 }
 
 }  // namespace periodk

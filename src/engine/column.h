@@ -1,4 +1,4 @@
-// Typed columnar storage for Relation (docs/architecture.md §9).
+// Typed columns: the form every kernel reads (docs/architecture.md §9).
 //
 // A ColumnData holds one column of a relation in a contiguous typed
 // vector plus a validity bitmap: int64/double/bool columns store raw
@@ -6,15 +6,22 @@
 // a per-column *sorted* dictionary (rdf3x-style: code order == string
 // order), and columns whose non-null values mix types fall back to a
 // vector<Value> ("mixed") representation so the dynamically typed
-// engine loses nothing.  The interval kernels (interval join,
-// coalescing, split-aggregate, timeline-index build) read the raw
-// arrays directly instead of dispatching through std::variant per cell.
+// engine loses nothing.
+//
+// Kernels never ask how a relation is stored.  They read columns
+// through Relation::ReadColumn -- the relation's own column when it is
+// columnar, a ColumnData::Encode of that one column when it is
+// row-stored -- decode endpoints with TryInt, and group with KeyIndex:
+// packed uint64 keys in a PackedKeyMap, or Value keys read off the
+// columns where packing cannot reproduce Value::Compare.  Only output
+// assembly depends on the layout (Relation::Gather).
 #ifndef PERIODK_ENGINE_COLUMN_H_
 #define PERIODK_ENGINE_COLUMN_H_
 
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/value.h"
@@ -49,16 +56,26 @@ class ColumnData {
  public:
   /// Encodes column `col` of `rows`.  Picks the narrowest tag that
   /// represents every non-null cell exactly (an all-null or empty
-  /// column encodes as kInt with an all-invalid bitmap).
+  /// column encodes as kInt with an all-invalid bitmap).  Strings cost
+  /// one hash lookup per cell plus one sort of the distinct values.
   static ColumnData Encode(const std::vector<Row>& rows, size_t col);
 
   /// A column of raw int64s with no NULLs (kernel interval outputs).
   static ColumnData FromInts(std::vector<int64_t> values);
 
-  /// out[k] = src[indices[k]] -- gather emission for the vectorized
-  /// join/coalesce paths.  Dictionary columns share src's dictionary.
+  /// out[k] = src[indices[k]] -- the gather emission of the kernels'
+  /// output helper.  Dictionary columns share src's dictionary.
   static ColumnData Gather(const ColumnData& src,
                            const std::vector<uint32_t>& indices);
+
+  /// `parts` back to back.  Every part must have the same encoding as
+  /// the first (SameEncoding): chunks gathered from one column.
+  static ColumnData Concat(const std::vector<const ColumnData*>& parts);
+
+  /// Same tag and, for strings, the same dictionary object.
+  bool SameEncoding(const ColumnData& other) const {
+    return tag_ == other.tag_ && dict_ == other.dict_;
+  }
 
   ColumnTag tag() const { return tag_; }
   size_t size() const { return size_; }
@@ -72,6 +89,14 @@ class ColumnData {
   /// Value at row i (strings are copied out of the dictionary).
   Value Get(size_t i) const;
 
+  /// The endpoint decoding of every sweep kernel: cell i when it holds
+  /// a non-null integer (a kInt cell, or an Int inside a kMixed
+  /// column), nullptr otherwise.
+  const int64_t* TryInt(size_t i) const {
+    if (tag_ == ColumnTag::kInt) return IsNull(i) ? nullptr : &ints_[i];
+    return tag_ == ColumnTag::kMixed ? mixed_[i].TryInt() : nullptr;
+  }
+
   // Raw typed payloads; meaningful only for the matching tag().  Cells
   // whose validity bit is clear hold an unspecified placeholder.
   const int64_t* ints() const { return ints_.data(); }
@@ -82,8 +107,8 @@ class ColumnData {
   const std::vector<Value>& mixed() const { return mixed_; }
 
   /// kDouble only: true when any stored value is NaN.  Value::Compare
-  /// is not a consistent order on NaN, so packed-key fast paths must
-  /// fall back to the row path for such columns.
+  /// is not a consistent order on NaN, so such columns group by Value
+  /// keys instead of packed ones.
   bool has_nan() const { return has_nan_; }
 
  private:
@@ -103,23 +128,39 @@ class ColumnData {
   void SetValid(size_t i) { validity_[i >> 6] |= uint64_t{1} << (i & 63); }
 };
 
+/// A column as a kernel reads it (Relation::ReadColumn): a relation's
+/// own column, borrowed, or a freshly encoded one, owned.  The column's
+/// address survives moves, so pointers to it (KeyIndex) stay valid.
+class TypedColumn {
+ public:
+  explicit TypedColumn(const ColumnData& borrowed) : column_(&borrowed) {}
+  explicit TypedColumn(ColumnData&& owned)
+      : owned_(std::make_unique<const ColumnData>(std::move(owned))),
+        column_(owned_.get()) {}
+
+  const ColumnData& operator*() const { return *column_; }
+  const ColumnData* operator->() const { return column_; }
+
+ private:
+  std::unique_ptr<const ColumnData> owned_;
+  const ColumnData* column_;
+};
+
 /// True when a column can serve as a packed uint64 grouping key with
 /// equality identical to Value::Compare within the column: ints, bools
 /// and dictionary codes always; doubles unless they contain NaN; mixed
 /// columns never.
 bool FastKeyable(const ColumnData& column);
 
-/// Builds row-major packed keys over `key_cols` of `columns`:
-/// width = key_cols.size() + 1 words per row -- one word per key column
-/// (int bits / bool / dictionary code / double bits with -0.0
-/// normalized to +0.0) plus a trailing null-bitmap word.  Returns false
-/// (leaving *out unspecified) if any listed column is not FastKeyable
-/// or num_rows exceeds uint32 range.  Word equality then matches row
-/// key equality under Value::Compare, and dictionary codes keep string
-/// comparisons out of the grouping loops entirely.
-bool BuildPackedKeys(const std::vector<ColumnData>& columns,
-                     const std::vector<int>& key_cols, size_t num_rows,
-                     std::vector<uint64_t>* out);
+/// Packs the keys of rows [begin, end) over `keys`, row-major, into
+/// width = keys.size() + 1 words per row at `out`: one word per key
+/// column (int bits / bool / dictionary code / double bits with -0.0
+/// normalized to +0.0, 0 for NULL) plus a trailing null-bitmap word.
+/// Every column must be FastKeyable, and keys.size() < 64.  Word
+/// equality then matches key equality under Value::Compare, and
+/// dictionary codes keep string comparisons out of the grouping loops.
+void BuildPackedKeys(const std::vector<const ColumnData*>& keys,
+                     size_t begin, size_t end, uint64_t* out);
 
 /// Open-addressing hash map from fixed-width uint64 keys to dense ids
 /// (0, 1, 2, ... in first-appearance order).  Keys live in one arena
@@ -129,12 +170,14 @@ class PackedKeyMap {
  public:
   explicit PackedKeyMap(size_t width, size_t expected = 0);
 
+  static constexpr uint32_t kAbsent = 0xffffffffu;
+
   /// Returns the id of `key` (width_ words), inserting it if new.
   uint32_t FindOrInsert(const uint64_t* key);
+  /// The id of `key`, or kAbsent.
+  uint32_t Find(const uint64_t* key) const;
 
   size_t size() const { return count_; }
-  /// Key words of group `id` (valid until the next FindOrInsert).
-  const uint64_t* KeyOf(uint32_t id) const { return &arena_[id * width_]; }
 
  private:
   void Grow();
@@ -143,9 +186,66 @@ class PackedKeyMap {
   size_t width_;
   size_t count_ = 0;
   size_t mask_ = 0;                 // slots_.size() - 1 (power of two)
-  std::vector<uint32_t> slots_;     // kEmptySlot or group id
+  std::vector<uint32_t> slots_;     // kAbsent or group id
   std::vector<uint64_t> arena_;     // count_ * width_ key words
-  static constexpr uint32_t kEmptySlot = 0xffffffffu;
+};
+
+/// Dense ids 0, 1, 2, ... for the keys of rows, in first-appearance
+/// order: the grouping step of every kernel (coalesce and split groups,
+/// aggregation groups, join buckets, distinct counts).  A key is the
+/// row's cells in the key columns; two keys are equal when
+/// Value::Compare says so.  Keys are packed (BuildPackedKeys into a
+/// PackedKeyMap) when every key column is FastKeyable and, for
+/// two-sided keys, each pair of key columns shares a tag -- side 1's
+/// string codes are translated into side 0's dictionary.  Otherwise
+/// they are Value rows read off the columns: kMixed or NaN columns,
+/// join keys whose tags differ across the sides.
+class KeyIndex {
+ public:
+  static constexpr uint32_t kAbsent = PackedKeyMap::kAbsent;
+
+  /// Keys of rows [begin, end) of one input (every row by default);
+  /// only those rows may be looked up.  The columns must outlive the
+  /// index.
+  explicit KeyIndex(const std::vector<TypedColumn>& keys, size_t begin = 0,
+                    size_t end = SIZE_MAX);
+  /// Keys of two inputs that compare across each other (side 0 =
+  /// `keys`, side 1 = `other`, same number of columns).
+  KeyIndex(const std::vector<TypedColumn>& keys,
+           const std::vector<TypedColumn>& other);
+
+  /// The id of row `row` of `side`'s key, inserting it if new.
+  uint32_t FindOrInsert(size_t row, int side = 0) {
+    if (packed_) return packed_map_.FindOrInsert(Packed(row, side));
+    return value_map_
+        .try_emplace(ValueKey(row, side),
+                     static_cast<uint32_t>(value_map_.size()))
+        .first->second;
+  }
+  /// The id of row `row` of `side`'s key, or kAbsent.
+  uint32_t Find(size_t row, int side = 0) const;
+  /// True when any key cell of the row is NULL (NULL never equi-joins).
+  bool HasNull(size_t row, int side = 0) const;
+  size_t size() const {
+    return packed_ ? packed_map_.size() : value_map_.size();
+  }
+
+ private:
+  void PackSide(int side, size_t begin, size_t end);
+  const uint64_t* Packed(size_t row, int side) const {
+    return &packed_keys_[side][(row - first_row_[side]) * stride_];
+  }
+  Row ValueKey(size_t row, int side) const;
+
+  std::vector<const ColumnData*> sides_[2];
+  size_t width_;
+  size_t stride_;  // words between rows' keys; 0 without key columns
+  bool packed_ = true;
+  // Packed mode: keys of rows first_row_[s].. of side s, row-major.
+  std::vector<uint64_t> packed_keys_[2];
+  size_t first_row_[2] = {0, 0};
+  PackedKeyMap packed_map_;
+  std::unordered_map<Row, uint32_t, RowHash, RowEq> value_map_;
 };
 
 }  // namespace periodk

@@ -103,49 +103,6 @@ Relation ExecProject(const Plan& plan, const Relation& input) {
   return out;
 }
 
-Relation ExecHashJoin(const Plan& plan, const Relation& left,
-                      const Relation& right) {
-  const std::vector<std::pair<int, int>>& keys = plan.join.equi_keys;
-  const ExprPtr& residual = plan.join.residual;
-  Relation out(plan.schema);
-  // Build on the right input.
-  std::unordered_map<Row, std::vector<const Row*>, RowHash, RowEq> build;
-  build.reserve(right.size());
-  for (const Row& row : right.rows()) {
-    Row key;
-    key.reserve(keys.size());
-    bool has_null = false;
-    for (const auto& [l, r] : keys) {
-      const Value& v = row[static_cast<size_t>(r)];
-      if (v.is_null()) has_null = true;
-      key.push_back(v);
-    }
-    if (has_null) continue;  // NULL never equi-joins
-    build[key].push_back(&row);
-  }
-  for (const Row& lrow : left.rows()) {
-    Row key;
-    key.reserve(keys.size());
-    bool has_null = false;
-    for (const auto& [l, r] : keys) {
-      const Value& v = lrow[static_cast<size_t>(l)];
-      if (v.is_null()) has_null = true;
-      key.push_back(v);
-    }
-    if (has_null) continue;
-    auto it = build.find(key);
-    if (it == build.end()) continue;
-    for (const Row* rrow : it->second) {
-      Row combined = lrow;
-      combined.insert(combined.end(), rrow->begin(), rrow->end());
-      if (residual == nullptr || residual->EvalBool(combined)) {
-        out.AddRow(std::move(combined));
-      }
-    }
-  }
-  return out;
-}
-
 Relation ExecJoin(const Plan& plan, const Relation& left,
                   const Relation& right, const OpContext& ctx) {
   // The cost model's plan-level hint wins over the structural dispatch
@@ -174,7 +131,7 @@ Relation ExecJoin(const Plan& plan, const Relation& left,
       if (ctx.stats != nullptr) ++ctx.stats->cost_nl_joins;
       return NestedLoopJoin(plan, left, right);
     }
-    return ExecHashJoin(plan, left, right);
+    return HashJoin(plan, left, right);
   }
   return NestedLoopJoin(plan, left, right);
 }
@@ -223,174 +180,101 @@ struct GroupState {
   std::vector<AggState> states;
 };
 
-/// Hash-aggregation groups in *first-appearance order*: keys[g] and
-/// groups[g] describe the g-th distinct key encountered.  Both the row
-/// path and the columnar packed-key path fill this structure, so their
-/// outputs are row-for-row identical regardless of which lane ran.
+/// Hash-aggregation groups in *first-appearance order*: groups[g] is
+/// the g-th distinct key encountered, rep[g] its first input row.
 struct GroupTable {
-  std::vector<Row> keys;
+  std::vector<uint32_t> rep;
   std::vector<GroupState> groups;
 };
 
-/// Accumulates rows [begin, end) of the input into `table`.
-void AccumulateGroups(const Plan& plan, const Relation& input, int64_t begin,
-                      int64_t end, GroupTable& table) {
+Relation ExecAggregate(const Plan& plan, const Relation& input,
+                       const OpContext& ctx) {
   const size_t num_aggs = plan.aggs.size();
-  // Columnar inputs whose group keys and aggregate arguments are all
-  // plain column references skip the row view entirely; when every key
-  // column is additionally fast-keyable, grouping runs on packed uint64
-  // key words (dictionary codes for strings) instead of hashing Values.
-  // periodk-lint: columnar-lane-begin(group-accumulate)
-  if (input.is_columnar()) {
-    std::vector<int> key_cols;
-    std::vector<int> agg_cols;
-    key_cols.reserve(plan.exprs.size());
-    agg_cols.reserve(num_aggs);
-    bool fast = true;
-    for (const ExprPtr& e : plan.exprs) {
-      if (e->kind != ExprKind::kColumn) {
-        fast = false;
-        break;
-      }
-      key_cols.push_back(e->column);
-    }
-    for (size_t a = 0; fast && a < num_aggs; ++a) {
-      if (plan.aggs[a].func == AggFunc::kCountStar) {
-        agg_cols.push_back(-1);
-        continue;
-      }
-      const ExprPtr& arg = plan.aggs[a].arg;
-      if (arg == nullptr || arg->kind != ExprKind::kColumn) {
-        fast = false;
-        break;
-      }
-      agg_cols.push_back(arg->column);
-    }
-    if (fast) {
-      const std::vector<ColumnData>& cols = input.columns();
-      auto accumulate = [&](GroupState& g, size_t r) {
-        g.star_count += 1;
-        for (size_t a = 0; a < num_aggs; ++a) {
-          if (agg_cols[a] < 0) continue;
-          g.states[a].AccumulateColumn(cols[static_cast<size_t>(agg_cols[a])],
-                                       r);
-        }
-      };
-      std::vector<uint64_t> packed;
-      if (BuildPackedKeys(cols, key_cols, input.size(), &packed)) {
-        const size_t width = key_cols.size() + 1;
-        PackedKeyMap map(width, static_cast<size_t>(end - begin));
-        std::vector<uint32_t> rep;  // first input row of each group
-        for (int64_t i = begin; i < end; ++i) {
-          size_t r = static_cast<size_t>(i);
-          uint32_t gid = map.FindOrInsert(&packed[r * width]);
-          if (gid == table.groups.size()) {
-            rep.push_back(static_cast<uint32_t>(r));
-            table.groups.emplace_back();
-            table.groups.back().states.resize(num_aggs);
-          }
-          accumulate(table.groups[gid], r);
-        }
-        table.keys.reserve(rep.size());
-        for (uint32_t r : rep) {
-          Row key;
-          key.reserve(key_cols.size());
-          for (int c : key_cols) {
-            key.push_back(cols[static_cast<size_t>(c)].Get(r));
-          }
-          table.keys.push_back(std::move(key));
-        }
-        return;
-      }
-      // Mixed/NaN key columns: Value keys, still straight off the
-      // columns and still in first-appearance order.
-      std::unordered_map<Row, size_t, RowHash, RowEq> gid_of;
-      for (int64_t i = begin; i < end; ++i) {
-        size_t r = static_cast<size_t>(i);
-        Row key;
-        key.reserve(key_cols.size());
-        for (int c : key_cols) {
-          key.push_back(cols[static_cast<size_t>(c)].Get(r));
-        }
-        auto [it, inserted] = gid_of.try_emplace(std::move(key),
-                                                 table.groups.size());
-        if (inserted) {
-          table.keys.push_back(it->first);
-          table.groups.emplace_back();
-          table.groups.back().states.resize(num_aggs);
-        }
-        accumulate(table.groups[it->second], r);
-      }
-      return;
+  // The kernel reads typed columns: the grouping keys, then each
+  // aggregate's argument.  Keys or arguments that are expressions
+  // rather than column references are first projected to columns, row
+  // by row in that order, so errors surface at the row and in the order
+  // evaluation reaches them.
+  std::vector<ExprPtr> exprs = plan.exprs;
+  std::vector<int> arg_of(num_aggs, -1);  // index into args
+  for (size_t a = 0; a < num_aggs; ++a) {
+    if (plan.aggs[a].func == AggFunc::kCountStar) continue;
+    arg_of[a] = static_cast<int>(exprs.size() - plan.exprs.size());
+    exprs.push_back(plan.aggs[a].arg);
+  }
+  const bool plain = std::all_of(exprs.begin(), exprs.end(), [](const ExprPtr& e) {
+    return e->kind == ExprKind::kColumn;
+  });
+  Relation projected;
+  if (!plain) {
+    projected =
+        Relation(Schema::FromNames(std::vector<std::string>(exprs.size(), "e")));
+    projected.Reserve(input.size());
+    for (const Row& row : input.rows()) {
+      Row values;
+      values.reserve(exprs.size());
+      for (const ExprPtr& e : exprs) values.push_back(e->Eval(row));
+      projected.AddRow(std::move(values));
     }
   }
-  // periodk-lint: columnar-lane-end(group-accumulate)
-  std::unordered_map<Row, size_t, RowHash, RowEq> gid_of;
-  const std::vector<Row>& rows = input.rows();
-  for (int64_t i = begin; i < end; ++i) {
-    const Row& row = rows[static_cast<size_t>(i)];
-    Row key;
-    key.reserve(plan.exprs.size());
-    for (const ExprPtr& e : plan.exprs) key.push_back(e->Eval(row));
-    auto [it, inserted] = gid_of.try_emplace(std::move(key),
-                                             table.groups.size());
-    if (inserted) {
-      table.keys.push_back(it->first);
+  const Relation& source = plain ? input : projected;
+  std::vector<TypedColumn> keys;
+  std::vector<TypedColumn> args;
+  for (size_t j = 0; j < exprs.size(); ++j) {
+    (j < plan.exprs.size() ? keys : args)
+        .push_back(source.ReadColumn(
+            plain ? static_cast<size_t>(exprs[j]->column) : j));
+  }
+
+  // Finds or creates the group of row r in (index, table).
+  auto group_of = [num_aggs](KeyIndex& index, GroupTable& table,
+                             uint32_t r) -> GroupState& {
+    uint32_t gid = index.FindOrInsert(r);
+    if (gid == table.groups.size()) {
+      table.rep.push_back(r);
       table.groups.emplace_back();
       table.groups.back().states.resize(num_aggs);
     }
-    GroupState& g = table.groups[it->second];
-    g.star_count += 1;
-    for (size_t i2 = 0; i2 < num_aggs; ++i2) {
-      if (plan.aggs[i2].func == AggFunc::kCountStar) continue;
-      g.states[i2].Accumulate(plan.aggs[i2].arg->Eval(row));
+    return table.groups[gid];
+  };
+  auto accumulate = [&](int64_t begin, int64_t end, GroupTable& table) {
+    KeyIndex index(keys, static_cast<size_t>(begin), static_cast<size_t>(end));
+    for (int64_t i = begin; i < end; ++i) {
+      auto r = static_cast<uint32_t>(i);
+      GroupState& g = group_of(index, table, r);
+      g.star_count += 1;
+      for (size_t a = 0; a < num_aggs; ++a) {
+        if (arg_of[a] >= 0) {
+          g.states[a].AccumulateColumn(*args[static_cast<size_t>(arg_of[a])], r);
+        }
+      }
     }
-  }
-}
-
-Relation ExecAggregate(const Plan& plan, const Relation& input,
-                       const OpContext& ctx) {
-  // Partition-parallel hash aggregation: each chunk of the input builds
-  // a private group table, merged in chunk order at the join point
-  // (AggState partials merge exactly — the same machinery
-  // pre-aggregation uses).  The single-chunk path is the sequential
-  // operator, bit for bit.
-  auto ranges = PlanChunks(ctx.num_threads(static_cast<int64_t>(input.size())),
-                           static_cast<int64_t>(input.size()),
+  };
+  // Partition-parallel: each chunk of the input builds a private group
+  // table, merged in chunk order at the join point (AggState partials
+  // merge exactly — the same machinery pre-aggregation uses), which
+  // keeps global first-appearance order.  The single-chunk path is the
+  // sequential operator, bit for bit.
+  auto ranges = PlanChunks(ctx.num_threads(static_cast<int64_t>(source.size())),
+                           static_cast<int64_t>(source.size()),
                            /*min_grain=*/4096);
   GroupTable table;
   if (ranges.size() <= 1) {
-    AccumulateGroups(plan, input, 0, static_cast<int64_t>(input.size()),
-                     table);
+    accumulate(0, static_cast<int64_t>(source.size()), table);
   } else {
     std::vector<GroupTable> tables(ranges.size());
     std::vector<ExecStats> chunk_stats(ranges.size());
     RunChunks(ctx.pool->get(), ranges, [&](size_t c, int64_t b, int64_t e) {
-      AccumulateGroups(plan, input, b, e, tables[c]);
+      accumulate(b, e, tables[c]);
       chunk_stats[c].parallel_tasks = 1;
     });
-    table = std::move(tables[0]);
-    std::unordered_map<Row, size_t, RowHash, RowEq> gid_of;
-    gid_of.reserve(table.keys.size());
-    for (size_t g = 0; g < table.keys.size(); ++g) {
-      gid_of.emplace(table.keys[g], g);
-    }
-    for (size_t c = 1; c < tables.size(); ++c) {
-      GroupTable& src = tables[c];
-      for (size_t g = 0; g < src.keys.size(); ++g) {
-        auto [it, inserted] = gid_of.try_emplace(std::move(src.keys[g]),
-                                                 table.groups.size());
-        if (inserted) {
-          table.keys.push_back(it->first);
-          table.groups.push_back(std::move(src.groups[g]));
-          continue;
-        }
-        GroupState& dst = table.groups[it->second];
+    KeyIndex index(keys);
+    for (GroupTable& src : tables) {
+      for (size_t g = 0; g < src.groups.size(); ++g) {
+        GroupState& dst = group_of(index, table, src.rep[g]);
         dst.star_count += src.groups[g].star_count;
-        // Both sides sized their states on group creation, so this is
-        // a straight element-wise merge (empty only when aggs is empty).
-        for (size_t i = 0; i < dst.states.size(); ++i) {
-          dst.states[i].Merge(src.groups[g].states[i]);
+        for (size_t a = 0; a < num_aggs; ++a) {
+          dst.states[a].Merge(src.groups[g].states[a]);
         }
       }
     }
@@ -398,19 +282,19 @@ Relation ExecAggregate(const Plan& plan, const Relation& input,
       for (const ExecStats& s : chunk_stats) ctx.stats->Merge(s);
     }
   }
-  if (plan.exprs.empty() && table.groups.empty()) {
-    table.keys.emplace_back();
+  if (keys.empty() && table.groups.empty()) {
     table.groups.emplace_back();
-    table.groups.back().states.resize(plan.aggs.size());
+    table.groups.back().states.resize(num_aggs);
   }
   Relation out(plan.schema);
   out.Reserve(table.groups.size());
   for (size_t g = 0; g < table.groups.size(); ++g) {
-    Row row = std::move(table.keys[g]);
-    for (size_t i = 0; i < plan.aggs.size(); ++i) {
-      row.push_back(
-          table.groups[g].states[i].Finalize(plan.aggs[i].func,
-                                             table.groups[g].star_count));
+    Row row;
+    row.reserve(keys.size() + num_aggs);
+    for (const TypedColumn& k : keys) row.push_back(k->Get(table.rep[g]));
+    for (size_t a = 0; a < num_aggs; ++a) {
+      row.push_back(table.groups[g].states[a].Finalize(
+          plan.aggs[a].func, table.groups[g].star_count));
     }
     out.AddRow(std::move(row));
   }
@@ -560,11 +444,13 @@ class ExecutionContext {
       *out = static_cast<TimePoint>(d);
       return true;
     };
-    for (const Row& row : other.rows()) {
+    TypedColumn obc = other.ReadColumn(static_cast<size_t>(obcol));
+    TypedColumn oec = other.ReadColumn(static_cast<size_t>(oecol));
+    for (size_t i = 0; i < other.size(); ++i) {
       TimePoint b = 0;
       TimePoint e = 0;
-      bool has_b = bound(row[static_cast<size_t>(obcol)], true, &b);
-      bool has_e = bound(row[static_cast<size_t>(oecol)], false, &e);
+      bool has_b = bound(obc->Get(i), true, &b);
+      bool has_e = bound(oec->Get(i), false, &e);
       if (give_up) return false;
       if (!has_b || !has_e) continue;
       if (!any || b < lo) lo = b;
@@ -730,11 +616,7 @@ int OpContext::num_threads(int64_t work) const {
 Relation GatherChunks(std::vector<Relation> outs,
                       std::vector<ExecStats> chunk_stats,
                       const OpContext& ctx) {
-  Relation out = std::move(outs.front());
-  for (size_t c = 1; c < outs.size(); ++c) {
-    out.Reserve(out.size() + outs[c].size());
-    for (Row& row : outs[c].mutable_rows()) out.AddRow(std::move(row));
-  }
+  Relation out = Relation::Concat(std::move(outs));
   if (ctx.stats != nullptr) {
     for (const ExecStats& s : chunk_stats) ctx.stats->Merge(s);
   }

@@ -197,8 +197,9 @@ struct OpContext {
 
 /// Concatenates per-chunk operator outputs in chunk order (so a
 /// parallel result depends on the chunk plan, never on worker
-/// scheduling) and merges the per-worker stats at this join point.
-/// Shared by every partition-parallel operator.
+/// scheduling; Relation::Concat keeps gathered columns columnar) and
+/// merges the per-worker stats at this join point.  Shared by every
+/// partition-parallel operator.
 Relation GatherChunks(std::vector<Relation> outs,
                       std::vector<ExecStats> chunk_stats,
                       const OpContext& ctx);

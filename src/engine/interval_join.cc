@@ -1,7 +1,6 @@
 #include "engine/interval_join.h"
 
 #include <algorithm>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -13,11 +12,51 @@ namespace periodk {
 
 namespace {
 
+std::vector<int> AllColumns(const Relation& rel) {
+  std::vector<int> cols(rel.schema().size());
+  for (size_t c = 0; c < cols.size(); ++c) cols[c] = static_cast<int>(c);
+  return cols;
+}
+
+// The two inputs of a join with every column of each listed for
+// emission.
+struct JoinSides {
+  const Relation& left;
+  const Relation& right;
+  std::vector<int> lcols = AllColumns(left);
+  std::vector<int> rcols = AllColumns(right);
+};
+
+// Typed equi-key columns of both sides.
+std::pair<std::vector<TypedColumn>, std::vector<TypedColumn>> ReadEquiKeys(
+    const JoinAnalysis& ja, const Relation& left, const Relation& right) {
+  std::vector<TypedColumn> lkeys;
+  std::vector<TypedColumn> rkeys;
+  lkeys.reserve(ja.equi_keys.size());
+  rkeys.reserve(ja.equi_keys.size());
+  for (const auto& [l, r] : ja.equi_keys) {
+    lkeys.push_back(left.ReadColumn(static_cast<size_t>(l)));
+    rkeys.push_back(right.ReadColumn(static_cast<size_t>(r)));
+  }
+  return {std::move(lkeys), std::move(rkeys)};
+}
+
+// Appends left row l ++ right row r to `out` when `check` (nullptr:
+// none) accepts the joined row.
+void EmitChecked(const JoinSides& sides, uint32_t l, uint32_t r,
+                 const Expr* check, Relation& out) {
+  Row row;
+  row.reserve(sides.lcols.size() + sides.rcols.size());
+  sides.left.AppendRow(l, sides.lcols, &row);
+  sides.right.AppendRow(r, sides.rcols, &row);
+  if (check == nullptr || check->EvalBool(row)) out.AddRow(std::move(row));
+}
+
 // One input row staged for the sweep with its decoded interval.
 struct SweepRow {
   TimePoint begin = 0;
   TimePoint end = 0;
-  const Row* row = nullptr;
+  uint32_t row = 0;
 };
 
 // Per-equi-key bucket.  Rows whose endpoint columns decode to a
@@ -29,78 +68,30 @@ struct SweepRow {
 struct Bucket {
   std::vector<SweepRow> fast_left;
   std::vector<SweepRow> fast_right;
-  std::vector<const Row*> slow_left;
-  std::vector<const Row*> slow_right;
+  std::vector<uint32_t> slow_left;
+  std::vector<uint32_t> slow_right;
 };
-
-bool DecodeInterval(const Row& row, int bcol, int ecol, TimePoint* b,
-                    TimePoint* e) {
-  const Value& vb = row[static_cast<size_t>(bcol)];
-  const Value& ve = row[static_cast<size_t>(ecol)];
-  if (vb.type() != ValueType::kInt || ve.type() != ValueType::kInt) {
-    return false;
-  }
-  *b = vb.AsInt();
-  *e = ve.AsInt();
-  return *b < *e;
-}
-
-Row Concat(const Row& lrow, const Row& rrow) {
-  Row combined;
-  combined.reserve(lrow.size() + rrow.size());
-  combined.insert(combined.end(), lrow.begin(), lrow.end());
-  combined.insert(combined.end(), rrow.begin(), rrow.end());
-  return combined;
-}
 
 // Reusable per-worker sweep scratch: the active sets keep arrival
 // (begin-stable) order and drop expired entries lazily during the
-// emission scan.  Arrival order makes the emitted row order a pure
+// emission scan.  Arrival order makes the emitted pair order a pure
 // function of the staged rows — removing a row that never overlaps
 // anything (index pruning) cannot perturb the order of the remaining
 // pairs, which is what makes the pruned join row-identical.
-using ActiveEntry = std::pair<TimePoint, const Row*>;
+using ActiveEntry = std::pair<TimePoint, uint32_t>;
 struct SweepScratch {
   std::vector<ActiveEntry> active_l;
   std::vector<ActiveEntry> active_r;
 };
 
-/// Joins one bucket into `out`.  Mutates the bucket (sorts its staged
-/// rows), so each bucket must be processed by exactly one worker.
-void ProcessBucket(const Plan& plan, Bucket& bucket, Relation& out,
-                   SweepScratch& scratch) {
-  const JoinAnalysis& ja = plan.join;
-  // The sweep has already established the equi-keys (by bucketing) and
-  // the overlap conjunct; only the residual remains to check.
-  auto emit_fast = [&](const Row& lrow, const Row& rrow) {
-    Row combined = Concat(lrow, rrow);
-    if (ja.residual == nullptr || ja.residual->EvalBool(combined)) {
-      out.AddRow(std::move(combined));
-    }
-  };
-  // Slow-lane pairs get the full original predicate: re-checking the
-  // already-matched keys is harmless and keeps the lane trivially
-  // equivalent to the nested-loop reference.
-  auto emit_slow = [&](const Row& lrow, const Row& rrow) {
-    Row combined = Concat(lrow, rrow);
-    if (plan.predicate->EvalBool(combined)) {
-      out.AddRow(std::move(combined));
-    }
-  };
-
-  // Slow lane first: every pair with a malformed side.
-  for (const Row* lrow : bucket.slow_left) {
-    for (const SweepRow& r : bucket.fast_right) emit_slow(*lrow, *r.row);
-    for (const Row* rrow : bucket.slow_right) emit_slow(*lrow, *rrow);
-  }
-  for (const SweepRow& l : bucket.fast_left) {
-    for (const Row* rrow : bucket.slow_right) emit_slow(*l.row, *rrow);
-  }
-
-  // Plane sweep over the well-formed intervals: advance both inputs
-  // in begin order; an arriving interval pairs with every active
-  // opposite interval that has not yet ended.  Each overlapping pair
-  // is emitted exactly once, when its later-starting member arrives.
+/// Plane sweep over one bucket's well-formed intervals, calling
+/// emit(left row, right row) per overlapping pair: advance both inputs
+/// in begin order; an arriving interval pairs with every active
+/// opposite interval that has not yet ended, so each pair is emitted
+/// exactly once, when its later-starting member arrives.  Sorts the
+/// bucket's staged rows, so each bucket must be swept by one worker.
+template <typename Emit>
+void SweepBucket(Bucket& bucket, SweepScratch& scratch, const Emit& emit) {
   std::vector<SweepRow>& ls = bucket.fast_left;
   std::vector<SweepRow>& rs = bucket.fast_right;
   if (ls.empty() || rs.empty()) return;
@@ -123,84 +114,6 @@ void ProcessBucket(const Plan& plan, Bucket& bucket, Relation& out,
     size_t kept = 0;
     for (ActiveEntry& entry : opposite) {
       if (entry.first > cur.begin) {
-        emit_pair(entry);
-        opposite[kept++] = entry;
-      }
-    }
-    opposite.resize(kept);
-  };
-  size_t i = 0;
-  size_t j = 0;
-  while (i < ls.size() || j < rs.size()) {
-    bool take_left =
-        j >= rs.size() || (i < ls.size() && ls[i].begin <= rs[j].begin);
-    if (take_left) {
-      const SweepRow& cur = ls[i++];
-      emit_against(cur, active_r, [&](const ActiveEntry& entry) {
-        emit_fast(*cur.row, *entry.second);
-      });
-      active_l.emplace_back(cur.end, cur.row);
-    } else {
-      const SweepRow& cur = rs[j++];
-      emit_against(cur, active_l, [&](const ActiveEntry& entry) {
-        emit_fast(*entry.second, *cur.row);
-      });
-      active_r.emplace_back(cur.end, cur.row);
-    }
-  }
-}
-
-// --- Columnar fast lane -------------------------------------------------
-//
-// When both inputs are columnar, the endpoint columns are pure non-null
-// ints with every interval well-formed, the equi-keys pack into uint64
-// words and there is no residual predicate, the join never touches a
-// Row: buckets hold row *indexes*, the sweep emits (left, right) index
-// pairs, and the output is gathered column-by-column.  Any condition
-// the packed encoding cannot reproduce exactly falls back to the row
-// path above, which remains the semantic reference.
-
-struct FastSweepRow {
-  TimePoint begin = 0;
-  TimePoint end = 0;
-  uint32_t row = 0;
-};
-
-struct FastBucket {
-  std::vector<FastSweepRow> left;
-  std::vector<FastSweepRow> right;
-};
-
-using RowPair = std::pair<uint32_t, uint32_t>;
-
-struct FastSweepScratch {
-  std::vector<std::pair<TimePoint, uint32_t>> active_l;
-  std::vector<std::pair<TimePoint, uint32_t>> active_r;
-};
-
-// Index-pair twin of ProcessBucket's sweep: same begin-stable sort,
-// same arrival-order active sets, so it emits pairs in exactly the
-// order the row sweep emits rows.
-void SweepFastBucket(FastBucket& bucket, FastSweepScratch& scratch,
-                     std::vector<RowPair>& out) {
-  std::vector<FastSweepRow>& ls = bucket.left;
-  std::vector<FastSweepRow>& rs = bucket.right;
-  if (ls.empty() || rs.empty()) return;
-  auto by_begin = [](const FastSweepRow& a, const FastSweepRow& b) {
-    return a.begin < b.begin;
-  };
-  std::stable_sort(ls.begin(), ls.end(), by_begin);
-  std::stable_sort(rs.begin(), rs.end(), by_begin);
-  auto& active_l = scratch.active_l;
-  auto& active_r = scratch.active_r;
-  active_l.clear();
-  active_r.clear();
-  auto emit_against = [](const FastSweepRow& cur,
-                         std::vector<std::pair<TimePoint, uint32_t>>& opposite,
-                         const auto& emit_pair) {
-    size_t kept = 0;
-    for (auto& entry : opposite) {
-      if (entry.first > cur.begin) {
         emit_pair(entry.second);
         opposite[kept++] = entry;
       }
@@ -213,201 +126,35 @@ void SweepFastBucket(FastBucket& bucket, FastSweepScratch& scratch,
     bool take_left =
         j >= rs.size() || (i < ls.size() && ls[i].begin <= rs[j].begin);
     if (take_left) {
-      const FastSweepRow& cur = ls[i++];
-      emit_against(cur, active_r,
-                   [&](uint32_t r) { out.emplace_back(cur.row, r); });
+      const SweepRow& cur = ls[i++];
+      emit_against(cur, active_r, [&](uint32_t r) { emit(cur.row, r); });
       active_l.emplace_back(cur.end, cur.row);
     } else {
-      const FastSweepRow& cur = rs[j++];
-      emit_against(cur, active_l,
-                   [&](uint32_t l) { out.emplace_back(l, cur.row); });
+      const SweepRow& cur = rs[j++];
+      emit_against(cur, active_l, [&](uint32_t l) { emit(l, cur.row); });
       active_r.emplace_back(cur.end, cur.row);
     }
   }
 }
 
-// Packs both sides' equi-key columns into comparable uint64 words.
-// Word equality must coincide with Value equality *across* the two
-// relations, so: the paired columns must share a tag (a mixed pairing
-// like int keys meeting double keys, where 3 == 3.0, has no shared
-// word encoding and keeps the row path), and the right side's
-// dictionary codes are translated into the left column's code space
-// (both dictionaries are sorted).  Right-side strings absent from the
-// left dictionary get codes past the left dictionary's range --
-// distinct from every left code and from each other, so those rows
-// bucket separately and never match, exactly like the row path.
-bool BuildJoinKeys(const Relation& left, const Relation& right,
-                   const std::vector<std::pair<int, int>>& equi_keys,
-                   std::vector<uint64_t>* lpacked,
-                   std::vector<uint64_t>* rpacked) {
-  std::vector<int> lcols;
-  std::vector<int> rcols;
-  lcols.reserve(equi_keys.size());
-  rcols.reserve(equi_keys.size());
-  for (const auto& [l, r] : equi_keys) {
-    lcols.push_back(l);
-    rcols.push_back(r);
-  }
-  for (size_t j = 0; j < lcols.size(); ++j) {
-    if (left.col(static_cast<size_t>(lcols[j])).tag() !=
-        right.col(static_cast<size_t>(rcols[j])).tag()) {
-      return false;
-    }
-  }
-  if (!BuildPackedKeys(left.columns(), lcols, left.size(), lpacked)) {
-    return false;
-  }
-  if (!BuildPackedKeys(right.columns(), rcols, right.size(), rpacked)) {
-    return false;
-  }
-  size_t width = lcols.size() + 1;
-  for (size_t j = 0; j < lcols.size(); ++j) {
-    const ColumnData& lc = left.col(static_cast<size_t>(lcols[j]));
-    const ColumnData& rc = right.col(static_cast<size_t>(rcols[j]));
-    if (lc.tag() != ColumnTag::kString || lc.dict() == rc.dict()) continue;
-    const std::vector<std::string>& lv = lc.dict()->values();
-    const std::vector<std::string>& rv = rc.dict()->values();
-    std::vector<uint64_t> remap(rv.size());
-    for (size_t c = 0; c < rv.size(); ++c) {
-      auto it = std::lower_bound(lv.begin(), lv.end(), rv[c]);
-      remap[c] = (it != lv.end() && *it == rv[c])
-                     ? static_cast<uint64_t>(it - lv.begin())
-                     : lv.size() + c;
-    }
-    uint64_t* word = rpacked->data() + j;
-    const uint64_t* nulls = rpacked->data() + lcols.size();
-    for (size_t i = 0; i < right.size(); ++i, word += width, nulls += width) {
-      if ((*nulls & (uint64_t{1} << j)) == 0) *word = remap[*word];
-    }
-  }
-  return true;
+/// SQL `a < b` (false when either side is NULL or incomparable).
+bool StrictlyLess(const Value& a, const Value& b) {
+  const std::optional<int> c = SqlCompare(a, b);
+  return c.has_value() && *c < 0;
 }
-
-// periodk-lint: columnar-lane-begin(overlap-join)
-bool TryColumnarOverlapJoin(const Plan& plan, const Relation& left,
-                            const Relation& right, const OpContext& ctx,
-                            const JoinCandidates& candidates,
-                            Relation* result) {
-  const JoinAnalysis& ja = plan.join;
-  const OverlapSpec& ov = *ja.overlap;
-  if (ja.residual != nullptr) return false;
-  if (!left.is_columnar() || !right.is_columnar()) return false;
-  auto endpoints = [](const Relation& rel, int bcol, int ecol,
-                      const int64_t** bs, const int64_t** es) {
-    const ColumnData& bc = rel.col(static_cast<size_t>(bcol));
-    const ColumnData& ec = rel.col(static_cast<size_t>(ecol));
-    if (bc.tag() != ColumnTag::kInt || bc.has_nulls()) return false;
-    if (ec.tag() != ColumnTag::kInt || ec.has_nulls()) return false;
-    *bs = bc.ints();
-    *es = ec.ints();
-    // A malformed interval (begin >= end) rides the row path's slow
-    // lane, where it can still emit under SQL comparison semantics --
-    // one such row on either side disables the fast lane entirely.
-    for (size_t i = 0; i < rel.size(); ++i) {
-      if ((*bs)[i] >= (*es)[i]) return false;
-    }
-    return true;
-  };
-  const int64_t* lb = nullptr;
-  const int64_t* le = nullptr;
-  const int64_t* rb = nullptr;
-  const int64_t* re = nullptr;
-  if (!endpoints(left, ov.left_begin, ov.left_end, &lb, &le)) return false;
-  if (!endpoints(right, ov.right_begin, ov.right_end, &rb, &re)) return false;
-  std::vector<uint64_t> lpacked;
-  std::vector<uint64_t> rpacked;
-  if (!BuildJoinKeys(left, right, ja.equi_keys, &lpacked, &rpacked)) {
-    return false;
-  }
-
-  size_t width = ja.equi_keys.size() + 1;
-  std::vector<FastBucket> buckets;
-  PackedKeyMap bucket_map(width, /*expected=*/64);
-  auto stage = [&](bool is_left, const Relation& rel,
-                   const std::vector<uint64_t>& packed, const int64_t* bs,
-                   const int64_t* es, const std::vector<char>* keep) {
-    for (size_t i = 0; i < rel.size(); ++i) {
-      const uint64_t* key = &packed[i * width];
-      if (key[width - 1] != 0) continue;  // NULL keys never equi-join
-      uint32_t bid = bucket_map.FindOrInsert(key);
-      if (bid == buckets.size()) buckets.emplace_back();
-      // A pruned row overlaps nothing; its bucket is still created so
-      // the partition order matches the unpruned run.
-      if (keep != nullptr && (*keep)[i] == 0) continue;
-      (is_left ? buckets[bid].left : buckets[bid].right)
-          .push_back(FastSweepRow{bs[i], es[i], static_cast<uint32_t>(i)});
-    }
-  };
-  stage(/*is_left=*/true, left, lpacked, lb, le, candidates.left);
-  stage(/*is_left=*/false, right, rpacked, rb, re, candidates.right);
-
-  auto ranges = PlanChunks(
-      ctx.num_threads(static_cast<int64_t>(left.size() + right.size())),
-      static_cast<int64_t>(buckets.size()),
-      /*min_grain=*/1);
-  std::vector<RowPair> pairs;
-  if (ranges.size() <= 1) {
-    FastSweepScratch scratch;
-    for (FastBucket& bucket : buckets) {
-      SweepFastBucket(bucket, scratch, pairs);
-    }
-  } else {
-    std::vector<std::vector<RowPair>> chunk_pairs(ranges.size());
-    std::vector<ExecStats> chunk_stats(ranges.size());
-    RunChunks(ctx.pool->get(), ranges, [&](size_t c, int64_t b, int64_t e) {
-      FastSweepScratch scratch;
-      for (int64_t i = b; i < e; ++i) {
-        SweepFastBucket(buckets[static_cast<size_t>(i)], scratch,
-                        chunk_pairs[c]);
-      }
-      chunk_stats[c].parallel_tasks = 1;
-    });
-    size_t total = 0;
-    for (const auto& cp : chunk_pairs) total += cp.size();
-    pairs.reserve(total);
-    for (const auto& cp : chunk_pairs) {
-      pairs.insert(pairs.end(), cp.begin(), cp.end());
-    }
-    if (ctx.stats != nullptr) {
-      for (const ExecStats& s : chunk_stats) ctx.stats->Merge(s);
-    }
-  }
-
-  std::vector<uint32_t> lidx;
-  std::vector<uint32_t> ridx;
-  lidx.reserve(pairs.size());
-  ridx.reserve(pairs.size());
-  for (const RowPair& p : pairs) {
-    lidx.push_back(p.first);
-    ridx.push_back(p.second);
-  }
-  std::vector<ColumnData> cols;
-  cols.reserve(plan.schema.size());
-  for (size_t c = 0; c < left.schema().size(); ++c) {
-    cols.push_back(ColumnData::Gather(left.col(c), lidx));
-  }
-  for (size_t c = 0; c < right.schema().size(); ++c) {
-    cols.push_back(ColumnData::Gather(right.col(c), ridx));
-  }
-  *result = Relation::FromColumns(plan.schema, std::move(cols), pairs.size());
-  return true;
-}
-// periodk-lint: columnar-lane-end(overlap-join)
 
 }  // namespace
 
 Relation NestedLoopJoin(const Plan& plan, const Relation& left,
                         const Relation& right) {
-  Relation out(plan.schema);
   const JoinAnalysis& ja = plan.join;
+  JoinSides sides{left, right};
+  Relation out(plan.schema);
   if (ja.equi_keys.empty() && !ja.overlap.has_value()) {
     // Genuinely opaque predicate: evaluate it per pair.
-    for (const Row& lrow : left.rows()) {
-      for (const Row& rrow : right.rows()) {
-        Row combined = Concat(lrow, rrow);
-        if (plan.predicate->EvalBool(combined)) {
-          out.AddRow(std::move(combined));
-        }
+    for (uint32_t l = 0; l < left.size(); ++l) {
+      for (uint32_t r = 0; r < right.size(); ++r) {
+        EmitChecked(sides, l, r, plan.predicate.get(), out);
       }
     }
     return out;
@@ -415,83 +162,97 @@ Relation NestedLoopJoin(const Plan& plan, const Relation& left,
   // Analyzed predicate: test the decomposed conjuncts directly on the
   // source rows (equivalent to the full predicate — join_analysis.h
   // guarantees the parts conjoined back are the original under SQL
-  // three-valued logic) and materialize only matching pairs.  Same
-  // left-major emission order as the opaque path.
-  if (ja.equi_keys.empty() && ja.overlap.has_value() &&
-      ja.residual == nullptr) {
-    // Pure temporal join — the shape the tiny-join hint fires on.
-    // Decode the endpoints once into typed arrays so the pair loop is
-    // integer compares; bail to the generic Value loop only for
-    // non-int non-null endpoints (where cross-type SQL comparison
-    // rules must decide).
-    const OverlapSpec& ov = *ja.overlap;
-    auto extract = [](const Relation& rel, int bcol, int ecol,
-                      std::vector<TimePoint>* b, std::vector<TimePoint>* e,
-                      std::vector<char>* ok) {
-      const auto& rows = rel.rows();
-      b->resize(rows.size());
-      e->resize(rows.size());
-      ok->assign(rows.size(), 0);
-      for (size_t i = 0; i < rows.size(); ++i) {
-        const Value& vb = rows[i][static_cast<size_t>(bcol)];
-        const Value& ve = rows[i][static_cast<size_t>(ecol)];
-        if (vb.is_null() || ve.is_null()) continue;  // never matches
-        if (vb.type() != ValueType::kInt || ve.type() != ValueType::kInt) {
-          return false;
-        }
-        (*b)[i] = vb.AsInt();
-        (*e)[i] = ve.AsInt();
-        (*ok)[i] = 1;
+  // three-valued logic) and build only matching rows.  Equi-keys match
+  // when both rows carry the same non-NULL key id; the overlap conjunct
+  // compares integer endpoints directly and anything else under SQL
+  // comparison rules.  Same left-major emission order as the opaque
+  // path.
+  auto [lkeys, rkeys] = ReadEquiKeys(ja, left, right);
+  KeyIndex key_of(lkeys, rkeys);
+  auto key_ids = [&key_of](size_t n, int side) {
+    std::vector<uint32_t> ids(n);
+    for (size_t i = 0; i < n; ++i) {
+      ids[i] = key_of.HasNull(i, side) ? KeyIndex::kAbsent
+                                       : key_of.FindOrInsert(i, side);
+    }
+    return ids;
+  };
+  std::vector<uint32_t> lid = key_ids(left.size(), 0);
+  std::vector<uint32_t> rid = key_ids(right.size(), 1);
+  // Endpoints decoded once per row: an integer pair, or (is_int 0) a
+  // row compared under SQL rules through its Values.
+  struct Ends {
+    std::vector<TypedColumn> cols;  // begin, end
+    std::vector<int64_t> b, e;
+    std::vector<char> is_int;
+  };
+  auto decode = [](const Relation& rel, int bcol, int ecol) {
+    Ends out;
+    out.cols.push_back(rel.ReadColumn(static_cast<size_t>(bcol)));
+    out.cols.push_back(rel.ReadColumn(static_cast<size_t>(ecol)));
+    out.b.resize(rel.size());
+    out.e.resize(rel.size());
+    out.is_int.resize(rel.size());
+    for (size_t i = 0; i < rel.size(); ++i) {
+      const int64_t* b = out.cols[0]->TryInt(i);
+      const int64_t* e = out.cols[1]->TryInt(i);
+      out.is_int[i] = b != nullptr && e != nullptr;
+      if (out.is_int[i] != 0) {
+        out.b[i] = *b;
+        out.e[i] = *e;
       }
-      return true;
-    };
-    std::vector<TimePoint> lb;
-    std::vector<TimePoint> le;
-    std::vector<TimePoint> rb;
-    std::vector<TimePoint> re;
-    std::vector<char> lok;
-    std::vector<char> rok;
-    if (extract(left, ov.left_begin, ov.left_end, &lb, &le, &lok) &&
-        extract(right, ov.right_begin, ov.right_end, &rb, &re, &rok)) {
-      for (size_t i = 0; i < left.rows().size(); ++i) {
-        if (lok[i] == 0) continue;
-        for (size_t j = 0; j < right.rows().size(); ++j) {
-          if (rok[j] != 0 && lb[i] < re[j] && rb[j] < le[i]) {
-            out.AddRow(Concat(left.rows()[i], right.rows()[j]));
-          }
-        }
+    }
+    return out;
+  };
+  const bool has_overlap = ja.overlap.has_value();
+  Ends le;
+  Ends re;
+  if (has_overlap) {
+    le = decode(left, ja.overlap->left_begin, ja.overlap->left_end);
+    re = decode(right, ja.overlap->right_begin, ja.overlap->right_end);
+  }
+  auto overlaps = [&](size_t l, size_t r) {
+    if (!has_overlap) return true;
+    if (le.is_int[l] != 0 && re.is_int[r] != 0) {
+      return le.b[l] < re.e[r] && re.b[r] < le.e[l];
+    }
+    return StrictlyLess(le.cols[0]->Get(l), re.cols[1]->Get(r)) &&
+           StrictlyLess(re.cols[0]->Get(r), le.cols[1]->Get(l));
+  };
+  for (uint32_t l = 0; l < left.size(); ++l) {
+    if (lid[l] == KeyIndex::kAbsent) continue;
+    for (uint32_t r = 0; r < right.size(); ++r) {
+      if (rid[r] == lid[l] && overlaps(l, r)) {
+        EmitChecked(sides, l, r, ja.residual.get(), out);
       }
-      return out;
     }
   }
-  auto strictly_less = [](const Value& a, const Value& b) {
-    const std::optional<int> c = SqlCompare(a, b);
-    return c.has_value() && *c < 0;
-  };
-  for (const Row& lrow : left.rows()) {
-    for (const Row& rrow : right.rows()) {
-      bool match = true;
-      for (const auto& [lc, rc] : ja.equi_keys) {
-        const std::optional<int> c = SqlCompare(
-            lrow[static_cast<size_t>(lc)], rrow[static_cast<size_t>(rc)]);
-        if (!c.has_value() || *c != 0) {
-          match = false;
-          break;
-        }
-      }
-      if (match && ja.overlap.has_value()) {
-        const OverlapSpec& ov = *ja.overlap;
-        match = strictly_less(lrow[static_cast<size_t>(ov.left_begin)],
-                              rrow[static_cast<size_t>(ov.right_end)]) &&
-                strictly_less(rrow[static_cast<size_t>(ov.right_begin)],
-                              lrow[static_cast<size_t>(ov.left_end)]);
-      }
-      if (!match) continue;
-      Row combined = Concat(lrow, rrow);
-      if (ja.residual != nullptr && !ja.residual->EvalBool(combined)) {
-        continue;
-      }
-      out.AddRow(std::move(combined));
+  return out;
+}
+
+Relation HashJoin(const Plan& plan, const Relation& left,
+                  const Relation& right) {
+  const JoinAnalysis& ja = plan.join;
+  JoinSides sides{left, right};
+  // Build on the right input (side 0 of the key index), probe with the
+  // left in order: output is left-major with each left row's matches in
+  // right order, exactly the nested loop's emission order.
+  auto [lkeys, rkeys] = ReadEquiKeys(ja, left, right);
+  KeyIndex key_of(rkeys, lkeys);
+  std::vector<std::vector<uint32_t>> matches;
+  for (uint32_t r = 0; r < right.size(); ++r) {
+    if (key_of.HasNull(r, 0)) continue;  // NULL never equi-joins
+    uint32_t id = key_of.FindOrInsert(r, 0);
+    if (id == matches.size()) matches.emplace_back();
+    matches[id].push_back(r);
+  }
+  Relation out(plan.schema);
+  for (uint32_t l = 0; l < left.size(); ++l) {
+    if (key_of.HasNull(l, 1)) continue;
+    uint32_t id = key_of.Find(l, 1);
+    if (id == KeyIndex::kAbsent) continue;
+    for (uint32_t r : matches[id]) {
+      EmitChecked(sides, l, r, ja.residual.get(), out);
     }
   }
   return out;
@@ -505,61 +266,93 @@ Relation IntervalOverlapJoin(const Plan& plan, const Relation& left,
     throw EngineError("IntervalOverlapJoin requires an overlap conjunct");
   }
   const OverlapSpec& ov = *ja.overlap;
-
-  Relation fast(plan.schema);
-  if (TryColumnarOverlapJoin(plan, left, right, ctx, candidates, &fast)) {
-    return fast;
-  }
+  JoinSides sides{left, right};
 
   // Hash-partition both inputs on the equi-keys (single bucket for a
-  // pure temporal join).  NULL keys never equi-join, matching the
-  // three-valued semantics of the predicate they came from.  Buckets
-  // are kept in first-appearance order of their key -- the same order
-  // the columnar lane produces, so the two lanes emit identical output.
-  std::unordered_map<Row, size_t, RowHash, RowEq> bucket_of;
+  // pure temporal join), buckets in first-appearance order of their
+  // key.  NULL keys never equi-join, matching the three-valued
+  // semantics of the predicate they came from.
+  auto [lkeys, rkeys] = ReadEquiKeys(ja, left, right);
+  KeyIndex bucket_of(lkeys, rkeys);
   std::vector<Bucket> buckets;
-  auto stage = [&](const Relation& rel, bool is_left) {
-    int bcol = is_left ? ov.left_begin : ov.right_begin;
-    int ecol = is_left ? ov.left_end : ov.right_end;
-    const std::vector<char>* keep =
-        is_left ? candidates.left : candidates.right;
-    const auto& rows = rel.rows();
-    for (size_t i = 0; i < rows.size(); ++i) {
-      const Row& row = rows[i];
-      Row key;
-      key.reserve(ja.equi_keys.size());
-      bool has_null = false;
-      for (const auto& [l, r] : ja.equi_keys) {
-        const Value& v = row[static_cast<size_t>(is_left ? l : r)];
-        if (v.is_null()) {
-          has_null = true;
-          break;
-        }
-        key.push_back(v);
-      }
-      if (has_null) continue;
-      auto [bit, binserted] =
-          bucket_of.try_emplace(std::move(key), buckets.size());
-      if (binserted) buckets.emplace_back();
-      Bucket& bucket = buckets[bit->second];
-      TimePoint b = 0;
-      TimePoint e = 0;
-      if (DecodeInterval(row, bcol, ecol, &b, &e)) {
+  bool any_slow = false;
+  auto stage = [&](int side, const Relation& rel, int bcol, int ecol,
+                   const std::vector<char>* keep) {
+    TypedColumn bc = rel.ReadColumn(static_cast<size_t>(bcol));
+    TypedColumn ec = rel.ReadColumn(static_cast<size_t>(ecol));
+    for (uint32_t i = 0; i < rel.size(); ++i) {
+      if (bucket_of.HasNull(i, side)) continue;
+      uint32_t bid = bucket_of.FindOrInsert(i, side);
+      if (bid == buckets.size()) buckets.emplace_back();
+      Bucket& bucket = buckets[bid];
+      const int64_t* b = bc->TryInt(i);
+      const int64_t* e = ec->TryInt(i);
+      if (b != nullptr && e != nullptr && *b < *e) {
         // A pruned row provably overlaps nothing on the opposite side.
         // Its bucket is still created above so the partition set — and
         // with it the output's partition order — matches the unpruned
         // run exactly.
         if (keep == nullptr || (*keep)[i] != 0) {
-          (is_left ? bucket.fast_left : bucket.fast_right)
-              .push_back(SweepRow{b, e, &row});
+          (side == 0 ? bucket.fast_left : bucket.fast_right)
+              .push_back(SweepRow{*b, *e, i});
         }
       } else {
-        (is_left ? bucket.slow_left : bucket.slow_right).push_back(&row);
+        (side == 0 ? bucket.slow_left : bucket.slow_right).push_back(i);
+        any_slow = true;
       }
     }
   };
-  stage(left, /*is_left=*/true);
-  stage(right, /*is_left=*/false);
+  stage(0, left, ov.left_begin, ov.left_end, candidates.left);
+  stage(1, right, ov.right_begin, ov.right_end, candidates.right);
+
+  // With no residual and no malformed row every swept pair is a result
+  // row, so the output is gathered (as columns when both inputs are
+  // columnar); otherwise each pair's joined row is tested before it is
+  // kept.
+  const bool gather = ja.residual == nullptr && !any_slow;
+  auto join_buckets = [&](int64_t begin, int64_t end) {
+    SweepScratch scratch;
+    if (gather) {
+      std::vector<uint32_t> lidx;
+      std::vector<uint32_t> ridx;
+      for (int64_t bi = begin; bi < end; ++bi) {
+        SweepBucket(buckets[static_cast<size_t>(bi)], scratch,
+                    [&](uint32_t l, uint32_t r) {
+                      lidx.push_back(l);
+                      ridx.push_back(r);
+                    });
+      }
+      return Relation::Gather(
+          plan.schema,
+          {{left, sides.lcols, lidx}, {right, sides.rcols, ridx}});
+    }
+    Relation out(plan.schema);
+    for (int64_t bi = begin; bi < end; ++bi) {
+      Bucket& bucket = buckets[static_cast<size_t>(bi)];
+      // Slow lane first: every pair with a malformed side gets the full
+      // original predicate (re-checking the already-matched keys is
+      // harmless and keeps the lane trivially equivalent to the
+      // nested-loop reference).
+      const Expr* full = plan.predicate.get();
+      for (uint32_t l : bucket.slow_left) {
+        for (const SweepRow& r : bucket.fast_right) {
+          EmitChecked(sides, l, r.row, full, out);
+        }
+        for (uint32_t r : bucket.slow_right) EmitChecked(sides, l, r, full, out);
+      }
+      for (const SweepRow& l : bucket.fast_left) {
+        for (uint32_t r : bucket.slow_right) {
+          EmitChecked(sides, l.row, r, full, out);
+        }
+      }
+      // The sweep has already established the equi-keys (by bucketing)
+      // and the overlap conjunct; only the residual remains to check.
+      SweepBucket(bucket, scratch, [&](uint32_t l, uint32_t r) {
+        EmitChecked(sides, l, r, ja.residual.get(), out);
+      });
+    }
+    return out;
+  };
 
   // The partitions the sweep needs anyway are the parallel work units:
   // chunks of buckets fan out to the pool, each emitting into its own
@@ -571,22 +364,13 @@ Relation IntervalOverlapJoin(const Plan& plan, const Relation& left,
       ctx.num_threads(static_cast<int64_t>(left.size() + right.size())),
       static_cast<int64_t>(buckets.size()),
       /*min_grain=*/1);
-
   if (ranges.size() <= 1) {
-    Relation out(plan.schema);
-    SweepScratch scratch;
-    for (Bucket& bucket : buckets) {
-      ProcessBucket(plan, bucket, out, scratch);
-    }
-    return out;
+    return join_buckets(0, static_cast<int64_t>(buckets.size()));
   }
-  std::vector<Relation> outs(ranges.size(), Relation(plan.schema));
+  std::vector<Relation> outs(ranges.size());
   std::vector<ExecStats> chunk_stats(ranges.size());
   RunChunks(ctx.pool->get(), ranges, [&](size_t c, int64_t b, int64_t e) {
-    SweepScratch scratch;
-    for (int64_t i = b; i < e; ++i) {
-      ProcessBucket(plan, buckets[static_cast<size_t>(i)], outs[c], scratch);
-    }
+    outs[c] = join_buckets(b, e);
     chunk_stats[c].parallel_tasks = 1;
   });
   return GatherChunks(std::move(outs), std::move(chunk_stats), ctx);

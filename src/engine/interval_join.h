@@ -1,10 +1,14 @@
-// Sweep-based interval-overlap join (the temporal hot path of the
-// paper's Sec. 10 evaluation).  RewriteJoin emits `theta' AND overlaps`
-// predicates; once MakeJoin has recognized the overlap conjunct
-// structurally (ra/join_analysis.h), this operator answers it with a
-// hash-partition on the equi-keys followed by an endpoint plane sweep
-// per partition -- O(n log n + output) instead of the O(n * m) nested
-// loop a pure temporal join (no equi-key) otherwise degenerates to.
+// The join kernels.  The sweep-based interval-overlap join is the
+// temporal hot path of the paper's Sec. 10 evaluation: RewriteJoin
+// emits `theta' AND overlaps` predicates; once MakeJoin has recognized
+// the overlap conjunct structurally (ra/join_analysis.h), this operator
+// answers it with a hash-partition on the equi-keys followed by an
+// endpoint plane sweep per partition -- O(n log n + output) instead of
+// the O(n * m) nested loop a pure temporal join (no equi-key) otherwise
+// degenerates to.  The hash join serves plain equi-joins, the nested
+// loop opaque predicates and tiny inputs.  All three read typed columns
+// (Relation::ReadColumn) and group keys with KeyIndex, whatever the
+// storage layout of their inputs.
 #ifndef PERIODK_ENGINE_INTERVAL_JOIN_H_
 #define PERIODK_ENGINE_INTERVAL_JOIN_H_
 
@@ -35,16 +39,25 @@ struct JoinCandidates {
 /// three-valued comparison semantics are preserved bit-for-bit.
 /// With a pool in `ctx` the equi-key partitions fan out to workers
 /// (a pure temporal join has one partition and stays sequential).
+/// Without a residual or a malformed row the output is gathered
+/// (Relation::Gather: columns when both inputs are columnar); otherwise
+/// it is rows.
 Relation IntervalOverlapJoin(const Plan& plan, const Relation& left,
                              const Relation& right, const OpContext& ctx = {},
                              const JoinCandidates& candidates = {});
 
-/// Reference implementation: O(n * m) nested loop evaluating the full
-/// join predicate on every pair.  Kept as the correctness baseline for
-/// the property tests and benchmarks, and as the executor's fallback
-/// for genuinely opaque predicates.
+/// Reference implementation: O(n * m) nested loop evaluating the join
+/// predicate on every pair.  Kept as the correctness baseline for the
+/// property tests and benchmarks, and as the executor's fallback for
+/// genuinely opaque predicates.  Emits rows.
 Relation NestedLoopJoin(const Plan& plan, const Relation& left,
                         const Relation& right);
+
+/// Equi-join on plan.join.equi_keys (build right, probe left) with the
+/// residual checked per joined row.  Row-identical to NestedLoopJoin:
+/// left-major, each left row's matches in right order.  Emits rows.
+Relation HashJoin(const Plan& plan, const Relation& left,
+                  const Relation& right);
 
 }  // namespace periodk
 

@@ -122,6 +122,89 @@ void Relation::DecayToRows() {
   columnar_ = false;
 }
 
+TypedColumn Relation::ReadColumn(size_t c) const {
+  // periodk-lint: columnar-lane-begin(read-column)
+  if (is_columnar()) return TypedColumn(columns_[c]);
+  // periodk-lint: columnar-lane-end(read-column)
+  return TypedColumn(ColumnData::Encode(rows_, c));
+}
+
+Relation Relation::Gather(Schema schema,
+                          const std::vector<GatherSource>& sources,
+                          NewIntervals* intervals) {
+  const size_t n = sources.front().ids.size();
+  // periodk-lint: columnar-lane-begin(gather)
+  if (std::all_of(sources.begin(), sources.end(),
+                  [](const GatherSource& s) { return s.rel.is_columnar(); })) {
+    std::vector<ColumnData> cols;
+    cols.reserve(schema.size());
+    for (const GatherSource& s : sources) {
+      for (int c : s.cols) {
+        cols.push_back(
+            ColumnData::Gather(s.rel.columns_[static_cast<size_t>(c)], s.ids));
+      }
+    }
+    if (intervals != nullptr) {
+      cols.push_back(ColumnData::FromInts(std::move(intervals->begin)));
+      cols.push_back(ColumnData::FromInts(std::move(intervals->end)));
+    }
+    return FromColumns(std::move(schema), std::move(cols), n);
+  }
+  // periodk-lint: columnar-lane-end(gather)
+  std::vector<Row> rows(n);
+  for (size_t k = 0; k < n; ++k) {
+    Row& row = rows[k];
+    row.reserve(schema.size());
+    for (const GatherSource& s : sources) s.rel.AppendRow(s.ids[k], s.cols, &row);
+    if (intervals != nullptr) {
+      row.push_back(Value::Int(intervals->begin[k]));
+      row.push_back(Value::Int(intervals->end[k]));
+    }
+  }
+  return Relation(std::move(schema), std::move(rows));
+}
+
+void Relation::AppendRow(size_t i, const std::vector<int>& cols,
+                         Row* out) const {
+  if (columnar_) {
+    for (int c : cols) out->push_back(columns_[static_cast<size_t>(c)].Get(i));
+    return;
+  }
+  const Row& row = rows_[i];
+  for (int c : cols) out->push_back(row[static_cast<size_t>(c)]);
+}
+
+Relation Relation::Concat(std::vector<Relation> parts) {
+  if (parts.size() == 1) return std::move(parts.front());
+  const Relation& first = parts.front();
+  bool columnar = true;
+  for (const Relation& p : parts) {
+    columnar = columnar && p.columnar_;
+    for (size_t c = 0; columnar && c < first.columns_.size(); ++c) {
+      columnar = p.columns_[c].SameEncoding(first.columns_[c]);
+    }
+  }
+  if (columnar) {
+    size_t n = 0;
+    for (const Relation& p : parts) n += p.num_rows_;
+    std::vector<ColumnData> cols;
+    cols.reserve(first.columns_.size());
+    for (size_t c = 0; c < first.columns_.size(); ++c) {
+      std::vector<const ColumnData*> pieces;
+      pieces.reserve(parts.size());
+      for (const Relation& p : parts) pieces.push_back(&p.columns_[c]);
+      cols.push_back(ColumnData::Concat(pieces));
+    }
+    return FromColumns(first.schema_, std::move(cols), n);
+  }
+  Relation out = std::move(parts.front());
+  for (size_t p = 1; p < parts.size(); ++p) {
+    out.Reserve(out.size() + parts[p].size());
+    for (Row& row : parts[p].mutable_rows()) out.rows_.push_back(std::move(row));
+  }
+  return out;
+}
+
 void Relation::ThrowArityMismatch(size_t got) const {
   throw EngineError(StrCat("AddRow: row has ", got, " values but schema ",
                            schema_.ToString(), " has ", schema_.size(),

@@ -4,14 +4,19 @@
 // rows, exactly as in SQL.
 //
 // A relation owns its data in one of two physical layouts:
-//   * row storage (the default for operator outputs): vector<Row>;
-//   * columnar storage (base tables, vectorized kernel outputs): one
-//     typed ColumnData per schema column (engine/column.h).
-// The row API is preserved over both: rows() on a columnar relation
-// lazily materializes a cached row *view* (thread-safe -- base tables
-// are shared across concurrent queries), and the mutating entry points
+//   * row storage (select, project and the other row operators'
+//     outputs): vector<Row>;
+//   * columnar storage (base tables, the gathering kernels' outputs):
+//     one typed ColumnData per schema column (engine/column.h).
+// Kernels do not branch on the layout.  They read typed columns
+// through ReadColumn and emit through Gather / AppendRow; those
+// helpers (and Concat, which joins parallel chunk outputs) are the
+// only code that looks at how a relation is stored.  The row API is
+// preserved over both layouts: rows() on a columnar relation lazily
+// materializes a cached row *view* (thread-safe -- base tables are
+// shared across concurrent queries), and the mutating entry points
 // (AddRow, mutable_rows, SortRows, Reserve) decay columnar storage back
-// to rows first, so every pre-columnar call site works unchanged.
+// to rows first.
 #ifndef PERIODK_ENGINE_RELATION_H_
 #define PERIODK_ENGINE_RELATION_H_
 
@@ -25,6 +30,21 @@
 #include "engine/schema.h"
 
 namespace periodk {
+
+class Relation;
+
+/// One input of Relation::Gather: rows `ids` of `rel`, columns `cols`.
+struct GatherSource {
+  const Relation& rel;
+  const std::vector<int>& cols;
+  const std::vector<uint32_t>& ids;
+};
+
+/// New [begin, end) endpoints a kernel appends to gathered rows.
+struct NewIntervals {
+  std::vector<int64_t> begin;
+  std::vector<int64_t> end;
+};
 
 class Relation {
  public:
@@ -71,9 +91,31 @@ class Relation {
   bool empty() const { return size() == 0; }
 
   bool is_columnar() const { return columnar_; }
-  /// Columnar payload; valid only while is_columnar().
-  const std::vector<ColumnData>& columns() const { return columns_; }
+  /// Column i of the columnar payload; valid only while is_columnar().
   const ColumnData& col(size_t i) const { return columns_[i]; }
+
+  /// Column `c` in typed form, whatever the layout: this relation's own
+  /// column when it is columnar, a ColumnData::Encode of just that
+  /// column (O(rows), per call, not cached) when it is row-stored.
+  TypedColumn ReadColumn(size_t c) const;
+
+  /// The kernels' output helper.  Output row k is, source by source,
+  /// the `cols` of row `ids[k]`, then (when given) the int endpoints
+  /// intervals->begin[k], intervals->end[k], moved out of *intervals.
+  /// Typed columns are gathered when every source is columnar
+  /// (dictionaries shared); rows are built otherwise.
+  [[nodiscard]] static Relation Gather(
+      Schema schema, const std::vector<GatherSource>& sources,
+      NewIntervals* intervals = nullptr);
+
+  /// Appends the `cols` of row i to *out: Gather's row building, for
+  /// kernels that must test or extend each row before keeping it.
+  void AppendRow(size_t i, const std::vector<int>& cols, Row* out) const;
+
+  /// `parts` back to back (parallel chunk outputs, in chunk order):
+  /// columnar when every part is columnar with matching column
+  /// encodings, rows otherwise.
+  [[nodiscard]] static Relation Concat(std::vector<Relation> parts);
 
   /// Re-encodes row storage as typed columns (no-op when already
   /// columnar).  The row vector is released; rows() rebuilds it on

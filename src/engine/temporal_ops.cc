@@ -4,7 +4,6 @@
 #include <limits>
 #include <map>
 #include <tuple>
-#include <unordered_map>
 
 #include "common/status.h"
 #include "common/str_util.h"
@@ -15,12 +14,9 @@ namespace periodk {
 
 namespace {
 
-TimePoint TimeOf(const Value& v) {
-  if (v.type() != ValueType::kInt) {
-    throw EngineError("temporal column must hold integer time points, got " +
-                      v.ToString());
-  }
-  return v.AsInt();
+[[noreturn]] void ThrowNotTime(const Value& v) {
+  throw EngineError("temporal column must hold integer time points, got " +
+                    v.ToString());
 }
 
 size_t NonTemporalArity(const Relation& r, const char* op) {
@@ -30,16 +26,49 @@ size_t NonTemporalArity(const Relation& r, const char* op) {
   return r.schema().size() - 2;
 }
 
-/// Decodes the trailing interval of an encoded row.  Returns false for
-/// an empty validity interval (begin >= end: annotation 0 everywhere);
-/// throws on non-integer endpoints.  Every temporal operator — and in
-/// particular *both* coalesce implementations — routes its drop-empty
-/// decision through here, so they cannot diverge on degenerate rows.
+/// Decodes the trailing interval of an encoded row (for the operators
+/// that work on rows: CoalesceWindow and the split-aggregate argument
+/// projection).  Returns false for an empty validity interval
+/// (begin >= end: annotation 0 everywhere); throws on non-integer
+/// endpoints.  DecodeInterval applies the same rule, with the same
+/// error, to typed columns — so *both* coalesce implementations drop the
+/// same degenerate rows and reject the same malformed ones.
 bool DecodeRowInterval(const Row& row, size_t nattr, TimePoint* b,
                        TimePoint* e) {
-  *b = TimeOf(row[nattr]);
-  *e = TimeOf(row[nattr + 1]);
+  for (size_t c : {nattr, nattr + 1}) {
+    if (row[c].type() != ValueType::kInt) ThrowNotTime(row[c]);
+  }
+  *b = row[nattr].AsInt();
+  *e = row[nattr + 1].AsInt();
   return *b < *e;
+}
+
+/// The typed kernels' endpoint decoding: row i's interval, false when
+/// it is empty, DecodeRowInterval's error on non-integer endpoints.
+bool DecodeInterval(const ColumnData& bc, const ColumnData& ec, size_t i,
+                    TimePoint* b, TimePoint* e) {
+  const int64_t* pb = bc.TryInt(i);
+  if (pb == nullptr) ThrowNotTime(bc.Get(i));
+  const int64_t* pe = ec.TryInt(i);
+  if (pe == nullptr) ThrowNotTime(ec.Get(i));
+  *b = *pb;
+  *e = *pe;
+  return *b < *e;
+}
+
+/// Typed reads of columns `cols` of `input`.
+std::vector<TypedColumn> ReadColumns(const Relation& input,
+                                     const std::vector<int>& cols) {
+  std::vector<TypedColumn> out;
+  out.reserve(cols.size());
+  for (int c : cols) out.push_back(input.ReadColumn(static_cast<size_t>(c)));
+  return out;
+}
+
+std::vector<int> Iota(size_t n) {
+  std::vector<int> out(n);
+  for (size_t c = 0; c < n; ++c) out[c] = static_cast<int>(c);
+  return out;
 }
 
 using Intervals = std::vector<std::pair<TimePoint, TimePoint>>;
@@ -53,9 +82,7 @@ struct CoalescedSegment {
 };
 
 // Endpoint sweep over one group's intervals: ±1 events, segments
-// between annotation changepoints.  Shared by the row and columnar
-// grouping paths, so coalesce output is a pure function of the logical
-// input regardless of storage layout.
+// between annotation changepoints.
 void SweepIntervalsToSegments(const Intervals& intervals,
                               std::vector<std::pair<TimePoint, int64_t>>& events,
                               std::vector<CoalescedSegment>& out) {
@@ -84,78 +111,31 @@ void SweepIntervalsToSegments(const Intervals& intervals,
   }
 }
 
-// Coalesce groups in first-appearance order of their key -- identical
-// whichever storage representation produced them.
-struct CoalesceGroups {
-  std::vector<Intervals> intervals;  // per group id
-  std::vector<Row> keys;             // row path: key per group id
-  std::vector<uint32_t> rep;         // columnar path: representative row
-  bool columnar = false;
-};
-
-// Columnar grouping: packed uint64 keys over the attribute columns and
-// raw endpoint arrays.  Requires the endpoint columns to be pure
-// non-null int (anything else must throw through TimeOf on the row
-// path) and the key columns to be FastKeyable.
-// periodk-lint: columnar-lane-begin(coalesce-groups)
-bool TryColumnarCoalesceGroups(const Relation& input, size_t nattr,
-                               CoalesceGroups* g) {
-  if (!input.is_columnar()) return false;
-  const std::vector<ColumnData>& cols = input.columns();
-  const ColumnData& bc = cols[nattr];
-  const ColumnData& ec = cols[nattr + 1];
-  if (bc.tag() != ColumnTag::kInt || bc.has_nulls()) return false;
-  if (ec.tag() != ColumnTag::kInt || ec.has_nulls()) return false;
-  std::vector<int> key_cols(nattr);
-  for (size_t c = 0; c < nattr; ++c) key_cols[c] = static_cast<int>(c);
-  std::vector<uint64_t> packed;
-  if (!BuildPackedKeys(cols, key_cols, input.size(), &packed)) return false;
-  const int64_t* bs = bc.ints();
-  const int64_t* es = ec.ints();
-  size_t width = nattr + 1;
-  PackedKeyMap map(width, /*expected=*/64);
-  for (size_t i = 0; i < input.size(); ++i) {
-    if (bs[i] >= es[i]) continue;  // empty validity: annotation 0
-    uint32_t gid = map.FindOrInsert(&packed[i * width]);
-    if (gid == g->intervals.size()) {
-      g->intervals.emplace_back();
-      g->rep.push_back(static_cast<uint32_t>(i));
-    }
-    g->intervals[gid].emplace_back(bs[i], es[i]);
-  }
-  g->columnar = true;
-  return true;
-}
-// periodk-lint: columnar-lane-end(coalesce-groups)
-
-void RowCoalesceGroups(const Relation& input, size_t nattr,
-                       CoalesceGroups* g) {
-  std::unordered_map<Row, uint32_t, RowHash, RowEq> gid_of;
-  for (const Row& row : input.rows()) {
-    TimePoint b = 0;
-    TimePoint e = 0;
-    if (!DecodeRowInterval(row, nattr, &b, &e)) continue;
-    Row key(row.begin(), row.begin() + static_cast<long>(nattr));
-    auto [it, inserted] = gid_of.try_emplace(std::move(key),
-                                             static_cast<uint32_t>(
-                                                 g->intervals.size()));
-    if (inserted) {
-      g->intervals.emplace_back();
-      g->keys.push_back(it->first);
-    }
-    g->intervals[it->second].emplace_back(b, e);
-  }
-}
-
 }  // namespace
 
 Relation CoalesceNative(const Relation& input, const OpContext& ctx) {
   size_t nattr = NonTemporalArity(input, "Coalesce");
-  CoalesceGroups groups;
-  if (!TryColumnarCoalesceGroups(input, nattr, &groups)) {
-    RowCoalesceGroups(input, nattr, &groups);
+  // Group by the attribute prefix in first-appearance order; each group
+  // keeps its intervals and one representative row for emission.
+  std::vector<int> attr_cols = Iota(nattr);
+  std::vector<TypedColumn> attrs = ReadColumns(input, attr_cols);
+  TypedColumn bc = input.ReadColumn(nattr);
+  TypedColumn ec = input.ReadColumn(nattr + 1);
+  KeyIndex groups(attrs);
+  std::vector<Intervals> intervals;
+  std::vector<uint32_t> rep;
+  for (size_t i = 0; i < input.size(); ++i) {
+    TimePoint b = 0;
+    TimePoint e = 0;
+    if (!DecodeInterval(*bc, *ec, i, &b, &e)) continue;
+    uint32_t gid = groups.FindOrInsert(i);
+    if (gid == intervals.size()) {
+      intervals.emplace_back();
+      rep.push_back(static_cast<uint32_t>(i));
+    }
+    intervals[gid].emplace_back(b, e);
   }
-  size_t ngroups = groups.intervals.size();
+  size_t ngroups = intervals.size();
 
   // The per-group sweeps are independent: chunks of groups fan out to
   // the pool, each into its own segment slots.
@@ -166,15 +146,15 @@ Relation CoalesceNative(const Relation& input, const OpContext& ctx) {
   if (ranges.size() <= 1) {
     std::vector<std::pair<TimePoint, int64_t>> events;
     for (size_t gi = 0; gi < ngroups; ++gi) {
-      SweepIntervalsToSegments(groups.intervals[gi], events, segments[gi]);
+      SweepIntervalsToSegments(intervals[gi], events, segments[gi]);
     }
   } else {
     std::vector<ExecStats> chunk_stats(ranges.size());
     RunChunks(ctx.pool->get(), ranges, [&](size_t c, int64_t b, int64_t e) {
       std::vector<std::pair<TimePoint, int64_t>> events;
       for (int64_t gi = b; gi < e; ++gi) {
-        SweepIntervalsToSegments(groups.intervals[static_cast<size_t>(gi)],
-                                 events, segments[static_cast<size_t>(gi)]);
+        SweepIntervalsToSegments(intervals[static_cast<size_t>(gi)], events,
+                                 segments[static_cast<size_t>(gi)]);
       }
       chunk_stats[c].parallel_tasks = 1;
     });
@@ -183,44 +163,21 @@ Relation CoalesceNative(const Relation& input, const OpContext& ctx) {
     }
   }
 
-  // Emission in group order.  The columnar path gathers the attribute
-  // prefix straight from the input columns (dictionary codes copied,
-  // dictionaries shared); the row path rebuilds rows.
-  if (groups.columnar) {
-    std::vector<uint32_t> src;  // input row index per output row
-    std::vector<int64_t> out_b;
-    std::vector<int64_t> out_e;
-    for (size_t gi = 0; gi < ngroups; ++gi) {
-      for (const CoalescedSegment& s : segments[gi]) {
-        for (int64_t c = 0; c < s.count; ++c) {
-          src.push_back(groups.rep[gi]);
-          out_b.push_back(s.begin);
-          out_e.push_back(s.end);
-        }
-      }
-    }
-    size_t n = src.size();
-    std::vector<ColumnData> out_cols;
-    out_cols.reserve(nattr + 2);
-    for (size_t c = 0; c < nattr; ++c) {
-      out_cols.push_back(ColumnData::Gather(input.col(c), src));
-    }
-    out_cols.push_back(ColumnData::FromInts(std::move(out_b)));
-    out_cols.push_back(ColumnData::FromInts(std::move(out_e)));
-    return Relation::FromColumns(input.schema(), std::move(out_cols), n);
-  }
-  Relation out(input.schema());
+  // Emission in group order: each segment repeats its group's
+  // representative attributes `count` times with the new endpoints.
+  std::vector<uint32_t> src;
+  NewIntervals coalesced;
   for (size_t gi = 0; gi < ngroups; ++gi) {
     for (const CoalescedSegment& s : segments[gi]) {
       for (int64_t c = 0; c < s.count; ++c) {
-        Row row = groups.keys[gi];
-        row.push_back(Value::Int(s.begin));
-        row.push_back(Value::Int(s.end));
-        out.AddRow(std::move(row));
+        src.push_back(rep[gi]);
+        coalesced.begin.push_back(s.begin);
+        coalesced.end.push_back(s.end);
       }
     }
   }
-  return out;
+  return Relation::Gather(input.schema(), {{input, attr_cols, src}},
+                          &coalesced);
 }
 
 Relation CoalesceWindow(const Relation& input) {
@@ -335,23 +292,29 @@ Relation SplitRelation(const Relation& left, const Relation& right,
   if (left.schema().size() != right.schema().size()) {
     throw EngineError("Split requires union-compatible inputs");
   }
-  std::unordered_map<Row, std::vector<TimePoint>, RowHash, RowEq> endpoints;
-  auto collect = [&](const Relation& r) {
-    for (const Row& row : r.rows()) {
+  // Endpoint sets per G-group over left UNION right.
+  const Relation* sides[2] = {&left, &right};
+  std::vector<TypedColumn> keys[2];
+  std::vector<TypedColumn> ends[2];
+  for (int side = 0; side < 2; ++side) {
+    keys[side] = ReadColumns(*sides[side], group_cols);
+    ends[side] = ReadColumns(*sides[side], {static_cast<int>(nattr),
+                                            static_cast<int>(nattr) + 1});
+  }
+  KeyIndex groups(keys[0], keys[1]);
+  std::vector<std::vector<TimePoint>> endpoints;
+  for (int side = 0; side < 2; ++side) {
+    for (size_t i = 0; i < sides[side]->size(); ++i) {
       TimePoint b = 0;
       TimePoint e = 0;
-      if (!DecodeRowInterval(row, nattr, &b, &e)) continue;
-      Row key;
-      key.reserve(group_cols.size());
-      for (int c : group_cols) key.push_back(row[static_cast<size_t>(c)]);
-      auto& pts = endpoints[key];
-      pts.push_back(b);
-      pts.push_back(e);
+      if (!DecodeInterval(*ends[side][0], *ends[side][1], i, &b, &e)) continue;
+      uint32_t gid = groups.FindOrInsert(i, side);
+      if (gid == endpoints.size()) endpoints.emplace_back();
+      endpoints[gid].push_back(b);
+      endpoints[gid].push_back(e);
     }
-  };
-  collect(left);
-  collect(right);
-  for (auto& [key, pts] : endpoints) {
+  }
+  for (std::vector<TimePoint>& pts : endpoints) {
     std::sort(pts.begin(), pts.end());
     pts.erase(std::unique(pts.begin(), pts.end()), pts.end());
   }
@@ -361,29 +324,29 @@ Relation SplitRelation(const Relation& left, const Relation& right,
     t_split_budget -= fragments;
     if (t_split_budget < 0) throw SplitBudgetExceeded();
   };
-  for (const Row& row : left.rows()) {
+  std::vector<int> attr_cols = Iota(nattr);
+  auto emit = [&](size_t i, TimePoint from, TimePoint to) {
+    Row frag;
+    frag.reserve(nattr + 2);
+    left.AppendRow(i, attr_cols, &frag);
+    frag.push_back(Value::Int(from));
+    frag.push_back(Value::Int(to));
+    out.AddRow(std::move(frag));
+  };
+  for (size_t i = 0; i < left.size(); ++i) {
     TimePoint b = 0;
     TimePoint e = 0;
-    if (!DecodeRowInterval(row, nattr, &b, &e)) continue;
-    Row key;
-    key.reserve(group_cols.size());
-    for (int c : group_cols) key.push_back(row[static_cast<size_t>(c)]);
-    const std::vector<TimePoint>& pts = endpoints[key];
+    if (!DecodeInterval(*ends[0][0], *ends[0][1], i, &b, &e)) continue;
+    const std::vector<TimePoint>& pts = endpoints[groups.Find(i)];
     TimePoint start = b;
     auto lo = std::upper_bound(pts.begin(), pts.end(), b);
     auto hi = std::lower_bound(lo, pts.end(), e);
     charge_budget(hi - lo + 1);
     for (auto it = lo; it != hi; ++it) {
-      Row frag(row.begin(), row.begin() + static_cast<long>(nattr));
-      frag.push_back(Value::Int(start));
-      frag.push_back(Value::Int(*it));
-      out.AddRow(std::move(frag));
+      emit(i, start, *it);
       start = *it;
     }
-    Row frag(row.begin(), row.begin() + static_cast<long>(nattr));
-    frag.push_back(Value::Int(start));
-    frag.push_back(Value::Int(e));
-    out.AddRow(std::move(frag));
+    emit(i, start, e);
   }
   return out;
 }
@@ -475,6 +438,48 @@ Relation SplitAggregateRelation(const Relation& input,
                                 bool gap_rows, const TimeDomain& domain,
                                 bool pre_aggregate, const OpContext& ctx) {
   size_t nattr = NonTemporalArity(input, "SplitAggregate");
+  // Aggregate arguments that are expressions rather than column
+  // references are first projected to columns.  Row by row, endpoints
+  // before arguments and empty intervals skipped -- the order the sweep
+  // decodes them -- so every error surfaces at the same row.
+  if (!std::all_of(aggs.begin(), aggs.end(), [](const AggExpr& a) {
+        return a.func == AggFunc::kCountStar || a.arg->kind == ExprKind::kColumn;
+      })) {
+    Schema projected_schema;
+    std::vector<int> projected_group;
+    for (int c : group_cols) {
+      projected_group.push_back(static_cast<int>(projected_schema.size()));
+      projected_schema.Append(input.schema().at(static_cast<size_t>(c)));
+    }
+    std::vector<AggExpr> projected_aggs;
+    for (const AggExpr& a : aggs) {
+      if (a.func == AggFunc::kCountStar) {
+        projected_aggs.push_back(a);
+        continue;
+      }
+      projected_aggs.push_back(
+          {a.func, Col(static_cast<int>(projected_schema.size())), a.name});
+      projected_schema.Append(Column(a.name));
+    }
+    projected_schema.Append(input.schema().at(nattr));
+    projected_schema.Append(input.schema().at(nattr + 1));
+    Relation projected(std::move(projected_schema));
+    for (const Row& row : input.rows()) {
+      TimePoint b = 0;
+      TimePoint e = 0;
+      if (!DecodeRowInterval(row, nattr, &b, &e)) continue;
+      Row p;
+      for (int c : group_cols) p.push_back(row[static_cast<size_t>(c)]);
+      for (const AggExpr& a : aggs) {
+        if (a.func != AggFunc::kCountStar) p.push_back(a.arg->Eval(row));
+      }
+      p.push_back(Value::Int(b));
+      p.push_back(Value::Int(e));
+      projected.AddRow(std::move(p));
+    }
+    return SplitAggregateRelation(projected, projected_group, projected_aggs,
+                                  gap_rows, domain, pre_aggregate, ctx);
+  }
   // gap_rows with grouping emits full-domain coverage per *observed*
   // group (count 0 where the group is absent) -- Teradata-style grouped
   // gaps; without grouping it implements the paper's correct global
@@ -489,131 +494,68 @@ Relation SplitAggregateRelation(const Relation& input,
   schema.Append(Column("a_begin"));
   schema.Append(Column("a_end"));
 
-  // Phase 1: pre-aggregate per (group, begin, end).  Without the
+  // Phase 1: pre-aggregate per (group, begin, end) cell.  Without the
   // optimization every row becomes its own partial (ablation mode).
-  // Groups are kept in first-appearance order -- identical for both
-  // storage layouts, so the fragment output order is a pure function of
-  // the logical input.
-  std::vector<Row> group_keys;
+  // Groups are kept in first-appearance order, so the fragment output
+  // order is a pure function of the logical input.
+  std::vector<TypedColumn> keys = ReadColumns(input, group_cols);
+  std::vector<TypedColumn> args;
+  std::vector<int> arg_of(aggs.size(), -1);  // index into args
+  for (size_t a = 0; a < aggs.size(); ++a) {
+    if (aggs[a].func == AggFunc::kCountStar) continue;
+    arg_of[a] = static_cast<int>(args.size());
+    args.push_back(input.ReadColumn(static_cast<size_t>(aggs[a].arg->column)));
+  }
+  TypedColumn bc = input.ReadColumn(nattr);
+  TypedColumn ec = input.ReadColumn(nattr + 1);
+  KeyIndex groups(keys);
+  std::vector<uint32_t> group_rep;  // representative input row per group
   std::vector<std::vector<Partial>> group_partials;
-
-  // Columnar fast path: packed uint64 keys over the group columns and
-  // raw endpoint arrays.  Aggregate arguments must be plain column
-  // references (they are in every rewriter-produced plan); falls back
-  // whenever the row path could throw (non-int or NULL endpoints) or
-  // packed keys cannot represent the grouping exactly.
-  // periodk-lint: columnar-lane-begin(split-aggregate-phase1)
-  auto columnar_phase1 = [&]() -> bool {
-    if (!input.is_columnar()) return false;
-    const std::vector<ColumnData>& cols = input.columns();
-    const ColumnData& bc = cols[nattr];
-    const ColumnData& ec = cols[nattr + 1];
-    if (bc.tag() != ColumnTag::kInt || bc.has_nulls()) return false;
-    if (ec.tag() != ColumnTag::kInt || ec.has_nulls()) return false;
-    std::vector<int> agg_cols(aggs.size(), -1);
+  PackedKeyMap cells(/*width=*/3, /*expected=*/64);  // (group, begin, end)
+  std::vector<uint32_t> cell_slot;  // cell id -> partial index in its group
+  for (size_t i = 0; i < input.size(); ++i) {
+    TimePoint b = 0;
+    TimePoint e = 0;
+    if (!DecodeInterval(*bc, *ec, i, &b, &e)) continue;
+    uint32_t gid = groups.FindOrInsert(i);
+    if (gid == group_partials.size()) {
+      group_partials.emplace_back();
+      group_rep.push_back(static_cast<uint32_t>(i));
+    }
+    std::vector<Partial>& partials = group_partials[gid];
+    size_t slot = partials.size();
+    if (pre_aggregate) {
+      const uint64_t cell[3] = {gid, static_cast<uint64_t>(b),
+                                static_cast<uint64_t>(e)};
+      uint32_t cid = cells.FindOrInsert(cell);
+      if (cid < cell_slot.size()) {
+        slot = cell_slot[cid];
+      } else {
+        cell_slot.push_back(static_cast<uint32_t>(slot));
+      }
+    }
+    if (slot == partials.size()) {
+      Partial p;
+      p.begin = b;
+      p.end = e;
+      p.states.resize(aggs.size());
+      partials.push_back(std::move(p));
+    }
+    Partial& p = partials[slot];
+    p.star += 1;
     for (size_t a = 0; a < aggs.size(); ++a) {
-      if (aggs[a].func == AggFunc::kCountStar) continue;
-      const ExprPtr& arg = aggs[a].arg;
-      if (arg == nullptr || arg->kind != ExprKind::kColumn) return false;
-      agg_cols[a] = arg->column;
-    }
-    std::vector<uint64_t> packed;
-    if (!BuildPackedKeys(cols, group_cols, input.size(), &packed)) {
-      return false;
-    }
-    const int64_t* bs = bc.ints();
-    const int64_t* es = ec.ints();
-    size_t gwidth = group_cols.size() + 1;
-    size_t cwidth = gwidth + (pre_aggregate ? 2 : 3);
-    PackedKeyMap group_map(gwidth, /*expected=*/64);
-    PackedKeyMap cell_map(cwidth, /*expected=*/64);
-    std::vector<uint32_t> group_rep;  // representative input row per group
-    std::vector<std::pair<uint32_t, uint32_t>> cell_ref;  // cell id -> slot
-    std::vector<uint64_t> cell_key(cwidth);
-    int64_t row_ordinal = 0;
-    for (size_t i = 0; i < input.size(); ++i) {
-      if (bs[i] >= es[i]) continue;
-      const uint64_t* gkey = &packed[i * gwidth];
-      uint32_t gid = group_map.FindOrInsert(gkey);
-      if (gid == group_partials.size()) {
-        group_partials.emplace_back();
-        group_rep.push_back(static_cast<uint32_t>(i));
-      }
-      std::copy(gkey, gkey + gwidth, cell_key.begin());
-      cell_key[gwidth] = static_cast<uint64_t>(bs[i]);
-      cell_key[gwidth + 1] = static_cast<uint64_t>(es[i]);
-      if (!pre_aggregate) {
-        cell_key[gwidth + 2] = static_cast<uint64_t>(row_ordinal++);
-      }
-      uint32_t cid = cell_map.FindOrInsert(cell_key.data());
-      if (cid == cell_ref.size()) {
-        std::vector<Partial>& partials = group_partials[gid];
-        cell_ref.emplace_back(gid, static_cast<uint32_t>(partials.size()));
-        Partial p;
-        p.begin = bs[i];
-        p.end = es[i];
-        p.states.resize(aggs.size());
-        partials.push_back(std::move(p));
-      }
-      Partial& p = group_partials[cell_ref[cid].first][cell_ref[cid].second];
-      p.star += 1;
-      for (size_t a = 0; a < aggs.size(); ++a) {
-        if (agg_cols[a] < 0) continue;
-        p.states[a].AccumulateColumn(cols[static_cast<size_t>(agg_cols[a])],
-                                     i);
+      if (arg_of[a] >= 0) {
+        p.states[a].AccumulateColumn(*args[static_cast<size_t>(arg_of[a])], i);
       }
     }
-    group_keys.reserve(group_partials.size());
-    for (uint32_t rep : group_rep) {
-      Row key;
-      key.reserve(group_cols.size());
-      for (int c : group_cols) {
-        key.push_back(cols[static_cast<size_t>(c)].Get(rep));
-      }
-      group_keys.push_back(std::move(key));
-    }
-    return true;
-  };
-  // periodk-lint: columnar-lane-end(split-aggregate-phase1)
-
-  if (!columnar_phase1()) {
-    std::unordered_map<Row, uint32_t, RowHash, RowEq> gid_of;
-    std::unordered_map<Row, size_t, RowHash, RowEq> cell_index;
-    int64_t row_ordinal = 0;
-    for (const Row& row : input.rows()) {
-      TimePoint b = 0;
-      TimePoint e = 0;
-      if (!DecodeRowInterval(row, nattr, &b, &e)) continue;
-      Row group;
-      group.reserve(group_cols.size());
-      for (int c : group_cols) group.push_back(row[static_cast<size_t>(c)]);
-      auto [git, ginserted] = gid_of.try_emplace(
-          group, static_cast<uint32_t>(group_partials.size()));
-      if (ginserted) {
-        group_keys.push_back(group);
-        group_partials.emplace_back();
-      }
-      Row cell = std::move(group);
-      cell.push_back(Value::Int(b));
-      cell.push_back(Value::Int(e));
-      if (!pre_aggregate) cell.push_back(Value::Int(row_ordinal++));
-      auto [it, inserted] = cell_index.try_emplace(std::move(cell), 0);
-      std::vector<Partial>& partials = group_partials[git->second];
-      if (inserted) {
-        it->second = partials.size();
-        Partial p;
-        p.begin = b;
-        p.end = e;
-        p.states.resize(aggs.size());
-        partials.push_back(std::move(p));
-      }
-      Partial& p = partials[it->second];
-      p.star += 1;
-      for (size_t i = 0; i < aggs.size(); ++i) {
-        if (aggs[i].func == AggFunc::kCountStar) continue;
-        p.states[i].Accumulate(aggs[i].arg->Eval(row));
-      }
-    }
+  }
+  std::vector<Row> group_keys;
+  group_keys.reserve(group_rep.size());
+  for (uint32_t rep : group_rep) {
+    Row key;
+    key.reserve(keys.size());
+    for (const TypedColumn& k : keys) key.push_back(k->Get(rep));
+    group_keys.push_back(std::move(key));
   }
   // Global aggregation over an empty input still produces the
   // full-domain gap row.  With grouping there is no such row: gaps are
@@ -729,82 +671,23 @@ Relation TimesliceEncodedAt(const Relation& input, TimePoint t,
     keep.push_back(c);
     schema.Append(input.schema().at(static_cast<size_t>(c)));
   }
-  // Columnar inputs with pure int endpoints filter on the raw arrays
-  // and gather the kept columns; row order is preserved either way.
-  // (Any other endpoint representation must throw through TimeOf, so it
-  // takes the row loop.)
-  // periodk-lint: columnar-lane-begin(timeslice)
-  if (input.is_columnar()) {
-    const ColumnData& bc = input.col(static_cast<size_t>(begin_col));
-    const ColumnData& ec = input.col(static_cast<size_t>(end_col));
-    if (bc.tag() == ColumnTag::kInt && !bc.has_nulls() &&
-        ec.tag() == ColumnTag::kInt && !ec.has_nulls()) {
-      const int64_t* bs = bc.ints();
-      const int64_t* es = ec.ints();
-      std::vector<uint32_t> alive;
-      for (size_t i = 0; i < input.size(); ++i) {
-        if (bs[i] <= t && t < es[i]) alive.push_back(static_cast<uint32_t>(i));
-      }
-      std::vector<ColumnData> cols;
-      cols.reserve(keep.size());
-      for (int c : keep) {
-        cols.push_back(
-            ColumnData::Gather(input.col(static_cast<size_t>(c)), alive));
-      }
-      return Relation::FromColumns(std::move(schema), std::move(cols),
-                                   alive.size());
-    }
+  TypedColumn bc = input.ReadColumn(static_cast<size_t>(begin_col));
+  TypedColumn ec = input.ReadColumn(static_cast<size_t>(end_col));
+  std::vector<uint32_t> alive;
+  for (size_t i = 0; i < input.size(); ++i) {
+    // Pure comparisons — no endpoint arithmetic, so the whole int64
+    // range (a TimeDomain touching INT64_MIN/INT64_MAX) is safe.
+    TimePoint b = 0;
+    TimePoint e = 0;
+    DecodeInterval(*bc, *ec, i, &b, &e);
+    if (b <= t && t < e) alive.push_back(static_cast<uint32_t>(i));
   }
-  // periodk-lint: columnar-lane-end(timeslice)
-  Relation out(std::move(schema));
-  for (const Row& row : input.rows()) {
-    TimePoint b = TimeOf(row[static_cast<size_t>(begin_col)]);
-    TimePoint e = TimeOf(row[static_cast<size_t>(end_col)]);
-    if (b <= t && t < e) {
-      Row projected;
-      projected.reserve(keep.size());
-      for (int c : keep) projected.push_back(row[static_cast<size_t>(c)]);
-      out.AddRow(std::move(projected));
-    }
-  }
-  return out;
+  return Relation::Gather(std::move(schema), {{input, keep, alive}});
 }
 
 Relation TimesliceEncoded(const Relation& input, TimePoint t) {
-  size_t nattr = NonTemporalArity(input, "Timeslice");
-  // periodk-lint: columnar-lane-begin(timeslice-encoded)
-  if (input.is_columnar()) {
-    const ColumnData& bc = input.col(nattr);
-    const ColumnData& ec = input.col(nattr + 1);
-    if (bc.tag() == ColumnTag::kInt && !bc.has_nulls() &&
-        ec.tag() == ColumnTag::kInt && !ec.has_nulls()) {
-      const int64_t* bs = bc.ints();
-      const int64_t* es = ec.ints();
-      std::vector<uint32_t> alive;
-      for (size_t i = 0; i < input.size(); ++i) {
-        if (bs[i] <= t && t < es[i]) alive.push_back(static_cast<uint32_t>(i));
-      }
-      std::vector<ColumnData> cols;
-      cols.reserve(nattr);
-      for (size_t c = 0; c < nattr; ++c) {
-        cols.push_back(ColumnData::Gather(input.col(c), alive));
-      }
-      return Relation::FromColumns(input.schema().Prefix(nattr),
-                                   std::move(cols), alive.size());
-    }
-  }
-  // periodk-lint: columnar-lane-end(timeslice-encoded)
-  Relation out(input.schema().Prefix(nattr));
-  for (const Row& row : input.rows()) {
-    TimePoint b = TimeOf(row[nattr]);
-    TimePoint e = TimeOf(row[nattr + 1]);
-    // Pure comparisons — no endpoint arithmetic, so the whole int64
-    // range (a TimeDomain touching INT64_MIN/INT64_MAX) is safe.
-    if (b <= t && t < e) {
-      out.AddRow(Row(row.begin(), row.begin() + static_cast<long>(nattr)));
-    }
-  }
-  return out;
+  int nattr = static_cast<int>(NonTemporalArity(input, "Timeslice"));
+  return TimesliceEncodedAt(input, t, nattr, nattr + 1);
 }
 
 }  // namespace periodk

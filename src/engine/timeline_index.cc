@@ -92,58 +92,21 @@ std::shared_ptr<const TimelineIndex> TimelineIndex::BuildFrom(
     index->out_schema_.Append(source->schema().at(static_cast<size_t>(c)));
   }
 
-  // Columnar sources build event lists straight from the raw endpoint
-  // arrays.  Pure non-null int columns qualify; any other typed column
-  // proves a non-integer (or NULL) endpoint exists, which the scan path
-  // (TimesliceEncoded) would throw on -- so the index refuses to build,
-  // like the row loop below.  Mixed columns vary per cell and take the
-  // row loop.
-  const int64_t* fast_b = nullptr;
-  const int64_t* fast_e = nullptr;
-  // periodk-lint: columnar-lane-begin(timeline-build)
-  if (source->is_columnar()) {
-    const ColumnData& bc = source->col(static_cast<size_t>(begin_col));
-    const ColumnData& ec = source->col(static_cast<size_t>(end_col));
-    bool b_int = bc.tag() == ColumnTag::kInt && !bc.has_nulls();
-    bool e_int = ec.tag() == ColumnTag::kInt && !ec.has_nulls();
-    if (b_int && e_int) {
-      fast_b = bc.ints();
-      fast_e = ec.ints();
-    } else if (bc.tag() != ColumnTag::kMixed && ec.tag() != ColumnTag::kMixed) {
-      return nullptr;
-    }
-  }
-  if (fast_b != nullptr) {
-    size_t n = source->size();
-    index->events_.reserve((n - first_row) * 2);
-    for (size_t i = first_row; i < n; ++i) {
-      TimePoint b = fast_b[i];
-      TimePoint e = fast_e[i];
-      if (b >= e) continue;  // empty validity: never alive, like the scan
-      uint32_t row = static_cast<uint32_t>(i);
-      index->events_.push_back(Event{b, row, /*is_end=*/false});
-      index->events_.push_back(Event{e, row, /*is_end=*/true});
-    }
-    // periodk-lint: columnar-lane-end(timeline-build)
-  } else {
-    const std::vector<Row>& rows = source->rows();
-    index->events_.reserve((rows.size() - first_row) * 2);
-    for (size_t i = first_row; i < rows.size(); ++i) {
-      const Value& bv = rows[i][static_cast<size_t>(begin_col)];
-      const Value& ev = rows[i][static_cast<size_t>(end_col)];
-      // The scan path (TimesliceEncoded) throws on non-integer
-      // endpoints; an index would silently skip them, so it refuses to
-      // build and the caller keeps the scan path's behavior.
-      if (bv.type() != ValueType::kInt || ev.type() != ValueType::kInt) {
-        return nullptr;
-      }
-      TimePoint b = bv.AsInt();
-      TimePoint e = ev.AsInt();
-      if (b >= e) continue;  // empty validity: never alive, like the scan
-      uint32_t row = static_cast<uint32_t>(i);
-      index->events_.push_back(Event{b, row, /*is_end=*/false});
-      index->events_.push_back(Event{e, row, /*is_end=*/true});
-    }
+  // The scan path (TimesliceEncoded) throws on non-integer endpoints;
+  // an index would silently skip them, so it refuses to build and the
+  // caller keeps the scan path's behavior.
+  TypedColumn bc = source->ReadColumn(static_cast<size_t>(begin_col));
+  TypedColumn ec = source->ReadColumn(static_cast<size_t>(end_col));
+  size_t n = source->size();
+  index->events_.reserve((n - first_row) * 2);
+  for (size_t i = first_row; i < n; ++i) {
+    const int64_t* b = bc->TryInt(i);
+    const int64_t* e = ec->TryInt(i);
+    if (b == nullptr || e == nullptr) return nullptr;
+    if (*b >= *e) continue;  // empty validity: never alive, like the scan
+    uint32_t row = static_cast<uint32_t>(i);
+    index->events_.push_back(Event{*b, row, /*is_end=*/false});
+    index->events_.push_back(Event{*e, row, /*is_end=*/true});
   }
   std::sort(index->events_.begin(), index->events_.end(),
             [](const Event& a, const Event& b) {
@@ -263,31 +226,9 @@ std::vector<uint32_t> TimelineIndex::AliveInRange(TimePoint b,
 }
 
 Relation TimelineIndex::Timeslice(TimePoint t) const {
+  // `alive` is ascending, so rows come out in source order.
   std::vector<uint32_t> alive = AliveAt(t);
-  // Columnar sources project by gathering the kept columns; `alive` is
-  // ascending, so the row order matches the row-projection loop.
-  // periodk-lint: columnar-lane-begin(timeline-timeslice)
-  if (source_->is_columnar()) {
-    std::vector<ColumnData> cols;
-    cols.reserve(keep_cols_.size());
-    for (int c : keep_cols_) {
-      cols.push_back(
-          ColumnData::Gather(source_->col(static_cast<size_t>(c)), alive));
-    }
-    return Relation::FromColumns(out_schema_, std::move(cols), alive.size());
-  }
-  // periodk-lint: columnar-lane-end(timeline-timeslice)
-  Relation out(out_schema_);
-  out.Reserve(alive.size());
-  const std::vector<Row>& rows = source_->rows();
-  for (uint32_t r : alive) {
-    const Row& row = rows[r];
-    Row projected;
-    projected.reserve(keep_cols_.size());
-    for (int c : keep_cols_) projected.push_back(row[static_cast<size_t>(c)]);
-    out.AddRow(std::move(projected));
-  }
-  return out;
+  return Relation::Gather(out_schema_, {{*source_, keep_cols_, alive}});
 }
 
 }  // namespace periodk

@@ -78,7 +78,8 @@ class TimelineIndex {
 
   /// Differential wrap: an index for `source` that answers from `base`
   /// plus a delta built over only the appended row range — O(appended)
-  /// instead of O(table).  Preconditions checked (nullptr returned on
+  /// instead of O(table) for a columnar source (a row-stored one has
+  /// its endpoint columns encoded whole, Relation::ReadColumn).  Preconditions checked (nullptr returned on
   /// violation, so callers fall back to a full build or the scan):
   /// `source` must have the same arity as base's relation, at least as
   /// many rows (the copy-on-write append contract: prefix rows are

@@ -613,19 +613,7 @@ Result<Relation> TemporalDB::Timeslice(const std::string& table,
           table, begin_idx, end_idx, snap, options_.use_cost_model);
       if (index != nullptr) return index->Timeslice(t);
     }
-    // Normalize the period columns into the trailing position, slice.
-    std::vector<int> order;
-    for (size_t i = 0; i < stored.schema().size(); ++i) {
-      if (static_cast<int>(i) != begin_idx &&
-          static_cast<int>(i) != end_idx) {
-        order.push_back(static_cast<int>(i));
-      }
-    }
-    order.push_back(begin_idx);
-    order.push_back(end_idx);
-    Relation normalized =
-        Execute(MakeProjectColumns(MakeConstant(stored), order), snap.catalog);
-    return TimesliceEncoded(normalized, t);
+    return TimesliceEncodedAt(stored, t, begin_idx, end_idx);
   } catch (const std::exception& error) {
     return Status::Internal(error.what());
   }

@@ -1,51 +1,12 @@
 #include "stats/table_stats.h"
 
 #include <algorithm>
-#include <unordered_set>
 #include <utility>
 
 #include "common/str_util.h"
 #include "engine/column.h"
 
 namespace periodk {
-
-namespace {
-
-/// Distinct non-null values of column `c`; exact.  Columnar fast-keyable
-/// columns go through the packed-key machinery (dictionary codes keep
-/// string comparisons out of the loop); everything else falls back to a
-/// Value set.
-int64_t CountDistinct(const Relation& rel, size_t c) {
-  const size_t n = rel.size();
-  if (n == 0) return 0;
-  if (rel.is_columnar() && FastKeyable(rel.col(c))) {
-    std::vector<uint64_t> packed;
-    if (BuildPackedKeys(rel.columns(), {static_cast<int>(c)}, n, &packed)) {
-      const ColumnData& col = rel.col(c);
-      PackedKeyMap map(/*width=*/2, /*expected=*/n);
-      for (size_t i = 0; i < n; ++i) {
-        if (col.IsNull(i)) continue;
-        map.FindOrInsert(&packed[i * 2]);
-      }
-      return static_cast<int64_t>(map.size());
-    }
-  }
-  std::unordered_set<Value, ValueHash> seen;
-  seen.reserve(n);
-  if (rel.is_columnar()) {
-    const ColumnData& col = rel.col(c);
-    for (size_t i = 0; i < n; ++i) {
-      if (!col.IsNull(i)) seen.insert(col.Get(i));
-    }
-  } else {
-    for (const Row& row : rel.rows()) {
-      if (!row[c].is_null()) seen.insert(row[c]);
-    }
-  }
-  return static_cast<int64_t>(seen.size());
-}
-
-}  // namespace
 
 std::shared_ptr<const TableStats> TableStats::Collect(
     std::shared_ptr<const Relation> source, int begin_col, int end_col) {
@@ -60,53 +21,26 @@ std::shared_ptr<const TableStats> TableStats::Collect(
 
   for (size_t c = 0; c < arity; ++c) {
     ColumnStats& cs = stats->columns_[c];
-    cs.distinct = CountDistinct(rel, c);
-    if (rel.is_columnar()) {
-      const ColumnData& col = rel.col(c);
-      cs.null_count = static_cast<int64_t>(col.null_count());
-      if (col.tag() == ColumnTag::kInt) {
-        for (size_t i = 0; i < n; ++i) {
-          if (col.IsNull(i)) continue;
-          const int64_t v = col.ints()[i];
-          if (!cs.has_int_range) {
-            cs.has_int_range = true;
-            cs.min_int = cs.max_int = v;
-          } else {
-            cs.min_int = std::min(cs.min_int, v);
-            cs.max_int = std::max(cs.max_int, v);
-          }
-        }
-      } else if (col.tag() == ColumnTag::kMixed) {
-        for (const Value& v : col.mixed()) {
-          const int64_t* i = v.TryInt();
-          if (i == nullptr) continue;
-          if (!cs.has_int_range) {
-            cs.has_int_range = true;
-            cs.min_int = cs.max_int = *i;
-          } else {
-            cs.min_int = std::min(cs.min_int, *i);
-            cs.max_int = std::max(cs.max_int, *i);
-          }
-        }
-      }
-    } else {
-      for (const Row& row : rel.rows()) {
-        const Value& v = row[c];
-        if (v.is_null()) {
-          ++cs.null_count;
-          continue;
-        }
-        const int64_t* i = v.TryInt();
-        if (i == nullptr) continue;
-        if (!cs.has_int_range) {
-          cs.has_int_range = true;
-          cs.min_int = cs.max_int = *i;
-        } else {
-          cs.min_int = std::min(cs.min_int, *i);
-          cs.max_int = std::max(cs.max_int, *i);
-        }
+    std::vector<TypedColumn> col;
+    col.push_back(rel.ReadColumn(c));
+    // Exact distinct count through the kernels' key index (dictionary
+    // codes keep string comparisons out of the loop).
+    KeyIndex distinct(col);
+    cs.null_count = static_cast<int64_t>(col[0]->null_count());
+    for (size_t i = 0; i < n; ++i) {
+      if (col[0]->IsNull(i)) continue;
+      distinct.FindOrInsert(i);
+      const int64_t* v = col[0]->TryInt(i);
+      if (v == nullptr) continue;
+      if (!cs.has_int_range) {
+        cs.has_int_range = true;
+        cs.min_int = cs.max_int = *v;
+      } else {
+        cs.min_int = std::min(cs.min_int, *v);
+        cs.max_int = std::max(cs.max_int, *v);
       }
     }
+    cs.distinct = static_cast<int64_t>(distinct.size());
   }
 
   if (begin_col >= 0 && end_col >= 0 &&
@@ -114,10 +48,12 @@ std::shared_ptr<const TableStats> TableStats::Collect(
       static_cast<size_t>(end_col) < arity && begin_col != end_col) {
     stats->begin_col_ = begin_col;
     stats->end_col_ = end_col;
-    auto record = [&stats](const Value& b, const Value& e) {
-      const int64_t* bi = b.TryInt();
-      const int64_t* ei = e.TryInt();
-      if (bi == nullptr || ei == nullptr || *bi >= *ei) return;
+    TypedColumn bc = rel.ReadColumn(static_cast<size_t>(begin_col));
+    TypedColumn ec = rel.ReadColumn(static_cast<size_t>(end_col));
+    for (size_t i = 0; i < n; ++i) {
+      const int64_t* bi = bc->TryInt(i);
+      const int64_t* ei = ec->TryInt(i);
+      if (bi == nullptr || ei == nullptr || *bi >= *ei) continue;
       const int64_t len = *ei - *bi;
       if (stats->interval_count_ == 0) {
         stats->min_begin_ = *bi;
@@ -133,19 +69,6 @@ std::shared_ptr<const TableStats> TableStats::Collect(
         ++bucket;
       }
       ++stats->length_histogram_[bucket];
-    };
-    if (rel.is_columnar()) {
-      const ColumnData& bc = rel.col(static_cast<size_t>(begin_col));
-      const ColumnData& ec = rel.col(static_cast<size_t>(end_col));
-      for (size_t i = 0; i < n; ++i) {
-        if (bc.IsNull(i) || ec.IsNull(i)) continue;
-        record(bc.Get(i), ec.Get(i));
-      }
-    } else {
-      for (const Row& row : rel.rows()) {
-        record(row[static_cast<size_t>(begin_col)],
-               row[static_cast<size_t>(end_col)]);
-      }
     }
   }
 

@@ -132,29 +132,93 @@ class RandomQueryGenerator {
   RandomQueryConfig config_;
 };
 
+/// Non-integer data for the catalog generators.  Without it (nullptr)
+/// they draw ints and NULLs only, and existing seeds keep their random
+/// streams.  With it, each attribute column of each table draws one
+/// kind -- ints, doubles (-0.0 and integral values included, so doubles
+/// meet ints as equal keys), strings, or all three mixed in one column
+/// -- and each endpoint turns, with `bad_endpoint_chance`, into a
+/// double, a string or NULL.  NaN is never drawn: Value::Compare is
+/// not an order on it.
+struct NonIntegerData {
+  double bad_endpoint_chance = 0.0;
+};
+
+namespace random_data {
+
+enum class Kind { kInt, kDouble, kString, kMixed };
+
+/// One attribute cell; ints and NULLs only when `mix` is null.
+inline Value Cell(Rng* rng, const NonIntegerData* mix, Kind kind,
+                  double null_chance) {
+  if (rng->Chance(null_chance)) return Value::Null();
+  if (mix == nullptr) return Value::Int(rng->Range(0, 3));
+  static constexpr double kDoubles[] = {-0.0, 0.0, 0.5, 1.0, 2.0, 2.5, 3.0};
+  static constexpr const char* kStrings[] = {"a", "b", "c", "x"};
+  if (kind == Kind::kMixed) kind = static_cast<Kind>(rng->Uniform(3));
+  switch (kind) {
+    case Kind::kDouble:
+      return Value::Double(kDoubles[rng->Uniform(7)]);
+    case Kind::kString:
+      return Value::String(kStrings[rng->Uniform(4)]);
+    default:
+      return Value::Int(rng->Range(0, 3));
+  }
+}
+
+/// Per-column kinds of one table (no draws without `mix`).
+inline std::vector<Kind> Kinds(Rng* rng, const NonIntegerData* mix,
+                               size_t columns) {
+  std::vector<Kind> kinds(columns, Kind::kInt);
+  if (mix == nullptr) return kinds;
+  for (Kind& k : kinds) k = static_cast<Kind>(rng->Uniform(4));
+  return kinds;
+}
+
+/// Endpoint `t`, or with mix->bad_endpoint_chance a double, string or
+/// NULL in its place.
+inline Value Endpoint(Rng* rng, const NonIntegerData* mix, TimePoint t) {
+  if (mix == nullptr || !rng->Chance(mix->bad_endpoint_chance)) {
+    return Value::Int(t);
+  }
+  switch (rng->Uniform(3)) {
+    case 0:
+      return Value::Double(static_cast<double>(t) + 0.5 * rng->Uniform(2));
+    case 1:
+      return Value::String("t");
+    default:
+      return Value::Null();
+  }
+}
+
+}  // namespace random_data
+
 /// Random PERIODENC-encoded tables "r" and "s" for the engine path.
 /// `null_chance` makes each data column independently NULL;
 /// `empty_validity_chance` produces rows whose interval is empty
 /// (begin >= end) -- annotation 0 everywhere, but still visible to raw
-/// multiset operators, so join paths must agree on them.
+/// multiset operators, so join paths must agree on them.  `mix` adds
+/// non-integer data (NonIntegerData).
 inline Catalog RandomEncodedCatalog(Rng* rng, const TimeDomain& domain,
                                     int max_rows = 12,
                                     double null_chance = 0.0,
-                                    double empty_validity_chance = 0.0) {
+                                    double empty_validity_chance = 0.0,
+                                    const NonIntegerData* mix = nullptr) {
   Catalog catalog;
   for (const char* name : {"r", "s"}) {
     Relation rel(Schema::FromNames({"a", "b", "a_begin", "a_end"}));
+    std::vector<random_data::Kind> kinds = random_data::Kinds(rng, mix, 2);
     int n = static_cast<int>(rng->Uniform(max_rows));
     for (int i = 0; i < n; ++i) {
       TimePoint b = rng->Range(domain.tmin, domain.tmax - 2);
       TimePoint e = rng->Chance(empty_validity_chance)
                         ? rng->Range(domain.tmin, b)
                         : rng->Range(b + 1, domain.tmax - 1);
-      auto data = [&] {
-        return rng->Chance(null_chance) ? Value::Null()
-                                        : Value::Int(rng->Range(0, 3));
-      };
-      rel.AddRow({data(), data(), Value::Int(b), Value::Int(e)});
+      Value a = random_data::Cell(rng, mix, kinds[0], null_chance);
+      Value v = random_data::Cell(rng, mix, kinds[1], null_chance);
+      Value vb = random_data::Endpoint(rng, mix, b);
+      rel.AddRow({std::move(a), std::move(v), std::move(vb),
+                  random_data::Endpoint(rng, mix, e)});
     }
     catalog.Put(name, std::move(rel));
   }
@@ -171,20 +235,22 @@ inline PlanPtr AddRandomPeriodTable(Rng* rng, Catalog* catalog,
                                     const TimeDomain& domain,
                                     int max_rows = 12,
                                     double null_chance = 0.0,
-                                    double empty_validity_chance = 0.0) {
+                                    double empty_validity_chance = 0.0,
+                                    const NonIntegerData* mix = nullptr) {
   Schema stored = Schema::FromNames({"a_begin", "a", "a_end", "b"});
   Relation rel(stored);
+  std::vector<random_data::Kind> kinds = random_data::Kinds(rng, mix, 2);
   int n = static_cast<int>(rng->Uniform(max_rows));
   for (int i = 0; i < n; ++i) {
     TimePoint b = rng->Range(domain.tmin, domain.tmax - 2);
     TimePoint e = rng->Chance(empty_validity_chance)
                       ? rng->Range(domain.tmin, b)
                       : rng->Range(b + 1, domain.tmax - 1);
-    auto data = [&] {
-      return rng->Chance(null_chance) ? Value::Null()
-                                      : Value::Int(rng->Range(0, 3));
-    };
-    rel.AddRow({Value::Int(b), data(), Value::Int(e), data()});
+    Value vb = random_data::Endpoint(rng, mix, b);
+    Value a = random_data::Cell(rng, mix, kinds[0], null_chance);
+    Value ve = random_data::Endpoint(rng, mix, e);
+    rel.AddRow({std::move(vb), std::move(a), std::move(ve),
+                random_data::Cell(rng, mix, kinds[1], null_chance)});
   }
   catalog->Put("p", std::move(rel));
   return MakeProjectColumns(MakeScan("p", stored), {1, 3, 0, 2});

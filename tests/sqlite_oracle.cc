@@ -217,31 +217,17 @@ void SqliteOracle::LoadTable(const std::string& name,
   Stmt insert(db_, StrCat("INSERT INTO ", QuoteIdent(name), " VALUES (",
                           placeholders, ");"));
   Exec(db_, "BEGIN;");
-  if (relation.is_columnar()) {
-    const std::vector<ColumnData>& cols = relation.columns();
-    for (size_t r = 0; r < relation.size(); ++r) {
-      for (size_t i = 0; i < arity; ++i) {
-        BindColumnCell(db_, insert.get(), static_cast<int>(i) + 1, cols[i], r);
-      }
-      if (sqlite3_step(insert.get()) != SQLITE_DONE) {
-        throw EngineError(
-            StrCat("sqlite insert failed: ", sqlite3_errmsg(db_)));
-      }
-      sqlite3_reset(insert.get());
-      sqlite3_clear_bindings(insert.get());
+  std::vector<TypedColumn> cols;
+  for (size_t i = 0; i < arity; ++i) cols.push_back(relation.ReadColumn(i));
+  for (size_t r = 0; r < relation.size(); ++r) {
+    for (size_t i = 0; i < arity; ++i) {
+      BindColumnCell(db_, insert.get(), static_cast<int>(i) + 1, *cols[i], r);
     }
-  } else {
-    for (const Row& row : relation.rows()) {
-      for (size_t i = 0; i < arity; ++i) {
-        BindValue(db_, insert.get(), static_cast<int>(i) + 1, row[i]);
-      }
-      if (sqlite3_step(insert.get()) != SQLITE_DONE) {
-        throw EngineError(
-            StrCat("sqlite insert failed: ", sqlite3_errmsg(db_)));
-      }
-      sqlite3_reset(insert.get());
-      sqlite3_clear_bindings(insert.get());
+    if (sqlite3_step(insert.get()) != SQLITE_DONE) {
+      throw EngineError(StrCat("sqlite insert failed: ", sqlite3_errmsg(db_)));
     }
+    sqlite3_reset(insert.get());
+    sqlite3_clear_bindings(insert.get());
   }
   Exec(db_, "COMMIT;");
 }

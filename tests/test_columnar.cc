@@ -80,14 +80,63 @@ TEST(ColumnDataTest, PackedKeysMatchValueEquality) {
   // key words must collide; NaN breaks the order, so the column is not
   // fast-keyable at all.
   std::vector<Row> rows = {{Value::Double(-0.0)}, {Value::Double(0.0)}};
-  std::vector<ColumnData> cols = {ColumnData::Encode(rows, 0)};
-  ASSERT_TRUE(FastKeyable(cols[0]));
-  std::vector<uint64_t> keys;
-  ASSERT_TRUE(BuildPackedKeys(cols, {0}, rows.size(), &keys));
-  ASSERT_EQ(keys.size(), 4u);  // 2 rows x (1 key word + null word)
+  ColumnData col = ColumnData::Encode(rows, 0);
+  ASSERT_TRUE(FastKeyable(col));
+  uint64_t keys[4];  // 2 rows x (1 key word + null word)
+  BuildPackedKeys({&col}, 0, rows.size(), keys);
   EXPECT_EQ(keys[0], keys[2]);
+  EXPECT_EQ(keys[1], keys[3]);
   std::vector<Row> nan_rows = {{Value::Double(0.0 / 0.0)}};
   EXPECT_FALSE(FastKeyable(ColumnData::Encode(nan_rows, 0)));
+}
+
+TEST(KeyIndexTest, IdsFollowValueCompareOnRandomColumns) {
+  // Grouping and cross-side matching mean Value::Compare equality
+  // whichever key encoding KeyIndex picks: packed words (ints, doubles
+  // with -0.0, strings in two different dictionaries) or Value keys
+  // (mixed columns, tags that differ across the sides).  Brute force
+  // over CompareRows is the oracle.
+  Rng rng(0x6b1d);
+  NonIntegerData mix;
+  for (int trial = 0; trial < 400; ++trial) {
+    size_t width = 1 + rng.Uniform(2);
+    auto table = [&] {
+      std::vector<random_data::Kind> kinds =
+          random_data::Kinds(&rng, &mix, width);
+      std::vector<Row> rows(1 + rng.Uniform(12));
+      for (Row& row : rows) {
+        for (size_t c = 0; c < width; ++c) {
+          row.push_back(random_data::Cell(&rng, &mix, kinds[c], 0.15));
+        }
+      }
+      return rows;
+    };
+    std::vector<Row> sides[2] = {table(), table()};
+    std::vector<TypedColumn> cols[2];
+    for (int side = 0; side < 2; ++side) {
+      for (size_t c = 0; c < width; ++c) {
+        cols[side].emplace_back(ColumnData::Encode(sides[side], c));
+      }
+    }
+    KeyIndex index(cols[0], cols[1]);
+    std::vector<Row> seen;  // distinct keys in first-appearance order
+    for (int side = 0; side < 2; ++side) {
+      for (size_t i = 0; i < sides[side].size(); ++i) {
+        const Row& key = sides[side][i];
+        size_t expected = 0;
+        while (expected < seen.size() && CompareRows(seen[expected], key) != 0) {
+          ++expected;
+        }
+        if (expected == seen.size()) seen.push_back(key);
+        ASSERT_EQ(index.FindOrInsert(i, side), expected)
+            << "trial " << trial << " side " << side << " row "
+            << RowToString(key);
+        bool has_null = false;
+        for (const Value& v : key) has_null = has_null || v.is_null();
+        ASSERT_EQ(index.HasNull(i, side), has_null) << "trial " << trial;
+      }
+    }
+  }
 }
 
 // --- Relation: dual storage ------------------------------------------------
@@ -253,21 +302,68 @@ TEST(ColumnarEquivalenceTest, StringGroupedTemporalOperatorsMatch) {
   }
 }
 
-TEST(ColumnarEquivalenceTest, TwoHundredRandomPlansMatchRowPath) {
-  // The satellite property test: 200 randomized rewritten plans,
-  // NULL-heavy data and duplicate-amplifying query shapes, executed
-  // over row and columnar storage of the same base tables.  At
-  // num_threads=1 the outputs must be row-for-row identical (whether a
-  // kernel takes its vectorized lane or falls back); under the chunked
-  // parallel paths they must stay bag-equal.
+TEST(ColumnarEquivalenceTest, GroupByIsExactAroundTwoTo53) {
+  // Int(2^53 + 1) is not Double(2^53) although it rounds to it; the two
+  // 2^53 values are one group.  Exact comparison plus agreeing hashes
+  // make the grouping independent of hash-table order.
+  constexpr int64_t k53 = int64_t{1} << 53;
+  Schema schema = Schema::FromNames({"k"});
+  Relation rel(schema);
+  for (int i = 0; i < 3; ++i) {
+    rel.AddRow({Value::Int(k53 + 1)});
+    rel.AddRow({Value::Double(9007199254740992.0)});
+    rel.AddRow({Value::Int(k53)});
+  }
+  Catalog rows_cat;
+  rows_cat.Put("t", std::move(rel));
+  Catalog cols_cat = Columnarized(rows_cat);
+  PlanPtr plan = MakeAggregate(MakeScan("t", schema), {Col(0, "k")},
+                               {Column("k")},
+                               {AggExpr{AggFunc::kCountStar, nullptr, "cnt"}});
+  Relation by_rows = Execute(plan, rows_cat, ExecOptions{});
+  Relation by_cols = Execute(plan, cols_cat, ExecOptions{});
+  ASSERT_EQ(by_rows.size(), 2u);
+  EXPECT_EQ(CompareRows(by_rows.rows()[0], {Value::Int(k53 + 1), Value::Int(3)}),
+            0);
+  EXPECT_EQ(CompareRows(by_rows.rows()[1], {Value::Int(k53), Value::Int(6)}),
+            0);
+  auto diff = ExactDiff(by_cols, by_rows);
+  EXPECT_FALSE(diff.has_value()) << *diff;
+}
+
+/// A plan's result over one catalog: its rows, or the message it threw.
+struct Outcome {
+  std::optional<Relation> rows;
+  std::string error;
+};
+
+Outcome Run(const PlanPtr& plan, const Catalog& catalog,
+            const ExecOptions& options) {
+  try {
+    return {Execute(plan, catalog, options), ""};
+  } catch (const std::exception& e) {
+    return {std::nullopt, e.what()};
+  }
+}
+
+/// 200 randomized rewritten plans, NULL-heavy data and
+/// duplicate-amplifying query shapes, executed over row and columnar
+/// storage of the same base tables.  At num_threads=1 the outputs must
+/// be row-for-row identical -- or both runs must throw the same error;
+/// under the chunked parallel paths they must stay bag-equal (or both
+/// throw).  With `mix` the tables hold non-integer data
+/// (NonIntegerData), which exercises the Value-key grouping and the
+/// error paths; without it no plan may throw.
+void CheckRandomPlansMatchRowPath(const NonIntegerData* mix) {
   constexpr TimeDomain kDomain{0, 16};
   for (int seed = 0; seed < 200; ++seed) {
     Rng rng(static_cast<uint64_t>(seed) * 0x9e3779b97f4a7c15ULL + 0xc01a7);
     Catalog rows_cat = RandomEncodedCatalog(&rng, kDomain, /*max_rows=*/10,
                                             /*null_chance=*/0.25,
-                                            /*empty_validity_chance=*/0.2);
+                                            /*empty_validity_chance=*/0.2,
+                                            mix);
     PlanPtr encoded_p = AddRandomPeriodTable(&rng, &rows_cat, kDomain, 10,
-                                             0.25, 0.2);
+                                             0.25, 0.2, mix);
     Catalog cols_cat = Columnarized(rows_cat);
 
     RewriteOptions options;
@@ -292,17 +388,43 @@ TEST(ColumnarEquivalenceTest, TwoHundredRandomPlansMatchRowPath) {
                        .Rewrite(gen.Generate(3 + static_cast<int>(
                                                      rng.Uniform(2))));
 
-    Relation by_rows = Execute(plan, rows_cat, ExecOptions{});
-    Relation by_cols = Execute(plan, cols_cat, ExecOptions{});
-    auto diff = ExactDiff(by_cols, by_rows);
-    ASSERT_FALSE(diff.has_value())
-        << "seed " << seed << ": " << *diff << "\nplan:\n" << plan->ToString();
+    Outcome by_rows = Run(plan, rows_cat, ExecOptions{});
+    Outcome by_cols = Run(plan, cols_cat, ExecOptions{});
+    if (mix == nullptr) {
+      ASSERT_EQ(by_rows.error, "") << "seed " << seed;
+    }
+    ASSERT_EQ(by_cols.error, by_rows.error)
+        << "seed " << seed << "\nplan:\n" << plan->ToString();
+    if (by_rows.rows.has_value()) {
+      auto diff = ExactDiff(*by_cols.rows, *by_rows.rows);
+      ASSERT_FALSE(diff.has_value()) << "seed " << seed << ": " << *diff
+                                     << "\nplan:\n" << plan->ToString();
+    }
 
     ExecOptions parallel;
     parallel.num_threads = 4;
-    Relation by_cols_mt = Execute(plan, cols_cat, parallel);
-    ASSERT_TRUE(by_cols_mt.BagEquals(by_rows))
-        << "seed " << seed << " (parallel)\nplan:\n" << plan->ToString();
+    Outcome by_cols_mt = Run(plan, cols_cat, parallel);
+    ASSERT_EQ(by_cols_mt.rows.has_value(), by_rows.rows.has_value())
+        << "seed " << seed << " (parallel): " << by_cols_mt.error;
+    if (by_rows.rows.has_value()) {
+      ASSERT_TRUE(by_cols_mt.rows->BagEquals(*by_rows.rows))
+          << "seed " << seed << " (parallel)\nplan:\n" << plan->ToString();
+    }
+  }
+}
+
+TEST(ColumnarEquivalenceTest, TwoHundredRandomPlansMatchRowPath) {
+  CheckRandomPlansMatchRowPath(nullptr);
+}
+
+TEST(ColumnarEquivalenceTest, TwoHundredNonIntegerPlansMatchRowPath) {
+  // Doubles, strings and mixed columns: once with integer endpoints
+  // only, once with some double, string or NULL endpoints.
+  NonIntegerData clean;
+  NonIntegerData bad_endpoints{/*bad_endpoint_chance=*/0.05};
+  for (const NonIntegerData* mix : {&clean, &bad_endpoints}) {
+    SCOPED_TRACE(mix->bad_endpoint_chance);
+    CheckRandomPlansMatchRowPath(mix);
   }
 }
 

@@ -11,6 +11,13 @@ Checks invariants that neither the compiler nor clang-tidy can express:
           // periodk-lint: columnar-lane-begin(<name>)
           // periodk-lint: columnar-lane-end(<name>)
 
+  layout-check-outside-storage
+      Kernels read typed columns (Relation::ReadColumn) and emit through
+      the output helpers (Relation::Gather / AppendRow / Concat), so the
+      storage layout is known only to engine/relation.* and
+      engine/column.*.  is_columnar() anywhere else in src/ reintroduces
+      a per-kernel row/columnar lane pair.
+
   naked-mutex
       src/ code must use the annotated wrappers from
       common/thread_annotations.h (Mutex, SharedMutex, MutexLock, ...)
@@ -54,6 +61,7 @@ LANE_BEGIN_RE = re.compile(r"periodk-lint:\s*columnar-lane-begin\(([\w-]+)\)")
 LANE_END_RE = re.compile(r"periodk-lint:\s*columnar-lane-end\(([\w-]+)\)")
 
 ROW_API_RE = re.compile(r"\.rows\(\)|\bAddRow\s*\(|\bmutable_rows\s*\(")
+LAYOUT_CHECK_RE = re.compile(r"\bis_columnar\s*\(")
 NAKED_MUTEX_RE = re.compile(
     r"std::(?:recursive_|shared_|timed_)?mutex\b"
     r"|std::condition_variable(?:_any)?\b"
@@ -72,6 +80,9 @@ NODISCARD_DECL_RE = re.compile(
 
 # Files exempt from naked-mutex: the wrappers themselves.
 MUTEX_EXEMPT = ("common/thread_annotations.h",)
+# The only files that may ask a relation for its storage layout.
+LAYOUT_OWNERS = ("engine/relation.h", "engine/relation.cc",
+                 "engine/column.h", "engine/column.cc")
 
 
 class Finding:
@@ -175,6 +186,18 @@ def check_columnar_lanes(path, rel, lines, findings):
             f"lane '{lane[0]}' is never closed"))
 
 
+def check_layout_outside_storage(path, rel, stripped_lines, findings):
+    if rel.replace(os.sep, "/") in LAYOUT_OWNERS:
+        return
+    for idx, line in enumerate(stripped_lines, start=1):
+        if LAYOUT_CHECK_RE.search(line) is not None:
+            findings.append(Finding(
+                path, idx, "layout-check-outside-storage",
+                "is_columnar() outside engine/relation.* and "
+                "engine/column.*: read typed columns (ReadColumn) and "
+                "emit through Gather/AppendRow instead"))
+
+
 def check_naked_mutex(path, rel, stripped_lines, findings):
     if any(rel.endswith(e) for e in MUTEX_EXEMPT):
         return
@@ -226,6 +249,7 @@ def lint_file(path, rel):
     stripped_lines = stripped.splitlines()
     allows = collect_allows(lines, findings, path)
     check_columnar_lanes(path, rel, lines, findings)
+    check_layout_outside_storage(path, rel, stripped_lines, findings)
     check_naked_mutex(path, rel, stripped_lines, findings)
     check_relation_by_value(path, stripped, findings)
     check_missing_nodiscard(path, rel, stripped, findings)
@@ -265,6 +289,19 @@ void Kernel(const Relation& input) {
 }
 // periodk-lint: columnar-lane-end(demo)
 """,
+    "src/engine/layout_bad.cc": """\
+// is_columnar() in a comment is fine.
+Relation Kernel(const Relation& input) {
+  if (input.is_columnar()) return Columnar(input);
+  return Rows(input);
+}
+""",
+    "src/engine/relation.cc": """\
+TypedColumn Relation::ReadColumn(size_t c) const {
+  if (is_columnar()) return TypedColumn(columns_[c]);
+  return TypedColumn(ColumnData::Encode(rows_, c));
+}
+""",
     "src/common/mutex_bad.cc": """\
 #include <mutex>
 std::mutex raw_mu;
@@ -286,6 +323,7 @@ Status Flush();
 
 SELF_TEST_EXPECT = {
     ("lane_bad.cc", "row-api-in-columnar-lane"): 1,
+    ("layout_bad.cc", "layout-check-outside-storage"): 1,
     ("mutex_bad.cc", "naked-mutex"): 1,
     ("byvalue_bad.h", "relation-by-value"): 1,
     ("nodiscard_bad.h", "missing-nodiscard"): 1,
