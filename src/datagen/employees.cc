@@ -56,7 +56,7 @@ Status LoadEmployees(TemporalDB* db, const EmployeesConfig& config) {
       "vt_end");
   if (!status.ok()) return status;
 
-  // Row-at-a-time Insert() is copy-on-write (O(table) per call); batch
+  // Row-at-a-time Insert() copies the stored columns per call; batch
   // the whole load and ship it per table at the end.
   BulkLoader loader(db);
   for (int d = 0; d < kNumDepartments; ++d) {

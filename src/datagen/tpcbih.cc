@@ -86,7 +86,7 @@ Status LoadTpcBih(TemporalDB* db, const TpcBihConfig& config) {
     if (!status.ok()) return status;
   }
 
-  // Row-at-a-time Insert() is copy-on-write (O(table) per call); batch
+  // Row-at-a-time Insert() copies the stored columns per call; batch
   // the whole load and ship it per table at the end.
   BulkLoader loader(db);
   for (int r = 0; r < 5; ++r) {

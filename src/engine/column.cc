@@ -21,6 +21,24 @@ uint64_t Mix64(uint64_t x) {
   return x ^ (x >> 31);
 }
 
+// The value type of every non-null cell of a column tagged `tag`
+// (kMixed columns hold several).
+ValueType CellType(ColumnTag tag) {
+  switch (tag) {
+    case ColumnTag::kInt:
+      return ValueType::kInt;
+    case ColumnTag::kDouble:
+      return ValueType::kDouble;
+    case ColumnTag::kBool:
+      return ValueType::kBool;
+    case ColumnTag::kString:
+      return ValueType::kString;
+    case ColumnTag::kMixed:
+      break;
+  }
+  return ValueType::kNull;
+}
+
 }  // namespace
 
 const char* ColumnTagName(ColumnTag tag) {
@@ -43,15 +61,16 @@ void ColumnData::InitValidity() {
   validity_.assign((size_ + 63) / 64, 0);
 }
 
-ColumnData ColumnData::Encode(const std::vector<Row>& rows, size_t col) {
+template <typename CellAt>
+ColumnData ColumnData::EncodeCells(size_t n, const CellAt& cell) {
   ColumnData out;
-  out.size_ = rows.size();
+  out.size_ = n;
 
   bool has_bool = false, has_int = false, has_double = false;
   bool has_string = false;
   size_t nulls = 0;
-  for (const Row& row : rows) {
-    switch (row[col].type()) {
+  for (size_t i = 0; i < n; ++i) {
+    switch (cell(i).type()) {
       case ValueType::kNull:
         ++nulls;
         break;
@@ -87,18 +106,18 @@ ColumnData ColumnData::Encode(const std::vector<Row>& rows, size_t col) {
   if (nulls > 0) out.InitValidity();
   switch (out.tag_) {
     case ColumnTag::kInt:
-      out.ints_.resize(rows.size(), 0);
-      for (size_t i = 0; i < rows.size(); ++i) {
-        if (const int64_t* v = rows[i][col].TryInt()) {
+      out.ints_.resize(n, 0);
+      for (size_t i = 0; i < n; ++i) {
+        if (const int64_t* v = cell(i).TryInt()) {
           out.ints_[i] = *v;
           if (nulls > 0) out.SetValid(i);
         }
       }
       break;
     case ColumnTag::kDouble:
-      out.doubles_.resize(rows.size(), 0.0);
-      for (size_t i = 0; i < rows.size(); ++i) {
-        if (const double* v = rows[i][col].TryDouble()) {
+      out.doubles_.resize(n, 0.0);
+      for (size_t i = 0; i < n; ++i) {
+        if (const double* v = cell(i).TryDouble()) {
           out.doubles_[i] = *v;
           if (std::isnan(*v)) out.has_nan_ = true;
           if (nulls > 0) out.SetValid(i);
@@ -106,9 +125,9 @@ ColumnData ColumnData::Encode(const std::vector<Row>& rows, size_t col) {
       }
       break;
     case ColumnTag::kBool:
-      out.bools_.resize(rows.size(), 0);
-      for (size_t i = 0; i < rows.size(); ++i) {
-        if (const bool* v = rows[i][col].TryBool()) {
+      out.bools_.resize(n, 0);
+      for (size_t i = 0; i < n; ++i) {
+        if (const bool* v = cell(i).TryBool()) {
           out.bools_[i] = *v ? 1 : 0;
           if (nulls > 0) out.SetValid(i);
         }
@@ -120,9 +139,9 @@ ColumnData ColumnData::Encode(const std::vector<Row>& rows, size_t col) {
       // into dictionary (= string) order.
       std::unordered_map<std::string_view, uint32_t> code_of;
       std::vector<std::string_view> distinct;
-      out.codes_.resize(rows.size(), 0);
-      for (size_t i = 0; i < rows.size(); ++i) {
-        if (const std::string* s = rows[i][col].TryString()) {
+      out.codes_.resize(n, 0);
+      for (size_t i = 0; i < n; ++i) {
+        if (const std::string* s = cell(i).TryString()) {
           auto [it, inserted] = code_of.try_emplace(
               *s, static_cast<uint32_t>(distinct.size()));
           if (inserted) distinct.push_back(*s);
@@ -147,13 +166,152 @@ ColumnData ColumnData::Encode(const std::vector<Row>& rows, size_t col) {
       break;
     }
     case ColumnTag::kMixed:
-      out.mixed_.reserve(rows.size());
-      for (size_t i = 0; i < rows.size(); ++i) {
-        out.mixed_.push_back(rows[i][col]);
-        if (nulls > 0 && !rows[i][col].is_null()) out.SetValid(i);
+      out.mixed_.reserve(n);
+      for (size_t i = 0; i < n; ++i) {
+        out.mixed_.push_back(cell(i));
+        if (nulls > 0 && !cell(i).is_null()) out.SetValid(i);
       }
       break;
   }
+  return out;
+}
+
+ColumnData ColumnData::Encode(const std::vector<Row>& rows, size_t col) {
+  return EncodeCells(rows.size(),
+                     [&](size_t i) -> const Value& { return rows[i][col]; });
+}
+
+ColumnData ColumnData::Append(const ColumnData& stored,
+                              const std::vector<Row>& rows, size_t col) {
+  const size_t m = stored.size_;
+  const size_t n = m + rows.size();
+  // Encode of the concatenation keeps stored's tag iff every non-null
+  // batch cell has stored's cell type (or stored is already mixed); an
+  // all-NULL kInt column receiving ints stays kInt.
+  size_t batch_nulls = 0;
+  bool keeps_tag = true;
+  for (const Row& row : rows) {
+    const ValueType type = row[col].type();
+    if (type == ValueType::kNull) {
+      ++batch_nulls;
+    } else if (stored.tag_ != ColumnTag::kMixed &&
+               type != CellType(stored.tag_)) {
+      keeps_tag = false;
+    }
+  }
+  if (!keeps_tag) {
+    // The batch changes the representation: re-encode the column.
+    std::vector<Value> head;
+    head.reserve(m);
+    for (size_t i = 0; i < m; ++i) head.push_back(stored.Get(i));
+    return EncodeCells(n, [&](size_t i) -> const Value& {
+      return i < m ? head[i] : rows[i - m][col];
+    });
+  }
+
+  ColumnData out;
+  out.tag_ = stored.tag_;
+  out.size_ = n;
+  out.null_count_ = stored.null_count_ + batch_nulls;
+  out.has_nan_ = stored.has_nan_;
+  out.dict_ = stored.dict_;
+  if (out.null_count_ > 0) {
+    out.InitValidity();
+    if (stored.has_nulls()) {
+      std::copy(stored.validity_.begin(), stored.validity_.end(),
+                out.validity_.begin());
+    } else {
+      std::fill(out.validity_.begin(), out.validity_.begin() + m / 64,
+                ~uint64_t{0});
+      if (m % 64 != 0) out.validity_[m / 64] = (uint64_t{1} << (m % 64)) - 1;
+    }
+    for (size_t k = 0; k < rows.size(); ++k) {
+      if (!rows[k][col].is_null()) out.SetValid(m + k);
+    }
+  }
+  // periodk-lint: columnar-lane-begin(column-append)
+  switch (out.tag_) {
+    case ColumnTag::kInt:
+      out.ints_.reserve(n);
+      out.ints_.insert(out.ints_.end(), stored.ints_.begin(),
+                       stored.ints_.end());
+      for (const Row& row : rows) {
+        const int64_t* v = row[col].TryInt();
+        out.ints_.push_back(v != nullptr ? *v : 0);
+      }
+      break;
+    case ColumnTag::kDouble:
+      out.doubles_.reserve(n);
+      out.doubles_.insert(out.doubles_.end(), stored.doubles_.begin(),
+                          stored.doubles_.end());
+      for (const Row& row : rows) {
+        const double* v = row[col].TryDouble();
+        out.doubles_.push_back(v != nullptr ? *v : 0.0);
+        if (v != nullptr && std::isnan(*v)) out.has_nan_ = true;
+      }
+      break;
+    case ColumnTag::kBool:
+      out.bools_.reserve(n);
+      out.bools_.insert(out.bools_.end(), stored.bools_.begin(),
+                        stored.bools_.end());
+      for (const Row& row : rows) {
+        const bool* v = row[col].TryBool();
+        out.bools_.push_back(v != nullptr && *v ? 1 : 0);
+      }
+      break;
+    case ColumnTag::kString: {
+      // The batch's strings the sorted dictionary lacks, sorted too.
+      const std::vector<std::string>& old_dict = stored.dict_->values();
+      std::vector<std::string_view> fresh;
+      for (const Row& row : rows) {
+        const std::string* s = row[col].TryString();
+        if (s != nullptr &&
+            !std::binary_search(old_dict.begin(), old_dict.end(), *s)) {
+          fresh.push_back(*s);
+        }
+      }
+      std::sort(fresh.begin(), fresh.end());
+      fresh.erase(std::unique(fresh.begin(), fresh.end()), fresh.end());
+      out.codes_.reserve(n);
+      if (fresh.empty()) {
+        out.codes_.insert(out.codes_.end(), stored.codes_.begin(),
+                          stored.codes_.end());
+      } else {
+        // Merge the two sorted lists; remap[k] is old code k's new code.
+        std::vector<std::string> merged;
+        merged.reserve(old_dict.size() + fresh.size());
+        std::vector<uint32_t> remap(old_dict.size());
+        size_t j = 0;
+        for (size_t k = 0; k < old_dict.size(); ++k) {
+          while (j < fresh.size() && fresh[j] < old_dict[k]) {
+            merged.emplace_back(fresh[j++]);
+          }
+          remap[k] = static_cast<uint32_t>(merged.size());
+          merged.push_back(old_dict[k]);
+        }
+        while (j < fresh.size()) merged.emplace_back(fresh[j++]);
+        out.dict_ = std::make_shared<const StringDict>(std::move(merged));
+        for (uint32_t code : stored.codes_) out.codes_.push_back(remap[code]);
+      }
+      const std::vector<std::string>& dict = out.dict_->values();
+      for (const Row& row : rows) {
+        const std::string* s = row[col].TryString();
+        out.codes_.push_back(
+            s == nullptr ? 0
+                         : static_cast<uint32_t>(
+                               std::lower_bound(dict.begin(), dict.end(), *s) -
+                               dict.begin()));
+      }
+      break;
+    }
+    case ColumnTag::kMixed:
+      out.mixed_.reserve(n);
+      out.mixed_.insert(out.mixed_.end(), stored.mixed_.begin(),
+                        stored.mixed_.end());
+      for (const Row& row : rows) out.mixed_.push_back(row[col]);
+      break;
+  }
+  // periodk-lint: columnar-lane-end(column-append)
   return out;
 }
 
@@ -456,6 +614,14 @@ uint32_t KeyIndex::Find(size_t row, int side) const {
   if (packed_) return packed_map_.Find(Packed(row, side));
   auto it = value_map_.find(ValueKey(row, side));
   return it == value_map_.end() ? kAbsent : it->second;
+}
+
+uint32_t KeyIndex::Probe(size_t row) const {
+  if (!packed_) return Find(row);  // Value keys read any row
+  if (stride_ == 0) return packed_map_.Find(packed_keys_[0].data());
+  uint64_t key[64];  // width_ <= 64 words whenever packed_
+  BuildPackedKeys(sides_[0], row, row + 1, key);
+  return packed_map_.Find(key);
 }
 
 bool KeyIndex::HasNull(size_t row, int side) const {

@@ -14,7 +14,8 @@
 // row-stored -- decode endpoints with TryInt, and group with KeyIndex:
 // packed uint64 keys in a PackedKeyMap, or Value keys read off the
 // columns where packing cannot reproduce Value::Compare.  Only output
-// assembly depends on the layout (Relation::Gather).
+// assembly depends on the layout (Relation::Gather).  Appends extend a
+// stored column without re-encoding it (ColumnData::Append).
 #ifndef PERIODK_ENGINE_COLUMN_H_
 #define PERIODK_ENGINE_COLUMN_H_
 
@@ -59,6 +60,18 @@ class ColumnData {
   /// column encodes as kInt with an all-invalid bitmap).  Strings cost
   /// one hash lookup per cell plus one sort of the distinct values.
   static ColumnData Encode(const std::vector<Row>& rows, size_t col);
+
+  /// `stored` followed by column `col` of `rows`: equal (tag, nulls,
+  /// cells, dictionary) to Encode of the concatenated rows, at the cost
+  /// of one copy of stored's typed payload and bitmap plus encoding the
+  /// batch.  String batches merge their new strings into the sorted
+  /// dictionary and remap the stored codes in one pass; with no new
+  /// string the dictionary is shared.  A batch that changes the tag
+  /// (say, a double into an int column, or strings into an all-NULL
+  /// one) re-encodes the whole column.  The copy-on-write append path
+  /// (Relation::Append, TemporalDB::InsertRows).
+  static ColumnData Append(const ColumnData& stored,
+                           const std::vector<Row>& rows, size_t col);
 
   /// A column of raw int64s with no NULLs (kernel interval outputs).
   static ColumnData FromInts(std::vector<int64_t> values);
@@ -123,6 +136,10 @@ class ColumnData {
   std::vector<uint32_t> codes_;
   std::shared_ptr<const StringDict> dict_;
   std::vector<Value> mixed_;
+
+  /// Encode over `n` cells, `cell(i)` being the i-th (a const Value&).
+  template <typename CellAt>
+  static ColumnData EncodeCells(size_t n, const CellAt& cell);
 
   void InitValidity();               // all-invalid bitmap of size_ bits
   void SetValid(size_t i) { validity_[i >> 6] |= uint64_t{1} << (i & 63); }
@@ -224,6 +241,10 @@ class KeyIndex {
   }
   /// The id of row `row` of `side`'s key, or kAbsent.
   uint32_t Find(size_t row, int side = 0) const;
+  /// Find for any row of the one-sided key columns, inside the indexed
+  /// range or not (TableStats::Extend probes a table's stored rows
+  /// against the keys of an appended batch).
+  uint32_t Probe(size_t row) const;
   /// True when any key cell of the row is NULL (NULL never equi-joins).
   bool HasNull(size_t row, int side = 0) const;
   size_t size() const {

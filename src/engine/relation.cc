@@ -99,6 +99,24 @@ void Relation::ToColumnar() {
   rows_ready_.store(false, std::memory_order_relaxed);
 }
 
+Relation Relation::Append(const Relation& stored,
+                          const std::vector<Row>& rows) {
+  for (const Row& row : rows) {
+    if (row.size() != stored.schema_.size()) {
+      stored.ThrowArityMismatch("Append", row.size());
+    }
+  }
+  std::vector<ColumnData> columns;
+  columns.reserve(stored.schema_.size());
+  // periodk-lint: columnar-lane-begin(relation-append)
+  for (size_t c = 0; c < stored.schema_.size(); ++c) {
+    columns.push_back(ColumnData::Append(*stored.ReadColumn(c), rows, c));
+  }
+  // periodk-lint: columnar-lane-end(relation-append)
+  return FromColumns(stored.schema_, std::move(columns),
+                     stored.size() + rows.size());
+}
+
 void Relation::MaterializeRows() const {
   MutexLock lock(rows_mu_);
   if (rows_ready_.load(std::memory_order_relaxed)) return;
@@ -205,8 +223,8 @@ Relation Relation::Concat(std::vector<Relation> parts) {
   return out;
 }
 
-void Relation::ThrowArityMismatch(size_t got) const {
-  throw EngineError(StrCat("AddRow: row has ", got, " values but schema ",
+void Relation::ThrowArityMismatch(const char* op, size_t got) const {
+  throw EngineError(StrCat(op, ": row has ", got, " values but schema ",
                            schema_.ToString(), " has ", schema_.size(),
                            " columns"));
 }

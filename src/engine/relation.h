@@ -11,12 +11,13 @@
 // Kernels do not branch on the layout.  They read typed columns
 // through ReadColumn and emit through Gather / AppendRow; those
 // helpers (and Concat, which joins parallel chunk outputs) are the
-// only code that looks at how a relation is stored.  The row API is
-// preserved over both layouts: rows() on a columnar relation lazily
-// materializes a cached row *view* (thread-safe -- base tables are
-// shared across concurrent queries), and the mutating entry points
-// (AddRow, mutable_rows, SortRows, Reserve) decay columnar storage back
-// to rows first.
+// only code that looks at how a relation is stored, with Append, which
+// extends a relation's typed columns by a batch without a row view.
+// The row API is preserved over both layouts: rows() on a columnar
+// relation lazily materializes a cached row *view* (thread-safe --
+// base tables are shared across concurrent queries), and the mutating
+// entry points (AddRow, mutable_rows, SortRows, Reserve) decay
+// columnar storage back to rows first.
 #ifndef PERIODK_ENGINE_RELATION_H_
 #define PERIODK_ENGINE_RELATION_H_
 
@@ -117,6 +118,14 @@ class Relation {
   /// encodings, rows otherwise.
   [[nodiscard]] static Relation Concat(std::vector<Relation> parts);
 
+  /// `stored` followed by `rows`, columnar: each column is
+  /// ColumnData::Append of stored's column (borrowed when columnar,
+  /// encoded when row-stored) and the batch, so a copy-on-write append
+  /// costs the batch plus a copy of the stored columns and never builds
+  /// a row view.  Rejects rows whose arity differs from the schema.
+  [[nodiscard]] static Relation Append(const Relation& stored,
+                                       const std::vector<Row>& rows);
+
   /// Re-encodes row storage as typed columns (no-op when already
   /// columnar).  The row vector is released; rows() rebuilds it on
   /// demand.
@@ -126,7 +135,7 @@ class Relation {
   /// than the schema would silently corrupt every downstream operator
   /// (the check is one integer compare, so it is always on).
   void AddRow(Row row) {
-    if (row.size() != schema_.size()) ThrowArityMismatch(row.size());
+    if (row.size() != schema_.size()) ThrowArityMismatch("AddRow", row.size());
     if (columnar_) DecayToRows();
     rows_.push_back(std::move(row));
   }
@@ -146,7 +155,7 @@ class Relation {
   std::string ToString(size_t limit = 0) const;
 
  private:
-  [[noreturn]] void ThrowArityMismatch(size_t got) const;
+  [[noreturn]] void ThrowArityMismatch(const char* op, size_t got) const;
   /// Bulk-construction counterpart of the AddRow check: one integer
   /// compare per row, negligible next to whatever produced the rows.
   void CheckRowArities() const;

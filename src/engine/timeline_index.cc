@@ -1,7 +1,7 @@
 #include "engine/timeline_index.h"
 
 #include <algorithm>
-#include <set>
+#include <bit>
 #include <utility>
 
 namespace periodk {
@@ -19,6 +19,51 @@ struct Replay {
   bool Removed(uint32_t row) const {
     return std::binary_search(removed.begin(), removed.end(), row);
   }
+};
+
+/// The alive set of BuildFrom's sweep over row ids [first, first + n):
+/// a bitmap plus one summary bit per bitmap word, so Sorted() costs the
+/// members plus n / 4096 summary words -- a checkpoint costs its size,
+/// not the table's -- and insert/erase are O(1).
+class AliveRows {
+ public:
+  AliveRows(size_t first, size_t n)
+      : first_(first), words_((n + 63) / 64), summary_((n + 4095) / 4096) {}
+
+  void Insert(uint32_t row) {
+    const size_t i = row - first_;
+    words_[i >> 6] |= uint64_t{1} << (i & 63);
+    summary_[i >> 12] |= uint64_t{1} << ((i >> 6) & 63);
+    ++count_;
+  }
+  void Erase(uint32_t row) {
+    const size_t i = row - first_;
+    uint64_t& word = words_[i >> 6];
+    word &= ~(uint64_t{1} << (i & 63));
+    if (word == 0) summary_[i >> 12] &= ~(uint64_t{1} << ((i >> 6) & 63));
+    --count_;
+  }
+  /// The members, ascending.
+  std::vector<uint32_t> Sorted() const {
+    std::vector<uint32_t> out;
+    out.reserve(count_);
+    for (size_t s = 0; s < summary_.size(); ++s) {
+      for (uint64_t live = summary_[s]; live != 0; live &= live - 1) {
+        const size_t w = s * 64 + static_cast<size_t>(std::countr_zero(live));
+        for (uint64_t bits = words_[w]; bits != 0; bits &= bits - 1) {
+          out.push_back(static_cast<uint32_t>(
+              first_ + w * 64 + static_cast<size_t>(std::countr_zero(bits))));
+        }
+      }
+    }
+    return out;
+  }
+
+ private:
+  size_t first_;
+  size_t count_ = 0;
+  std::vector<uint64_t> words_;    // bit i: row first_ + i is alive
+  std::vector<uint64_t> summary_;  // bit w: words_[w] != 0
 };
 
 }  // namespace
@@ -116,7 +161,7 @@ std::shared_ptr<const TimelineIndex> TimelineIndex::BuildFrom(
             });
 
   index->event_times_.reserve(index->events_.size());
-  std::set<uint32_t> alive;
+  AliveRows alive(first_row, n - first_row);
   size_t k = static_cast<size_t>(checkpoint_interval);
   index->checkpoints_.reserve(index->events_.size() / k + 1);
   index->checkpoints_.emplace_back();  // checkpoint 0: nothing alive
@@ -124,15 +169,13 @@ std::shared_ptr<const TimelineIndex> TimelineIndex::BuildFrom(
     const Event& event = index->events_[i];
     index->event_times_.push_back(event.time);
     if (!event.is_end) {
-      alive.insert(event.row);
+      alive.Insert(event.row);
       index->begin_times_.push_back(event.time);
       index->begin_rows_.push_back(event.row);
     } else {
-      alive.erase(event.row);
+      alive.Erase(event.row);
     }
-    if ((i + 1) % k == 0) {
-      index->checkpoints_.emplace_back(alive.begin(), alive.end());
-    }
+    if ((i + 1) % k == 0) index->checkpoints_.push_back(alive.Sorted());
   }
   return index;
 }

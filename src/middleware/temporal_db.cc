@@ -44,6 +44,13 @@ std::string PlanCacheKey(const std::string& sql,
                 static_cast<int>(options.use_cost_model), "|", sql);
 }
 
+/// A whole table as the catalog stores it: typed columns.  Appends
+/// extend the stored columns instead (Relation::Append).
+std::shared_ptr<const Relation> StoreColumnar(Relation&& relation) {
+  relation.ToColumnar();
+  return std::make_shared<const Relation>(std::move(relation));
+}
+
 }  // namespace
 
 std::string PlanCacheStats::ToString() const {
@@ -119,18 +126,12 @@ std::shared_ptr<const TimelineIndex> TemporalDB::MaintainIndex(
   return folded != nullptr ? folded : delta;
 }
 
-// periodk-lint: allow(relation-by-value): ownership sink, callers move
 void TemporalDB::Publish(
-    const std::string& name, Relation relation, int begin_idx, int end_idx,
+    const std::string& name, std::shared_ptr<const Relation> next,
+    std::shared_ptr<const TableStats> stats, int begin_idx, int end_idx,
     const sql::PeriodTableInfo* period,
     const std::shared_ptr<const Relation>& old_relation,
     const std::shared_ptr<const TimelineIndex>& old_index) {
-  relation.ToColumnar();
-  auto next = std::make_shared<const Relation>(std::move(relation));
-  // Statistics are a pure function of the immutable relation; period
-  // tables profile their stored interval columns, (-1, -1) means none.
-  std::shared_ptr<const TableStats> stats =
-      TableStats::Collect(next, begin_idx, end_idx);
   // Index maintenance rides the same copy-on-write publication: the old
   // index plus the appended rows become a differential index (or, past
   // the threshold, a freshly folded one) — still outside the locks.
@@ -164,7 +165,8 @@ Status TemporalDB::CreateTable(const std::string& name,
       return Status::AlreadyExists(StrCat("table exists: ", name));
     }
   }
-  Publish(name, Relation{Schema::FromNames(columns)}, -1, -1, nullptr);
+  auto next = StoreColumnar(Relation{Schema::FromNames(columns)});
+  Publish(name, next, TableStats::Collect(next), -1, -1, nullptr);
   InvalidatePlanCache();
   return Status::OK();
 }
@@ -194,7 +196,9 @@ Status TemporalDB::CreatePeriodTable(const std::string& name,
   const int begin_idx = schema.Find("", begin_column);
   const int end_idx = schema.Find("", end_column);
   const sql::PeriodTableInfo period{begin_column, end_column};
-  Publish(name, Relation{std::move(schema)}, begin_idx, end_idx, &period);
+  auto next = StoreColumnar(Relation{std::move(schema)});
+  Publish(name, next, TableStats::Collect(next, begin_idx, end_idx),
+          begin_idx, end_idx, &period);
   InvalidatePlanCache();
   return Status::OK();
 }
@@ -217,7 +221,9 @@ Status TemporalDB::PutPeriodTable(const std::string& name, Relation relation,
   }
   MutexLock writer_lock(writer_mu_);
   const sql::PeriodTableInfo period{begin_column, end_column};
-  Publish(name, std::move(relation), begin_idx, end_idx, &period);
+  auto next = StoreColumnar(std::move(relation));
+  Publish(name, next, TableStats::Collect(next, begin_idx, end_idx),
+          begin_idx, end_idx, &period);
   InvalidatePlanCacheForTable(name);
   return Status::OK();
 }
@@ -226,6 +232,7 @@ Status TemporalDB::InsertRows(const std::string& table,
                               std::vector<Row> rows) {
   MutexLock writer_lock(writer_mu_);
   std::shared_ptr<const Relation> current;
+  std::shared_ptr<const TableStats> current_stats;
   std::shared_ptr<const TimelineIndex> old_index;
   int begin_idx = -1;
   int end_idx = -1;
@@ -235,6 +242,7 @@ Status TemporalDB::InsertRows(const std::string& table,
       return Status::NotFound(StrCat("unknown table: ", table));
     }
     current = catalog_.GetShared(table);
+    current_stats = catalog_.GetStats(table);
     old_index = catalog_.GetIndex(table);
     auto pt = period_tables_.find(table);
     if (pt != period_tables_.end()) {
@@ -252,13 +260,23 @@ Status TemporalDB::InsertRows(const std::string& table,
     }
   }
   if (rows.empty()) return Status::OK();
+  // Every writer publishes statistics with the relation they describe.
+  if (current_stats == nullptr || !current_stats->BuiltFor(current.get())) {
+    return Status::Internal(
+        StrCat("statistics of ", table, " do not describe its relation"));
+  }
   // Copy-on-write outside the reader lock: pinned snapshots keep the
-  // old relation alive and untouched.
-  Relation next = *current;
-  next.Reserve(next.size() + rows.size());
-  for (Row& row : rows) next.AddRow(std::move(row));
-  Publish(table, std::move(next), begin_idx, end_idx, nullptr, current,
-          old_index);
+  // old relation and statistics alive and untouched.  The next version
+  // extends both by the batch -- the stored columns are copied, never
+  // re-encoded, and only the batch is profiled.
+  // periodk-lint: columnar-lane-begin(insert-rows)
+  auto next =
+      std::make_shared<const Relation>(Relation::Append(*current, rows));
+  std::shared_ptr<const TableStats> stats =
+      TableStats::Extend(*current_stats, next);
+  // periodk-lint: columnar-lane-end(insert-rows)
+  Publish(table, std::move(next), std::move(stats), begin_idx, end_idx,
+          nullptr, current, old_index);
   InvalidatePlanCacheForTable(table);
   return Status::OK();
 }

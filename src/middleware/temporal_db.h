@@ -18,10 +18,10 @@
 // and a generation number, taken under a shared_mutex — and runs
 // entirely against that pinned state.  Writers (CreateTable /
 // CreatePeriodTable / PutPeriodTable / Insert / InsertRows) serialize
-// among themselves, build the mutated table copy-on-write *outside* the
-// reader lock, and publish it with a brief exclusive lock.  Any number
-// of concurrent readers therefore observe consistent snapshots while a
-// writer mutates; no external locking is needed.
+// among themselves, build the table's next version copy-on-write
+// *outside* the reader lock, and publish it with a brief exclusive
+// lock.  Any number of concurrent readers therefore observe consistent
+// snapshots while a writer mutates; no external locking is needed.
 //
 // Serving path: executable plans are cached per (SQL text, rewrite
 // options).  Each cache entry records the base tables its plan scans
@@ -32,8 +32,12 @@
 // table: mutating T (Insert / InsertRows / PutPeriodTable) evicts only
 // the plans that read T, so a hot plan survives writes to unrelated
 // tables.  Creating a table conservatively flushes everything.  Tables
-// are stored columnar (engine/column.h): writers re-encode the mutated
-// copy before publishing it, so every query scans typed column arrays.
+// are stored columnar (engine/column.h), so every query scans typed
+// column arrays: a table written whole (CreateTable, CreatePeriodTable,
+// PutPeriodTable) is encoded and profiled once, and an append extends
+// the stored columns and statistics by the batch (Relation::Append,
+// TableStats::Extend) -- it costs the batch plus one copy of the
+// stored columns, never a re-encode or a row view.
 // Point-in-time reads (SEQ VT AS OF, Timeslice) are answered from
 // per-table timeline indexes (engine/timeline_index.h) built lazily on
 // the first indexed read.  Appends keep them warm: the new rows become
@@ -124,16 +128,21 @@ class TemporalDB {
                                       const std::string& begin_column,
                                       const std::string& end_column);
 
-  /// Copy-on-write append: readers pinned to the old snapshot keep
-  /// seeing the table without the row.  O(table) per call — batch with
-  /// InsertRows when loading.  InvalidArgument on arity mismatch,
-  /// NotFound for unknown tables.  Thread-safe.
+  /// Copy-on-write append of one row: InsertRows of {row}, with its
+  /// cost — the row plus one copy of the stored columns — so loads
+  /// batch through InsertRows or BulkLoader.  InvalidArgument on arity
+  /// mismatch, NotFound for unknown tables.  Thread-safe.
   [[nodiscard]] Status Insert(const std::string& table, Row row) {
     return InsertRows(table, {std::move(row)});
   }
-  /// Bulk insert; atomic: every row's arity is validated before any row
-  /// lands, so a failure leaves the table untouched.  O(table + batch)
-  /// per call.  Thread-safe.
+  /// Copy-on-write bulk append; atomic: every row's arity is validated
+  /// before any row lands, so a failure leaves the table untouched, and
+  /// readers pinned to the old snapshot keep seeing the table without
+  /// the batch.  The next version extends the stored typed columns and
+  /// statistics by the batch (Relation::Append, TableStats::Extend): it
+  /// costs the batch, one copy of the stored columns and at most one
+  /// probe pass per stored column for its distinct count -- never a
+  /// re-encode, a re-profile or a row view.  Thread-safe.
   [[nodiscard]] Status InsertRows(const std::string& table,
                                   std::vector<Row> rows);
 
@@ -254,14 +263,17 @@ class TemporalDB {
       const std::shared_ptr<const Relation>& next,
       const std::shared_ptr<const TableStats>& next_stats, int begin_idx,
       int end_idx) const;
-  /// The tail every writer shares.  Encodes `relation` as columns and
-  /// collects its statistics outside the catalog lock; when
-  /// `old_index` is set (an append to `old_relation`), maintains it.
-  /// Then publishes relation, statistics, index and — when `period`
-  /// is set — the period metadata in one exclusive section, bumping the
+  /// The tail every writer shares.  `next` is the table's next
+  /// version, stored columnar, and `stats` its statistics (BuiltFor
+  /// it): a whole table is encoded and collected (CreateTable,
+  /// CreatePeriodTable, PutPeriodTable), an append extends the stored
+  /// ones (InsertRows).  When `old_index` is set (an append to
+  /// `old_relation`), maintains it outside the catalog lock.  Then
+  /// publishes relation, statistics, index and — when `period` is set —
+  /// the period metadata in one exclusive section, bumping the
   /// generation so no reader observes a partial state.
-  // periodk-lint: allow(relation-by-value): ownership sink, callers move
-  void Publish(const std::string& name, Relation relation, int begin_idx,
+  void Publish(const std::string& name, std::shared_ptr<const Relation> next,
+               std::shared_ptr<const TableStats> stats, int begin_idx,
                int end_idx, const sql::PeriodTableInfo* period,
                const std::shared_ptr<const Relation>& old_relation = nullptr,
                const std::shared_ptr<const TimelineIndex>& old_index = nullptr)
@@ -341,10 +353,11 @@ class TemporalDB {
 };
 
 /// Batches row-at-a-time producers into atomic InsertRows() calls.
-/// Insert() is copy-on-write per call — O(table) so that pinned reader
-/// snapshots stay untouched — which makes row-wise bulk loading
-/// quadratic; the loader buffers rows per table and ships each table's
-/// batch once at Flush().  Row order per table is preserved.
+/// Each Insert() publishes a new table version copy-on-write — one copy
+/// of the stored columns, so pinned reader snapshots stay untouched —
+/// which makes row-wise bulk loading quadratic in bytes copied; the
+/// loader buffers rows per table and ships each table's batch once at
+/// Flush().  Row order per table is preserved.
 class BulkLoader {
  public:
   explicit BulkLoader(TemporalDB* db) : db_(db) {}

@@ -1,9 +1,10 @@
 // Per-table statistics for cost-based planning (docs/architecture.md
 // §11).  A TableStats is collected in one columnar pass when a writer
-// publishes a relation, stored in the Catalog as a
+// publishes a whole relation, extended over just the appended rows
+// when a writer appends (Extend), stored in the Catalog as a
 // shared_ptr<const TableStats> slot alongside the relation and its
 // timeline index, and consumed by ra/cost_model.h at plan time.  The
-// object is immutable after Collect and pinned to the exact Relation
+// object is immutable once built and pinned to the exact Relation
 // object it was built from (BuiltFor, mirroring TimelineIndex), so a
 // stats handle can never describe a different table version than the
 // relation published with it.
@@ -53,6 +54,19 @@ class TableStats {
       std::shared_ptr<const Relation> source, int begin_col = -1,
       int end_col = -1);
 
+  /// The statistics of `next`, a copy-on-write append to the relation
+  /// `previous` describes (previous.BuiltFor that relation): its first
+  /// previous.row_count() rows must be value-identical to it.  Equal,
+  /// field for field, to Collect(next) with previous's period columns,
+  /// at the cost of the appended rows plus, per column, one probe pass
+  /// over the stored rows for the batch values: the distinct count
+  /// grows by the batch values the stored rows lack, the pass stops once
+  /// every batch value has been found, and integers outside the stored
+  /// range are new without probing.  kMixed and NaN columns recount.
+  /// Throws EngineError when `next` is narrower or shorter.
+  [[nodiscard]] static std::shared_ptr<const TableStats> Extend(
+      const TableStats& previous, std::shared_ptr<const Relation> next);
+
   /// True iff these stats were built from exactly this relation object
   /// (pointer identity, like TimelineIndex::BuiltFor).  The collected
   /// source handle is retained, so the pointer can never be reused by a
@@ -98,6 +112,13 @@ class TableStats {
 
  private:
   TableStats() = default;
+
+  /// Folds rows [first_row, rel.size()) into statistics describing rows
+  /// [0, first_row) of `rel` (none for Collect).
+  void AddRows(const Relation& rel, size_t first_row);
+  /// The interval profile's part of AddRows, over rows [first_row, n).
+  void AddIntervals(const ColumnData& bc, const ColumnData& ec,
+                    size_t first_row, size_t n);
 
   std::shared_ptr<const Relation> source_;
   int64_t row_count_ = 0;

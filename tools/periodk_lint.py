@@ -5,9 +5,11 @@ Checks invariants that neither the compiler nor clang-tidy can express:
 
   row-api-in-columnar-lane
       Inside a marked columnar lane (see below) the row view is off
-      limits: rows() / AddRow / mutable_rows materialize or decay the
-      row representation and silently forfeit the vectorized path.
-      Lanes are delimited with marker comments:
+      limits: rows() / AddRow / mutable_rows / Reserve materialize or
+      decay the row representation and silently forfeit the vectorized
+      path.  Lanes may sit in any file under src/ (the typed kernels,
+      the append helpers, the middleware's write path) and are
+      delimited with marker comments:
           // periodk-lint: columnar-lane-begin(<name>)
           // periodk-lint: columnar-lane-end(<name>)
 
@@ -60,7 +62,8 @@ ALLOW_RE = re.compile(r"periodk-lint:\s*allow\(([a-z-]+)\):?\s*(.*)")
 LANE_BEGIN_RE = re.compile(r"periodk-lint:\s*columnar-lane-begin\(([\w-]+)\)")
 LANE_END_RE = re.compile(r"periodk-lint:\s*columnar-lane-end\(([\w-]+)\)")
 
-ROW_API_RE = re.compile(r"\.rows\(\)|\bAddRow\s*\(|\bmutable_rows\s*\(")
+ROW_API_RE = re.compile(
+    r"\.rows\(\)|\bAddRow\s*\(|\bmutable_rows\s*\(|\bReserve\s*\(")
 LAYOUT_CHECK_RE = re.compile(r"\bis_columnar\s*\(")
 NAKED_MUTEX_RE = re.compile(
     r"std::(?:recursive_|shared_|timed_)?mutex\b"
@@ -153,9 +156,7 @@ def collect_allows(lines, findings, path):
     return allows
 
 
-def check_columnar_lanes(path, rel, lines, findings):
-    if not rel.startswith("engine/"):
-        return
+def check_columnar_lanes(path, lines, findings):
     lane = None  # (name, begin line)
     for idx, line in enumerate(lines, start=1):
         begin = LANE_BEGIN_RE.search(line)
@@ -179,7 +180,8 @@ def check_columnar_lanes(path, rel, lines, findings):
             findings.append(Finding(
                 path, idx, "row-api-in-columnar-lane",
                 f"row API inside columnar lane '{lane[0]}' "
-                "(rows()/AddRow/mutable_rows decay the columnar path)"))
+                "(rows()/AddRow/mutable_rows/Reserve decay the columnar "
+                "path)"))
     if lane is not None:
         findings.append(Finding(
             path, lane[1], "row-api-in-columnar-lane",
@@ -248,7 +250,7 @@ def lint_file(path, rel):
     stripped = strip_comments_and_strings(text)
     stripped_lines = stripped.splitlines()
     allows = collect_allows(lines, findings, path)
-    check_columnar_lanes(path, rel, lines, findings)
+    check_columnar_lanes(path, lines, findings)
     check_layout_outside_storage(path, rel, stripped_lines, findings)
     check_naked_mutex(path, rel, stripped_lines, findings)
     check_relation_by_value(path, stripped, findings)
@@ -289,6 +291,15 @@ void Kernel(const Relation& input) {
 }
 // periodk-lint: columnar-lane-end(demo)
 """,
+    # A table copy decayed to rows and grown row by row: what the
+    # insert-rows lane keeps off the write path.
+    "src/middleware/append_lane_bad.cc": """\
+// periodk-lint: columnar-lane-begin(insert-rows)
+Relation next = *current;
+next.Reserve(next.size() + rows.size());
+for (Row& row : rows) next.AddRow(std::move(row));
+// periodk-lint: columnar-lane-end(insert-rows)
+""",
     "src/engine/layout_bad.cc": """\
 // is_columnar() in a comment is fine.
 Relation Kernel(const Relation& input) {
@@ -323,6 +334,7 @@ Status Flush();
 
 SELF_TEST_EXPECT = {
     ("lane_bad.cc", "row-api-in-columnar-lane"): 1,
+    ("append_lane_bad.cc", "row-api-in-columnar-lane"): 2,
     ("layout_bad.cc", "layout-check-outside-storage"): 1,
     ("mutex_bad.cc", "naked-mutex"): 1,
     ("byvalue_bad.h", "relation-by-value"): 1,
