@@ -567,8 +567,8 @@ class ExecutionContext {
           // relation object (writers publish copy-on-write, so a stale
           // index fails the pointer check) over the same endpoint
           // columns this slice reads — trailing for the PERIODENC
-          // default, or the stored positions of a non-trailing period
-          // table after the generalized pushdown.
+          // default, or the stored positions of a period table that
+          // keeps its interval elsewhere.
           if (index != nullptr && index->BuiltFor(in.get()) &&
               index->begin_col() == begin_col &&
               index->end_col() == end_col) {

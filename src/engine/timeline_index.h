@@ -61,7 +61,8 @@ class TimelineIndex {
   /// scan path throws on such rows, so callers must fall back to it).
   /// Rows with an empty validity interval (begin >= end) are indexed as
   /// never alive, exactly like the scan path treats them.
-  /// Complexity: O(n log n) time, O(n + checkpoints) space.
+  /// Complexity: O(n) time (a radix sort of the endpoint events),
+  /// O(n + checkpoints) space.
   /// Thread-safety: Build is a pure function; the returned index is
   /// immutable and safe to share across threads.
   static std::shared_ptr<const TimelineIndex> Build(

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <unordered_set>
 #include <utility>
 
 #include "common/str_util.h"
@@ -367,16 +368,19 @@ std::shared_ptr<const TimelineIndex> TemporalDB::EnsureTimelineIndex(
 
 void TemporalDB::EnsureTimelineIndexes(const PlanPtr& plan, Snapshot& snap,
                                        bool use_cost_model) const {
-  // A middleware plan acquires its kTimeslice at the statement root and
-  // PushDownTimeslice only moves it through unary nodes, so any
-  // indexable timeslice sits on the unary left spine — an
-  // allocation-free probe, so the common no-AS-OF serving path pays
-  // O(spine) instead of a full DAG walk.  Hand-built plans holding
-  // timeslices elsewhere are merely not accelerated (the executor falls
-  // back to the scan path without an index).
+  // A period-K AS-OF plan slices every table reference wherever it sits
+  // (under joins, aggregations, both sides of a union), and a
+  // baseline's pushed slice lands on its scans, so walk the whole DAG,
+  // each shared node once.
   // (`class` disambiguates from the TemporalDB::Plan member function.)
-  for (const class Plan* node = plan.get(); node != nullptr;
-       node = node->left.get()) {
+  std::unordered_set<const class Plan*> visited;
+  std::vector<const class Plan*> stack = {plan.get()};
+  while (!stack.empty()) {
+    const class Plan* node = stack.back();
+    stack.pop_back();
+    if (node == nullptr || !visited.insert(node).second) continue;
+    stack.push_back(node->left.get());
+    stack.push_back(node->right.get());
     if (node->kind != PlanKind::kTimeslice || node->left == nullptr ||
         node->left->kind != PlanKind::kScan) {
       continue;
@@ -386,9 +390,9 @@ void TemporalDB::EnsureTimelineIndexes(const PlanPtr& plan, Snapshot& snap,
     int arity = static_cast<int>(snap.catalog.Get(table).schema().size());
     if (arity < 2) continue;
     // Index over exactly the columns this slice reads: the trailing two
-    // for the PERIODENC default, or the stored positions when the
-    // pushdown crossed a non-trailing period table's encoded
-    // projection.  The executor rejects any other layout.
+    // for the PERIODENC default, or the stored positions of a period
+    // table that keeps its interval elsewhere.  The executor rejects
+    // any other layout.
     auto [begin_col, end_col] = ResolveSliceColumns(*node);
     if (begin_col >= arity || end_col >= arity) continue;
     EnsureTimelineIndex(table, begin_col, end_col, snap, use_cost_model);
@@ -424,19 +428,18 @@ Result<PlanPtr> TemporalDB::PlanBound(const sql::BoundStatement& bound,
   if (bound.snapshot) {
     SnapshotRewriter rewriter(domain_, options, bound.encoded_tables,
                               cost.has_value() ? &*cost : nullptr);
-    plan = rewriter.Rewrite(plan);
     if (bound.as_of.has_value()) {
-      // tau_T of the snapshot result (Thm 6.3 guarantees this equals
-      // evaluating the query over the sliced database).
       if (!domain_.Contains(*bound.as_of)) {
         return Status::InvalidArgument(
             StrCat("AS OF time ", *bound.as_of, " outside the domain ",
                    domain_.ToString()));
       }
-      // Move tau below the final coalesce and through the REWR
-      // select/project shapes so it lands on the scans, where the
-      // executor can answer it from the timeline index.
-      plan = PushDownTimeslice(MakeTimeslice(std::move(plan), *bound.as_of));
+      // Period-K: the query over tau_t of every table reference (Thm
+      // 6.3), each slice a timeline-index lookup; the baselines slice
+      // their rewrite.
+      plan = rewriter.RewriteAsOf(plan, *bound.as_of);
+    } else {
+      plan = rewriter.Rewrite(plan);
     }
   } else if (cost.has_value()) {
     // Non-snapshot statements scan stored tables directly; their
@@ -445,8 +448,8 @@ Result<PlanPtr> TemporalDB::PlanBound(const sql::BoundStatement& bound,
   }
   if (cost.has_value()) {
     // Mark tiny overlap joins for the nested loop.  Runs on the final
-    // encoded plan (post-rewrite/pushdown) so the hint lands on the
-    // joins that actually execute.
+    // plan (rewritten or sliced) so the hint lands on the joins that
+    // actually execute.
     plan = ApplyJoinStrategyHints(plan, *cost);
   }
   if (!bound.order_by.empty()) {

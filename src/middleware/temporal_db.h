@@ -40,10 +40,12 @@
 // stored columns, never a re-encode or a row view.
 // Point-in-time reads (SEQ VT AS OF, Timeslice) are answered from
 // per-table timeline indexes (engine/timeline_index.h) built lazily on
-// the first indexed read.  Appends keep them warm: the new rows become
-// a differential delta published next to the base index, which the
-// writer folds into a fresh full index once the delta reaches a fixed
-// share of the index; see docs/architecture.md §8.
+// the first indexed read; a period-K AS-OF query runs as the plain
+// query over one indexed slice per table reference
+// (SnapshotRewriter::RewriteAsOf).  Appends keep the indexes warm: the
+// new rows become a differential delta published next to the base
+// index, which the writer folds into a fresh full index once the delta
+// reaches a fixed share of the index; see docs/architecture.md §8.
 #ifndef PERIODK_MIDDLEWARE_TEMPORAL_DB_H_
 #define PERIODK_MIDDLEWARE_TEMPORAL_DB_H_
 
@@ -244,8 +246,10 @@ class TemporalDB {
   std::shared_ptr<const TimelineIndex> EnsureTimelineIndex(
       const std::string& table, int begin_col, int end_col, Snapshot& snap,
       bool use_cost_model) const PERIODK_EXCLUDES(catalog_mu_);
-  /// Ensures an index for every table the plan timeslices directly over
-  /// a scan (the shape PushDownTimeslice produces for AS OF queries).
+  /// Ensures an index for every timeslice over a scan anywhere in the
+  /// plan DAG: the slice a period-K AS-OF plan puts on each table
+  /// reference, or the slices PushDownTimeslice lands on a baseline's
+  /// scans.
   void EnsureTimelineIndexes(const PlanPtr& plan, Snapshot& snap,
                              bool use_cost_model) const;
 

@@ -424,17 +424,6 @@ std::vector<std::string> CollectScanTables(const PlanPtr& plan) {
 
 namespace {
 
-/// True iff every column `expr` references lies below `limit`.
-bool ReferencesOnlyBelow(const ExprPtr& expr, int limit) {
-  if (expr == nullptr) return true;
-  std::vector<int> cols;
-  CollectColumns(expr, &cols);
-  for (int c : cols) {
-    if (c >= limit) return false;
-  }
-  return true;
-}
-
 /// True iff `expr` references neither column a nor column b.
 bool AvoidsColumns(const ExprPtr& expr, int a, int b) {
   if (expr == nullptr) return true;
@@ -448,33 +437,10 @@ bool AvoidsColumns(const ExprPtr& expr, int a, int b) {
 
 }  // namespace
 
-bool TimesliceCommutesWithSelect(const Plan& select) {
-  if (select.kind != PlanKind::kSelect || select.left == nullptr) return false;
-  int arity = static_cast<int>(select.left->schema.size());
-  if (arity < 2) return false;
-  return ReferencesOnlyBelow(select.predicate, arity - 2);
-}
-
 bool TimesliceCommutesWithSelect(const Plan& select, int begin_col,
                                  int end_col) {
   if (select.kind != PlanKind::kSelect || select.left == nullptr) return false;
   return AvoidsColumns(select.predicate, begin_col, end_col);
-}
-
-bool TimesliceCommutesWithProject(const Plan& project) {
-  if (project.kind != PlanKind::kProject || project.left == nullptr) {
-    return false;
-  }
-  int arity = static_cast<int>(project.left->schema.size());
-  if (arity < 2 || project.exprs.size() < 2) return false;
-  const ExprPtr& b = project.exprs[project.exprs.size() - 2];
-  const ExprPtr& e = project.exprs[project.exprs.size() - 1];
-  if (b->kind != ExprKind::kColumn || b->column != arity - 2) return false;
-  if (e->kind != ExprKind::kColumn || e->column != arity - 1) return false;
-  for (size_t i = 0; i + 2 < project.exprs.size(); ++i) {
-    if (!ReferencesOnlyBelow(project.exprs[i], arity - 2)) return false;
-  }
-  return true;
 }
 
 bool TimesliceCommutesWithProject(const Plan& project, int begin_col,

@@ -105,8 +105,9 @@ class Plan {
   TimePoint slice_time = 0;        // kTimeslice
   // kTimeslice: which child columns hold the interval endpoints; -1
   // means the trailing-two PERIODENC default.  Non-default positions
-  // arise when the pushdown crosses the encoded-table projection of a
-  // period table that stores its interval columns elsewhere.
+  // slice a period table that stores its interval columns elsewhere
+  // (an AS-OF slice of its scan, or a pushdown crossing its
+  // encoded-table projection).
   int slice_begin_col = -1;
   int slice_end_col = -1;
   CoalesceImpl coalesce_impl = CoalesceImpl::kNative;  // kCoalesce
@@ -202,31 +203,20 @@ std::vector<std::string> CollectScanTables(const PlanPtr& plan);
 
 // --- Timeslice pushdown legality (consumed by PushDownTimeslice in
 // rewrite/rewriter.h).  Both judge a single parent/child edge of an
-// encoded plan, whose trailing two columns are the interval endpoints. -------
+// encoded plan for a slice over given endpoint columns. ----------------------
 
-/// True iff tau_t commutes with this kSelect node: its predicate
-/// references only the non-temporal prefix of its input (no column at
-/// or above input arity - 2), so filtering before or after slicing
-/// keeps the exact same rows.
-bool TimesliceCommutesWithSelect(const Plan& select);
-
-/// Generalized form: the slice reads endpoint columns (begin_col,
-/// end_col) of the select's schema; commutes iff the predicate never
-/// references either.
+/// True iff tau_t commutes with this kSelect node when the slice reads
+/// endpoint columns (begin_col, end_col) of the select's schema: the
+/// predicate never references either, so filtering before or after
+/// slicing keeps the exact same rows.
 bool TimesliceCommutesWithSelect(const Plan& select, int begin_col,
                                  int end_col);
 
-/// True iff tau_t commutes with this kProject node: its last two
-/// expressions are plain references to the child's trailing endpoint
-/// columns (the REWR projection shape that passes intervals through)
-/// and no other expression reads an endpoint column.  Pushing tau below
-/// then simply drops those two expressions.
-bool TimesliceCommutesWithProject(const Plan& project);
-
-/// Generalized form for a slice over output columns (begin_col,
-/// end_col): commutes iff those two expressions are plain column
-/// references into the child (to distinct columns) and no other
-/// expression reads either referenced child column.  On success,
+/// True iff tau_t commutes with this kProject node when the slice reads
+/// output columns (begin_col, end_col): those two expressions are plain
+/// column references into the child (to distinct columns) and no other
+/// expression reads either referenced child column, so pushing tau
+/// below simply drops the two expressions.  On success,
 /// *child_begin_col / *child_end_col receive the child columns the
 /// pushed-down slice must read — the positions of the period table's
 /// stored interval columns, trailing or not.

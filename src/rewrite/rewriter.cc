@@ -1,5 +1,8 @@
 #include "rewrite/rewriter.h"
 
+#include <functional>
+#include <unordered_map>
+
 #include "common/status.h"
 #include "common/str_util.h"
 #include "ra/cost_model.h"
@@ -37,24 +40,26 @@ PlanPtr Reorder(PlanPtr child, const std::vector<int>& keep) {
 }  // namespace
 
 SnapshotRewriter::SnapshotRewriter(TimeDomain domain, RewriteOptions options,
-                                   std::map<std::string, PlanPtr> encoded_tables,
+                                   EncodedTables encoded_tables,
                                    const CostModel* cost_model)
     : domain_(domain),
       options_(options),
       encoded_tables_(std::move(encoded_tables)),
       cost_model_(cost_model) {}
 
+PlanPtr SnapshotRewriter::Reordered(const PlanPtr& query) const {
+  // Join reorder runs on the *snapshot* query, before REWR or slicing:
+  // the snapshot plan is where commutative join clusters are still
+  // plain (REWR interleaves coalescing and endpoint projections), and
+  // the cost model maps snapshot scans to stored-table statistics by
+  // column name.  Scan nodes survive the reorder, so encoded_tables_
+  // still finds them.
+  if (cost_model_ == nullptr || !options_.use_cost_model) return query;
+  return ReorderJoins(query, *cost_model_);
+}
+
 PlanPtr SnapshotRewriter::Rewrite(const PlanPtr& query) const {
-  // Join reorder runs on the *snapshot* query, before REWR: the
-  // snapshot plan is where commutative join clusters are still plain
-  // (REWR interleaves coalescing and endpoint projections), and the
-  // cost model maps snapshot scans to stored-table statistics by
-  // column name.
-  PlanPtr q = query;
-  if (cost_model_ != nullptr && options_.use_cost_model) {
-    q = ReorderJoins(q, *cost_model_);
-  }
-  PlanPtr rewritten = RewriteNode(q);
+  PlanPtr rewritten = RewriteNode(Reordered(query));
   // Period-K always ends in a coalesce: it makes the output encoding
   // unique (Def 8.2); the baselines' encodings are not.
   if (options_.semantics != SnapshotSemantics::kPeriodK) return rewritten;
@@ -113,7 +118,7 @@ PlanPtr SnapshotRewriter::RewriteNode(const PlanPtr& q) const {
 }
 
 PlanPtr SnapshotRewriter::RewriteScan(const PlanPtr& q) const {
-  auto it = encoded_tables_.find(q->table);
+  auto it = encoded_tables_.find(q);
   if (it != encoded_tables_.end()) {
     if (it->second->schema.size() != q->schema.size() + 2) {
       throw EngineError(StrCat("encoded table ", q->table,
@@ -393,6 +398,75 @@ PlanPtr SnapshotRewriter::RewriteDistinct(const PlanPtr& q) const {
   std::vector<int> group = Iota(q->schema.size());
   PlanPtr split = MakeSplit(child, child, group);
   return MaybeCoalesce(MakeDistinct(std::move(split)));
+}
+
+PlanPtr SnapshotRewriter::SliceScan(const PlanPtr& scan, TimePoint t) const {
+  // tau_t of the reference's encoding, pushed onto the stored scan.  A
+  // period table storing its interval elsewhere is encoded as a
+  // projection moving those columns last; below the slice it keeps the
+  // other columns in stored order, an identity the slice does not need.
+  PlanPtr sliced = PushDownTimeslice(MakeTimeslice(RewriteScan(scan), t));
+  if (sliced->kind == PlanKind::kProject &&
+      sliced->exprs.size() == sliced->left->schema.size()) {
+    bool identity = true;
+    for (size_t i = 0; i < sliced->exprs.size() && identity; ++i) {
+      const Expr& e = *sliced->exprs[i];
+      identity = e.kind == ExprKind::kColumn &&
+                 e.column == static_cast<int>(i);
+    }
+    if (identity) sliced = sliced->left;
+  }
+  // The slice stands in for the scan, so it keeps the scan's
+  // alias-qualified schema: the query's column names resolve as before.
+  auto named = std::make_shared<Plan>(*sliced);
+  named->schema = scan->schema;
+  return named;
+}
+
+PlanPtr SnapshotRewriter::RewriteAsOf(const PlanPtr& query,
+                                      TimePoint t) const {
+  if (options_.semantics != SnapshotSemantics::kPeriodK) {
+    return PushDownTimeslice(MakeTimeslice(Rewrite(query), t));
+  }
+  // Q over tau_t(D): every node but the leaves stays as it is.  The
+  // memo keeps shared subplans shared, so each slice runs once.
+  std::unordered_map<const Plan*, PlanPtr> memo;
+  std::function<PlanPtr(const PlanPtr&)> slice =
+      [&](const PlanPtr& q) -> PlanPtr {
+    auto it = memo.find(q.get());
+    if (it != memo.end()) return it->second;
+    PlanPtr out;
+    switch (q->kind) {
+      case PlanKind::kScan:
+        out = SliceScan(q, t);
+        break;
+      case PlanKind::kConstant:
+        out = q;  // a constant snapshot relation holds at every t
+        break;
+      case PlanKind::kSelect:
+      case PlanKind::kProject:
+      case PlanKind::kJoin:
+      case PlanKind::kUnionAll:
+      case PlanKind::kExceptAll:
+      case PlanKind::kAggregate:
+      case PlanKind::kDistinct: {
+        // The children keep their schemas, so the node (a join's
+        // analysis included) stays valid over the sliced inputs.
+        auto copy = std::make_shared<Plan>(*q);
+        copy->left = slice(q->left);
+        if (q->right != nullptr) copy->right = slice(q->right);
+        out = std::move(copy);
+        break;
+      }
+      default:
+        throw EngineError(
+            StrCat("operator not supported under snapshot semantics: ",
+                   PlanKindName(q->kind)));
+    }
+    memo.emplace(q.get(), out);
+    return out;
+  };
+  return slice(Reordered(query));
 }
 
 }  // namespace periodk

@@ -80,20 +80,26 @@ struct RewriteOptions {
 
 class CostModel;
 
+/// The PERIODENC encoding of each table reference of a snapshot query:
+/// the reference's Scan node -> a plan over the stored table yielding
+/// (data columns..., a_begin, a_end).  Keyed by reference, not by table
+/// name, because two references to one table may read it under
+/// different PERIOD clauses.  Scans without an entry read the table
+/// itself with (a_begin, a_end) trailing.
+using EncodedTables = std::map<PlanPtr, PlanPtr>;
+
 class SnapshotRewriter {
  public:
-  /// `encoded_tables` maps a table name appearing in Scan nodes to the
-  /// plan producing its encoding (used by the middleware when a period
-  /// table stores its interval columns somewhere other than the last
-  /// two positions).  Unmapped scans default to the table itself with
-  /// (a_begin, a_end) appended.
+  /// `encoded_tables` gives the encoding of each table reference whose
+  /// stored layout is not the default (the binder records every
+  /// reference of a SQL statement).
   ///
   /// `cost_model`, when non-null and options.use_cost_model is set,
   /// drives a join-reorder pre-pass over the snapshot query (the
   /// caller keeps the model alive for the rewriter's lifetime; the
   /// middleware builds one per query over its pinned snapshot).
   SnapshotRewriter(TimeDomain domain, RewriteOptions options = {},
-                   std::map<std::string, PlanPtr> encoded_tables = {},
+                   EncodedTables encoded_tables = {},
                    const CostModel* cost_model = nullptr);
 
   /// Rewrites a snapshot query.  Result plan evaluates to the
@@ -101,10 +107,24 @@ class SnapshotRewriter {
   /// baseline semantics yield their respective buggy encodings).
   PlanPtr Rewrite(const PlanPtr& query) const;
 
+  /// Plans SEQ VT AS OF t: the query's snapshot at t, as a relation
+  /// over the query's snapshot schema.  Period-K is snapshot-reducible
+  /// (Thm 6.3: tau_t(REWR(Q)(D)) = Q(tau_t(D))), so its plan is Q
+  /// itself, join-reordered like Rewrite's input, with every table
+  /// reference replaced by tau_t over its stored scan at the
+  /// reference's own period columns: no REWR, split, split-aggregate
+  /// or coalesce, and each slice is a timeline-index lookup.  Each
+  /// slice carries the reference's alias-qualified snapshot schema.
+  /// The baselines are not snapshot-reducible (their Table 1 bugs), so
+  /// they slice their rewrite: PushDownTimeslice(tau_t(Rewrite(Q))).
+  /// The caller checks that t lies in the domain.
+  PlanPtr RewriteAsOf(const PlanPtr& query, TimePoint t) const;
+
   const TimeDomain& domain() const { return domain_; }
   const RewriteOptions& options() const { return options_; }
 
  private:
+  PlanPtr Reordered(const PlanPtr& query) const;
   PlanPtr RewriteNode(const PlanPtr& q) const;
   PlanPtr MaybeCoalesce(PlanPtr p) const;
   PlanPtr RewriteScan(const PlanPtr& q) const;
@@ -113,15 +133,18 @@ class SnapshotRewriter {
   PlanPtr RewriteDifference(const PlanPtr& q) const;
   PlanPtr RewriteAggregate(const PlanPtr& q) const;
   PlanPtr RewriteDistinct(const PlanPtr& q) const;
+  PlanPtr SliceScan(const PlanPtr& scan, TimePoint t) const;
 
   TimeDomain domain_;
   RewriteOptions options_;
-  std::map<std::string, PlanPtr> encoded_tables_;
+  EncodedTables encoded_tables_;
   const CostModel* cost_model_ = nullptr;
 };
 
-/// Pushes a top-level kTimeslice (the plan shape of SEQ VT AS OF t)
-/// toward the leaves, one legal step at a time:
+/// Pushes a top-level kTimeslice toward the leaves, one legal step at a
+/// time.  It plans the baselines' SEQ VT AS OF t (RewriteAsOf), whose
+/// rewrites are not snapshot-reducible and so must be sliced as a
+/// whole:
 ///
 ///   * tau_t(C(X))       = tau_t(X)            -- coalescing preserves
 ///     every snapshot (Def 8.2: C re-encodes the same N^T-relation, and

@@ -194,7 +194,7 @@ class BinderImpl {
     Fail("unknown query kind");
   }
 
-  std::map<std::string, PlanPtr> TakeEncodedTables() {
+  EncodedTables TakeEncodedTables() {
     return std::move(encoded_tables_);
   }
 
@@ -254,8 +254,11 @@ class BinderImpl {
       order.push_back(end_idx);
       encoded = MakeProjectColumns(MakeScan(ref.table, stored), order);
     }
-    encoded_tables_[ref.table] = encoded;
-    return MakeScan(ref.table, Schema(std::move(snapshot_columns)));
+    // Keyed by this reference's scan: another reference to the same
+    // table may name other PERIOD columns.
+    PlanPtr scan = MakeScan(ref.table, Schema(std::move(snapshot_columns)));
+    encoded_tables_.emplace(scan, std::move(encoded));
+    return scan;
   }
 
   PlanPtr BindFrom(const SelectQuery& select) {
@@ -506,7 +509,7 @@ class BinderImpl {
   const Catalog* catalog_;
   const std::map<std::string, PeriodTableInfo>* period_tables_;
   bool snapshot_;
-  std::map<std::string, PlanPtr> encoded_tables_;
+  EncodedTables encoded_tables_;
 };
 
 }  // namespace

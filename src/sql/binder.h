@@ -3,9 +3,9 @@
 // In *snapshot mode* (SEQ VT blocks) every table access must be a period
 // table: its interval columns (from the PERIOD clause or the registered
 // metadata) are hidden from the query's scope, the plan is expressed
-// over snapshot schemas, and an encoded-table mapping is produced for
-// the rewriter (reordering the interval columns into the trailing
-// position when they are stored elsewhere).
+// over snapshot schemas, and each table reference's encoding is
+// recorded for the rewriter (reordering the interval columns into the
+// trailing position when they are stored elsewhere).
 //
 // Binding performs simple predicate pushdown: single-table conjuncts
 // move below the joins and equi-join conjuncts attach to the lowest
@@ -19,6 +19,7 @@
 #include "common/status.h"
 #include "engine/executor.h"
 #include "ra/plan.h"
+#include "rewrite/rewriter.h"
 #include "sql/ast.h"
 
 namespace periodk {
@@ -37,8 +38,9 @@ struct BoundStatement {
   /// Snapshot queries: plan over snapshot schemas (input to REWR).
   /// Plain queries: directly executable plan.
   PlanPtr plan;
-  /// Table name -> encoded-scan plan (interval columns last).
-  std::map<std::string, PlanPtr> encoded_tables;
+  /// Snapshot queries: each table reference's scan -> its encoded
+  /// plan (interval columns last), for the rewriter.
+  EncodedTables encoded_tables;
   /// Unbound ORDER BY items; resolve against the final result schema
   /// with BindOrderBy once rewriting determined that schema.
   std::vector<OrderItem> order_by;

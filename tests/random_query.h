@@ -8,6 +8,7 @@
 #include "common/rng.h"
 #include "engine/executor.h"
 #include "ra/plan.h"
+#include "rewrite/rewriter.h"
 
 namespace periodk {
 
@@ -229,8 +230,9 @@ inline Catalog RandomEncodedCatalog(Rng* rng, const TimeDomain& domain,
 /// distribution as RandomEncodedCatalog, but stored with its interval
 /// columns in non-trailing positions ({a_begin, a, a_end, b}).  Returns
 /// the PERIODENC view -- a projection reordering to {a, b, a_begin,
-/// a_end} -- for SnapshotRewriter's encoded_tables map, so rewrites of
-/// Scan("p") exercise the pushdown-through-projection paths.
+/// a_end} -- for SnapshotRewriter's encoded_tables map (see
+/// PeriodScanEncodings), so rewrites of Scan("p") exercise the
+/// pushdown-through-projection paths.
 inline PlanPtr AddRandomPeriodTable(Rng* rng, Catalog* catalog,
                                     const TimeDomain& domain,
                                     int max_rows = 12,
@@ -254,6 +256,25 @@ inline PlanPtr AddRandomPeriodTable(Rng* rng, Catalog* catalog,
   }
   catalog->Put("p", std::move(rel));
   return MakeProjectColumns(MakeScan("p", stored), {1, 3, 0, 2});
+}
+
+/// SnapshotRewriter's per-reference encodings for a generated query:
+/// every Scan("p") of `query` reads `encoded_p` (AddRandomPeriodTable).
+inline EncodedTables PeriodScanEncodings(const PlanPtr& query,
+                                         const PlanPtr& encoded_p) {
+  EncodedTables out;
+  std::vector<PlanPtr> stack = {query};
+  while (!stack.empty()) {
+    PlanPtr node = std::move(stack.back());
+    stack.pop_back();
+    if (node == nullptr) continue;
+    if (node->kind == PlanKind::kScan && node->table == "p") {
+      out.emplace(node, encoded_p);
+    }
+    stack.push_back(node->left);
+    stack.push_back(node->right);
+  }
+  return out;
 }
 
 /// Random rows shaped for the fuzzer's tables: the trailing-endpoint

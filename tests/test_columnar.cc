@@ -384,9 +384,10 @@ void CheckRandomPlansMatchRowPath(const NonIntegerData* mix) {
     qc.period_scan_chance = 0.25;
     qc.allow_difference = options.semantics != SnapshotSemantics::kTeradata;
     RandomQueryGenerator gen(&rng, qc);
-    PlanPtr plan = SnapshotRewriter(kDomain, options, {{"p", encoded_p}})
-                       .Rewrite(gen.Generate(3 + static_cast<int>(
-                                                     rng.Uniform(2))));
+    PlanPtr query = gen.Generate(3 + static_cast<int>(rng.Uniform(2)));
+    PlanPtr plan = SnapshotRewriter(kDomain, options,
+                                    PeriodScanEncodings(query, encoded_p))
+                       .Rewrite(query);
 
     Outcome by_rows = Run(plan, rows_cat, ExecOptions{});
     Outcome by_cols = Run(plan, cols_cat, ExecOptions{});

@@ -425,13 +425,15 @@ TEST(CostModelPropertyTest, CostOnAgreesWithCostOff) {
 
     RewriteOptions off_options;
     off_options.use_cost_model = false;
-    SnapshotRewriter plain(kDomain, off_options, {{"p", encoded_p}});
+    SnapshotRewriter plain(kDomain, off_options,
+                           PeriodScanEncodings(query, encoded_p));
     PlanPtr plan_off = plain.Rewrite(query);
 
     RewriteOptions on_options;
     on_options.use_cost_model = true;
     CostModel cost(&catalog, kDomain);
-    SnapshotRewriter costed(kDomain, on_options, {{"p", encoded_p}}, &cost);
+    SnapshotRewriter costed(kDomain, on_options,
+                            PeriodScanEncodings(query, encoded_p), &cost);
     PlanPtr plan_on = ApplyJoinStrategyHints(costed.Rewrite(query), cost);
     if (plan_on->ToString() != plan_off->ToString()) ++reordered_plans;
 

@@ -70,6 +70,10 @@ struct FuzzCase {
   PlanPtr plan;
   std::string description;
   std::map<std::string, std::vector<Row>> mid_inserts;
+  // Period-K cases: the snapshot query AS OF a seed-derived t
+  // (SnapshotRewriter::RewriteAsOf); null for the baselines.
+  PlanPtr as_of_plan;
+  TimePoint as_of_t = 0;
 };
 
 FuzzCase BuildCase(int seed, double mid_insert_chance = 0.0) {
@@ -121,17 +125,31 @@ FuzzCase BuildCase(int seed, double mid_insert_chance = 0.0) {
   int depth = 3 + static_cast<int>(rng.Uniform(2));
   PlanPtr snapshot_query = gen.Generate(depth);
   CostModel cost(&out.catalog, kDomain);
-  SnapshotRewriter rewriter(kDomain, options, {{"p", encoded_p}},
+  SnapshotRewriter rewriter(kDomain, options,
+                            PeriodScanEncodings(snapshot_query, encoded_p),
                             options.use_cost_model ? &cost : nullptr);
   PlanPtr plan = rewriter.Rewrite(snapshot_query);
+  if (options.semantics == SnapshotSemantics::kPeriodK) {
+    // t comes from the seed, not the generator: no random draw.
+    out.as_of_t = kDomain.tmin + seed % (kDomain.tmax - kDomain.tmin);
+    out.as_of_plan = rewriter.RewriteAsOf(snapshot_query, out.as_of_t);
+  }
 
   std::string wrappers;
   if (rng.Chance(0.2)) {
     TimePoint t = rng.Range(kDomain.tmin, kDomain.tmax);
     plan = MakeTimeslice(plan, t);
     if (rng.Chance(0.5)) {
-      plan = PushDownTimeslice(plan);
-      wrappers += StrCat(" timeslice@", t, "(pushed)");
+      // The AS-OF plan the middleware runs: for period-K, the query
+      // over sliced scans (RewriteAsOf); the baselines push the slice
+      // into their rewrite.
+      if (options.semantics == SnapshotSemantics::kPeriodK) {
+        plan = rewriter.RewriteAsOf(snapshot_query, t);
+        wrappers += StrCat(" as-of@", t);
+      } else {
+        plan = PushDownTimeslice(plan);
+        wrappers += StrCat(" timeslice@", t, "(pushed)");
+      }
     } else {
       wrappers += StrCat(" timeslice@", t);
     }
@@ -457,6 +475,39 @@ TEST(DifferentialOracle, RandomizedQueriesMatchSqliteOnColumnarStorage) {
   int found = RunFuzz(SeedCount(), ColumnarEngine, "", /*stop_after=*/3,
                       /*kind_counts=*/nullptr);
   EXPECT_EQ(found, 0) << "reproducers dumped to the working directory";
+}
+
+// Every period-K case's query planned AS OF a seed-derived t -- the
+// query over sliced scans -- against SQLite, with timeline indexes
+// attached so the slices take the indexed route.
+TEST(DifferentialOracle, AsOfPlansMatchSqlite) {
+  int checked = 0;
+  int failures = 0;
+  for (int seed = 0; seed < SeedCount() && failures < 3; ++seed) {
+    FuzzCase c = BuildCase(seed);
+    if (c.as_of_plan == nullptr) continue;
+    ++checked;
+    for (const std::string& table : c.catalog.TableNames()) {
+      // "p" stores its interval columns at (0, 2); "r"/"s" trail.
+      const int arity = static_cast<int>(c.catalog.Get(table).schema().size());
+      const int b = table == "p" ? 0 : arity - 2;
+      const int e = table == "p" ? 2 : arity - 1;
+      c.catalog.PutIndex(table,
+                         TimelineIndex::Build(c.catalog.GetShared(table), b, e));
+    }
+    std::optional<std::string> diff;
+    try {
+      diff = Diverges(c.as_of_plan, c.catalog, PlainEngine);
+    } catch (const std::exception& e) {
+      diff = StrCat("error: ", e.what());
+    }
+    if (diff.has_value()) {
+      ADD_FAILURE() << c.description << " as-of@" << c.as_of_t << "\n"
+                    << *diff << "\nplan:\n" << c.as_of_plan->ToString();
+      ++failures;
+    }
+  }
+  EXPECT_GT(checked, 0);
 }
 
 // Mid-sequence writes (ISSUE 10): evaluate each fuzz query, apply the

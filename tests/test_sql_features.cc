@@ -150,6 +150,61 @@ TEST(SqlFeatureTest, UnionAllOfDifferentTablesUnderSnapshots) {
   EXPECT_EQ(promo, 2);
 }
 
+// One plain table read under two PERIOD clauses: each reference keeps
+// its own interval, on the full SEQ VT path and on the AS-OF path.
+TemporalDB TwoPeriodDb() {
+  TemporalDB db(TimeDomain{0, 100});
+  EXPECT_TRUE(db.CreateTable("t", {"k", "a", "b", "c", "d"}).ok());
+  EXPECT_TRUE(db.Insert("t", {Value::Int(1), Value::Int(0), Value::Int(10),
+                              Value::Int(50), Value::Int(60)})
+                  .ok());
+  return db;
+}
+
+Relation Rows(const std::vector<std::string>& columns,
+              const std::vector<std::vector<int64_t>>& rows) {
+  Relation out(Schema::FromNames(columns));
+  for (const std::vector<int64_t>& row : rows) {
+    Row values;
+    for (int64_t v : row) values.push_back(Value::Int(v));
+    out.AddRow(std::move(values));
+  }
+  return out;
+}
+
+TEST(SqlFeatureTest, JoinOfOneTableUnderTwoPeriodClauses) {
+  TemporalDB db = TwoPeriodDb();
+  // [0, 10) and [50, 60) never overlap.
+  auto result = db.Query(
+      "SEQ VT (SELECT x.k FROM t PERIOD (a, b) x, t PERIOD (c, d) y "
+      "WHERE x.k = y.k)");
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->size(), 0u) << result->ToString();
+}
+
+constexpr const char* kTwoPeriodUnion =
+    "(SELECT x.k FROM t PERIOD (a, b) x "
+    "UNION ALL SELECT y.k FROM t PERIOD (c, d) y)";
+
+TEST(SqlFeatureTest, UnionOfOneTableUnderTwoPeriodClauses) {
+  TemporalDB db = TwoPeriodDb();
+  auto result = db.Query(StrCat("SEQ VT ", kTwoPeriodUnion));
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_TRUE(result->BagEquals(Rows({"k", "a_begin", "a_end"},
+                                     {{1, 0, 10}, {1, 50, 60}})))
+      << result->ToString();
+}
+
+TEST(SqlFeatureTest, AsOfUnionOfOneTableUnderTwoPeriodClauses) {
+  TemporalDB db = TwoPeriodDb();
+  for (TimePoint t : {5, 55}) {
+    auto result = db.Query(StrCat("SEQ VT AS OF ", t, " ", kTwoPeriodUnion));
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_TRUE(result->BagEquals(Rows({"k"}, {{1}})))
+        << "t=" << t << "\n" << result->ToString();
+  }
+}
+
 TEST(SqlFeatureTest, HavingOverGroupExprAndAggregate) {
   TemporalDB db = InventoryDb();
   ExpectMatchesOracle(

@@ -11,7 +11,10 @@
 
 #include <array>
 #include <atomic>
+#include <limits>
+#include <optional>
 #include <thread>
+#include <unordered_set>
 
 #include "baseline/naive.h"
 #include "common/str_util.h"
@@ -19,7 +22,9 @@
 #include "engine/temporal_ops.h"
 #include "engine/timeline_index.h"
 #include "middleware/temporal_db.h"
+#include "ra/cost_model.h"
 #include "rewrite/rewriter.h"
+#include "stats/table_stats.h"
 #include "tests/random_query.h"
 
 namespace periodk {
@@ -178,6 +183,136 @@ TEST(TimelineIndexTest, RandomTablesRowExactAcrossCheckpointIntervals) {
         }
       }
     }
+  }
+}
+
+// --- Event order: the radix sort on (time, is_end, row). -------------------
+
+/// Every probe point of `rel` (each endpoint, its neighbours without
+/// overflow, and the int64 bounds) through `index` vs the scan path.
+void ExpectIndexMatchesScanEverywhere(const TimelineIndex& index,
+                                      const Relation& rel,
+                                      const std::string& context) {
+  std::vector<TimePoint> probes = {std::numeric_limits<int64_t>::min(),
+                                   std::numeric_limits<int64_t>::max()};
+  for (const Row& row : rel.rows()) {
+    for (size_t c : {size_t{2}, size_t{3}}) {
+      const TimePoint v = row[c].AsInt();
+      probes.push_back(v);
+      if (v > std::numeric_limits<int64_t>::min()) probes.push_back(v - 1);
+      if (v < std::numeric_limits<int64_t>::max()) probes.push_back(v + 1);
+    }
+  }
+  for (TimePoint t : probes) {
+    ExpectRowsIdentical(index.Timeslice(t), TimesliceEncodedAt(rel, t, 2, 3),
+                        StrCat(context, " t=", t));
+  }
+}
+
+TEST(TimelineIndexEventOrderTest, TiesAtOneTimePointMatchScan) {
+  // Hundreds of begin and end events on the same few time points, ends
+  // of some rows on the begins of others, checkpoints cutting through
+  // the ties (K = 1, 2, 5).
+  Rng rng(0x71e5);
+  std::vector<std::array<int64_t, 4>> rows;
+  for (int i = 0; i < 300; ++i) {
+    const int64_t b = std::array<int64_t, 3>{3, 7, 7}[rng.Uniform(3)];
+    const int64_t e = b + std::array<int64_t, 2>{4, 8}[rng.Uniform(2)];
+    rows.push_back({i % 5, i, b, e});
+  }
+  auto rel = std::make_shared<const Relation>(EncodedRelation(rows));
+  for (int64_t k : {int64_t{1}, int64_t{2}, int64_t{5}, int64_t{64}}) {
+    auto index = TimelineIndex::Build(rel, k);
+    ASSERT_NE(index, nullptr);
+    EXPECT_EQ(index->num_events(), 600u);
+    ExpectIndexMatchesScanEverywhere(*index, *rel, StrCat("K=", k));
+    for (TimePoint b = 2; b <= 16; ++b) {
+      std::vector<uint32_t> expected;
+      for (size_t i = 0; i < rows.size(); ++i) {
+        if (rows[i][2] < b + 3 && rows[i][3] > b) {
+          expected.push_back(static_cast<uint32_t>(i));
+        }
+      }
+      EXPECT_EQ(index->AliveInRange(b, b + 3), expected) << "K=" << k;
+    }
+  }
+}
+
+TEST(TimelineIndexEventOrderTest, EmptyValidityRowsAmongTiesMatchScan) {
+  // Empty (b == e) and reversed (b > e) rows sitting on the same time
+  // points as valid ones add no events and never come back alive.
+  std::vector<std::array<int64_t, 4>> rows;
+  for (int i = 0; i < 120; ++i) {
+    switch (i % 4) {
+      case 0:
+        rows.push_back({i, 0, 5, 5});
+        break;
+      case 1:
+        rows.push_back({i, 0, 9, 5});
+        break;
+      default:
+        rows.push_back({i, 0, 5, 9});
+        break;
+    }
+  }
+  auto rel = std::make_shared<const Relation>(EncodedRelation(rows));
+  for (int64_t k : {int64_t{1}, int64_t{7}, int64_t{64}}) {
+    auto index = TimelineIndex::Build(rel, k);
+    ASSERT_NE(index, nullptr);
+    EXPECT_EQ(index->num_events(), 120u);
+    ExpectIndexMatchesScanEverywhere(*index, *rel, StrCat("K=", k));
+  }
+  // A table of empty rows only: no events, nothing alive.
+  auto all_empty = std::make_shared<const Relation>(
+      EncodedRelation({{1, 0, 4, 4}, {2, 0, 6, 1}}));
+  auto index = TimelineIndex::Build(all_empty, 1);
+  ASSERT_NE(index, nullptr);
+  EXPECT_EQ(index->num_events(), 0u);
+  ExpectIndexMatchesScanEverywhere(*index, *all_empty, "all empty");
+}
+
+TEST(TimelineIndexEventOrderTest, ExtremeEndpointsMatchScan) {
+  // Endpoints spanning the whole int64 range: time - min overflows
+  // int64, and the span takes every radix pass.  Narrower spans around
+  // the 16- and 32-bit digit boundaries take one, two and three passes.
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  const std::vector<std::vector<int64_t>> point_sets = {
+      {kMin, kMin + 1, -(int64_t{1} << 40), -1, 0, 1, int64_t{1} << 33,
+       kMax - 1, kMax},
+      {0, 1, (int64_t{1} << 16) - 1, int64_t{1} << 16},
+      {-5, (int64_t{1} << 32) - 2, int64_t{1} << 32},
+      {-(int64_t{1} << 47), int64_t{1} << 47}};
+  Rng rng(0xe47e);
+  for (const std::vector<int64_t>& points : point_sets) {
+    std::vector<std::array<int64_t, 4>> rows;
+    for (int i = 0; i < 200; ++i) {
+      // Mostly a pair of listed points, sometimes a random full-range
+      // value, so ties, empty rows and scattered digits all occur.
+      auto pick = [&]() -> int64_t {
+        if (rng.Chance(0.2)) return static_cast<int64_t>(rng.Next());
+        return points[rng.Uniform(points.size())];
+      };
+      rows.push_back({i % 3, i, pick(), pick()});
+    }
+    auto rel = std::make_shared<const Relation>(EncodedRelation(rows));
+    for (int64_t k : {int64_t{1}, int64_t{3}, int64_t{64}}) {
+      auto index = TimelineIndex::Build(rel, k);
+      ASSERT_NE(index, nullptr);
+      ExpectIndexMatchesScanEverywhere(*index, *rel,
+                                       StrCat("K=", k, " set ", points[0]));
+    }
+    // The delta layer sorts its own events the same way.
+    std::vector<std::array<int64_t, 4>> prefix(rows.begin(),
+                                               rows.begin() + 120);
+    auto base = TimelineIndex::Build(
+        std::make_shared<const Relation>(EncodedRelation(prefix)), 4);
+    ASSERT_NE(base, nullptr);
+    auto delta = TimelineIndex::WithDelta(base, rel);
+    ASSERT_NE(delta, nullptr);
+    EXPECT_TRUE(delta->has_delta());
+    ExpectIndexMatchesScanEverywhere(*delta, *rel,
+                                     StrCat("delta set ", points[0]));
   }
 }
 
@@ -392,6 +527,208 @@ TEST(TimeslicePushdownTest, PushedPlansStayBagEqualOnRandomQueries) {
   }
 }
 
+// --- Snapshot reducibility (Thm 6.3) as a property. -------------------------
+//
+// The period-K AS-OF plan -- the query over tau_t of every table
+// reference (SnapshotRewriter::RewriteAsOf) -- against tau_t over the
+// REWR rewrite, at a random t in the domain: bag-equal with the
+// timeline indexes on and off, over the trailing tables r/s and the
+// non-trailing period table p, before and after appends served through
+// differential (WithDelta) indexes.  The generators draw dyadic values
+// only, so sums are exact in either plan's row order.
+
+/// Stored endpoint columns of the random tables: p keeps them at (0, 2)
+/// (AddRandomPeriodTable), r and s trail.
+std::pair<int, int> PeriodColumns(const std::string& table) {
+  return table == "p" ? std::pair{0, 2} : std::pair{2, 3};
+}
+
+void IndexAllTables(Catalog* catalog) {
+  for (const std::string& name : catalog->TableNames()) {
+    const auto [b, e] = PeriodColumns(name);
+    // nullptr for non-integer endpoints: the scan path serves those.
+    if (auto index = TimelineIndex::Build(catalog->GetShared(name), b, e)) {
+      catalog->PutIndex(name, std::move(index));
+    }
+  }
+}
+
+/// Appends a few random rows to every table, keeping each table's
+/// index warm as a WithDelta index the way the middleware's writer does.
+void AppendWithDeltas(Rng* rng, Catalog* catalog) {
+  for (const std::string& name : catalog->TableNames()) {
+    std::shared_ptr<const Relation> old_rel = catalog->GetShared(name);
+    std::shared_ptr<const TimelineIndex> old_index = catalog->GetIndex(name);
+    std::vector<Row> rows = RandomAppendRows(
+        rng, kDomain, /*period_layout=*/name == "p",
+        1 + static_cast<int>(rng->Uniform(4)), /*null_chance=*/0.15,
+        /*empty_validity_chance=*/0.15);
+    auto next = std::make_shared<const Relation>(Relation::Append(*old_rel, rows));
+    catalog->PutShared(name, next);
+    if (old_index != nullptr) {
+      auto delta = TimelineIndex::WithDelta(old_index, next);
+      ASSERT_NE(delta, nullptr) << name;
+      catalog->PutIndex(name, std::move(delta));
+    }
+  }
+}
+
+/// Distinct timeslice-over-scan nodes of a plan DAG.
+int CountSlicedScans(const PlanPtr& plan) {
+  std::unordered_set<const Plan*> seen;
+  std::vector<const Plan*> stack = {plan.get()};
+  int count = 0;
+  while (!stack.empty()) {
+    const Plan* node = stack.back();
+    stack.pop_back();
+    if (node == nullptr || !seen.insert(node).second) continue;
+    count += node->kind == PlanKind::kTimeslice &&
+             node->left->kind == PlanKind::kScan;
+    stack.push_back(node->left.get());
+    stack.push_back(node->right.get());
+  }
+  return count;
+}
+
+/// Executes both plans with the index on and off; each pair must be
+/// bag-equal.  With `lenient`, a plan may throw (non-integer
+/// endpoints); only runs where both return rows are compared.
+void ExpectSameSnapshot(const PlanPtr& as_of, const PlanPtr& sliced,
+                        const Catalog& catalog, bool lenient,
+                        const std::string& context) {
+  for (bool use_index : {true, false}) {
+    ExecOptions exec;
+    exec.use_timeline_index = use_index;
+    std::optional<Relation> got;
+    std::optional<Relation> want;
+    ExecStats stats;
+    try {
+      got = Execute(as_of, catalog, exec, &stats);
+    } catch (const EngineError& error) {
+      ASSERT_TRUE(lenient) << context << ": " << error.what();
+    }
+    try {
+      want = Execute(sliced, catalog, exec);
+    } catch (const EngineError& error) {
+      ASSERT_TRUE(lenient) << context << ": " << error.what();
+    }
+    if (!got.has_value() || !want.has_value()) continue;
+    ASSERT_TRUE(got->BagEquals(*want))
+        << context << " index=" << use_index << "\nAS-OF plan:\n"
+        << as_of->ToString() << "got:\n" << got->ToString() << "want:\n"
+        << want->ToString();
+    if (use_index && !lenient) {
+      // Every slice is answered from its table's index.
+      EXPECT_EQ(stats.index_timeslices, CountSlicedScans(as_of)) << context;
+    }
+  }
+}
+
+void CheckRandomAsOfPlans(uint64_t seed, int iterations,
+                          const NonIntegerData* mix) {
+  Rng rng(seed);
+  for (int iter = 0; iter < iterations; ++iter) {
+    Catalog catalog = RandomEncodedCatalog(&rng, kDomain, /*max_rows=*/10,
+                                           /*null_chance=*/0.15,
+                                           /*empty_validity_chance=*/0.15,
+                                           mix);
+    PlanPtr encoded_p = AddRandomPeriodTable(&rng, &catalog, kDomain,
+                                             /*max_rows=*/10,
+                                             /*null_chance=*/0.15,
+                                             /*empty_validity_chance=*/0.15,
+                                             mix);
+    RewriteOptions options;
+    options.use_cost_model = rng.Chance(0.5);
+    if (options.use_cost_model && mix == nullptr) {
+      for (const std::string& name : catalog.TableNames()) {
+        const auto [b, e] = PeriodColumns(name);
+        catalog.PutStats(name,
+                         TableStats::Collect(catalog.GetShared(name), b, e));
+      }
+    }
+    RandomQueryConfig qc;
+    qc.null_literal_chance = 0.1;
+    qc.union_dup_chance = 0.2;
+    qc.period_scan_chance = 0.3;
+    RandomQueryGenerator gen(&rng, qc);
+    PlanPtr query = gen.Generate(static_cast<int>(rng.Uniform(5)));
+    CostModel cost(&catalog, kDomain);
+    SnapshotRewriter rewriter(kDomain, options,
+                              PeriodScanEncodings(query, encoded_p), &cost);
+    const TimePoint t = rng.Range(kDomain.tmin, kDomain.tmax - 1);
+    PlanPtr as_of = rewriter.RewriteAsOf(query, t);
+    for (PlanKind kind : {PlanKind::kCoalesce, PlanKind::kSplit,
+                          PlanKind::kSplitAggregate}) {
+      ASSERT_FALSE(ContainsKind(as_of, kind)) << as_of->ToString();
+    }
+    PlanPtr sliced = MakeTimeslice(rewriter.Rewrite(query), t);
+    const std::string context =
+        StrCat("seed ", seed, " iter ", iter, " t=", t, "\nquery:\n",
+               query->ToString());
+    IndexAllTables(&catalog);
+    ExpectSameSnapshot(as_of, sliced, catalog, mix != nullptr, context);
+    AppendWithDeltas(&rng, &catalog);
+    ExpectSameSnapshot(as_of, sliced, catalog, mix != nullptr,
+                       StrCat(context, " after appends"));
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+TEST(SnapshotReducibilityTest, AsOfPlanEqualsSlicedRewriteOnRandomQueries) {
+  CheckRandomAsOfPlans(0x7e5d0c, /*iterations=*/400, /*mix=*/nullptr);
+}
+
+TEST(SnapshotReducibilityTest, NonIntegerDataAndEndpointsNeverCrash) {
+  // Doubles, strings, and NULL / double / string endpoints: a plan may
+  // refuse (EngineError), and where both plans return rows they agree.
+  NonIntegerData mix;
+  mix.bad_endpoint_chance = 0.05;
+  CheckRandomAsOfPlans(0x90ddba11, /*iterations=*/200, &mix);
+}
+
+TEST(SnapshotReducibilityTest, EmptySnapshotsUnderAggregatesDifferenceDistinct) {
+  // r lives on [8, 12), s on [4, 6): t < 4 sees both empty, t in [4, 6)
+  // only s, and t >= 12 nothing again.
+  Catalog catalog;
+  catalog.Put("r", EncodedRelation({{1, 2, 8, 12}, {1, 2, 8, 12}, {2, 5, 9, 11}}));
+  catalog.Put("s", EncodedRelation({{1, 2, 4, 6}, {3, 4, 5, 6}}));
+  IndexAllTables(&catalog);
+  const Schema snapshot = Schema::FromNames({"a", "b"});
+  PlanPtr r = MakeScan("r", snapshot);
+  PlanPtr s = MakeScan("s", snapshot);
+  const std::vector<AggExpr> aggs = {
+      AggExpr{AggFunc::kCountStar, nullptr, "cnt"},
+      AggExpr{AggFunc::kSum, Col(1, "b"), "sum_b"},
+      AggExpr{AggFunc::kAvg, Col(1, "b"), "avg_b"},
+      AggExpr{AggFunc::kMin, Col(0, "a"), "min_a"}};
+  const std::vector<PlanPtr> queries = {
+      MakeAggregate(r, {}, {}, aggs),
+      MakeAggregate(MakeSelect(s, Eq(Col(0), LitInt(9))), {}, {}, aggs),
+      MakeAggregate(MakeUnionAll(r, s), {Col(0, "a")}, {Column("a")}, aggs),
+      MakeExceptAll(r, s),
+      MakeExceptAll(s, r),
+      MakeDistinct(r),
+      MakeDistinct(MakeUnionAll(s, s)),
+      MakeAggregate(MakeExceptAll(r, r), {}, {}, aggs),
+      MakeAggregate(MakeDistinct(MakeJoin(r, s, Eq(Col(0), Col(2)))), {}, {},
+                    aggs)};
+  SnapshotRewriter rewriter(kDomain, RewriteOptions{});
+  for (size_t q = 0; q < queries.size(); ++q) {
+    for (TimePoint t = kDomain.tmin; t < kDomain.tmax; ++t) {
+      PlanPtr as_of = rewriter.RewriteAsOf(queries[q], t);
+      PlanPtr sliced = MakeTimeslice(rewriter.Rewrite(queries[q]), t);
+      ExpectSameSnapshot(as_of, sliced, catalog, /*lenient=*/false,
+                         StrCat("query ", q, " t=", t));
+      if (queries[q]->kind == PlanKind::kAggregate &&
+          queries[q]->exprs.empty()) {
+        // An ungrouped aggregate over an empty snapshot is one row.
+        EXPECT_EQ(Execute(as_of, catalog).size(), 1u)
+            << "query " << q << " t=" << t;
+      }
+    }
+  }
+}
+
 // --- Middleware: AS OF serving, lazy index lifecycle, oracle. --------------
 
 TemporalDB SeededDb(Rng* rng, int rows) {
@@ -463,6 +800,44 @@ TEST(TimelineIndexMiddlewareTest, ExplainAnalyzeShowsIndexHits) {
   ASSERT_TRUE(explained.ok());
   EXPECT_NE(explained->find("index timeslices: 1"), std::string::npos)
       << *explained;
+}
+
+TEST(TimelineIndexMiddlewareTest, AsOfSlicesEveryTableReferenceFromIndex) {
+  // A join and an aggregation: the period-K AS-OF plan slices each
+  // table reference (both join inputs) and keeps no REWR operator.
+  Rng rng(0x70b1);
+  TemporalDB db = SeededDb(&rng, 30);
+  ASSERT_TRUE(
+      db.CreatePeriodTable("u", {"ub", "grp", "ue", "tag"}, "ub", "ue").ok());
+  std::vector<Row> batch;
+  for (int i = 0; i < 20; ++i) {
+    TimePoint b = rng.Range(kDomain.tmin, kDomain.tmax - 2);
+    batch.push_back({Value::Int(b), Value::Int(rng.Range(0, 3)),
+                     Value::Int(rng.Range(b + 1, kDomain.tmax - 1)),
+                     Value::Int(i)});
+  }
+  ASSERT_TRUE(db.InsertRows("u", std::move(batch)).ok());
+  RewriteOptions scan_opts;
+  scan_opts.use_timeline_index = false;
+  for (const auto& [sql, slices] : std::vector<std::pair<std::string, int>>{
+           {"SELECT t.val, u.tag FROM t, u WHERE t.grp = u.grp", 2},
+           {"SELECT grp, count(*) AS n, sum(val) AS s FROM t GROUP BY grp", 1},
+           {"SELECT count(*) AS n FROM u WHERE tag > 100", 1}}) {
+    const std::string as_of = StrCat("SEQ VT AS OF 6 (", sql, ")");
+    auto explained = db.ExplainAnalyze(as_of);
+    ASSERT_TRUE(explained.ok()) << as_of;
+    EXPECT_NE(explained->find(StrCat("index timeslices: ", slices)),
+              std::string::npos)
+        << *explained;
+    for (const char* kind : {"Coalesce", "Split"}) {
+      EXPECT_EQ(explained->find(kind), std::string::npos) << *explained;
+    }
+    auto indexed = db.Query(as_of);
+    ASSERT_TRUE(indexed.ok()) << as_of;
+    auto encoded = db.Query(StrCat("SEQ VT (", sql, ")"), scan_opts);
+    ASSERT_TRUE(encoded.ok()) << sql;
+    EXPECT_TRUE(indexed->BagEquals(TimesliceEncoded(*encoded, 6))) << as_of;
+  }
 }
 
 TEST(TimelineIndexMiddlewareTest, NonTrailingPeriodTableServedFromIndex) {
