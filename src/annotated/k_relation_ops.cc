@@ -13,6 +13,13 @@ struct GroupState {
   std::vector<AggState> states;
 };
 
+std::vector<AggState> FreshStates(const std::vector<BagAggSpec>& aggs) {
+  std::vector<AggState> states;
+  states.reserve(aggs.size());
+  for (const BagAggSpec& a : aggs) states.emplace_back(a.func);
+  return states;
+}
+
 }  // namespace
 
 KRelation<NatSemiring> BagAggregate(const KRelation<NatSemiring>& r,
@@ -24,7 +31,7 @@ KRelation<NatSemiring> BagAggregate(const KRelation<NatSemiring>& r,
     key.reserve(group_cols.size());
     for (int c : group_cols) key.push_back(t[static_cast<size_t>(c)]);
     GroupState& g = groups[key];
-    if (g.states.empty()) g.states.resize(aggs.size());
+    if (g.states.empty()) g.states = FreshStates(aggs);
     g.star_count += mult;
     for (size_t i = 0; i < aggs.size(); ++i) {
       if (aggs[i].func == AggFunc::kCountStar) continue;
@@ -34,13 +41,13 @@ KRelation<NatSemiring> BagAggregate(const KRelation<NatSemiring>& r,
   // Aggregation without grouping returns a row even for empty input.
   if (group_cols.empty() && groups.empty()) {
     GroupState& g = groups[Row{}];
-    g.states.resize(aggs.size());
+    g.states = FreshStates(aggs);
   }
   KRelation<NatSemiring> out(r.semiring());
   for (const auto& [key, g] : groups) {
     Row t = key;
     for (size_t i = 0; i < aggs.size(); ++i) {
-      t.push_back(g.states[i].Finalize(aggs[i].func, g.star_count));
+      t.push_back(g.states[i].Finalize(g.star_count));
     }
     out.Add(t, 1);
   }

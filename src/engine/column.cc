@@ -181,6 +181,11 @@ ColumnData ColumnData::Encode(const std::vector<Row>& rows, size_t col) {
                      [&](size_t i) -> const Value& { return rows[i][col]; });
 }
 
+ColumnData ColumnData::FromValues(const std::vector<Value>& cells) {
+  return EncodeCells(cells.size(),
+                     [&](size_t i) -> const Value& { return cells[i]; });
+}
+
 ColumnData ColumnData::Append(const ColumnData& stored,
                               const std::vector<Row>& rows, size_t col) {
   const size_t m = stored.size_;

@@ -73,6 +73,9 @@ class ColumnData {
   static ColumnData Append(const ColumnData& stored,
                            const std::vector<Row>& rows, size_t col);
 
+  /// Encode over a column of cells: computed expression outputs.
+  static ColumnData FromValues(const std::vector<Value>& cells);
+
   /// A column of raw int64s with no NULLs (kernel interval outputs).
   static ColumnData FromInts(std::vector<int64_t> values);
 
@@ -152,14 +155,19 @@ class TypedColumn {
  public:
   explicit TypedColumn(const ColumnData& borrowed) : column_(&borrowed) {}
   explicit TypedColumn(ColumnData&& owned)
-      : owned_(std::make_unique<const ColumnData>(std::move(owned))),
+      : owned_(std::make_unique<ColumnData>(std::move(owned))),
         column_(owned_.get()) {}
 
   const ColumnData& operator*() const { return *column_; }
   const ColumnData* operator->() const { return column_; }
 
+  /// The column by value: moved out when owned, copied when borrowed.
+  ColumnData Release() && {
+    return owned_ != nullptr ? std::move(*owned_) : *column_;
+  }
+
  private:
-  std::unique_ptr<const ColumnData> owned_;
+  std::unique_ptr<ColumnData> owned_;
   const ColumnData* column_;
 };
 

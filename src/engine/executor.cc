@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <memory>
+#include <numeric>
 #include <unordered_map>
 #include <utility>
 
@@ -76,32 +78,65 @@ Relation Materialize(RelHandle h) {
   return *h;
 }
 
-Relation ExecSelect(const Plan& plan, RelHandle in) {
-  Relation out(plan.schema);
-  if (in.use_count() == 1) {
-    Relation input = Materialize(std::move(in));
-    for (Row& row : input.mutable_rows()) {
-      if (plan.predicate->EvalBool(row)) out.AddRow(std::move(row));
-    }
-  } else {
-    for (const Row& row : in->rows()) {
-      if (plan.predicate->EvalBool(row)) out.AddRow(row);
+// Row i of a relation as an expression reads it: a row of the input's
+// arity whose cells are filled only for the columns the expressions
+// reference, read through typed columns.  Referenced columns outside
+// the input stay unfilled, so Expr::Eval raises its own out-of-range
+// error on them, with the input's arity, at the first row that
+// evaluates the reference.
+class ScratchRow {
+ public:
+  ScratchRow(const Relation& input, const std::vector<ExprPtr>& exprs)
+      : row_(input.schema().size()) {
+    std::vector<int> refs;
+    for (const ExprPtr& e : exprs) CollectColumns(e, &refs);
+    std::sort(refs.begin(), refs.end());
+    refs.erase(std::unique(refs.begin(), refs.end()), refs.end());
+    for (int c : refs) {
+      if (c < 0 || static_cast<size_t>(c) >= row_.size()) continue;
+      slots_.push_back(static_cast<size_t>(c));
+      cols_.push_back(input.ReadColumn(static_cast<size_t>(c)));
     }
   }
-  return out;
-}
 
-Relation ExecProject(const Plan& plan, const Relation& input) {
-  Relation out(plan.schema);
-  out.Reserve(input.size());
-  for (const Row& row : input.rows()) {
-    Row projected;
-    projected.reserve(plan.exprs.size());
-    for (const ExprPtr& e : plan.exprs) projected.push_back(e->Eval(row));
-    out.AddRow(std::move(projected));
+  const Row& Load(size_t i) {
+    for (size_t k = 0; k < slots_.size(); ++k) {
+      row_[slots_[k]] = cols_[k]->Get(i);
+    }
+    return row_;
   }
-  return out;
+
+ private:
+  Row row_;
+  std::vector<size_t> slots_;
+  std::vector<TypedColumn> cols_;
+};
+
+// periodk-lint: columnar-lane-begin(select)
+Relation ExecSelect(const Plan& plan, const Relation& input) {
+  ScratchRow scratch(input, {plan.predicate});
+  std::vector<uint32_t> ids;
+  for (size_t i = 0; i < input.size(); ++i) {
+    if (plan.predicate->EvalBool(scratch.Load(i))) {
+      ids.push_back(static_cast<uint32_t>(i));
+    }
+  }
+  std::vector<int> cols(input.schema().size());
+  std::iota(cols.begin(), cols.end(), 0);
+  return Relation::Gather(plan.schema, {{input, cols, ids}});
 }
+// periodk-lint: columnar-lane-end(select)
+
+// periodk-lint: columnar-lane-begin(project)
+Relation ExecProject(const Plan& plan, const Relation& input) {
+  std::vector<ColumnData> cols;
+  cols.reserve(plan.exprs.size());
+  for (TypedColumn& c : EvalColumns(input, plan.exprs)) {
+    cols.push_back(std::move(c).Release());
+  }
+  return Relation::FromColumns(plan.schema, std::move(cols), input.size());
+}
+// periodk-lint: columnar-lane-end(project)
 
 Relation ExecJoin(const Plan& plan, const Relation& left,
                   const Relation& right, const OpContext& ctx) {
@@ -191,10 +226,9 @@ Relation ExecAggregate(const Plan& plan, const Relation& input,
                        const OpContext& ctx) {
   const size_t num_aggs = plan.aggs.size();
   // The kernel reads typed columns: the grouping keys, then each
-  // aggregate's argument.  Keys or arguments that are expressions
-  // rather than column references are first projected to columns, row
-  // by row in that order, so errors surface at the row and in the order
-  // evaluation reaches them.
+  // aggregate's argument (EvalColumns: expressions are evaluated row by
+  // row in that order, so errors surface at the row and in the order
+  // evaluation reaches them).
   std::vector<ExprPtr> exprs = plan.exprs;
   std::vector<int> arg_of(num_aggs, -1);  // index into args
   for (size_t a = 0; a < num_aggs; ++a) {
@@ -202,38 +236,23 @@ Relation ExecAggregate(const Plan& plan, const Relation& input,
     arg_of[a] = static_cast<int>(exprs.size() - plan.exprs.size());
     exprs.push_back(plan.aggs[a].arg);
   }
-  const bool plain = std::all_of(exprs.begin(), exprs.end(), [](const ExprPtr& e) {
-    return e->kind == ExprKind::kColumn;
-  });
-  Relation projected;
-  if (!plain) {
-    projected =
-        Relation(Schema::FromNames(std::vector<std::string>(exprs.size(), "e")));
-    projected.Reserve(input.size());
-    for (const Row& row : input.rows()) {
-      Row values;
-      values.reserve(exprs.size());
-      for (const ExprPtr& e : exprs) values.push_back(e->Eval(row));
-      projected.AddRow(std::move(values));
-    }
-  }
-  const Relation& source = plain ? input : projected;
-  std::vector<TypedColumn> keys;
-  std::vector<TypedColumn> args;
-  for (size_t j = 0; j < exprs.size(); ++j) {
-    (j < plan.exprs.size() ? keys : args)
-        .push_back(source.ReadColumn(
-            plain ? static_cast<size_t>(exprs[j]->column) : j));
-  }
+  std::vector<TypedColumn> args = EvalColumns(input, exprs);
+  const auto args_begin =
+      args.begin() + static_cast<ptrdiff_t>(plan.exprs.size());
+  std::vector<TypedColumn> keys(std::make_move_iterator(args.begin()),
+                                std::make_move_iterator(args_begin));
+  args.erase(args.begin(), args_begin);
+  std::vector<AggState> fresh;
+  fresh.reserve(num_aggs);
+  for (const AggExpr& a : plan.aggs) fresh.emplace_back(a.func);
 
   // Finds or creates the group of row r in (index, table).
-  auto group_of = [num_aggs](KeyIndex& index, GroupTable& table,
-                             uint32_t r) -> GroupState& {
+  auto group_of = [&fresh](KeyIndex& index, GroupTable& table,
+                           uint32_t r) -> GroupState& {
     uint32_t gid = index.FindOrInsert(r);
     if (gid == table.groups.size()) {
       table.rep.push_back(r);
-      table.groups.emplace_back();
-      table.groups.back().states.resize(num_aggs);
+      table.groups.push_back({0, fresh});
     }
     return table.groups[gid];
   };
@@ -255,12 +274,12 @@ Relation ExecAggregate(const Plan& plan, const Relation& input,
   // merge exactly — the same machinery pre-aggregation uses), which
   // keeps global first-appearance order.  The single-chunk path is the
   // sequential operator, bit for bit.
-  auto ranges = PlanChunks(ctx.num_threads(static_cast<int64_t>(source.size())),
-                           static_cast<int64_t>(source.size()),
+  auto ranges = PlanChunks(ctx.num_threads(static_cast<int64_t>(input.size())),
+                           static_cast<int64_t>(input.size()),
                            /*min_grain=*/4096);
   GroupTable table;
   if (ranges.size() <= 1) {
-    accumulate(0, static_cast<int64_t>(source.size()), table);
+    accumulate(0, static_cast<int64_t>(input.size()), table);
   } else {
     std::vector<GroupTable> tables(ranges.size());
     std::vector<ExecStats> chunk_stats(ranges.size());
@@ -282,10 +301,7 @@ Relation ExecAggregate(const Plan& plan, const Relation& input,
       for (const ExecStats& s : chunk_stats) ctx.stats->Merge(s);
     }
   }
-  if (keys.empty() && table.groups.empty()) {
-    table.groups.emplace_back();
-    table.groups.back().states.resize(num_aggs);
-  }
+  if (keys.empty() && table.groups.empty()) table.groups.push_back({0, fresh});
   Relation out(plan.schema);
   out.Reserve(table.groups.size());
   for (size_t g = 0; g < table.groups.size(); ++g) {
@@ -293,8 +309,8 @@ Relation ExecAggregate(const Plan& plan, const Relation& input,
     row.reserve(keys.size() + num_aggs);
     for (const TypedColumn& k : keys) row.push_back(k->Get(table.rep[g]));
     for (size_t a = 0; a < num_aggs; ++a) {
-      row.push_back(table.groups[g].states[a].Finalize(
-          plan.aggs[a].func, table.groups[g].star_count));
+      row.push_back(
+          table.groups[g].states[a].Finalize(table.groups[g].star_count));
     }
     out.AddRow(std::move(row));
   }
@@ -497,7 +513,7 @@ class ExecutionContext {
       case PlanKind::kConstant:
         return plan->constant;
       case PlanKind::kSelect:
-        return Own(ExecSelect(*plan, ExecuteNode(plan->left)));
+        return Own(ExecSelect(*plan, *ExecuteNode(plan->left)));
       case PlanKind::kProject:
         return Own(ExecProject(*plan, *ExecuteNode(plan->left)));
       case PlanKind::kJoin: {
@@ -599,6 +615,45 @@ class ExecutionContext {
 };
 
 }  // namespace
+
+// periodk-lint: columnar-lane-begin(eval-columns)
+std::vector<TypedColumn> EvalColumns(
+    const Relation& input, const std::vector<ExprPtr>& exprs,
+    const std::function<bool(size_t)>& row_needed) {
+  const size_t arity = input.schema().size();
+  auto passes_through = [arity](const ExprPtr& e) {
+    return e->kind == ExprKind::kColumn && e->column >= 0 &&
+           static_cast<size_t>(e->column) < arity;
+  };
+  std::vector<ExprPtr> computed;
+  for (const ExprPtr& e : exprs) {
+    if (!passes_through(e)) computed.push_back(e);
+  }
+  std::vector<std::vector<Value>> values(computed.size(),
+                                         std::vector<Value>(input.size()));
+  if (!computed.empty()) {
+    ScratchRow scratch(input, computed);
+    for (size_t i = 0; i < input.size(); ++i) {
+      if (row_needed && !row_needed(i)) continue;
+      const Row& row = scratch.Load(i);
+      for (size_t k = 0; k < computed.size(); ++k) {
+        values[k][i] = computed[k]->Eval(row);
+      }
+    }
+  }
+  std::vector<TypedColumn> out;
+  out.reserve(exprs.size());
+  size_t k = 0;
+  for (const ExprPtr& e : exprs) {
+    if (passes_through(e)) {
+      out.push_back(input.ReadColumn(static_cast<size_t>(e->column)));
+    } else {
+      out.emplace_back(ColumnData::FromValues(values[k++]));
+    }
+  }
+  return out;
+}
+// periodk-lint: columnar-lane-end(eval-columns)
 
 int OpContext::num_threads() const {
   return pool == nullptr ? 1 : pool->num_threads();

@@ -27,6 +27,7 @@
 #define PERIODK_ENGINE_EXECUTOR_H_
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -194,6 +195,20 @@ struct OpContext {
   /// otherwise num_threads().
   int num_threads(int64_t work) const;
 };
+
+/// The expression projection of select, project and aggregation:
+/// `exprs` over `input` as typed columns, one per expression.  A column
+/// reference within the input's arity passes through
+/// (Relation::ReadColumn).  Every other expression is evaluated row by
+/// row, in expression order within a row, over a scratch row holding
+/// only the cells the expressions reference, so the first error
+/// surfaces at the row and in the order a row-at-a-time loop reaches
+/// it.  When `row_needed` is given, it is asked first for each row (it
+/// may throw), and a row it rejects is not evaluated: its cells hold
+/// NULL placeholders.
+std::vector<TypedColumn> EvalColumns(
+    const Relation& input, const std::vector<ExprPtr>& exprs,
+    const std::function<bool(size_t)>& row_needed = {});
 
 /// Concatenates per-chunk operator outputs in chunk order (so a
 /// parallel result depends on the chunk plan, never on worker

@@ -100,6 +100,10 @@ Value EvalFunc(ScalarFunc f, const std::vector<Value>& args) {
     case ScalarFunc::kAbs: {
       const Value& v = args.at(0);
       if (v.is_null()) return Value::Null();
+      if (!v.is_numeric()) {
+        throw EngineError(
+            StrCat("abs() on a non-numeric value: ", v.ToString()));
+      }
       if (v.type() == ValueType::kInt &&
           v.AsInt() != std::numeric_limits<int64_t>::min()) {
         return Value::Int(v.AsInt() < 0 ? -v.AsInt() : v.AsInt());
@@ -109,7 +113,12 @@ Value EvalFunc(ScalarFunc f, const std::vector<Value>& args) {
     case ScalarFunc::kYear: {
       const Value& v = args.at(0);
       if (v.is_null()) return Value::Null();
-      return Value::Int(kYearBase + v.AsInt() / kDaysPerYear);
+      const int64_t* day = v.TryInt();
+      if (day == nullptr) {
+        throw EngineError(
+            StrCat("year() on a non-integer value: ", v.ToString()));
+      }
+      return Value::Int(kYearBase + *day / kDaysPerYear);
     }
     case ScalarFunc::kIfNull:
       return args.at(0).is_null() ? args.at(1) : args.at(0);
@@ -206,13 +215,21 @@ Value Expr::Eval(const Row& row) const {
     case ExprKind::kNot: {
       Value a = children[0]->Eval(row);
       if (a.is_null()) return Value::Null();
-      return Value::Bool(!a.AsBool());
+      const bool* b = a.TryBool();
+      if (b == nullptr) {
+        throw EngineError(StrCat("NOT on a non-boolean value: ", a.ToString()));
+      }
+      return Value::Bool(!*b);
     }
     case ExprKind::kArith:
       return EvalArith(arith, children[0]->Eval(row), children[1]->Eval(row));
     case ExprKind::kNeg: {
       Value a = children[0]->Eval(row);
       if (a.is_null()) return Value::Null();
+      if (!a.is_numeric()) {
+        throw EngineError(
+            StrCat("unary minus on a non-numeric value: ", a.ToString()));
+      }
       // -INT64_MIN is not an int64: it widens, like binary arithmetic.
       if (a.type() == ValueType::kInt &&
           a.AsInt() != std::numeric_limits<int64_t>::min()) {
@@ -269,6 +286,10 @@ Value Expr::Eval(const Row& row) const {
       Value text = children[0]->Eval(row);
       Value pattern = children[1]->Eval(row);
       if (text.is_null() || pattern.is_null()) return Value::Null();
+      if (text.TryString() == nullptr || pattern.TryString() == nullptr) {
+        throw EngineError(StrCat("LIKE on non-string values: ",
+                                 text.ToString(), " vs ", pattern.ToString()));
+      }
       bool m = SqlLikeMatch(text.AsString(), pattern.AsString());
       return Value::Bool(negated ? !m : m);
     }

@@ -1,6 +1,7 @@
 #include "engine/temporal_ops.h"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <map>
 #include <tuple>
@@ -26,13 +27,12 @@ size_t NonTemporalArity(const Relation& r, const char* op) {
   return r.schema().size() - 2;
 }
 
-/// Decodes the trailing interval of an encoded row (for the operators
-/// that work on rows: CoalesceWindow and the split-aggregate argument
-/// projection).  Returns false for an empty validity interval
-/// (begin >= end: annotation 0 everywhere); throws on non-integer
-/// endpoints.  DecodeInterval applies the same rule, with the same
-/// error, to typed columns — so *both* coalesce implementations drop the
-/// same degenerate rows and reject the same malformed ones.
+/// Decodes the trailing interval of an encoded row (for the operator
+/// that works on rows: CoalesceWindow).  Returns false for an empty
+/// validity interval (begin >= end: annotation 0 everywhere); throws on
+/// non-integer endpoints.  DecodeInterval applies the same rule, with
+/// the same error, to typed columns — so *both* coalesce implementations
+/// drop the same degenerate rows and reject the same malformed ones.
 bool DecodeRowInterval(const Row& row, size_t nattr, TimePoint* b,
                        TimePoint* e) {
   for (size_t c : {nattr, nattr + 1}) {
@@ -361,9 +361,15 @@ struct Partial {
   std::vector<AggState> states;
 };
 
-// Running sweep state for one aggregate function: count/sum support
-// subtraction; min/max keep an ordered multiset of partial extrema
-// (min/max distribute over the partial decomposition).
+// Running sweep state for one aggregate function, opened and closed
+// partial by partial.  Each function keeps only what it needs:
+//   * count: the count of the open partials;
+//   * sum and avg: their count, their integer sum, the exact sum of
+//     their finite double sums (ExactSum), and how many of them hold
+//     NaN, +inf or -inf, so no closed partial leaves a trace in a later
+//     fragment and each fragment's double sum is rounded once;
+//   * min and max: an ordered multiset of their extrema (min/max
+//     distribute over the partial decomposition).
 //
 // The integer sum is maintained in 128-bit arithmetic so that summing
 // endpoint-magnitude values (a TimeDomain touching INT64_MIN/INT64_MAX
@@ -373,37 +379,23 @@ struct Partial {
 // the same behavior AggState has on overflow.  (The 128-bit sum itself
 // cannot overflow: it would take 2^64 simultaneously open partials.)
 struct RunningAgg {
+  explicit RunningAgg(AggFunc f) : func(f) {}
+
+  AggFunc func;
   int64_t count = 0;
   int64_t n_nonint = 0;
   __int128 isum = 0;
-  double dsum = 0.0;
-  std::map<Value, int64_t> mins;
-  std::map<Value, int64_t> maxs;
+  ExactSum dsum;
+  int64_t n_nan = 0;
+  int64_t n_pos_inf = 0;
+  int64_t n_neg_inf = 0;
+  std::map<Value, int64_t> extrema;
 
-  void Open(const AggState& s) {
-    count += s.count;
-    isum += s.isum;
-    dsum += s.dsum;
-    if (!s.all_int) ++n_nonint;
-    if (s.any) {
-      ++mins[s.min_v];
-      ++maxs[s.max_v];
-    }
-  }
+  void Open(const AggState& s) { Apply(s, 1); }
+  void Close(const AggState& s) { Apply(s, -1); }
 
-  void Close(const AggState& s) {
-    count -= s.count;
-    isum -= s.isum;
-    dsum -= s.dsum;
-    if (!s.all_int) --n_nonint;
-    if (s.any) {
-      if (--mins[s.min_v] == 0) mins.erase(s.min_v);
-      if (--maxs[s.max_v] == 0) maxs.erase(s.max_v);
-    }
-  }
-
-  Value Finalize(AggFunc f, int64_t star) const {
-    switch (f) {
+  Value Finalize(int64_t star) {
+    switch (func) {
       case AggFunc::kCountStar:
         return Value::Int(star);
       case AggFunc::kCount:
@@ -417,16 +409,63 @@ struct RunningAgg {
                         std::numeric_limits<int64_t>::max())) {
           return Value::Int(static_cast<int64_t>(isum));
         }
-        return Value::Double(dsum);
+        return Value::Double(DoubleSum());
       case AggFunc::kAvg:
         if (count == 0) return Value::Null();
-        return Value::Double(dsum / static_cast<double>(count));
+        return Value::Double(DoubleSum() / static_cast<double>(count));
       case AggFunc::kMin:
-        return mins.empty() ? Value::Null() : mins.begin()->first;
+        return extrema.empty() ? Value::Null() : extrema.begin()->first;
       case AggFunc::kMax:
-        return maxs.empty() ? Value::Null() : maxs.rbegin()->first;
+        return extrema.empty() ? Value::Null() : extrema.rbegin()->first;
     }
     throw EngineError("unknown aggregate function");
+  }
+
+ private:
+  void Apply(const AggState& s, int dir) {
+    switch (func) {
+      case AggFunc::kCountStar:
+        return;
+      case AggFunc::kCount:
+        count += dir * s.count;
+        return;
+      case AggFunc::kSum:
+      case AggFunc::kAvg:
+        count += dir * s.count;
+        isum += dir * s.isum;
+        if (!s.all_int) n_nonint += dir;
+        if (std::isnan(s.dsum)) {
+          n_nan += dir;
+        } else if (std::isinf(s.dsum)) {
+          (s.dsum > 0 ? n_pos_inf : n_neg_inf) += dir;
+        } else if (dir > 0) {
+          dsum.Add(s.dsum);
+        } else {
+          dsum.Subtract(s.dsum);
+        }
+        return;
+      case AggFunc::kMin:
+      case AggFunc::kMax:
+        if (!s.extreme.has_value()) return;
+        if (dir > 0) {
+          ++extrema[*s.extreme];
+        } else if (--extrema[*s.extreme] == 0) {
+          extrema.erase(*s.extreme);
+        }
+        return;
+    }
+  }
+
+  // The double sum of the open partials, IEEE-style: NaN when one is
+  // NaN or both infinities are open, else an open infinity, else the
+  // finite sums' exact total rounded once.
+  double DoubleSum() {
+    if (n_nan > 0 || (n_pos_inf > 0 && n_neg_inf > 0)) {
+      return std::numeric_limits<double>::quiet_NaN();
+    }
+    if (n_pos_inf > 0) return std::numeric_limits<double>::infinity();
+    if (n_neg_inf > 0) return -std::numeric_limits<double>::infinity();
+    return dsum.Round();
   }
 };
 
@@ -438,48 +477,25 @@ Relation SplitAggregateRelation(const Relation& input,
                                 bool gap_rows, const TimeDomain& domain,
                                 bool pre_aggregate, const OpContext& ctx) {
   size_t nattr = NonTemporalArity(input, "SplitAggregate");
-  // Aggregate arguments that are expressions rather than column
-  // references are first projected to columns.  Row by row, endpoints
-  // before arguments and empty intervals skipped -- the order the sweep
-  // decodes them -- so every error surfaces at the same row.
-  if (!std::all_of(aggs.begin(), aggs.end(), [](const AggExpr& a) {
-        return a.func == AggFunc::kCountStar || a.arg->kind == ExprKind::kColumn;
-      })) {
-    Schema projected_schema;
-    std::vector<int> projected_group;
-    for (int c : group_cols) {
-      projected_group.push_back(static_cast<int>(projected_schema.size()));
-      projected_schema.Append(input.schema().at(static_cast<size_t>(c)));
-    }
-    std::vector<AggExpr> projected_aggs;
-    for (const AggExpr& a : aggs) {
-      if (a.func == AggFunc::kCountStar) {
-        projected_aggs.push_back(a);
-        continue;
-      }
-      projected_aggs.push_back(
-          {a.func, Col(static_cast<int>(projected_schema.size())), a.name});
-      projected_schema.Append(Column(a.name));
-    }
-    projected_schema.Append(input.schema().at(nattr));
-    projected_schema.Append(input.schema().at(nattr + 1));
-    Relation projected(std::move(projected_schema));
-    for (const Row& row : input.rows()) {
-      TimePoint b = 0;
-      TimePoint e = 0;
-      if (!DecodeRowInterval(row, nattr, &b, &e)) continue;
-      Row p;
-      for (int c : group_cols) p.push_back(row[static_cast<size_t>(c)]);
-      for (const AggExpr& a : aggs) {
-        if (a.func != AggFunc::kCountStar) p.push_back(a.arg->Eval(row));
-      }
-      p.push_back(Value::Int(b));
-      p.push_back(Value::Int(e));
-      projected.AddRow(std::move(p));
-    }
-    return SplitAggregateRelation(projected, projected_group, projected_aggs,
-                                  gap_rows, domain, pre_aggregate, ctx);
+  TypedColumn bc = input.ReadColumn(nattr);
+  TypedColumn ec = input.ReadColumn(nattr + 1);
+  // Aggregate arguments as typed columns.  Expressions are evaluated
+  // row by row, each row's endpoints decoded first and rows with empty
+  // intervals skipped -- the order the sweep decodes them -- so every
+  // error surfaces at the same row.
+  std::vector<ExprPtr> arg_exprs;
+  std::vector<int> arg_of(aggs.size(), -1);  // index into args
+  for (size_t a = 0; a < aggs.size(); ++a) {
+    if (aggs[a].func == AggFunc::kCountStar) continue;
+    arg_of[a] = static_cast<int>(arg_exprs.size());
+    arg_exprs.push_back(aggs[a].arg);
   }
+  std::vector<TypedColumn> args =
+      EvalColumns(input, arg_exprs, [&](size_t i) {
+        TimePoint b = 0;
+        TimePoint e = 0;
+        return DecodeInterval(*bc, *ec, i, &b, &e);
+      });
   // gap_rows with grouping emits full-domain coverage per *observed*
   // group (count 0 where the group is absent) -- Teradata-style grouped
   // gaps; without grouping it implements the paper's correct global
@@ -499,15 +515,6 @@ Relation SplitAggregateRelation(const Relation& input,
   // Groups are kept in first-appearance order, so the fragment output
   // order is a pure function of the logical input.
   std::vector<TypedColumn> keys = ReadColumns(input, group_cols);
-  std::vector<TypedColumn> args;
-  std::vector<int> arg_of(aggs.size(), -1);  // index into args
-  for (size_t a = 0; a < aggs.size(); ++a) {
-    if (aggs[a].func == AggFunc::kCountStar) continue;
-    arg_of[a] = static_cast<int>(args.size());
-    args.push_back(input.ReadColumn(static_cast<size_t>(aggs[a].arg->column)));
-  }
-  TypedColumn bc = input.ReadColumn(nattr);
-  TypedColumn ec = input.ReadColumn(nattr + 1);
   KeyIndex groups(keys);
   std::vector<uint32_t> group_rep;  // representative input row per group
   std::vector<std::vector<Partial>> group_partials;
@@ -538,7 +545,8 @@ Relation SplitAggregateRelation(const Relation& input,
       Partial p;
       p.begin = b;
       p.end = e;
-      p.states.resize(aggs.size());
+      p.states.reserve(aggs.size());
+      for (const AggExpr& a : aggs) p.states.emplace_back(a.func);
       partials.push_back(std::move(p));
     }
     Partial& p = partials[slot];
@@ -583,7 +591,9 @@ Relation SplitAggregateRelation(const Relation& input,
               [](const auto& a, const auto& b) {
                 return std::get<0>(a) < std::get<0>(b);
               });
-    std::vector<RunningAgg> running(aggs.size());
+    std::vector<RunningAgg> running;
+    running.reserve(aggs.size());
+    for (const AggExpr& a : aggs) running.emplace_back(a.func);
     int64_t star = 0;
     TimePoint prev = domain.tmin;
     bool have_prev = gap_rows;
@@ -599,7 +609,7 @@ Relation SplitAggregateRelation(const Relation& input,
       if (from >= to) return;
       Row row = group;
       for (size_t i = 0; i < aggs.size(); ++i) {
-        row.push_back(running[i].Finalize(aggs[i].func, star));
+        row.push_back(running[i].Finalize(star));
       }
       row.push_back(Value::Int(from));
       row.push_back(Value::Int(to));

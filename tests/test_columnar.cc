@@ -6,12 +6,16 @@
 // num_threads=1, and bag-equal output under parallel execution.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <limits>
 #include <optional>
 #include <string>
 #include <thread>
+#include <typeinfo>
 #include <vector>
 
 #include "common/rng.h"
+#include "common/status.h"
 #include "common/str_util.h"
 #include "engine/column.h"
 #include "engine/executor.h"
@@ -213,15 +217,29 @@ TEST(SchemaTest, DuplicateNameShadowingUnchanged) {
 
 // --- Columnar vs row-path equivalence --------------------------------------
 
+/// Identical cells: same type, and for doubles the same bits (-0.0 and
+/// NaN included), which Value::Compare does not distinguish.
+bool SameCell(const Value& a, const Value& b) {
+  if (a.type() != b.type()) return false;
+  if (const double* x = a.TryDouble()) {
+    return std::bit_cast<uint64_t>(*x) ==
+           std::bit_cast<uint64_t>(*b.TryDouble());
+  }
+  return a.Compare(b) == 0;
+}
+
 /// nullopt when `a` and `b` hold identical rows in identical order.
 std::optional<std::string> ExactDiff(const Relation& a, const Relation& b) {
   if (a.size() != b.size()) {
     return StrCat("row count ", a.size(), " vs ", b.size());
   }
   for (size_t i = 0; i < a.size(); ++i) {
-    if (CompareRows(a.rows()[i], b.rows()[i]) != 0) {
-      return StrCat("row ", i, ": ", RowToString(a.rows()[i]), " vs ",
-                    RowToString(b.rows()[i]));
+    const Row& x = a.rows()[i];
+    const Row& y = b.rows()[i];
+    bool same = x.size() == y.size();
+    for (size_t c = 0; same && c < x.size(); ++c) same = SameCell(x[c], y[c]);
+    if (!same) {
+      return StrCat("row ", i, ": ", RowToString(x), " vs ", RowToString(y));
     }
   }
   return std::nullopt;
@@ -331,19 +349,37 @@ TEST(ColumnarEquivalenceTest, GroupByIsExactAroundTwoTo53) {
   EXPECT_FALSE(diff.has_value()) << *diff;
 }
 
-/// A plan's result over one catalog: its rows, or the message it threw.
+/// What a computation returned: its rows, or the dynamic type and text
+/// of what it threw.
 struct Outcome {
   std::optional<Relation> rows;
   std::string error;
 };
 
-Outcome Run(const PlanPtr& plan, const Catalog& catalog,
-            const ExecOptions& options) {
+template <typename Fn>
+Outcome Capture(const Fn& fn) {
   try {
-    return {Execute(plan, catalog, options), ""};
+    return {fn(), ""};
   } catch (const std::exception& e) {
-    return {std::nullopt, e.what()};
+    return {std::nullopt, StrCat(typeid(e).name(), ": ", e.what())};
   }
+}
+
+/// A plan's result over one catalog.
+Outcome RunPlan(const PlanPtr& plan, const Catalog& catalog,
+                const ExecOptions& options = {}) {
+  return Capture([&] { return Execute(plan, catalog, options); });
+}
+
+/// nullopt when both outcomes threw the same error, or returned
+/// identical rows in identical order.
+std::optional<std::string> OutcomeDiff(const Outcome& got,
+                                       const Outcome& want) {
+  if (got.error != want.error) {
+    return StrCat("error '", got.error, "' vs '", want.error, "'");
+  }
+  return want.rows.has_value() ? ExactDiff(*got.rows, *want.rows)
+                               : std::nullopt;
 }
 
 /// 200 randomized rewritten plans, NULL-heavy data and
@@ -389,8 +425,8 @@ void CheckRandomPlansMatchRowPath(const NonIntegerData* mix) {
                                     PeriodScanEncodings(query, encoded_p))
                        .Rewrite(query);
 
-    Outcome by_rows = Run(plan, rows_cat, ExecOptions{});
-    Outcome by_cols = Run(plan, cols_cat, ExecOptions{});
+    Outcome by_rows = RunPlan(plan, rows_cat, ExecOptions{});
+    Outcome by_cols = RunPlan(plan, cols_cat, ExecOptions{});
     if (mix == nullptr) {
       ASSERT_EQ(by_rows.error, "") << "seed " << seed;
     }
@@ -404,7 +440,7 @@ void CheckRandomPlansMatchRowPath(const NonIntegerData* mix) {
 
     ExecOptions parallel;
     parallel.num_threads = 4;
-    Outcome by_cols_mt = Run(plan, cols_cat, parallel);
+    Outcome by_cols_mt = RunPlan(plan, cols_cat, parallel);
     ASSERT_EQ(by_cols_mt.rows.has_value(), by_rows.rows.has_value())
         << "seed " << seed << " (parallel): " << by_cols_mt.error;
     if (by_rows.rows.has_value()) {
@@ -426,6 +462,331 @@ TEST(ColumnarEquivalenceTest, TwoHundredNonIntegerPlansMatchRowPath) {
   for (const NonIntegerData* mix : {&clean, &bad_endpoints}) {
     SCOPED_TRACE(mix->bad_endpoint_chance);
     CheckRandomPlansMatchRowPath(mix);
+  }
+}
+
+// --- Select and project change only the layout ----------------------------
+
+// The row-at-a-time select and project the executor ran before both
+// read typed columns: the reference for rows, order, cell types and
+// errors.
+Relation RowAtATimeSelect(const Plan& plan, const Relation& input) {
+  Relation out(plan.schema);
+  for (const Row& row : input.rows()) {
+    if (plan.predicate->EvalBool(row)) out.AddRow(row);
+  }
+  return out;
+}
+
+Relation RowAtATimeProject(const Plan& plan, const Relation& input) {
+  Relation out(plan.schema);
+  for (const Row& row : input.rows()) {
+    Row projected;
+    for (const ExprPtr& e : plan.exprs) projected.push_back(e->Eval(row));
+    out.AddRow(std::move(projected));
+  }
+  return out;
+}
+
+// Columns of the random layout table, one per kind of cell.
+enum LayoutColumn { kIntCol, kDoubleCol, kBoolCol, kStringCol, kNullCol,
+                    kMixedCol, kLayoutArity };
+
+Value RandomInt(Rng* rng) {
+  switch (rng->Uniform(6)) {
+    case 0:
+      return Value::Int(std::numeric_limits<int64_t>::max());
+    case 1:
+      return Value::Int(std::numeric_limits<int64_t>::min());
+    case 2:
+      return Value::Int(0);
+    default:
+      return Value::Int(rng->Range(-800, 800));
+  }
+}
+
+Value RandomDouble(Rng* rng) {
+  switch (rng->Uniform(7)) {
+    case 0:
+      return Value::Double(-0.0);
+    case 1:
+      return Value::Double(std::numeric_limits<double>::quiet_NaN());
+    case 2:
+      return Value::Double(0.0);
+    case 3:
+      return Value::Double(std::numeric_limits<double>::infinity());
+    default:
+      return Value::Double(static_cast<double>(rng->Range(-64, 64)) / 8.0);
+  }
+}
+
+Value RandomString(Rng* rng) {
+  const char* strings[] = {"", "a", "abc", "green", "xgreeny", "a%b", "A_c"};
+  return Value::String(strings[rng->Uniform(7)]);
+}
+
+Value RandomCell(Rng* rng, LayoutColumn col) {
+  if (rng->Chance(col == kNullCol ? 0.85 : 0.15)) return Value::Null();
+  switch (col) {
+    case kIntCol:
+    case kNullCol:
+      return RandomInt(rng);
+    case kDoubleCol:
+      return RandomDouble(rng);
+    case kBoolCol:
+      return Value::Bool(rng->Chance(0.5));
+    case kStringCol:
+      return RandomString(rng);
+    default:
+      break;
+  }
+  switch (rng->Uniform(4)) {  // kMixedCol
+    case 0:
+      return RandomInt(rng);
+    case 1:
+      return RandomDouble(rng);
+    case 2:
+      return Value::Bool(rng->Chance(0.5));
+    default:
+      return RandomString(rng);
+  }
+}
+
+/// Random expression trees over every ExprKind and ScalarFunc.  Each
+/// subtree is drawn for a wanted type (numeric, bool, string); with a
+/// small chance it is drawn for any type, so type errors occur too, and
+/// column references now and then fall outside the table.
+class RandomLayoutExpr {
+ public:
+  enum Want { kNumeric, kBool, kString, kAny };
+
+  explicit RandomLayoutExpr(Rng* rng) : rng_(rng) {}
+
+  ExprPtr Gen(Want want, int depth) {
+    if (rng_->Chance(0.06)) want = kAny;
+    if (want == kAny) want = static_cast<Want>(rng_->Uniform(3));
+    if (depth <= 0 || rng_->Chance(0.3)) return Leaf(want);
+    switch (want) {
+      case kNumeric:
+        return Numeric(depth - 1);
+      case kBool:
+        return Bool(depth - 1);
+      default:
+        return String(depth - 1);
+    }
+  }
+
+  ExprPtr Column(Want want) {
+    if (rng_->Chance(0.03)) {
+      return Col(kLayoutArity + static_cast<int>(rng_->Uniform(3)));
+    }
+    const LayoutColumn numeric[] = {kIntCol, kDoubleCol, kNullCol, kMixedCol};
+    switch (want) {
+      case kNumeric:
+        return Col(numeric[rng_->Uniform(4)]);
+      case kBool:
+        return Col(rng_->Chance(0.8) ? kBoolCol : kMixedCol);
+      case kString:
+        return Col(rng_->Chance(0.8) ? kStringCol : kMixedCol);
+      default:
+        return Col(static_cast<int>(rng_->Uniform(kLayoutArity)));
+    }
+  }
+
+ private:
+  ExprPtr Leaf(Want want) {
+    if (rng_->Chance(0.6)) return Column(want);
+    if (rng_->Chance(0.1)) return Lit(Value::Null());
+    switch (want) {
+      case kNumeric:
+        return Lit(rng_->Chance(0.5) ? RandomInt(rng_) : RandomDouble(rng_));
+      case kBool:
+        return Lit(Value::Bool(rng_->Chance(0.5)));
+      default:
+        return Lit(RandomString(rng_));
+    }
+  }
+
+  ExprPtr Numeric(int depth) {
+    switch (rng_->Uniform(6)) {
+      case 0:
+      case 1: {
+        // + - * / %, with zero divisors and overflowing operands.
+        auto op = static_cast<ArithOp>(rng_->Uniform(5));
+        ExprPtr rhs = rng_->Chance(0.2) ? LitInt(0) : Gen(kNumeric, depth);
+        if (op == ArithOp::kMod && rng_->Chance(0.5)) {
+          rhs = LitInt(rng_->Range(-3, 3));
+        }
+        return Arith(op, Gen(kNumeric, depth), std::move(rhs));
+      }
+      case 2:
+        return Neg(Gen(kNumeric, depth));
+      case 3: {
+        auto f = static_cast<ScalarFunc>(rng_->Uniform(5));
+        std::vector<ExprPtr> args;
+        size_t n = f == ScalarFunc::kLeast || f == ScalarFunc::kGreatest
+                       ? 1 + rng_->Uniform(3)
+                       : f == ScalarFunc::kIfNull ? 2 : 1;
+        for (size_t i = 0; i < n; ++i) args.push_back(Gen(kNumeric, depth));
+        return Func(f, std::move(args));
+      }
+      default:
+        return Case(kNumeric, depth);
+    }
+  }
+
+  ExprPtr Bool(int depth) {
+    switch (rng_->Uniform(9)) {
+      case 0: {
+        Want side = rng_->Chance(0.7) ? kNumeric : kString;
+        return Cmp(static_cast<CompareOp>(rng_->Uniform(6)), Gen(side, depth),
+                   Gen(side, depth));
+      }
+      case 1:
+        return And(Gen(kBool, depth), Gen(kBool, depth));
+      case 2:
+        return Or(Gen(kBool, depth), Gen(kBool, depth));
+      case 3:
+        return Not(Gen(kBool, depth));
+      case 4: {
+        std::vector<ExprPtr> candidates;
+        for (uint64_t i = 0, n = 1 + rng_->Uniform(3); i < n; ++i) {
+          candidates.push_back(Gen(kNumeric, depth));
+        }
+        return InList(Gen(kNumeric, depth), std::move(candidates),
+                      rng_->Chance(0.5));
+      }
+      case 5:
+        return Between(Gen(kNumeric, depth), Gen(kNumeric, depth),
+                       Gen(kNumeric, depth), rng_->Chance(0.5));
+      case 6:
+        return IsNull(Gen(kAny, depth), rng_->Chance(0.5));
+      case 7: {
+        const char* patterns[] = {"%green%", "a%", "_", "%", "A\\_c", "abc"};
+        ExprPtr pattern = rng_->Chance(0.7)
+                              ? LitStr(patterns[rng_->Uniform(6)])
+                              : Gen(kString, depth);
+        return Like(Gen(kString, depth), std::move(pattern), rng_->Chance(0.5));
+      }
+      default:
+        return Case(kBool, depth);
+    }
+  }
+
+  ExprPtr String(int depth) {
+    if (rng_->Chance(0.5)) {
+      return Func(ScalarFunc::kIfNull,
+                  {Gen(kString, depth), Gen(kString, depth)});
+    }
+    return Case(kString, depth);
+  }
+
+  // CASE over one or two branches, sometimes with an untaken branch
+  // whose value would throw, and sometimes without ELSE.
+  ExprPtr Case(Want want, int depth) {
+    std::vector<std::pair<ExprPtr, ExprPtr>> branches;
+    if (rng_->Chance(0.3)) {
+      Value untaken = rng_->Chance(0.5) ? Value::Bool(false) : Value::Null();
+      branches.emplace_back(Lit(untaken), Add(LitStr("abc"), LitInt(1)));
+    }
+    for (uint64_t i = 0, n = 1 + rng_->Uniform(2); i < n; ++i) {
+      branches.emplace_back(Gen(kBool, depth), Gen(want, depth));
+    }
+    return CaseWhen(std::move(branches),
+                    rng_->Chance(0.7) ? Gen(want, depth) : nullptr);
+  }
+
+  Rng* rng_;
+};
+
+TEST(ColumnarEquivalenceTest, SelectAndProjectChangeOnlyTheLayout) {
+  Schema schema =
+      Schema::FromNames({"i", "d", "b", "s", "n", "m"});
+  int errors = 0;
+  int rows_out = 0;
+  for (int seed = 0; seed < 400; ++seed) {
+    Rng rng(static_cast<uint64_t>(seed) * 0x9e3779b97f4a7c15ULL + 0x5e1ec7);
+    Relation table(schema);
+    for (uint64_t r = 0, n = rng.Uniform(24); r < n; ++r) {
+      Row row;
+      for (int c = 0; c < kLayoutArity; ++c) {
+        row.push_back(RandomCell(&rng, static_cast<LayoutColumn>(c)));
+      }
+      table.AddRow(std::move(row));
+    }
+    Catalog rows_cat;
+    rows_cat.Put("t", table);
+    Catalog cols_cat = Columnarized(rows_cat);
+
+    RandomLayoutExpr gen(&rng);
+    PlanPtr scan = MakeScan("t", schema);
+    PlanPtr select = MakeSelect(scan, gen.Gen(RandomLayoutExpr::kBool, 3));
+    std::vector<ExprPtr> exprs;
+    std::vector<Column> names;
+    for (uint64_t k = 0, n = 1 + rng.Uniform(4); k < n; ++k) {
+      exprs.push_back(rng.Chance(0.35)
+                          ? gen.Column(RandomLayoutExpr::kAny)
+                          : gen.Gen(RandomLayoutExpr::kAny, 3));
+      names.push_back(Column(StrCat("e", k)));
+    }
+    PlanPtr project = MakeProject(scan, std::move(exprs), std::move(names));
+
+    for (const PlanPtr& plan : {select, project}) {
+      Outcome want = Capture([&] {
+        return plan->kind == PlanKind::kSelect
+                   ? RowAtATimeSelect(*plan, table)
+                   : RowAtATimeProject(*plan, table);
+      });
+      if (want.rows.has_value()) {
+        rows_out += static_cast<int>(want.rows->size());
+      } else {
+        ++errors;
+      }
+      for (const Catalog* catalog : {&rows_cat, &cols_cat}) {
+        Outcome got = RunPlan(plan, *catalog);
+        auto diff = OutcomeDiff(got, want);
+        ASSERT_FALSE(diff.has_value())
+            << "seed " << seed << (catalog == &rows_cat ? " rows" : " columns")
+            << ": " << *diff << "\nplan:\n" << plan->ToString();
+      }
+    }
+  }
+  // Both outcomes occur often enough to mean something.
+  EXPECT_GT(errors, 50);
+  EXPECT_GT(rows_out, 2000);
+}
+
+TEST(ColumnarEquivalenceTest, OutOfRangeColumnsFailOnlyOverRows) {
+  Schema schema = Schema::FromNames({"a", "b"});
+  Relation table(schema);
+  table.AddRow({Value::Int(1), Value::String("x")});
+  Catalog rows_cat;
+  rows_cat.Put("t", table);
+  rows_cat.Put("empty", Relation(schema));
+  Catalog cols_cat = Columnarized(rows_cat);
+  const std::string error =
+      StrCat(typeid(EngineError).name(),
+             ": column index 5 out of range for row of arity 2");
+  // A pass-through reference fails on a non-empty input, after the
+  // expressions before it in the row, and not at all on an empty one.
+  PlanPtr project = MakeProject(MakeScan("t", schema),
+                                {Col(0), Col(5), Div(LitStr("y"), Col(0))},
+                                {Column("a"), Column("x"), Column("q")});
+  PlanPtr earlier = MakeProject(MakeScan("t", schema),
+                                {Add(Col(1), LitInt(1)), Col(5)},
+                                {Column("p"), Column("x")});
+  PlanPtr empty = MakeProject(MakeScan("empty", schema), {Col(5)},
+                              {Column("x")});
+  PlanPtr select = MakeSelect(MakeScan("t", schema), Eq(Col(5), LitInt(1)));
+  for (const Catalog* catalog : {&rows_cat, &cols_cat}) {
+    EXPECT_EQ(RunPlan(project, *catalog).error, error);
+    EXPECT_EQ(RunPlan(select, *catalog).error, error);
+    EXPECT_EQ(RunPlan(earlier, *catalog).error,
+              StrCat(typeid(EngineError).name(),
+                     ": arithmetic on non-numeric values: x vs 1"));
+    Outcome none = RunPlan(empty, *catalog);
+    ASSERT_TRUE(none.rows.has_value()) << none.error;
+    EXPECT_EQ(none.rows->size(), 0u);
   }
 }
 

@@ -345,6 +345,36 @@ TEST(EdgeCaseTest, HostileStatementsReturnStatusOrWidenedValue) {
   }
 }
 
+// Operators applied to a value of the wrong type fail with an error
+// that names the operator and the value, as arithmetic does ("arithmetic
+// on non-numeric values: abc vs 2"), not with an internal std::get
+// failure ("std::get: wrong index for variant").
+TEST(EdgeCaseTest, WronglyTypedOperandsNameTheOperatorAndValue) {
+  TemporalDB db(TimeDomain{0, 24});
+  ASSERT_TRUE(db.CreateTable("r", {"g", "s", "x"}).ok());
+  ASSERT_TRUE(
+      db.Insert("r", {Value::Int(1), Value::String("abc"), Value::Int(7)})
+          .ok());
+  struct Case {
+    std::string sql;
+    std::string message;
+  };
+  const std::vector<Case> cases = {
+      {"SELECT g FROM r WHERE NOT s", "NOT on a non-boolean value: abc"},
+      {"SELECT year(s) AS y FROM r", "year() on a non-integer value: abc"},
+      {"SELECT g FROM r WHERE x LIKE 'a%'",
+       "LIKE on non-string values: 7 vs a%"},
+      {"SELECT abs(s) AS v FROM r", "abs() on a non-numeric value: abc"},
+      {"SELECT -s AS v FROM r", "unary minus on a non-numeric value: abc"},
+  };
+  for (const Case& c : cases) {
+    Result<Relation> query = db.Query(c.sql);
+    ASSERT_FALSE(query.ok()) << c.sql;
+    EXPECT_EQ(query.status().code(), StatusCode::kInternal) << c.sql;
+    EXPECT_EQ(query.status().message(), c.message) << c.sql;
+  }
+}
+
 // The deepest statement the parser accepts runs clean end to end, and
 // one level more is a ParseError, for each shape that nests: plain
 // parentheses, the set-operation chain that REWR turns into the

@@ -4,6 +4,8 @@
 // statement form (the tau_T operator at the SQL level, Thm 6.3).
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "baseline/naive.h"
 #include "common/str_util.h"
 #include "middleware/temporal_db.h"
@@ -116,6 +118,47 @@ TEST(SqlFeatureTest, AsOfTimesliceEqualsSlicedSnapshotResult) {
       }
     }
     EXPECT_TRUE(sliced->BagEquals(expected)) << "t=" << t;
+  }
+}
+
+// A fragment's double SUM and AVG depend only on the rows alive over
+// it, as snapshot reducibility demands: a large value that closed at 10
+// (cancellation) or an infinity that closed at 10 leaves no trace over
+// [10, 20), which agrees with the AS OF 15 answer.
+TEST(SqlFeatureTest, SweepDoubleSumsForgetClosedRows) {
+  struct Probe {
+    double closed;  // alive over [0, 10)
+    double open;    // alive over [0, 20)
+  };
+  for (const Probe& p : {Probe{1e16, 1.0},
+                         Probe{std::numeric_limits<double>::infinity(), 1.5}}) {
+    TemporalDB db(TimeDomain{0, 30});
+    ASSERT_TRUE(
+        db.CreatePeriodTable("r", {"g", "x", "vt_b", "vt_e"}, "vt_b", "vt_e")
+            .ok());
+    ASSERT_TRUE(db.InsertRows("r", {{Value::Int(1), Value::Double(p.closed),
+                                     Value::Int(0), Value::Int(10)},
+                                    {Value::Int(1), Value::Double(p.open),
+                                     Value::Int(0), Value::Int(20)}})
+                    .ok());
+    const std::string query =
+        "(SELECT g, sum(x) AS s, avg(x) AS a FROM r GROUP BY g)";
+    auto seq = db.Query("SEQ VT " + query);
+    ASSERT_TRUE(seq.ok()) << seq.status().ToString();
+    int seen = 0;
+    for (const Row& row : seq->rows()) {
+      if (row[3].AsInt() != 10) continue;
+      ++seen;
+      EXPECT_EQ(row[4].AsInt(), 20);
+      EXPECT_EQ(row[1].AsDouble(), p.open) << RowToString(row);
+      EXPECT_EQ(row[2].AsDouble(), p.open) << RowToString(row);
+    }
+    EXPECT_EQ(seen, 1) << seq->ToString();
+    auto as_of = db.Query("SEQ VT AS OF 15 " + query);
+    ASSERT_TRUE(as_of.ok()) << as_of.status().ToString();
+    ASSERT_EQ(as_of->size(), 1u);
+    EXPECT_EQ(as_of->rows()[0][1].AsDouble(), p.open);
+    EXPECT_EQ(as_of->rows()[0][2].AsDouble(), p.open);
   }
 }
 

@@ -5,11 +5,11 @@ Checks invariants that neither the compiler nor clang-tidy can express:
 
   row-api-in-columnar-lane
       Inside a marked columnar lane (see below) the row view is off
-      limits: rows() / AddRow / mutable_rows / Reserve materialize or
-      decay the row representation and silently forfeit the vectorized
-      path.  Lanes may sit in any file under src/ (the typed kernels,
-      the append helpers, the middleware's write path) and are
-      delimited with marker comments:
+      limits: rows() (through . or ->) / AddRow / mutable_rows /
+      Reserve materialize or decay the row representation and silently
+      forfeit the vectorized path.  Lanes may sit in any file under
+      src/ (the typed kernels, the append helpers, the middleware's
+      write path) and are delimited with marker comments:
           // periodk-lint: columnar-lane-begin(<name>)
           // periodk-lint: columnar-lane-end(<name>)
 
@@ -63,7 +63,7 @@ LANE_BEGIN_RE = re.compile(r"periodk-lint:\s*columnar-lane-begin\(([\w-]+)\)")
 LANE_END_RE = re.compile(r"periodk-lint:\s*columnar-lane-end\(([\w-]+)\)")
 
 ROW_API_RE = re.compile(
-    r"\.rows\(\)|\bAddRow\s*\(|\bmutable_rows\s*\(|\bReserve\s*\(")
+    r"(?:\.|->)rows\(\)|\bAddRow\s*\(|\bmutable_rows\s*\(|\bReserve\s*\(")
 LAYOUT_CHECK_RE = re.compile(r"\bis_columnar\s*\(")
 NAKED_MUTEX_RE = re.compile(
     r"std::(?:recursive_|shared_|timed_)?mutex\b"
@@ -300,6 +300,26 @@ next.Reserve(next.size() + rows.size());
 for (Row& row : rows) next.AddRow(std::move(row));
 // periodk-lint: columnar-lane-end(insert-rows)
 """,
+    # The row-at-a-time select that the typed select lane replaced:
+    # both branches decay or copy rows.
+    "src/engine/select_lane_bad.cc": """\
+// periodk-lint: columnar-lane-begin(select)
+Relation ExecSelect(const Plan& plan, RelHandle in) {
+  Relation out(plan.schema);
+  if (in.use_count() == 1) {
+    Relation input = Materialize(std::move(in));
+    for (Row& row : input.mutable_rows()) {
+      if (plan.predicate->EvalBool(row)) out.AddRow(std::move(row));
+    }
+  } else {
+    for (const Row& row : in->rows()) {
+      if (plan.predicate->EvalBool(row)) out.AddRow(row);
+    }
+  }
+  return out;
+}
+// periodk-lint: columnar-lane-end(select)
+""",
     "src/engine/layout_bad.cc": """\
 // is_columnar() in a comment is fine.
 Relation Kernel(const Relation& input) {
@@ -335,6 +355,7 @@ Status Flush();
 SELF_TEST_EXPECT = {
     ("lane_bad.cc", "row-api-in-columnar-lane"): 1,
     ("append_lane_bad.cc", "row-api-in-columnar-lane"): 2,
+    ("select_lane_bad.cc", "row-api-in-columnar-lane"): 4,
     ("layout_bad.cc", "layout-check-outside-storage"): 1,
     ("mutex_bad.cc", "naked-mutex"): 1,
     ("byvalue_bad.h", "relation-by-value"): 1,
