@@ -181,6 +181,13 @@ ColumnData ColumnData::Encode(const std::vector<Row>& rows, size_t col) {
                      [&](size_t i) -> const Value& { return rows[i][col]; });
 }
 
+ColumnData ColumnData::Encode(const std::vector<Row>& rows, size_t col,
+                              const std::vector<uint32_t>& ids) {
+  return EncodeCells(ids.size(), [&](size_t k) -> const Value& {
+    return rows[ids[k]][col];
+  });
+}
+
 ColumnData ColumnData::FromValues(const std::vector<Value>& cells) {
   return EncodeCells(cells.size(),
                      [&](size_t i) -> const Value& { return cells[i]; });
@@ -382,9 +389,22 @@ ColumnData ColumnData::Gather(const ColumnData& src,
 }
 
 ColumnData ColumnData::Concat(const std::vector<const ColumnData*>& parts) {
+  // Empty parts hold no cell, so their encoding does not matter.
+  auto first = std::find_if(parts.begin(), parts.end(),
+                            [](const ColumnData* p) { return p->size_ > 0; });
+  if (first == parts.end()) first = parts.begin();
+  if (!std::all_of(parts.begin(), parts.end(), [&](const ColumnData* p) {
+        return p->size_ == 0 || p->SameEncoding(**first);
+      })) {
+    std::vector<Value> cells;  // encoded apart: Encode of all the cells
+    for (const ColumnData* p : parts) {
+      for (size_t i = 0; i < p->size_; ++i) cells.push_back(p->Get(i));
+    }
+    return FromValues(cells);
+  }
   ColumnData out;
-  out.tag_ = parts.front()->tag_;
-  out.dict_ = parts.front()->dict_;
+  out.tag_ = (*first)->tag_;
+  out.dict_ = (*first)->dict_;
   for (const ColumnData* p : parts) {
     out.size_ += p->size_;
     out.null_count_ += p->null_count_;

@@ -61,6 +61,11 @@ class ColumnData {
   /// one hash lookup per cell plus one sort of the distinct values.
   static ColumnData Encode(const std::vector<Row>& rows, size_t col);
 
+  /// Encode of the cells rows[ids[k]][col] only: a gather from a
+  /// row-stored source, O(ids) whatever the size of `rows`.
+  static ColumnData Encode(const std::vector<Row>& rows, size_t col,
+                           const std::vector<uint32_t>& ids);
+
   /// `stored` followed by column `col` of `rows`: equal (tag, nulls,
   /// cells, dictionary) to Encode of the concatenated rows, at the cost
   /// of one copy of stored's typed payload and bitmap plus encoding the
@@ -84,8 +89,11 @@ class ColumnData {
   static ColumnData Gather(const ColumnData& src,
                            const std::vector<uint32_t>& indices);
 
-  /// `parts` back to back.  Every part must have the same encoding as
-  /// the first (SameEncoding): chunks gathered from one column.
+  /// `parts` back to back.  Parts with one encoding (SameEncoding:
+  /// say, chunks gathered from one column) are copied as they are; parts
+  /// encoded apart, such as strings under different dictionaries or an
+  /// int part next to a double one, are re-encoded as Encode of the
+  /// concatenated cells.  Empty parts do not count.
   static ColumnData Concat(const std::vector<const ColumnData*>& parts);
 
   /// Same tag and, for strings, the same dictionary object.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <exception>
 #include <iterator>
 #include <memory>
 #include <numeric>
@@ -60,10 +61,10 @@ namespace {
 // Execution passes relations between operators through shared handles
 // so that leaves need no materialization: scans share the catalog's
 // relation handle and constants share the plan's, while every computed
-// intermediate is uniquely owned.  Operators that only read take a
-// const reference; operators that want to consume their input call
-// Materialize, which moves from a uniquely-owned intermediate and
-// copies only when the input is a leaf handle or still shared.
+// intermediate is uniquely owned.  Operators read their inputs through
+// const references and build new outputs; only the plan's result leaves
+// through Materialize, which moves from a uniquely-owned intermediate
+// and copies only when the result is a leaf handle or still shared.
 using RelHandle = std::shared_ptr<const Relation>;
 
 Relation Materialize(RelHandle h) {
@@ -78,56 +79,34 @@ Relation Materialize(RelHandle h) {
   return *h;
 }
 
-// Row i of a relation as an expression reads it: a row of the input's
-// arity whose cells are filled only for the columns the expressions
-// reference, read through typed columns.  Referenced columns outside
-// the input stay unfilled, so Expr::Eval raises its own out-of-range
-// error on them, with the input's arity, at the first row that
-// evaluates the reference.
-class ScratchRow {
- public:
-  ScratchRow(const Relation& input, const std::vector<ExprPtr>& exprs)
-      : row_(input.schema().size()) {
-    std::vector<int> refs;
-    for (const ExprPtr& e : exprs) CollectColumns(e, &refs);
-    std::sort(refs.begin(), refs.end());
-    refs.erase(std::unique(refs.begin(), refs.end()), refs.end());
-    for (int c : refs) {
-      if (c < 0 || static_cast<size_t>(c) >= row_.size()) continue;
-      slots_.push_back(static_cast<size_t>(c));
-      cols_.push_back(input.ReadColumn(static_cast<size_t>(c)));
-    }
+// Every column of `rel`, typed: the keys of the whole-row operators.
+std::vector<TypedColumn> ReadAllColumns(const Relation& rel) {
+  std::vector<TypedColumn> cols;
+  for (size_t c = 0; c < rel.schema().size(); ++c) {
+    cols.push_back(rel.ReadColumn(c));
   }
+  return cols;
+}
 
-  const Row& Load(size_t i) {
-    for (size_t k = 0; k < slots_.size(); ++k) {
-      row_[slots_[k]] = cols_[k]->Get(i);
-    }
-    return row_;
-  }
+// Rows `ids` of `input`, every column, under the plan's schema.
+Relation GatherRows(const Plan& plan, const Relation& input,
+                    const std::vector<uint32_t>& ids) {
+  return Relation::Gather(plan.schema,
+                          {{input, FirstColumns(input.schema().size()), ids}});
+}
 
- private:
-  Row row_;
-  std::vector<size_t> slots_;
-  std::vector<TypedColumn> cols_;
-};
-
-// periodk-lint: columnar-lane-begin(select)
+// periodk-lint: columnar-lane-begin(operators)
 Relation ExecSelect(const Plan& plan, const Relation& input) {
-  ScratchRow scratch(input, {plan.predicate});
+  ScratchRow scratch({plan.predicate}, input);
   std::vector<uint32_t> ids;
   for (size_t i = 0; i < input.size(); ++i) {
     if (plan.predicate->EvalBool(scratch.Load(i))) {
       ids.push_back(static_cast<uint32_t>(i));
     }
   }
-  std::vector<int> cols(input.schema().size());
-  std::iota(cols.begin(), cols.end(), 0);
-  return Relation::Gather(plan.schema, {{input, cols, ids}});
+  return GatherRows(plan, input, ids);
 }
-// periodk-lint: columnar-lane-end(select)
 
-// periodk-lint: columnar-lane-begin(project)
 Relation ExecProject(const Plan& plan, const Relation& input) {
   std::vector<ColumnData> cols;
   cols.reserve(plan.exprs.size());
@@ -136,7 +115,6 @@ Relation ExecProject(const Plan& plan, const Relation& input) {
   }
   return Relation::FromColumns(plan.schema, std::move(cols), input.size());
 }
-// periodk-lint: columnar-lane-end(project)
 
 Relation ExecJoin(const Plan& plan, const Relation& left,
                   const Relation& right, const OpContext& ctx) {
@@ -153,61 +131,68 @@ Relation ExecJoin(const Plan& plan, const Relation& left,
   if (plan.join.overlap.has_value()) {
     return IntervalOverlapJoin(plan, left, right, ctx);
   }
-  if (!plan.join.equi_keys.empty()) {
-    // Execution-time cost gate: for tiny inputs the hash build costs
-    // more than |L|*|R| predicate evaluations.  The demotion is
-    // row-identical — the hash join probes left in order and chains
-    // right matches in right order, exactly the nested loop's emission
-    // order — so it is safe without a plan-level marker.
-    if (ctx.use_cost_model &&
-        static_cast<int64_t>(left.size()) *
-                static_cast<int64_t>(right.size()) <=
-            kTinyJoinProduct) {
-      if (ctx.stats != nullptr) ++ctx.stats->cost_nl_joins;
-      return NestedLoopJoin(plan, left, right);
-    }
-    return HashJoin(plan, left, right);
-  }
+  if (!plan.join.equi_keys.empty()) return HashJoin(plan, left, right);
   return NestedLoopJoin(plan, left, right);
 }
 
-// periodk-lint: allow(relation-by-value): left's rows are adopted
-Relation ExecUnionAll(const Plan& plan, Relation left, const Relation& right) {
-  Relation out(plan.schema, std::move(left.mutable_rows()));
-  out.Reserve(out.size() + right.size());
-  for (const Row& row : right.rows()) out.AddRow(row);
-  return out;
-}
-
-// periodk-lint: allow(relation-by-value): left is consumed in place
-Relation ExecExceptAll(const Plan& plan, Relation left,
-                       const Relation& right) {
-  // Bag difference: each right row cancels one left duplicate.
-  std::unordered_map<Row, int64_t, RowHash, RowEq> counts;
-  counts.reserve(right.size());
-  for (const Row& row : right.rows()) ++counts[row];
-  Relation out(plan.schema);
-  for (Row& row : left.mutable_rows()) {
-    auto it = counts.find(row);
-    if (it != counts.end() && it->second > 0) {
-      --it->second;
-      continue;
+// EXCEPT ALL (bag difference: each right row cancels one left
+// duplicate) and the anti-join (a left row with any match goes).  Whole
+// rows are the keys, equal under Value::Compare across the sides.
+Relation ExecDifference(const Plan& plan, const Relation& left,
+                        const Relation& right) {
+  std::vector<TypedColumn> lcols = ReadAllColumns(left);
+  std::vector<TypedColumn> rcols = ReadAllColumns(right);
+  KeyIndex row_ids(lcols, rcols);
+  std::vector<int64_t> counts;
+  for (size_t r = 0; r < right.size(); ++r) {
+    uint32_t id = row_ids.FindOrInsert(r, 1);
+    if (id == counts.size()) counts.push_back(0);
+    ++counts[id];
+  }
+  std::vector<uint32_t> kept;
+  for (size_t l = 0; l < left.size(); ++l) {
+    uint32_t id = row_ids.Find(l, 0);
+    if (id == KeyIndex::kAbsent || counts[id] == 0) {
+      kept.push_back(static_cast<uint32_t>(l));
+    } else if (plan.kind == PlanKind::kExceptAll) {
+      --counts[id];
     }
-    out.AddRow(std::move(row));
   }
-  return out;
+  return GatherRows(plan, left, kept);
 }
 
-// periodk-lint: allow(relation-by-value): left is consumed in place
-Relation ExecAntiJoin(const Plan& plan, Relation left, const Relation& right) {
-  std::unordered_map<Row, bool, RowHash, RowEq> present;
-  present.reserve(right.size());
-  for (const Row& row : right.rows()) present.try_emplace(row, true);
-  Relation out(plan.schema);
-  for (Row& row : left.mutable_rows()) {
-    if (present.count(row) == 0) out.AddRow(std::move(row));
+Relation ExecDistinct(const Plan& plan, const Relation& input) {
+  // A row is kept when its key is new: ids are dense in first-appearance
+  // order, so a new key's id is the number of rows kept so far.
+  std::vector<TypedColumn> cols = ReadAllColumns(input);
+  KeyIndex row_ids(cols);
+  std::vector<uint32_t> kept;
+  for (size_t i = 0; i < input.size(); ++i) {
+    if (row_ids.FindOrInsert(i) == kept.size()) {
+      kept.push_back(static_cast<uint32_t>(i));
+    }
   }
-  return out;
+  return GatherRows(plan, input, kept);
+}
+
+Relation ExecSort(const Plan& plan, const Relation& input) {
+  // The sort keys' cells, read once; then a stable permutation.
+  std::vector<std::vector<Value>> keys;
+  for (const SortKey& k : plan.sort_keys) {
+    TypedColumn col = input.ReadColumn(static_cast<size_t>(k.column));
+    keys.emplace_back(input.size());
+    for (size_t i = 0; i < input.size(); ++i) keys.back()[i] = col->Get(i);
+  }
+  std::vector<uint32_t> order(input.size());
+  std::iota(order.begin(), order.end(), 0u);
+  std::stable_sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+    for (size_t k = 0; k < keys.size(); ++k) {
+      int c = keys[k][a].Compare(keys[k][b]);
+      if (c != 0) return plan.sort_keys[k].ascending ? c < 0 : c > 0;
+    }
+    return false;
+  });
+  return GatherRows(plan, input, order);
 }
 
 struct GroupState {
@@ -277,16 +262,14 @@ Relation ExecAggregate(const Plan& plan, const Relation& input,
   auto ranges = PlanChunks(ctx.num_threads(static_cast<int64_t>(input.size())),
                            static_cast<int64_t>(input.size()),
                            /*min_grain=*/4096);
+  std::vector<GroupTable> tables(ranges.size());
+  FanOut(ctx, ranges, [&](size_t c, int64_t b, int64_t e) {
+    accumulate(b, e, tables[c]);
+  });
   GroupTable table;
-  if (ranges.size() <= 1) {
-    accumulate(0, static_cast<int64_t>(input.size()), table);
+  if (tables.size() == 1) {
+    table = std::move(tables.front());
   } else {
-    std::vector<GroupTable> tables(ranges.size());
-    std::vector<ExecStats> chunk_stats(ranges.size());
-    RunChunks(ctx.pool->get(), ranges, [&](size_t c, int64_t b, int64_t e) {
-      accumulate(b, e, tables[c]);
-      chunk_stats[c].parallel_tasks = 1;
-    });
     KeyIndex index(keys);
     for (GroupTable& src : tables) {
       for (size_t g = 0; g < src.groups.size(); ++g) {
@@ -297,60 +280,33 @@ Relation ExecAggregate(const Plan& plan, const Relation& input,
         }
       }
     }
-    if (ctx.stats != nullptr) {
-      for (const ExecStats& s : chunk_stats) ctx.stats->Merge(s);
-    }
   }
   if (keys.empty() && table.groups.empty()) table.groups.push_back({0, fresh});
-  Relation out(plan.schema);
-  out.Reserve(table.groups.size());
-  for (size_t g = 0; g < table.groups.size(); ++g) {
-    Row row;
-    row.reserve(keys.size() + num_aggs);
-    for (const TypedColumn& k : keys) row.push_back(k->Get(table.rep[g]));
-    for (size_t a = 0; a < num_aggs; ++a) {
-      row.push_back(
-          table.groups[g].states[a].Finalize(table.groups[g].star_count));
+  // Keys gathered at each group's representative row, then one column
+  // of finalized values per aggregate.
+  std::vector<ColumnData> cols;
+  cols.reserve(keys.size() + num_aggs);
+  for (const TypedColumn& k : keys) {
+    cols.push_back(ColumnData::Gather(*k, table.rep));
+  }
+  std::vector<Value> cells(table.groups.size());
+  for (size_t a = 0; a < num_aggs; ++a) {
+    for (size_t g = 0; g < table.groups.size(); ++g) {
+      cells[g] = table.groups[g].states[a].Finalize(table.groups[g].star_count);
     }
-    out.AddRow(std::move(row));
+    cols.push_back(ColumnData::FromValues(cells));
   }
-  return out;
+  return Relation::FromColumns(plan.schema, std::move(cols),
+                               table.groups.size());
 }
-
-// periodk-lint: allow(relation-by-value): input is consumed in place
-Relation ExecDistinct(const Plan& plan, Relation input) {
-  std::unordered_map<Row, bool, RowHash, RowEq> seen;
-  seen.reserve(input.size());
-  Relation out(plan.schema);
-  for (Row& row : input.mutable_rows()) {
-    auto [it, inserted] = seen.try_emplace(row, true);
-    if (inserted) out.AddRow(std::move(row));
-  }
-  return out;
-}
-
-// periodk-lint: allow(relation-by-value): input is sorted in place
-Relation ExecSort(const Plan& plan, Relation input) {
-  std::stable_sort(
-      input.mutable_rows().begin(), input.mutable_rows().end(),
-      [&](const Row& a, const Row& b) {
-        for (const SortKey& k : plan.sort_keys) {
-          int c = a[static_cast<size_t>(k.column)].Compare(
-              b[static_cast<size_t>(k.column)]);
-          if (c != 0) return k.ascending ? c < 0 : c > 0;
-        }
-        return false;
-      });
-  return Relation(plan.schema, std::move(input.mutable_rows()));
-}
+// periodk-lint: columnar-lane-end(operators)
 
 // One plan execution.  Plans are DAGs (REWR shares subplans), so the
 // context pre-counts how many consumers each node has and memoizes the
 // handle of every shared node: the node executes once, later consumers
 // hit the memo.  The entry is dropped when its last consumer claims the
-// handle, at which point that consumer may be the sole owner again and
-// Materialize's move optimization applies — copy-on-consume happens
-// only while use_count proves other consumers remain.
+// handle, so a shared intermediate is freed as soon as its last
+// consumer is done with it.
 class ExecutionContext {
  public:
   ExecutionContext(const Catalog& catalog, ExecStats* stats,
@@ -384,8 +340,8 @@ class ExecutionContext {
     if (it != memo_.end()) {
       if (stats_ != nullptr) ++stats_->memo_hits;
       RelHandle h = it->second;
-      // The last consumer drops the memo entry; its handle may then be
-      // uniquely owned again, re-enabling Materialize's move.
+      // The last consumer drops the memo entry, so the relation is freed
+      // once that consumer is done with it.
       if (--left == 0) memo_.erase(it);
       return h;
     }
@@ -541,24 +497,20 @@ class ExecutionContext {
       case PlanKind::kUnionAll: {
         RelHandle l = ExecuteNode(plan->left);
         RelHandle r = ExecuteNode(plan->right);
-        return Own(ExecUnionAll(*plan, Materialize(std::move(l)), *r));
+        return Own(Relation::Concat(plan->schema, {l.get(), r.get()}));
       }
-      case PlanKind::kExceptAll: {
-        RelHandle l = ExecuteNode(plan->left);
-        RelHandle r = ExecuteNode(plan->right);
-        return Own(ExecExceptAll(*plan, Materialize(std::move(l)), *r));
-      }
+      case PlanKind::kExceptAll:
       case PlanKind::kAntiJoin: {
         RelHandle l = ExecuteNode(plan->left);
         RelHandle r = ExecuteNode(plan->right);
-        return Own(ExecAntiJoin(*plan, Materialize(std::move(l)), *r));
+        return Own(ExecDifference(*plan, *l, *r));
       }
       case PlanKind::kAggregate:
         return Own(ExecAggregate(*plan, *ExecuteNode(plan->left), Ctx()));
       case PlanKind::kDistinct:
-        return Own(ExecDistinct(*plan, Materialize(ExecuteNode(plan->left))));
+        return Own(ExecDistinct(*plan, *ExecuteNode(plan->left)));
       case PlanKind::kSort:
-        return Own(ExecSort(*plan, Materialize(ExecuteNode(plan->left))));
+        return Own(ExecSort(*plan, *ExecuteNode(plan->left)));
       case PlanKind::kCoalesce:
         return Own(CoalesceRelation(*ExecuteNode(plan->left),
                                     plan->coalesce_impl, Ctx()));
@@ -616,6 +568,58 @@ class ExecutionContext {
 
 }  // namespace
 
+void FanOut(const OpContext& ctx,
+            const std::vector<std::pair<int64_t, int64_t>>& ranges,
+            const std::function<void(size_t, int64_t, int64_t)>& body) {
+  if (ranges.size() <= 1) {
+    RunChunks(nullptr, ranges, body);
+    return;
+  }
+  std::vector<std::exception_ptr> errors(ranges.size());
+  RunChunks(ctx.pool->get(), ranges, [&](size_t c, int64_t b, int64_t e) {
+    try {
+      body(c, b, e);
+    } catch (...) {
+      errors[c] = std::current_exception();
+    }
+  });
+  for (const std::exception_ptr& error : errors) {
+    if (error) std::rethrow_exception(error);
+  }
+  if (ctx.stats != nullptr) {
+    ctx.stats->parallel_tasks += static_cast<int64_t>(ranges.size());
+  }
+}
+
+std::vector<int> FirstColumns(size_t n) {
+  std::vector<int> cols(n);
+  std::iota(cols.begin(), cols.end(), 0);
+  return cols;
+}
+
+ScratchRow::ScratchRow(const std::vector<ExprPtr>& exprs,
+                       const Relation& left, const Relation* right)
+    : row_(left.schema().size() +
+           (right != nullptr ? right->schema().size() : 0)) {
+  std::vector<int> refs;
+  for (const ExprPtr& e : exprs) {
+    if (e != nullptr) CollectColumns(e, &refs);
+  }
+  std::sort(refs.begin(), refs.end());
+  refs.erase(std::unique(refs.begin(), refs.end()), refs.end());
+  const size_t split = left.schema().size();
+  auto cols = std::make_shared<std::vector<TypedColumn>>();
+  for (int c : refs) {
+    if (c < 0 || static_cast<size_t>(c) >= row_.size()) continue;
+    const auto slot = static_cast<size_t>(c);
+    slots_.push_back(slot);
+    if (slot < split) ++left_slots_;
+    cols->push_back(slot < split ? left.ReadColumn(slot)
+                                 : right->ReadColumn(slot - split));
+  }
+  cols_ = std::move(cols);
+}
+
 // periodk-lint: columnar-lane-begin(eval-columns)
 std::vector<TypedColumn> EvalColumns(
     const Relation& input, const std::vector<ExprPtr>& exprs,
@@ -632,7 +636,7 @@ std::vector<TypedColumn> EvalColumns(
   std::vector<std::vector<Value>> values(computed.size(),
                                          std::vector<Value>(input.size()));
   if (!computed.empty()) {
-    ScratchRow scratch(input, computed);
+    ScratchRow scratch(computed, input);
     for (size_t i = 0; i < input.size(); ++i) {
       if (row_needed && !row_needed(i)) continue;
       const Row& row = scratch.Load(i);
@@ -668,29 +672,6 @@ int OpContext::num_threads(int64_t work) const {
   return n;
 }
 
-Relation GatherChunks(std::vector<Relation> outs,
-                      std::vector<ExecStats> chunk_stats,
-                      const OpContext& ctx) {
-  Relation out = Relation::Concat(std::move(outs));
-  if (ctx.stats != nullptr) {
-    for (const ExecStats& s : chunk_stats) ctx.stats->Merge(s);
-  }
-  return out;
-}
-
-void ExecStats::Merge(const ExecStats& other) {
-  nodes_executed += other.nodes_executed;
-  memo_hits += other.memo_hits;
-  rows_materialized += other.rows_materialized;
-  parallel_tasks += other.parallel_tasks;
-  index_timeslices += other.index_timeslices;
-  index_delta_events += other.index_delta_events;
-  index_join_prunes += other.index_join_prunes;
-  cost_nl_joins += other.cost_nl_joins;
-  cost_gated_fanouts += other.cost_gated_fanouts;
-  for (const auto& [node, rows] : other.node_rows) node_rows[node] = rows;
-}
-
 std::string ExecStats::ToString() const {
   return StrCat("nodes executed: ", nodes_executed,
                 ", memo hits: ", memo_hits,
@@ -699,7 +680,6 @@ std::string ExecStats::ToString() const {
                 ", index timeslices: ", index_timeslices,
                 ", index delta events: ", index_delta_events,
                 ", index join prunes: ", index_join_prunes,
-                ", cost nl joins: ", cost_nl_joins,
                 ", cost gated fan-outs: ", cost_gated_fanouts);
 }
 

@@ -103,9 +103,8 @@ class Catalog {
 };
 
 /// Per-execution counters, for tests and EXPLAIN ANALYZE-style output.
-/// Parallel operators accumulate into per-worker instances and Merge
-/// them into the run's stats at their join points, so no counter is
-/// ever written concurrently.
+/// Parallel operators count their chunks at their join points (FanOut),
+/// on the calling thread, so no counter is ever written concurrently.
 struct ExecStats {
   /// Operator evaluations actually performed: one per *unique* reachable
   /// plan node, however many parents share it.
@@ -130,9 +129,6 @@ struct ExecStats {
   /// TimelineIndex::AliveInRange candidates (rows provably outside the
   /// opposite side's endpoint span skip the sweep).
   int64_t index_join_prunes = 0;
-  /// Equi joins the cost gate demoted to the (row-identical) nested
-  /// loop because the input product was below kTinyJoinProduct.
-  int64_t cost_nl_joins = 0;
   /// Partition fan-outs the cost gate kept sequential because the
   /// operator's input was below kParallelMinRows.
   int64_t cost_gated_fanouts = 0;
@@ -143,7 +139,6 @@ struct ExecStats {
   /// by iterating this map, so pointer order cannot leak into output.
   std::map<const Plan*, int64_t> node_rows;
 
-  void Merge(const ExecStats& other);
   /// Counter rendering; deterministic (node_rows is deliberately not
   /// printed here — it has no meaning without the plan to walk).
   std::string ToString() const;
@@ -163,12 +158,11 @@ struct ExecOptions {
   /// the num_threads-style bit-identical fallback that never consults
   /// an index.
   bool use_timeline_index = true;
-  /// Let the executor's *row-identical* cost gates fire: tiny equi
-  /// joins run as nested loops instead of building a hash table, and
-  /// partitioned operators skip the thread-pool fan-out when the input
-  /// is below the break-even size (ra/cost_model.h thresholds).  Both
-  /// substitutions produce the same rows in the same order, so this is
-  /// an execution-time knob (not part of the plan-cache key); false
+  /// Let the executor's *row-identical* cost gate fire: partitioned
+  /// operators skip the thread-pool fan-out when the input is below the
+  /// break-even size (ra/cost_model.h's kParallelMinRows).  The
+  /// sequential run produces the same rows in the same order, so this
+  /// is an execution-time knob (not part of the plan-cache key); false
   /// reproduces the structural dispatch bit-identically.
   bool use_cost_model = true;
 };
@@ -176,8 +170,7 @@ struct ExecOptions {
 /// What an operator needs from its execution context: the pool to fan
 /// partitions out to (null = sequential; created lazily on the first
 /// multi-chunk fan-out, so single-chunk queries never spawn threads)
-/// and the run's stats to merge per-worker counters into (null = not
-/// collected).
+/// and the run's stats to count into (null = not collected).
 struct OpContext {
   LazyThreadPool* pool = nullptr;
   ExecStats* stats = nullptr;
@@ -196,6 +189,45 @@ struct OpContext {
   int num_threads(int64_t work) const;
 };
 
+/// A partitioned operator's fan-out: body(chunk, begin, end) for every
+/// chunk of `ranges` (PlanChunks), inline for one chunk, else on the
+/// context's pool, each chunk counted as a parallel task.  Chunks fill
+/// their own slots, combined in chunk order, so the result depends on
+/// the chunk plan, never on worker scheduling; so does the error: the
+/// lowest failing chunk's, the one a single chunk would have met first.
+void FanOut(const OpContext& ctx,
+            const std::vector<std::pair<int64_t, int64_t>>& ranges,
+            const std::function<void(size_t, int64_t, int64_t)>& body);
+
+/// Column indices 0, 1, ..., n - 1.
+std::vector<int> FirstColumns(size_t n);
+
+/// Rows of `left` (with `right`, pairs (l, r): left's cells, then
+/// right's) as `exprs` read them: a row of the input's arity filled only
+/// in the columns the expressions reference, read through typed columns.
+/// A reference outside the row stays unfilled, so Expr::Eval raises its
+/// out-of-range error, with the row's arity, at the first row that
+/// evaluates it.  Copies share the columns and own their row.
+class ScratchRow {
+ public:
+  ScratchRow(const std::vector<ExprPtr>& exprs, const Relation& left,
+             const Relation* right = nullptr);
+
+  const Row& Load(size_t i) { return Load(i, 0); }
+  const Row& Load(size_t l, size_t r) {
+    for (size_t k = 0; k < slots_.size(); ++k) {
+      row_[slots_[k]] = (*cols_)[k]->Get(k < left_slots_ ? l : r);
+    }
+    return row_;
+  }
+
+ private:
+  Row row_;
+  std::vector<size_t> slots_;  // ascending: left's cells come first
+  size_t left_slots_ = 0;
+  std::shared_ptr<const std::vector<TypedColumn>> cols_;
+};
+
 /// The expression projection of select, project and aggregation:
 /// `exprs` over `input` as typed columns, one per expression.  A column
 /// reference within the input's arity passes through
@@ -209,15 +241,6 @@ struct OpContext {
 std::vector<TypedColumn> EvalColumns(
     const Relation& input, const std::vector<ExprPtr>& exprs,
     const std::function<bool(size_t)>& row_needed = {});
-
-/// Concatenates per-chunk operator outputs in chunk order (so a
-/// parallel result depends on the chunk plan, never on worker
-/// scheduling; Relation::Concat keeps gathered columns columnar) and
-/// merges the per-worker stats at this join point.  Shared by every
-/// partition-parallel operator.
-Relation GatherChunks(std::vector<Relation> outs,
-                      std::vector<ExecStats> chunk_stats,
-                      const OpContext& ctx);
 
 /// Executes a logical plan against the catalog; throws EngineError on
 /// invariant violations (e.g. unknown table).  `stats`, when non-null,

@@ -126,6 +126,14 @@ Value EvalFunc(ScalarFunc f, const std::vector<Value>& args) {
   throw EngineError("unknown scalar function");
 }
 
+// An AND / OR operand's truth value (nullopt for NULL).  Any other
+// value is an error naming the operator and the value, as NOT's is.
+std::optional<bool> TruthValue(const Value& v, const char* op) {
+  if (v.is_null()) return std::nullopt;
+  if (const bool* b = v.TryBool()) return *b;
+  throw EngineError(StrCat(op, " on a non-boolean value: ", v.ToString()));
+}
+
 const char* CompareOpName(CompareOp op) {
   switch (op) {
     case CompareOp::kEq:
@@ -191,26 +199,20 @@ Value Expr::Eval(const Row& row) const {
       return literal;
     case ExprKind::kCompare:
       return EvalCompare(cmp, children[0]->Eval(row), children[1]->Eval(row));
-    case ExprKind::kAnd: {
-      // Kleene three-valued AND.
-      Value a = children[0]->Eval(row);
-      if (a.type() == ValueType::kBool && !a.AsBool()) {
-        return Value::Bool(false);
-      }
-      Value b = children[1]->Eval(row);
-      if (b.type() == ValueType::kBool && !b.AsBool()) {
-        return Value::Bool(false);
-      }
-      if (a.is_null() || b.is_null()) return Value::Null();
-      return Value::Bool(true);
-    }
+    case ExprKind::kAnd:
     case ExprKind::kOr: {
-      Value a = children[0]->Eval(row);
-      if (a.type() == ValueType::kBool && a.AsBool()) return Value::Bool(true);
-      Value b = children[1]->Eval(row);
-      if (b.type() == ValueType::kBool && b.AsBool()) return Value::Bool(true);
-      if (a.is_null() || b.is_null()) return Value::Null();
-      return Value::Bool(false);
+      // Kleene three-valued logic: an operand equal to `decides` (false
+      // for AND, true for OR) decides the result.  Each operand is
+      // checked as it is evaluated, so a deciding first operand
+      // short-circuits past the second.
+      const bool decides = kind == ExprKind::kOr;
+      const char* op = decides ? "OR" : "AND";
+      const std::optional<bool> a = TruthValue(children[0]->Eval(row), op);
+      if (a == decides) return Value::Bool(decides);
+      const std::optional<bool> b = TruthValue(children[1]->Eval(row), op);
+      if (b == decides) return Value::Bool(decides);
+      if (!a.has_value() || !b.has_value()) return Value::Null();
+      return Value::Bool(!decides);
     }
     case ExprKind::kNot: {
       Value a = children[0]->Eval(row);

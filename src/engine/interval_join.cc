@@ -12,21 +12,6 @@ namespace periodk {
 
 namespace {
 
-std::vector<int> AllColumns(const Relation& rel) {
-  std::vector<int> cols(rel.schema().size());
-  for (size_t c = 0; c < cols.size(); ++c) cols[c] = static_cast<int>(c);
-  return cols;
-}
-
-// The two inputs of a join with every column of each listed for
-// emission.
-struct JoinSides {
-  const Relation& left;
-  const Relation& right;
-  std::vector<int> lcols = AllColumns(left);
-  std::vector<int> rcols = AllColumns(right);
-};
-
 // Typed equi-key columns of both sides.
 std::pair<std::vector<TypedColumn>, std::vector<TypedColumn>> ReadEquiKeys(
     const JoinAnalysis& ja, const Relation& left, const Relation& right) {
@@ -41,15 +26,34 @@ std::pair<std::vector<TypedColumn>, std::vector<TypedColumn>> ReadEquiKeys(
   return {std::move(lkeys), std::move(rkeys)};
 }
 
-// Appends left row l ++ right row r to `out` when `check` (nullptr:
-// none) accepts the joined row.
-void EmitChecked(const JoinSides& sides, uint32_t l, uint32_t r,
-                 const Expr* check, Relation& out) {
-  Row row;
-  row.reserve(sides.lcols.size() + sides.rcols.size());
-  sides.left.AppendRow(l, sides.lcols, &row);
-  sides.right.AppendRow(r, sides.rcols, &row);
-  if (check == nullptr || check->EvalBool(row)) out.AddRow(std::move(row));
+// A join condition as a test of pair (l, r) over a two-source scratch
+// row; a null condition accepts every pair.  Copies own their scratch
+// row: one per worker.
+auto PairTest(const Relation& left, const Relation& right,
+              const ExprPtr& expr) {
+  return [expr, scratch = ScratchRow({expr}, left, &right)](
+             uint32_t l, uint32_t r) mutable {
+    return expr == nullptr || expr->EvalBool(scratch.Load(l, r));
+  };
+}
+
+// The (left row, right row) pairs a join keeps, in emission order.
+struct JoinPairs {
+  std::vector<uint32_t> left;
+  std::vector<uint32_t> right;
+
+  void Add(uint32_t l, uint32_t r) {
+    left.push_back(l);
+    right.push_back(r);
+  }
+};
+
+// The join's output: each pair's left columns, then its right columns.
+Relation GatherPairs(const Plan& plan, const Relation& left,
+                     const Relation& right, const JoinPairs& pairs) {
+  return Relation::Gather(
+      plan.schema, {{left, FirstColumns(left.schema().size()), pairs.left},
+                    {right, FirstColumns(right.schema().size()), pairs.right}});
 }
 
 // One input row staged for the sweep with its decoded interval.
@@ -145,28 +149,28 @@ bool StrictlyLess(const Value& a, const Value& b) {
 
 }  // namespace
 
+// periodk-lint: columnar-lane-begin(joins)
 Relation NestedLoopJoin(const Plan& plan, const Relation& left,
                         const Relation& right) {
   const JoinAnalysis& ja = plan.join;
-  JoinSides sides{left, right};
-  Relation out(plan.schema);
+  JoinPairs pairs;
   if (ja.equi_keys.empty() && !ja.overlap.has_value()) {
     // Genuinely opaque predicate: evaluate it per pair.
+    auto predicate = PairTest(left, right, plan.predicate);
     for (uint32_t l = 0; l < left.size(); ++l) {
       for (uint32_t r = 0; r < right.size(); ++r) {
-        EmitChecked(sides, l, r, plan.predicate.get(), out);
+        if (predicate(l, r)) pairs.Add(l, r);
       }
     }
-    return out;
+    return GatherPairs(plan, left, right, pairs);
   }
   // Analyzed predicate: test the decomposed conjuncts directly on the
   // source rows (equivalent to the full predicate — join_analysis.h
   // guarantees the parts conjoined back are the original under SQL
-  // three-valued logic) and build only matching rows.  Equi-keys match
-  // when both rows carry the same non-NULL key id; the overlap conjunct
-  // compares integer endpoints directly and anything else under SQL
-  // comparison rules.  Same left-major emission order as the opaque
-  // path.
+  // three-valued logic), the residual last.  Equi-keys match when both
+  // rows carry the same non-NULL key id; the overlap conjunct compares
+  // integer endpoints directly and anything else under SQL comparison
+  // rules.  Same left-major emission order as the opaque path.
   auto [lkeys, rkeys] = ReadEquiKeys(ja, left, right);
   KeyIndex key_of(lkeys, rkeys);
   auto key_ids = [&key_of](size_t n, int side) {
@@ -219,21 +223,21 @@ Relation NestedLoopJoin(const Plan& plan, const Relation& left,
     return StrictlyLess(le.cols[0]->Get(l), re.cols[1]->Get(r)) &&
            StrictlyLess(re.cols[0]->Get(r), le.cols[1]->Get(l));
   };
+  auto residual = PairTest(left, right, ja.residual);
   for (uint32_t l = 0; l < left.size(); ++l) {
     if (lid[l] == KeyIndex::kAbsent) continue;
     for (uint32_t r = 0; r < right.size(); ++r) {
-      if (rid[r] == lid[l] && overlaps(l, r)) {
-        EmitChecked(sides, l, r, ja.residual.get(), out);
+      if (rid[r] == lid[l] && overlaps(l, r) && residual(l, r)) {
+        pairs.Add(l, r);
       }
     }
   }
-  return out;
+  return GatherPairs(plan, left, right, pairs);
 }
 
 Relation HashJoin(const Plan& plan, const Relation& left,
                   const Relation& right) {
   const JoinAnalysis& ja = plan.join;
-  JoinSides sides{left, right};
   // Build on the right input (side 0 of the key index), probe with the
   // left in order: output is left-major with each left row's matches in
   // right order, exactly the nested loop's emission order.
@@ -246,16 +250,17 @@ Relation HashJoin(const Plan& plan, const Relation& left,
     if (id == matches.size()) matches.emplace_back();
     matches[id].push_back(r);
   }
-  Relation out(plan.schema);
+  auto residual = PairTest(left, right, ja.residual);
+  JoinPairs pairs;
   for (uint32_t l = 0; l < left.size(); ++l) {
     if (key_of.HasNull(l, 1)) continue;
     uint32_t id = key_of.Find(l, 1);
     if (id == KeyIndex::kAbsent) continue;
     for (uint32_t r : matches[id]) {
-      EmitChecked(sides, l, r, ja.residual.get(), out);
+      if (residual(l, r)) pairs.Add(l, r);
     }
   }
-  return out;
+  return GatherPairs(plan, left, right, pairs);
 }
 
 Relation IntervalOverlapJoin(const Plan& plan, const Relation& left,
@@ -266,7 +271,6 @@ Relation IntervalOverlapJoin(const Plan& plan, const Relation& left,
     throw EngineError("IntervalOverlapJoin requires an overlap conjunct");
   }
   const OverlapSpec& ov = *ja.overlap;
-  JoinSides sides{left, right};
 
   // Hash-partition both inputs on the equi-keys (single bucket for a
   // pure temporal join), buckets in first-appearance order of their
@@ -305,75 +309,60 @@ Relation IntervalOverlapJoin(const Plan& plan, const Relation& left,
   stage(0, left, ov.left_begin, ov.left_end, candidates.left);
   stage(1, right, ov.right_begin, ov.right_end, candidates.right);
 
-  // With no residual and no malformed row every swept pair is a result
-  // row, so the output is gathered (as columns when both inputs are
-  // columnar); otherwise each pair's joined row is tested before it is
-  // kept.
-  const bool gather = ja.residual == nullptr && !any_slow;
-  auto join_buckets = [&](int64_t begin, int64_t end) {
+  // Pairs with a malformed side are tested on the full original
+  // predicate, swept pairs on the residual only: the sweep has already
+  // established the equi-keys (by bucketing) and the overlap conjunct.
+  const auto full = PairTest(left, right, any_slow ? plan.predicate : nullptr);
+  const auto residual = PairTest(left, right, ja.residual);
+  auto join_buckets = [&](int64_t begin, int64_t end, JoinPairs& pairs) {
+    auto full_test = full;
+    auto residual_test = residual;
     SweepScratch scratch;
-    if (gather) {
-      std::vector<uint32_t> lidx;
-      std::vector<uint32_t> ridx;
-      for (int64_t bi = begin; bi < end; ++bi) {
-        SweepBucket(buckets[static_cast<size_t>(bi)], scratch,
-                    [&](uint32_t l, uint32_t r) {
-                      lidx.push_back(l);
-                      ridx.push_back(r);
-                    });
-      }
-      return Relation::Gather(
-          plan.schema,
-          {{left, sides.lcols, lidx}, {right, sides.rcols, ridx}});
-    }
-    Relation out(plan.schema);
     for (int64_t bi = begin; bi < end; ++bi) {
       Bucket& bucket = buckets[static_cast<size_t>(bi)];
-      // Slow lane first: every pair with a malformed side gets the full
-      // original predicate (re-checking the already-matched keys is
+      // Slow lane first (re-checking the already-matched keys is
       // harmless and keeps the lane trivially equivalent to the
       // nested-loop reference).
-      const Expr* full = plan.predicate.get();
       for (uint32_t l : bucket.slow_left) {
         for (const SweepRow& r : bucket.fast_right) {
-          EmitChecked(sides, l, r.row, full, out);
+          if (full_test(l, r.row)) pairs.Add(l, r.row);
         }
-        for (uint32_t r : bucket.slow_right) EmitChecked(sides, l, r, full, out);
+        for (uint32_t r : bucket.slow_right) {
+          if (full_test(l, r)) pairs.Add(l, r);
+        }
       }
       for (const SweepRow& l : bucket.fast_left) {
         for (uint32_t r : bucket.slow_right) {
-          EmitChecked(sides, l.row, r, full, out);
+          if (full_test(l.row, r)) pairs.Add(l.row, r);
         }
       }
-      // The sweep has already established the equi-keys (by bucketing)
-      // and the overlap conjunct; only the residual remains to check.
       SweepBucket(bucket, scratch, [&](uint32_t l, uint32_t r) {
-        EmitChecked(sides, l, r, ja.residual.get(), out);
+        if (residual_test(l, r)) pairs.Add(l, r);
       });
     }
-    return out;
   };
 
   // The partitions the sweep needs anyway are the parallel work units:
-  // chunks of buckets fan out to the pool, each emitting into its own
-  // output slot, concatenated in partition order afterwards — so the
-  // result row order depends only on the chunk plan, not on worker
-  // scheduling.  A single-bucket join (pure temporal, no equi-keys)
-  // stays sequential by construction.
+  // chunks of buckets fan out to the pool, each collecting its own
+  // pairs, concatenated in partition order afterwards — so the result
+  // row order depends only on the chunk plan, not on worker scheduling.
+  // A single-bucket join (pure temporal, no equi-keys) stays sequential
+  // by construction.
   auto ranges = PlanChunks(
       ctx.num_threads(static_cast<int64_t>(left.size() + right.size())),
       static_cast<int64_t>(buckets.size()),
       /*min_grain=*/1);
-  if (ranges.size() <= 1) {
-    return join_buckets(0, static_cast<int64_t>(buckets.size()));
-  }
-  std::vector<Relation> outs(ranges.size());
-  std::vector<ExecStats> chunk_stats(ranges.size());
-  RunChunks(ctx.pool->get(), ranges, [&](size_t c, int64_t b, int64_t e) {
-    outs[c] = join_buckets(b, e);
-    chunk_stats[c].parallel_tasks = 1;
+  std::vector<JoinPairs> chunk_pairs(ranges.size());
+  FanOut(ctx, ranges, [&](size_t c, int64_t b, int64_t e) {
+    join_buckets(b, e, chunk_pairs[c]);
   });
-  return GatherChunks(std::move(outs), std::move(chunk_stats), ctx);
+  JoinPairs& pairs = chunk_pairs.front();
+  for (size_t c = 1; c < chunk_pairs.size(); ++c) {
+    const JoinPairs& p = chunk_pairs[c];
+    for (size_t k = 0; k < p.left.size(); ++k) pairs.Add(p.left[k], p.right[k]);
+  }
+  return GatherPairs(plan, left, right, pairs);
 }
+// periodk-lint: columnar-lane-end(joins)
 
 }  // namespace periodk

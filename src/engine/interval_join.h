@@ -6,9 +6,12 @@
 // endpoint plane sweep per partition -- O(n log n + output) instead of
 // the O(n * m) nested loop a pure temporal join (no equi-key) otherwise
 // degenerates to.  The hash join serves plain equi-joins, the nested
-// loop opaque predicates and tiny inputs.  All three read typed columns
-// (Relation::ReadColumn) and group keys with KeyIndex, whatever the
-// storage layout of their inputs.
+// loop opaque predicates and the planner's tiny overlap joins.  All
+// three read typed columns (Relation::ReadColumn) and group keys with
+// KeyIndex, whatever the storage layout of their inputs, and emit one
+// way: they collect the (left row, right row) pairs that pass, testing
+// each candidate pair's predicate on a two-source ScratchRow, and
+// gather the pairs (Relation::Gather) into columns.
 #ifndef PERIODK_ENGINE_INTERVAL_JOIN_H_
 #define PERIODK_ENGINE_INTERVAL_JOIN_H_
 
@@ -38,10 +41,9 @@ struct JoinCandidates {
 /// routed through a per-partition nested-loop slow lane so SQL
 /// three-valued comparison semantics are preserved bit-for-bit.
 /// With a pool in `ctx` the equi-key partitions fan out to workers
-/// (a pure temporal join has one partition and stays sequential).
-/// Without a residual or a malformed row the output is gathered
-/// (Relation::Gather: columns when both inputs are columnar); otherwise
-/// it is rows.
+/// (a pure temporal join has one partition and stays sequential), each
+/// collecting its partitions' pairs; the pairs are gathered once, in
+/// partition order.
 Relation IntervalOverlapJoin(const Plan& plan, const Relation& left,
                              const Relation& right, const OpContext& ctx = {},
                              const JoinCandidates& candidates = {});
@@ -49,13 +51,13 @@ Relation IntervalOverlapJoin(const Plan& plan, const Relation& left,
 /// Reference implementation: O(n * m) nested loop evaluating the join
 /// predicate on every pair.  Kept as the correctness baseline for the
 /// property tests and benchmarks, and as the executor's fallback for
-/// genuinely opaque predicates.  Emits rows.
+/// genuinely opaque predicates.
 Relation NestedLoopJoin(const Plan& plan, const Relation& left,
                         const Relation& right);
 
 /// Equi-join on plan.join.equi_keys (build right, probe left) with the
 /// residual checked per joined row.  Row-identical to NestedLoopJoin:
-/// left-major, each left row's matches in right order.  Emits rows.
+/// left-major, each left row's matches in right order.
 Relation HashJoin(const Plan& plan, const Relation& left,
                   const Relation& right);
 

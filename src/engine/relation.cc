@@ -152,75 +152,48 @@ Relation Relation::Gather(Schema schema,
                           NewIntervals* intervals) {
   const size_t n = sources.front().ids.size();
   // periodk-lint: columnar-lane-begin(gather)
-  if (std::all_of(sources.begin(), sources.end(),
-                  [](const GatherSource& s) { return s.rel.is_columnar(); })) {
-    std::vector<ColumnData> cols;
-    cols.reserve(schema.size());
-    for (const GatherSource& s : sources) {
-      for (int c : s.cols) {
-        cols.push_back(
-            ColumnData::Gather(s.rel.columns_[static_cast<size_t>(c)], s.ids));
-      }
+  std::vector<ColumnData> cols;
+  cols.reserve(schema.size());
+  for (const GatherSource& s : sources) {
+    for (int c : s.cols) {
+      const auto col = static_cast<size_t>(c);
+      cols.push_back(s.rel.columnar_
+                         ? ColumnData::Gather(s.rel.columns_[col], s.ids)
+                         : ColumnData::Encode(s.rel.rows_, col, s.ids));
     }
-    if (intervals != nullptr) {
-      cols.push_back(ColumnData::FromInts(std::move(intervals->begin)));
-      cols.push_back(ColumnData::FromInts(std::move(intervals->end)));
-    }
-    return FromColumns(std::move(schema), std::move(cols), n);
+  }
+  if (intervals != nullptr) {
+    cols.push_back(ColumnData::FromInts(std::move(intervals->begin)));
+    cols.push_back(ColumnData::FromInts(std::move(intervals->end)));
   }
   // periodk-lint: columnar-lane-end(gather)
-  std::vector<Row> rows(n);
-  for (size_t k = 0; k < n; ++k) {
-    Row& row = rows[k];
-    row.reserve(schema.size());
-    for (const GatherSource& s : sources) s.rel.AppendRow(s.ids[k], s.cols, &row);
-    if (intervals != nullptr) {
-      row.push_back(Value::Int(intervals->begin[k]));
-      row.push_back(Value::Int(intervals->end[k]));
-    }
-  }
-  return Relation(std::move(schema), std::move(rows));
+  return FromColumns(std::move(schema), std::move(cols), n);
 }
 
-void Relation::AppendRow(size_t i, const std::vector<int>& cols,
-                         Row* out) const {
-  if (columnar_) {
-    for (int c : cols) out->push_back(columns_[static_cast<size_t>(c)].Get(i));
-    return;
-  }
-  const Row& row = rows_[i];
-  for (int c : cols) out->push_back(row[static_cast<size_t>(c)]);
-}
-
-Relation Relation::Concat(std::vector<Relation> parts) {
-  if (parts.size() == 1) return std::move(parts.front());
-  const Relation& first = parts.front();
-  bool columnar = true;
-  for (const Relation& p : parts) {
-    columnar = columnar && p.columnar_;
-    for (size_t c = 0; columnar && c < first.columns_.size(); ++c) {
-      columnar = p.columns_[c].SameEncoding(first.columns_[c]);
+Relation Relation::Concat(Schema schema,
+                          const std::vector<const Relation*>& parts) {
+  size_t n = 0;
+  for (const Relation* p : parts) {
+    if (p->schema_.size() != schema.size()) {
+      throw EngineError(StrCat("Concat: part ", p->schema_.ToString(),
+                               " does not match schema ", schema.ToString()));
     }
+    n += p->size();
   }
-  if (columnar) {
-    size_t n = 0;
-    for (const Relation& p : parts) n += p.num_rows_;
-    std::vector<ColumnData> cols;
-    cols.reserve(first.columns_.size());
-    for (size_t c = 0; c < first.columns_.size(); ++c) {
-      std::vector<const ColumnData*> pieces;
-      pieces.reserve(parts.size());
-      for (const Relation& p : parts) pieces.push_back(&p.columns_[c]);
-      cols.push_back(ColumnData::Concat(pieces));
+  // periodk-lint: columnar-lane-begin(concat)
+  std::vector<ColumnData> cols;
+  cols.reserve(schema.size());
+  for (size_t c = 0; c < schema.size(); ++c) {
+    std::vector<TypedColumn> typed;  // a column's address survives moves
+    std::vector<const ColumnData*> pieces;
+    for (const Relation* p : parts) {
+      typed.push_back(p->ReadColumn(c));
+      pieces.push_back(&*typed.back());
     }
-    return FromColumns(first.schema_, std::move(cols), n);
+    cols.push_back(ColumnData::Concat(pieces));
   }
-  Relation out = std::move(parts.front());
-  for (size_t p = 1; p < parts.size(); ++p) {
-    out.Reserve(out.size() + parts[p].size());
-    for (Row& row : parts[p].mutable_rows()) out.rows_.push_back(std::move(row));
-  }
-  return out;
+  // periodk-lint: columnar-lane-end(concat)
+  return FromColumns(std::move(schema), std::move(cols), n);
 }
 
 void Relation::ThrowArityMismatch(const char* op, size_t got) const {

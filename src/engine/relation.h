@@ -4,19 +4,20 @@
 // rows, exactly as in SQL.
 //
 // A relation owns its data in one of two physical layouts:
-//   * row storage (select, project and the other row operators'
-//     outputs): vector<Row>;
-//   * columnar storage (base tables, the gathering kernels' outputs):
-//     one typed ColumnData per schema column (engine/column.h).
+//   * columnar storage, one typed ColumnData per schema column
+//     (engine/column.h): base tables and every operator output but
+//     window coalescing's;
+//   * row storage, vector<Row>: the construction form of constants, the
+//     baselines, window coalescing and tests.
 // Kernels do not branch on the layout.  They read typed columns
-// through ReadColumn and emit through Gather / AppendRow; those
-// helpers (and Concat, which joins parallel chunk outputs) are the
-// only code that looks at how a relation is stored, with Append, which
-// extends a relation's typed columns by a batch without a row view.
-// The row API is preserved over both layouts: rows() on a columnar
-// relation lazily materializes a cached row *view* (thread-safe --
-// base tables are shared across concurrent queries), and the mutating
-// entry points (AddRow, mutable_rows, SortRows, Reserve) decay
+// through ReadColumn and build their output with FromColumns, Gather
+// or Concat, which emit columns whatever their sources' layout; those
+// helpers, and Append, which extends a relation's typed columns by a
+// batch without a row view, are the only code that looks at how a
+// relation is stored.  The row API is preserved over both layouts:
+// rows() on a columnar relation lazily materializes a cached row *view*
+// (thread-safe -- base tables are shared across concurrent queries),
+// and the mutating entry points (AddRow, SortRows, Reserve) decay
 // columnar storage back to rows first.
 #ifndef PERIODK_ENGINE_RELATION_H_
 #define PERIODK_ENGINE_RELATION_H_
@@ -82,12 +83,6 @@ class Relation {
     return rows_;
   }
 
-  /// Mutable row access decays columnar storage to row storage.
-  std::vector<Row>& mutable_rows() {
-    DecayToRows();
-    return rows_;
-  }
-
   size_t size() const { return columnar_ ? num_rows_ : rows_.size(); }
   bool empty() const { return size() == 0; }
 
@@ -100,23 +95,21 @@ class Relation {
   /// column (O(rows), per call, not cached) when it is row-stored.
   TypedColumn ReadColumn(size_t c) const;
 
-  /// The kernels' output helper.  Output row k is, source by source,
-  /// the `cols` of row `ids[k]`, then (when given) the int endpoints
-  /// intervals->begin[k], intervals->end[k], moved out of *intervals.
-  /// Typed columns are gathered when every source is columnar
-  /// (dictionaries shared); rows are built otherwise.
+  /// The kernels' output helper, columnar.  Output row k is, source by
+  /// source, the `cols` of row `ids[k]`, then (when given) the int
+  /// endpoints intervals->begin[k], intervals->end[k], moved out of
+  /// *intervals.  A columnar source's columns are gathered (dictionaries
+  /// shared); a row-stored source's gathered cells are encoded, so the
+  /// cost is O(ids) either way.
   [[nodiscard]] static Relation Gather(
       Schema schema, const std::vector<GatherSource>& sources,
       NewIntervals* intervals = nullptr);
 
-  /// Appends the `cols` of row i to *out: Gather's row building, for
-  /// kernels that must test or extend each row before keeping it.
-  void AppendRow(size_t i, const std::vector<int>& cols, Row* out) const;
-
-  /// `parts` back to back (parallel chunk outputs, in chunk order):
-  /// columnar when every part is columnar with matching column
-  /// encodings, rows otherwise.
-  [[nodiscard]] static Relation Concat(std::vector<Relation> parts);
+  /// `parts` back to back under `schema` (UNION ALL), columnar:
+  /// ColumnData::Concat of each column as ReadColumn reads it.  Rejects
+  /// parts whose arity differs from the schema.
+  [[nodiscard]] static Relation Concat(
+      Schema schema, const std::vector<const Relation*>& parts);
 
   /// `stored` followed by `rows`, columnar: each column is
   /// ColumnData::Append of stored's column (borrowed when columnar,

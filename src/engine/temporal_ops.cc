@@ -65,12 +65,6 @@ std::vector<TypedColumn> ReadColumns(const Relation& input,
   return out;
 }
 
-std::vector<int> Iota(size_t n) {
-  std::vector<int> out(n);
-  for (size_t c = 0; c < n; ++c) out[c] = static_cast<int>(c);
-  return out;
-}
-
 using Intervals = std::vector<std::pair<TimePoint, TimePoint>>;
 
 // One coalesced maximal segment [begin, end) carrying `count`
@@ -113,11 +107,12 @@ void SweepIntervalsToSegments(const Intervals& intervals,
 
 }  // namespace
 
+// periodk-lint: columnar-lane-begin(coalesce-native)
 Relation CoalesceNative(const Relation& input, const OpContext& ctx) {
   size_t nattr = NonTemporalArity(input, "Coalesce");
   // Group by the attribute prefix in first-appearance order; each group
   // keeps its intervals and one representative row for emission.
-  std::vector<int> attr_cols = Iota(nattr);
+  std::vector<int> attr_cols = FirstColumns(nattr);
   std::vector<TypedColumn> attrs = ReadColumns(input, attr_cols);
   TypedColumn bc = input.ReadColumn(nattr);
   TypedColumn ec = input.ReadColumn(nattr + 1);
@@ -143,25 +138,13 @@ Relation CoalesceNative(const Relation& input, const OpContext& ctx) {
   auto ranges = PlanChunks(ctx.num_threads(static_cast<int64_t>(input.size())),
                            static_cast<int64_t>(ngroups),
                            /*min_grain=*/1);
-  if (ranges.size() <= 1) {
+  FanOut(ctx, ranges, [&](size_t, int64_t b, int64_t e) {
     std::vector<std::pair<TimePoint, int64_t>> events;
-    for (size_t gi = 0; gi < ngroups; ++gi) {
-      SweepIntervalsToSegments(intervals[gi], events, segments[gi]);
+    for (int64_t gi = b; gi < e; ++gi) {
+      SweepIntervalsToSegments(intervals[static_cast<size_t>(gi)], events,
+                               segments[static_cast<size_t>(gi)]);
     }
-  } else {
-    std::vector<ExecStats> chunk_stats(ranges.size());
-    RunChunks(ctx.pool->get(), ranges, [&](size_t c, int64_t b, int64_t e) {
-      std::vector<std::pair<TimePoint, int64_t>> events;
-      for (int64_t gi = b; gi < e; ++gi) {
-        SweepIntervalsToSegments(intervals[static_cast<size_t>(gi)], events,
-                                 segments[static_cast<size_t>(gi)]);
-      }
-      chunk_stats[c].parallel_tasks = 1;
-    });
-    if (ctx.stats != nullptr) {
-      for (const ExecStats& s : chunk_stats) ctx.stats->Merge(s);
-    }
-  }
+  });
 
   // Emission in group order: each segment repeats its group's
   // representative attributes `count` times with the new endpoints.
@@ -179,6 +162,7 @@ Relation CoalesceNative(const Relation& input, const OpContext& ctx) {
   return Relation::Gather(input.schema(), {{input, attr_cols, src}},
                           &coalesced);
 }
+// periodk-lint: columnar-lane-end(coalesce-native)
 
 Relation CoalesceWindow(const Relation& input) {
   size_t nattr = NonTemporalArity(input, "Coalesce");
@@ -286,6 +270,7 @@ SplitBudgetScope::SplitBudgetScope(int64_t max_fragments)
 
 SplitBudgetScope::~SplitBudgetScope() { t_split_budget = previous_; }
 
+// periodk-lint: columnar-lane-begin(split-and-timeslice)
 Relation SplitRelation(const Relation& left, const Relation& right,
                        const std::vector<int>& group_cols) {
   size_t nattr = NonTemporalArity(left, "Split");
@@ -318,20 +303,18 @@ Relation SplitRelation(const Relation& left, const Relation& right,
     std::sort(pts.begin(), pts.end());
     pts.erase(std::unique(pts.begin(), pts.end()), pts.end());
   }
-  Relation out(left.schema());
   auto charge_budget = [](int64_t fragments) {
     if (t_split_budget < 0) return;
     t_split_budget -= fragments;
     if (t_split_budget < 0) throw SplitBudgetExceeded();
   };
-  std::vector<int> attr_cols = Iota(nattr);
+  // Fragment k: the attributes of left row src[k] over the new interval.
+  std::vector<uint32_t> src;
+  NewIntervals fragments;
   auto emit = [&](size_t i, TimePoint from, TimePoint to) {
-    Row frag;
-    frag.reserve(nattr + 2);
-    left.AppendRow(i, attr_cols, &frag);
-    frag.push_back(Value::Int(from));
-    frag.push_back(Value::Int(to));
-    out.AddRow(std::move(frag));
+    src.push_back(static_cast<uint32_t>(i));
+    fragments.begin.push_back(from);
+    fragments.end.push_back(to);
   };
   for (size_t i = 0; i < left.size(); ++i) {
     TimePoint b = 0;
@@ -348,7 +331,8 @@ Relation SplitRelation(const Relation& left, const Relation& right,
     }
     emit(i, start, e);
   }
-  return out;
+  return Relation::Gather(left.schema(), {{left, FirstColumns(nattr), src}},
+                          &fragments);
 }
 
 namespace {
@@ -557,28 +541,27 @@ Relation SplitAggregateRelation(const Relation& input,
       }
     }
   }
-  std::vector<Row> group_keys;
-  group_keys.reserve(group_rep.size());
-  for (uint32_t rep : group_rep) {
-    Row key;
-    key.reserve(keys.size());
-    for (const TypedColumn& k : keys) key.push_back(k->Get(rep));
-    group_keys.push_back(std::move(key));
-  }
   // Global aggregation over an empty input still produces the
   // full-domain gap row.  With grouping there is no such row: gaps are
   // emitted per *observed* group, and an empty input has none (a
   // synthetic empty-key group would emit rows narrower than the output
   // schema).
   if (gap_rows && group_cols.empty() && group_partials.empty()) {
-    group_keys.emplace_back();
+    group_rep.push_back(0);  // no key column reads it
     group_partials.emplace_back();
   }
 
   // Phase 2: per group, sweep partial endpoints maintaining running
   // aggregate state; each elementary fragment gets the finalized values.
-  auto sweep_group = [&](const Row& group, const std::vector<Partial>& partials,
-                         Relation& out) {
+  // Fragment k is group rep[k]'s key, the values values[a][k] and the
+  // interval [begin[k], end[k]).
+  struct Fragments {
+    std::vector<uint32_t> rep;
+    std::vector<std::vector<Value>> values;
+    NewIntervals intervals;
+  };
+  auto sweep_group = [&](size_t gi, Fragments& out) {
+    const std::vector<Partial>& partials = group_partials[gi];
     // (time, is_close, partial index); closes and opens at equal time
     // are both applied before the next segment is emitted.
     std::vector<std::tuple<TimePoint, int, size_t>> events;
@@ -607,13 +590,12 @@ Relation SplitAggregateRelation(const Relation& input,
         to = std::min(to, domain.tmax);
       }
       if (from >= to) return;
-      Row row = group;
-      for (size_t i = 0; i < aggs.size(); ++i) {
-        row.push_back(running[i].Finalize(star));
+      out.rep.push_back(group_rep[gi]);
+      for (size_t a = 0; a < aggs.size(); ++a) {
+        out.values[a].push_back(running[a].Finalize(star));
       }
-      row.push_back(Value::Int(from));
-      row.push_back(Value::Int(to));
-      out.AddRow(std::move(row));
+      out.intervals.begin.push_back(from);
+      out.intervals.end.push_back(to);
     };
     size_t i = 0;
     while (i < events.size()) {
@@ -639,30 +621,45 @@ Relation SplitAggregateRelation(const Relation& input,
   };
 
   // The per-group sweeps are independent; chunks of groups fan out to
-  // the pool exactly like the coalesce sweep.
+  // the pool exactly like the coalesce sweep, each into its own
+  // fragments, concatenated in chunk order.
   size_t ngroups = group_partials.size();
   auto ranges = PlanChunks(ctx.num_threads(static_cast<int64_t>(input.size())),
                            static_cast<int64_t>(ngroups),
                            /*min_grain=*/1);
-  if (ranges.size() <= 1) {
-    Relation out(std::move(schema));
-    for (size_t gi = 0; gi < ngroups; ++gi) {
-      sweep_group(group_keys[gi], group_partials[gi], out);
-    }
-    return out;
-  }
-  std::vector<Relation> outs;
-  outs.reserve(ranges.size());
-  for (size_t c = 0; c < ranges.size(); ++c) outs.emplace_back(schema);
-  std::vector<ExecStats> chunk_stats(ranges.size());
-  RunChunks(ctx.pool->get(), ranges, [&](size_t c, int64_t b, int64_t e) {
+  std::vector<Fragments> chunks(ranges.size());
+  FanOut(ctx, ranges, [&](size_t c, int64_t b, int64_t e) {
+    chunks[c].values.resize(aggs.size());
     for (int64_t gi = b; gi < e; ++gi) {
-      sweep_group(group_keys[static_cast<size_t>(gi)],
-                  group_partials[static_cast<size_t>(gi)], outs[c]);
+      sweep_group(static_cast<size_t>(gi), chunks[c]);
     }
-    chunk_stats[c].parallel_tasks = 1;
   });
-  return GatherChunks(std::move(outs), std::move(chunk_stats), ctx);
+  auto append = [](auto& to, const auto& from) {
+    to.insert(to.end(), from.begin(), from.end());
+  };
+  Fragments& all = chunks.front();
+  for (size_t c = 1; c < chunks.size(); ++c) {
+    append(all.rep, chunks[c].rep);
+    for (size_t a = 0; a < aggs.size(); ++a) {
+      append(all.values[a], chunks[c].values[a]);
+    }
+    append(all.intervals.begin, chunks[c].intervals.begin);
+    append(all.intervals.end, chunks[c].intervals.end);
+  }
+  // Keys gathered at each fragment's group representative, each
+  // aggregate column encoded once, then the fragment endpoints.
+  std::vector<ColumnData> cols;
+  cols.reserve(schema.size());
+  for (const TypedColumn& k : keys) {
+    cols.push_back(ColumnData::Gather(*k, all.rep));
+  }
+  for (const std::vector<Value>& v : all.values) {
+    cols.push_back(ColumnData::FromValues(v));
+  }
+  cols.push_back(ColumnData::FromInts(std::move(all.intervals.begin)));
+  cols.push_back(ColumnData::FromInts(std::move(all.intervals.end)));
+  const size_t n = all.rep.size();
+  return Relation::FromColumns(std::move(schema), std::move(cols), n);
 }
 
 Relation TimesliceEncodedAt(const Relation& input, TimePoint t,
@@ -699,5 +696,6 @@ Relation TimesliceEncoded(const Relation& input, TimePoint t) {
   int nattr = static_cast<int>(NonTemporalArity(input, "Timeslice"));
   return TimesliceEncodedAt(input, t, nattr, nattr + 1);
 }
+// periodk-lint: columnar-lane-end(split-and-timeslice)
 
 }  // namespace periodk

@@ -24,12 +24,11 @@ namespace periodk {
 class Catalog;
 class TableStats;
 
-/// Break-even thresholds shared by the planner and the executor so the
-/// plan-level hints and the execution-time gates agree on what "tiny"
-/// means.
+/// Break-even thresholds of the planner's hint and the executor's gate.
 ///
-/// A join whose estimated input product is below this executes as a
-/// nested loop: the hash/sweep setup costs more than |L|*|R| compares.
+/// An overlap join whose estimated input product is below this is
+/// planned as a nested loop: the sweep's setup costs more than |L|*|R|
+/// compares (ApplyJoinStrategyHints).
 inline constexpr int64_t kTinyJoinProduct = 1024;
 /// Partitioned operators fan out to the thread pool only when the
 /// operator's input work (rows) reaches this; below it the chunk

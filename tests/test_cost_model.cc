@@ -206,34 +206,6 @@ TEST(ReorderJoinsTest, FlatEstimatesKeepThePlanBitIdentical) {
 
 // --- Executor gates (row-identical substitutions). -------------------------
 
-TEST(CostGateTest, TinyEquiJoinRunsAsNestedLoopRowIdentically) {
-  Catalog catalog;
-  Relation l(Schema::FromNames({"x"}));
-  Relation r(Schema::FromNames({"y"}));
-  for (int i = 0; i < 10; ++i) {
-    l.AddRow({Value::Int(i % 4)});
-    r.AddRow({Value::Int(i % 3)});
-  }
-  catalog.Put("l", std::move(l));
-  catalog.Put("r", std::move(r));
-  PlanPtr join = MakeJoin(ScanOf(catalog, "l"), ScanOf(catalog, "r"),
-                          Eq(Col(0), Col(1)));
-
-  ExecOptions off;
-  off.use_cost_model = false;
-  ExecStats stats_off;
-  Relation rows_off = Execute(join, catalog, off, &stats_off);
-  EXPECT_EQ(stats_off.cost_nl_joins, 0);
-
-  ExecOptions on;
-  on.use_cost_model = true;
-  ExecStats stats_on;
-  Relation rows_on = Execute(join, catalog, on, &stats_on);
-  EXPECT_GE(stats_on.cost_nl_joins, 1);
-  // The demotion must preserve rows *and* row order.
-  EXPECT_EQ(rows_on.ToString(), rows_off.ToString());
-}
-
 TEST(CostGateTest, SmallInputsSkipTheThreadPool) {
   // 100-row coalesce with ~100 groups: enough chunks to fan out at 4
   // threads, far below kParallelMinRows.

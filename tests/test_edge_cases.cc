@@ -366,12 +366,24 @@ TEST(EdgeCaseTest, WronglyTypedOperandsNameTheOperatorAndValue) {
        "LIKE on non-string values: 7 vs a%"},
       {"SELECT abs(s) AS v FROM r", "abs() on a non-numeric value: abc"},
       {"SELECT -s AS v FROM r", "unary minus on a non-numeric value: abc"},
+      {"SELECT g FROM r WHERE x AND 0", "AND on a non-boolean value: 7"},
+      {"SELECT (x AND 0) AS v FROM r", "AND on a non-boolean value: 7"},
+      {"SELECT ('abc' OR 0) AS v FROM r", "OR on a non-boolean value: abc"},
   };
   for (const Case& c : cases) {
     Result<Relation> query = db.Query(c.sql);
     ASSERT_FALSE(query.ok()) << c.sql;
     EXPECT_EQ(query.status().code(), StatusCode::kInternal) << c.sql;
     EXPECT_EQ(query.status().message(), c.message) << c.sql;
+  }
+  // Each operand is checked as it is evaluated: a deciding first
+  // operand short-circuits past a wrongly typed second one.
+  for (const std::string sql : {"SELECT (FALSE AND 'abc') AS v FROM r",
+                                "SELECT NOT (TRUE OR s) AS v FROM r"}) {
+    Result<Relation> query = db.Query(sql);
+    ASSERT_TRUE(query.ok()) << sql << ": " << query.status().message();
+    ASSERT_EQ(query->size(), 1u) << sql;
+    EXPECT_EQ(query->rows()[0][0], Value::Bool(false)) << sql;
   }
 }
 

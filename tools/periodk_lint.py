@@ -15,10 +15,11 @@ Checks invariants that neither the compiler nor clang-tidy can express:
 
   layout-check-outside-storage
       Kernels read typed columns (Relation::ReadColumn) and emit through
-      the output helpers (Relation::Gather / AppendRow / Concat), so the
-      storage layout is known only to engine/relation.* and
-      engine/column.*.  is_columnar() anywhere else in src/ reintroduces
-      a per-kernel row/columnar lane pair.
+      the output helpers (Relation::FromColumns / Gather / Concat), which
+      build columns whatever the sources' layout, so the storage layout
+      is known only to engine/relation.* and engine/column.*.
+      is_columnar() anywhere else in src/ reintroduces a per-kernel
+      row/columnar lane pair.
 
   naked-mutex
       src/ code must use the annotated wrappers from
@@ -197,7 +198,7 @@ def check_layout_outside_storage(path, rel, stripped_lines, findings):
                 path, idx, "layout-check-outside-storage",
                 "is_columnar() outside engine/relation.* and "
                 "engine/column.*: read typed columns (ReadColumn) and "
-                "emit through Gather/AppendRow instead"))
+                "emit through FromColumns/Gather/Concat instead"))
 
 
 def check_naked_mutex(path, rel, stripped_lines, findings):
@@ -320,6 +321,20 @@ Relation ExecSelect(const Plan& plan, RelHandle in) {
 }
 // periodk-lint: columnar-lane-end(select)
 """,
+    # The join emission that building each joined row before testing
+    # it meant: the pair's row is appended after the check.
+    "src/engine/join_lane_bad.cc": """\
+// periodk-lint: columnar-lane-begin(hash-join)
+void EmitChecked(const JoinSides& sides, uint32_t l, uint32_t r,
+                 const Expr* check, Relation& out) {
+  Row row;
+  row.reserve(sides.lcols.size() + sides.rcols.size());
+  sides.left.AppendRow(l, sides.lcols, &row);
+  sides.right.AppendRow(r, sides.rcols, &row);
+  if (check == nullptr || check->EvalBool(row)) out.AddRow(std::move(row));
+}
+// periodk-lint: columnar-lane-end(hash-join)
+""",
     "src/engine/layout_bad.cc": """\
 // is_columnar() in a comment is fine.
 Relation Kernel(const Relation& input) {
@@ -356,6 +371,7 @@ SELF_TEST_EXPECT = {
     ("lane_bad.cc", "row-api-in-columnar-lane"): 1,
     ("append_lane_bad.cc", "row-api-in-columnar-lane"): 2,
     ("select_lane_bad.cc", "row-api-in-columnar-lane"): 4,
+    ("join_lane_bad.cc", "row-api-in-columnar-lane"): 1,
     ("layout_bad.cc", "layout-check-outside-storage"): 1,
     ("mutex_bad.cc", "naked-mutex"): 1,
     ("byvalue_bad.h", "relation-by-value"): 1,
