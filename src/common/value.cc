@@ -29,19 +29,6 @@ int Sign(double d) { return d < 0 ? -1 : (d > 0 ? 1 : 0); }
 // 2^63 exactly: the first double above every int64.
 constexpr double kTwo63 = 9223372036854775808.0;
 
-// Exact int-vs-double order (SQLite's): no rounding of `i` to double,
-// so equality stays transitive across Int and Double.  NaN compares
-// equal to everything, as the old numeric subtraction made it.
-int CompareIntDouble(int64_t i, double d) {
-  if (std::isnan(d)) return 0;
-  if (d >= kTwo63) return -1;
-  if (d < -kTwo63) return 1;
-  // d is within int64 range here, so its truncation is an exact int64.
-  auto whole = static_cast<int64_t>(d);
-  if (i != whole) return i < whole ? -1 : 1;
-  return Sign(static_cast<double>(whole) - d);
-}
-
 uint64_t Mix64(uint64_t x) {
   // splitmix64 finalizer.
   x += 0x9e3779b97f4a7c15ULL;
@@ -66,6 +53,19 @@ const char* ValueTypeName(ValueType type) {
       return "string";
   }
   return "unknown";
+}
+
+// No rounding of `i` to double, so equality stays transitive across
+// Int and Double.  NaN compares equal to everything, as the old numeric
+// subtraction made it.
+int CompareIntDouble(int64_t i, double d) {
+  if (std::isnan(d)) return 0;
+  if (d >= kTwo63) return -1;
+  if (d < -kTwo63) return 1;
+  // d is within int64 range here, so its truncation is an exact int64.
+  auto whole = static_cast<int64_t>(d);
+  if (i != whole) return i < whole ? -1 : 1;
+  return Sign(static_cast<double>(whole) - d);
 }
 
 double Value::NumericAsDouble() const {

@@ -82,6 +82,10 @@ class Value {
   Repr v_;
 };
 
+/// Value::Compare of Int(i) against Double(d): exact (SQLite's order),
+/// the int is never rounded to double; NaN compares equal to every int.
+int CompareIntDouble(int64_t i, double d);
+
 /// SQL comparison: returns nullopt when either side is NULL or the types
 /// are incomparable (e.g. int vs string); otherwise <0/0/>0.
 std::optional<int> SqlCompare(const Value& a, const Value& b);

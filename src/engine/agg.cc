@@ -27,6 +27,16 @@ const char* AggFuncName(AggFunc f) {
   return "?";
 }
 
+namespace {
+
+// One NaN for every plan: `+=` of +inf and -inf yields the platform's
+// default NaN (negative on x86), the split-aggregate sweep quiet_NaN().
+double QuietNaN(double d) {
+  return std::isnan(d) ? std::numeric_limits<double>::quiet_NaN() : d;
+}
+
+}  // namespace
+
 void AggState::AccumulateInt(int64_t v, int64_t mult) {
   count += mult;
   isum += static_cast<__int128>(v) * mult;
@@ -121,11 +131,11 @@ Value AggState::Finalize(int64_t star_count) const {
       if (all_int && isum >= kInt64Min && isum <= kInt64Max) {
         return Value::Int(static_cast<int64_t>(isum));
       }
-      return Value::Double(dsum);
+      return Value::Double(QuietNaN(dsum));
     }
     case AggFunc::kAvg:
       if (count == 0) return Value::Null();
-      return Value::Double(dsum / static_cast<double>(count));
+      return Value::Double(QuietNaN(dsum / static_cast<double>(count)));
     case AggFunc::kMin:
     case AggFunc::kMax:
       return extreme.value_or(Value::Null());

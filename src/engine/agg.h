@@ -36,7 +36,9 @@ const char* AggFuncName(AggFunc f);
 /// parallel chunk-and-Merge path.  Only a *total* outside int64 widens
 /// to the double sum.  (128 bits cannot realistically overflow: it
 /// would take 2^63 rows of INT64_MAX.)  The double sum is a plain
-/// running sum, so it depends on the order in which values arrive.
+/// running sum, so it depends on the order in which values arrive; a
+/// NaN sum or average finalizes as quiet_NaN(), as the split-aggregate
+/// sweep's does.
 struct AggState {
   explicit AggState(AggFunc f) : func(f) {}
 

@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <numeric>
+#include <type_traits>
 #include <unordered_map>
 
 #include "common/status.h"
@@ -21,8 +22,8 @@ uint64_t Mix64(uint64_t x) {
   return x ^ (x >> 31);
 }
 
-// The value type of every non-null cell of a column tagged `tag`
-// (kMixed columns hold several).
+}  // namespace
+
 ValueType CellType(ColumnTag tag) {
   switch (tag) {
     case ColumnTag::kInt:
@@ -38,8 +39,6 @@ ValueType CellType(ColumnTag tag) {
   }
   return ValueType::kNull;
 }
-
-}  // namespace
 
 const char* ColumnTagName(ColumnTag tag) {
   switch (tag) {
@@ -327,12 +326,55 @@ ColumnData ColumnData::Append(const ColumnData& stored,
   return out;
 }
 
-ColumnData ColumnData::FromInts(std::vector<int64_t> values) {
+template <typename T>
+ColumnData ColumnData::FromArray(ColumnTag tag,
+                                 std::vector<T> ColumnData::*payload,
+                                 std::vector<T> values,
+                                 const std::vector<uint8_t>& nulls) {
   ColumnData out;
-  out.tag_ = ColumnTag::kInt;
+  out.tag_ = tag;
   out.size_ = values.size();
-  out.ints_ = std::move(values);
+  if (!nulls.empty()) {
+    out.InitValidity();
+    for (size_t i = 0; i < out.size_; ++i) {
+      if (nulls[i] != 0) {
+        values[i] = T{};
+        ++out.null_count_;
+      } else {
+        out.SetValid(i);
+      }
+    }
+    if (out.null_count_ == 0) out.validity_.clear();
+  }
+  if (out.null_count_ == out.size_) {  // no cell to type: FromValues' kInt
+    out.tag_ = ColumnTag::kInt;
+    out.ints_.assign(out.size_, 0);
+    return out;
+  }
+  if constexpr (std::is_same_v<T, double>) {
+    out.has_nan_ = std::any_of(values.begin(), values.end(),
+                               [](double d) { return std::isnan(d); });
+  }
+  out.*payload = std::move(values);
   return out;
+}
+
+ColumnData ColumnData::FromInts(std::vector<int64_t> values,
+                                const std::vector<uint8_t>& nulls) {
+  return FromArray(ColumnTag::kInt, &ColumnData::ints_, std::move(values),
+                   nulls);
+}
+
+ColumnData ColumnData::FromDoubles(std::vector<double> values,
+                                   const std::vector<uint8_t>& nulls) {
+  return FromArray(ColumnTag::kDouble, &ColumnData::doubles_,
+                   std::move(values), nulls);
+}
+
+ColumnData ColumnData::FromBools(std::vector<uint8_t> values,
+                                 const std::vector<uint8_t>& nulls) {
+  return FromArray(ColumnTag::kBool, &ColumnData::bools_, std::move(values),
+                   nulls);
 }
 
 ColumnData ColumnData::Gather(const ColumnData& src,

@@ -35,6 +35,10 @@ enum class ColumnTag { kInt, kDouble, kBool, kString, kMixed };
 /// Returns "int", "double", "bool", "string" or "mixed".
 const char* ColumnTagName(ColumnTag tag);
 
+/// The value type of every non-null cell of a column tagged `tag`;
+/// kNull for kMixed, whose cells hold several.
+ValueType CellType(ColumnTag tag);
+
 /// Immutable sorted, duplicate-free string dictionary.  Shared by
 /// pointer between a column and anything gathered from it, so join and
 /// coalesce outputs reuse the input dictionary for free.
@@ -81,8 +85,16 @@ class ColumnData {
   /// Encode over a column of cells: computed expression outputs.
   static ColumnData FromValues(const std::vector<Value>& cells);
 
-  /// A column of raw int64s with no NULLs (kernel interval outputs).
-  static ColumnData FromInts(std::vector<int64_t> values);
+  /// Columns of one cell type from raw payloads, `nulls[i]` != 0 marking
+  /// cell i NULL (empty: no NULL): kernel interval outputs and the typed
+  /// evaluator's.  Each equals FromValues of the same cells: NULL cells
+  /// hold 0, and a column without a non-NULL cell is an all-NULL kInt.
+  static ColumnData FromInts(std::vector<int64_t> values,
+                             const std::vector<uint8_t>& nulls = {});
+  static ColumnData FromDoubles(std::vector<double> values,
+                                const std::vector<uint8_t>& nulls = {});
+  static ColumnData FromBools(std::vector<uint8_t> values,
+                              const std::vector<uint8_t>& nulls = {});
 
   /// out[k] = src[indices[k]] -- the gather emission of the kernels'
   /// output helper.  Dictionary columns share src's dictionary.
@@ -151,6 +163,11 @@ class ColumnData {
   /// Encode over `n` cells, `cell(i)` being the i-th (a const Value&).
   template <typename CellAt>
   static ColumnData EncodeCells(size_t n, const CellAt& cell);
+  /// The From{Ints,Doubles,Bools} of a `tag` column held in `payload`.
+  template <typename T>
+  static ColumnData FromArray(ColumnTag tag, std::vector<T> ColumnData::*payload,
+                              std::vector<T> values,
+                              const std::vector<uint8_t>& nulls);
 
   void InitValidity();               // all-invalid bitmap of size_ bits
   void SetValid(size_t i) { validity_[i >> 6] |= uint64_t{1} << (i & 63); }

@@ -6,6 +6,7 @@
 #include <iterator>
 #include <memory>
 #include <numeric>
+#include <optional>
 #include <unordered_map>
 #include <utility>
 
@@ -15,6 +16,7 @@
 #include "engine/interval_join.h"
 #include "engine/temporal_ops.h"
 #include "engine/timeline_index.h"
+#include "engine/typed_eval.h"
 #include "ra/cost_model.h"
 #include "stats/table_stats.h"
 
@@ -97,14 +99,18 @@ Relation GatherRows(const Plan& plan, const Relation& input,
 
 // periodk-lint: columnar-lane-begin(operators)
 Relation ExecSelect(const Plan& plan, const Relation& input) {
-  ScratchRow scratch({plan.predicate}, input);
-  std::vector<uint32_t> ids;
-  for (size_t i = 0; i < input.size(); ++i) {
-    if (plan.predicate->EvalBool(scratch.Load(i))) {
-      ids.push_back(static_cast<uint32_t>(i));
+  std::optional<std::vector<uint32_t>> ids =
+      SelectTyped(*plan.predicate, input);
+  if (!ids.has_value()) {  // the row path: the only one that raises
+    ids.emplace();
+    ScratchRow scratch({plan.predicate}, input);
+    for (size_t i = 0; i < input.size(); ++i) {
+      if (plan.predicate->EvalBool(scratch.Load(i))) {
+        ids->push_back(static_cast<uint32_t>(i));
+      }
     }
   }
-  return GatherRows(plan, input, ids);
+  return GatherRows(plan, input, *ids);
 }
 
 Relation ExecProject(const Plan& plan, const Relation& input) {
@@ -211,9 +217,8 @@ Relation ExecAggregate(const Plan& plan, const Relation& input,
                        const OpContext& ctx) {
   const size_t num_aggs = plan.aggs.size();
   // The kernel reads typed columns: the grouping keys, then each
-  // aggregate's argument (EvalColumns: expressions are evaluated row by
-  // row in that order, so errors surface at the row and in the order
-  // evaluation reaches them).
+  // aggregate's argument (EvalColumns: errors surface at the row and in
+  // the order a row-at-a-time loop reaches them).
   std::vector<ExprPtr> exprs = plan.exprs;
   std::vector<int> arg_of(num_aggs, -1);  // index into args
   for (size_t a = 0; a < num_aggs; ++a) {
@@ -625,34 +630,58 @@ std::vector<TypedColumn> EvalColumns(
     const Relation& input, const std::vector<ExprPtr>& exprs,
     const std::function<bool(size_t)>& row_needed) {
   const size_t arity = input.schema().size();
+  const size_t n = input.size();
   auto passes_through = [arity](const ExprPtr& e) {
     return e->kind == ExprKind::kColumn && e->column >= 0 &&
            static_cast<size_t>(e->column) < arity;
   };
-  std::vector<ExprPtr> computed;
-  for (const ExprPtr& e : exprs) {
-    if (!passes_through(e)) computed.push_back(e);
-  }
-  std::vector<std::vector<Value>> values(computed.size(),
-                                         std::vector<Value>(input.size()));
-  if (!computed.empty()) {
-    ScratchRow scratch(computed, input);
-    for (size_t i = 0; i < input.size(); ++i) {
-      if (row_needed && !row_needed(i)) continue;
+  // Rows `row_needed` accepts, recorded as it is asked.
+  std::vector<uint8_t> needed;
+  // `row_exprs` row by row, in order within a row, over a scratch row
+  // of the cells they reference.  Only the first pass asks row_needed,
+  // before each row's expressions, as a row-at-a-time loop does.
+  auto by_row = [&](const std::vector<ExprPtr>& row_exprs, bool ask) {
+    std::vector<std::vector<Value>> values(row_exprs.size(),
+                                           std::vector<Value>(n));
+    if (!ask && row_exprs.empty()) return values;
+    ScratchRow scratch(row_exprs, input);
+    for (size_t i = 0; i < n; ++i) {
+      if (ask) needed[i] = row_needed(i) ? 1 : 0;
+      if (!needed.empty() && needed[i] == 0) continue;
+      if (row_exprs.empty()) continue;
       const Row& row = scratch.Load(i);
-      for (size_t k = 0; k < computed.size(); ++k) {
-        values[k][i] = computed[k]->Eval(row);
+      for (size_t k = 0; k < row_exprs.size(); ++k) {
+        values[k][i] = row_exprs[k]->Eval(row);
       }
     }
+    return values;
+  };
+  // Computed expressions the type pass admits run typed (they cannot
+  // raise), after the row path has raised whatever the rest raise.
+  std::vector<ExprPtr> row_exprs;
+  std::vector<char> typed(exprs.size(), 0);
+  for (size_t k = 0; k < exprs.size(); ++k) {
+    if (passes_through(exprs[k])) continue;
+    typed[k] = TypedAdmits(*exprs[k], input) ? 1 : 0;
+    if (typed[k] == 0) row_exprs.push_back(exprs[k]);
   }
+  if (row_needed) needed.resize(n);
+  std::vector<std::vector<Value>> values =
+      by_row(row_exprs, static_cast<bool>(row_needed));
   std::vector<TypedColumn> out;
   out.reserve(exprs.size());
-  size_t k = 0;
-  for (const ExprPtr& e : exprs) {
+  size_t next = 0;
+  for (size_t k = 0; k < exprs.size(); ++k) {
+    const ExprPtr& e = exprs[k];
     if (passes_through(e)) {
       out.push_back(input.ReadColumn(static_cast<size_t>(e->column)));
-    } else {
-      out.emplace_back(ColumnData::FromValues(values[k++]));
+    } else if (typed[k] == 0) {
+      out.emplace_back(ColumnData::FromValues(values[next++]));
+    } else if (std::optional<ColumnData> col =
+                   EvalTyped(*e, input, row_needed ? &needed : nullptr)) {
+      out.emplace_back(std::move(*col));
+    } else {  // an int64 overflow abandoned the typed result
+      out.emplace_back(ColumnData::FromValues(by_row({e}, false)[0]));
     }
   }
   return out;

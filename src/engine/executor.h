@@ -228,16 +228,18 @@ class ScratchRow {
   std::shared_ptr<const std::vector<TypedColumn>> cols_;
 };
 
-/// The expression projection of select, project and aggregation:
-/// `exprs` over `input` as typed columns, one per expression.  A column
-/// reference within the input's arity passes through
-/// (Relation::ReadColumn).  Every other expression is evaluated row by
-/// row, in expression order within a row, over a scratch row holding
-/// only the cells the expressions reference, so the first error
-/// surfaces at the row and in the order a row-at-a-time loop reaches
-/// it.  When `row_needed` is given, it is asked first for each row (it
-/// may throw), and a row it rejects is not evaluated: its cells hold
-/// NULL placeholders.
+/// The expression projection of project, aggregation and the
+/// split-aggregate: `exprs` over `input` as typed columns, one per
+/// expression.  A column reference within the input's arity passes
+/// through (Relation::ReadColumn).  An expression the typed evaluator
+/// admits (engine/typed_eval.h) runs over whole typed columns; it
+/// cannot raise.  Every other expression is evaluated row by row, in
+/// expression order within a row, over a scratch row holding only the
+/// cells the expressions reference, so the first error surfaces at the
+/// row and in the order a row-at-a-time loop reaches it.  When
+/// `row_needed` is given, it is asked first for each row, in order and
+/// before any typed work (it may throw), and a row it rejects is not
+/// evaluated: its cells hold NULL.
 std::vector<TypedColumn> EvalColumns(
     const Relation& input, const std::vector<ExprPtr>& exprs,
     const std::function<bool(size_t)>& row_needed = {});

@@ -10,11 +10,6 @@ namespace periodk {
 
 namespace {
 
-// The synthetic calendar used by the data generators: integer day
-// numbers with 365-day years anchored at 1992 (TPC-H's epoch).
-constexpr int64_t kYearBase = 1992;
-constexpr int64_t kDaysPerYear = 365;
-
 Value EvalCompare(CompareOp op, const Value& a, const Value& b) {
   std::optional<int> c = SqlCompare(a, b);
   if (!c.has_value()) return Value::Null();
@@ -118,7 +113,7 @@ Value EvalFunc(ScalarFunc f, const std::vector<Value>& args) {
         throw EngineError(
             StrCat("year() on a non-integer value: ", v.ToString()));
       }
-      return Value::Int(kYearBase + *day / kDaysPerYear);
+      return Value::Int(YearOfDay(*day));
     }
     case ScalarFunc::kIfNull:
       return args.at(0).is_null() ? args.at(1) : args.at(0);
@@ -126,8 +121,9 @@ Value EvalFunc(ScalarFunc f, const std::vector<Value>& args) {
   throw EngineError("unknown scalar function");
 }
 
-// An AND / OR operand's truth value (nullopt for NULL).  Any other
-// value is an error naming the operator and the value, as NOT's is.
+// A truth value (nullopt for NULL): an AND / OR operand, a predicate.
+// Any other value is an error naming the operator and the value, as
+// NOT's is.
 std::optional<bool> TruthValue(const Value& v, const char* op) {
   if (v.is_null()) return std::nullopt;
   if (const bool* b = v.TryBool()) return *b;
@@ -300,8 +296,7 @@ Value Expr::Eval(const Row& row) const {
 }
 
 bool Expr::EvalBool(const Row& row) const {
-  Value v = Eval(row);
-  return v.type() == ValueType::kBool && v.AsBool();
+  return TruthValue(Eval(row), "condition") == true;
 }
 
 std::string Expr::ToString() const {

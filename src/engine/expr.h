@@ -40,6 +40,9 @@ enum class ArithOp { kAdd, kSub, kMul, kDiv, kMod };
 /// (day 0 = year base, year(d) = base_year + d / 365).
 enum class ScalarFunc { kLeast, kGreatest, kAbs, kYear, kIfNull };
 
+/// year() of day `day`: 365-day years anchored at 1992 (TPC-H's epoch).
+constexpr int64_t YearOfDay(int64_t day) { return 1992 + day / 365; }
+
 class Expr;
 using ExprPtr = std::shared_ptr<const Expr>;
 
@@ -59,7 +62,9 @@ class Expr {
   Value Eval(const Row& row) const;
 
   /// True iff Eval returns Bool(true) (SQL predicate semantics: NULL and
-  /// false both reject).
+  /// false both reject).  Any other value is an EngineError naming it,
+  /// as AND, OR and NOT raise: WHERE, ON, join residuals and CASE
+  /// conditions all judge a value this way.
   bool EvalBool(const Row& row) const;
 
   std::string ToString() const;

@@ -48,6 +48,23 @@ struct JoinPairs {
   }
 };
 
+// `pairs` stably ordered by left row (a counting sort over the left
+// input's `num_left` rows).
+JoinPairs LeftMajor(const JoinPairs& pairs, size_t num_left) {
+  std::vector<uint32_t> start(num_left + 1, 0);
+  for (uint32_t l : pairs.left) ++start[l + 1];
+  for (size_t i = 0; i < num_left; ++i) start[i + 1] += start[i];
+  JoinPairs out;
+  out.left.resize(pairs.left.size());
+  out.right.resize(pairs.right.size());
+  for (size_t k = 0; k < pairs.left.size(); ++k) {
+    const uint32_t at = start[pairs.left[k]]++;
+    out.left[at] = pairs.left[k];
+    out.right[at] = pairs.right[k];
+  }
+  return out;
+}
+
 // The join's output: each pair's left columns, then its right columns.
 Relation GatherPairs(const Plan& plan, const Relation& left,
                      const Relation& right, const JoinPairs& pairs) {
@@ -238,26 +255,51 @@ Relation NestedLoopJoin(const Plan& plan, const Relation& left,
 Relation HashJoin(const Plan& plan, const Relation& left,
                   const Relation& right) {
   const JoinAnalysis& ja = plan.join;
-  // Build on the right input (side 0 of the key index), probe with the
-  // left in order: output is left-major with each left row's matches in
-  // right order, exactly the nested loop's emission order.
+  // Build on the smaller input (side 0 of the key index): each key's
+  // rows, ascending, in one offsets + ids array.  Probe with the other
+  // input in order.
   auto [lkeys, rkeys] = ReadEquiKeys(ja, left, right);
-  KeyIndex key_of(rkeys, lkeys);
-  std::vector<std::vector<uint32_t>> matches;
-  for (uint32_t r = 0; r < right.size(); ++r) {
-    if (key_of.HasNull(r, 0)) continue;  // NULL never equi-joins
-    uint32_t id = key_of.FindOrInsert(r, 0);
-    if (id == matches.size()) matches.emplace_back();
-    matches[id].push_back(r);
+  const bool build_left = left.size() < right.size();
+  const size_t build_size = build_left ? left.size() : right.size();
+  const size_t probe_size = build_left ? right.size() : left.size();
+  KeyIndex key_of(build_left ? lkeys : rkeys, build_left ? rkeys : lkeys);
+  std::vector<uint32_t> key(build_size, KeyIndex::kAbsent);
+  std::vector<uint32_t> offsets;  // key k's rows: ids[offsets[k], offsets[k + 1])
+  for (uint32_t b = 0; b < build_size; ++b) {
+    if (key_of.HasNull(b, 0)) continue;  // NULL never equi-joins
+    key[b] = key_of.FindOrInsert(b, 0);
+    if (key[b] == offsets.size()) offsets.push_back(0);
+    ++offsets[key[b]];
   }
+  uint32_t total = 0;
+  for (uint32_t& o : offsets) total += std::exchange(o, total);
+  offsets.push_back(total);
+  std::vector<uint32_t> ids(total);
+  std::vector<uint32_t> fill(offsets.begin(), offsets.end() - 1);
+  for (uint32_t b = 0; b < build_size; ++b) {
+    if (key[b] != KeyIndex::kAbsent) ids[fill[key[b]]++] = b;
+  }
+  JoinPairs candidates;
+  for (uint32_t p = 0; p < probe_size; ++p) {
+    if (key_of.HasNull(p, 1)) continue;
+    const uint32_t id = key_of.Find(p, 1);
+    if (id == KeyIndex::kAbsent) continue;
+    for (uint32_t k = offsets[id]; k < offsets[id + 1]; ++k) {
+      if (build_left) {
+        candidates.Add(ids[k], p);
+      } else {
+        candidates.Add(p, ids[k]);
+      }
+    }
+  }
+  // Left-major, each left row's matches in right order: the nested
+  // loop's emission order, so the residual's first error is its too.
+  if (build_left) candidates = LeftMajor(candidates, left.size());
   auto residual = PairTest(left, right, ja.residual);
   JoinPairs pairs;
-  for (uint32_t l = 0; l < left.size(); ++l) {
-    if (key_of.HasNull(l, 1)) continue;
-    uint32_t id = key_of.Find(l, 1);
-    if (id == KeyIndex::kAbsent) continue;
-    for (uint32_t r : matches[id]) {
-      if (residual(l, r)) pairs.Add(l, r);
+  for (size_t k = 0; k < candidates.left.size(); ++k) {
+    if (residual(candidates.left[k], candidates.right[k])) {
+      pairs.Add(candidates.left[k], candidates.right[k]);
     }
   }
   return GatherPairs(plan, left, right, pairs);

@@ -55,9 +55,12 @@ Relation IntervalOverlapJoin(const Plan& plan, const Relation& left,
 Relation NestedLoopJoin(const Plan& plan, const Relation& left,
                         const Relation& right);
 
-/// Equi-join on plan.join.equi_keys (build right, probe left) with the
-/// residual checked per joined row.  Row-identical to NestedLoopJoin:
-/// left-major, each left row's matches in right order.
+/// Equi-join on plan.join.equi_keys, built on the smaller input and
+/// probed with the other, with the residual checked per candidate pair
+/// after the pairs are put in left-major order (a counting sort when
+/// the left input was the build side).  Row-identical to
+/// NestedLoopJoin: left-major, each left row's matches in right order,
+/// and the same first residual error.
 Relation HashJoin(const Plan& plan, const Relation& left,
                   const Relation& right);
 

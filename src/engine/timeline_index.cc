@@ -8,19 +8,6 @@ namespace periodk {
 
 namespace {
 
-/// Replay state shared by the point-lookup paths: the rows whose begin
-/// (added) or end (removed) events fall between the checkpoint and the
-/// query position.  Both lists hold at most checkpoint_interval - 1
-/// entries.
-struct Replay {
-  std::vector<uint32_t> added;    // sorted ascending
-  std::vector<uint32_t> removed;  // sorted ascending
-
-  bool Removed(uint32_t row) const {
-    return std::binary_search(removed.begin(), removed.end(), row);
-  }
-};
-
 /// The alive set of BuildFrom's sweep over row ids [first, first + n):
 /// a bitmap plus one summary bit per bitmap word, so Sorted() costs the
 /// members plus n / 4096 summary words -- a checkpoint costs its size,
@@ -268,33 +255,35 @@ std::vector<uint32_t> TimelineIndex::AliveAt(TimePoint t) const {
   size_t k = static_cast<size_t>(checkpoint_interval_);
   size_t c = pos / k;
   const std::vector<uint32_t>& base = checkpoints_[c];
-  Replay replay;
+  // The replay window: rows whose begin (added) or end (removed) events
+  // fall between the checkpoint and the query position, at most
+  // checkpoint_interval - 1 of them.
+  std::vector<uint32_t> added;
+  std::vector<uint32_t> removed;
   for (size_t i = c * k; i < pos; ++i) {
     const Event& event = events_[i];
-    if (event.is_end) {
-      replay.removed.push_back(event.row);
-    } else {
-      replay.added.push_back(event.row);
-    }
+    (event.is_end ? removed : added).push_back(event.row);
   }
-  std::sort(replay.added.begin(), replay.added.end());
-  std::sort(replay.removed.begin(), replay.removed.end());
+  std::sort(added.begin(), added.end());
+  std::sort(removed.begin(), removed.end());
 
   std::vector<uint32_t> out;
-  out.reserve(base.size() + replay.added.size());
+  out.reserve(base.size() + added.size());
   // Merge the two disjoint sorted lists (base rows began at or before
-  // the checkpoint, added rows after it), skipping removed rows.
+  // the checkpoint, added rows after it), skipping removed rows: the
+  // merged ids ascend, so one cursor walks the sorted removed list.
   size_t bi = 0;
   size_t ai = 0;
-  while (bi < base.size() || ai < replay.added.size()) {
+  size_t ri = 0;
+  while (bi < base.size() || ai < added.size()) {
     uint32_t next;
-    if (ai >= replay.added.size() ||
-        (bi < base.size() && base[bi] < replay.added[ai])) {
+    if (ai >= added.size() || (bi < base.size() && base[bi] < added[ai])) {
       next = base[bi++];
     } else {
-      next = replay.added[ai++];
+      next = added[ai++];
     }
-    if (!replay.removed.empty() && replay.Removed(next)) continue;
+    while (ri < removed.size() && removed[ri] < next) ++ri;
+    if (ri < removed.size() && removed[ri] == next) continue;
     out.push_back(next);
   }
   return out;

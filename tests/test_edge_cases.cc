@@ -10,6 +10,8 @@
 
 #include "common/status.h"
 #include "common/str_util.h"
+#include "engine/executor.h"
+#include "engine/interval_join.h"
 #include "engine/temporal_ops.h"
 #include "engine/window.h"
 #include "middleware/temporal_db.h"
@@ -384,6 +386,69 @@ TEST(EdgeCaseTest, WronglyTypedOperandsNameTheOperatorAndValue) {
     ASSERT_TRUE(query.ok()) << sql << ": " << query.status().message();
     ASSERT_EQ(query->size(), 1u) << sql;
     EXPECT_EQ(query->rows()[0][0], Value::Bool(false)) << sql;
+  }
+}
+
+// A condition that yields a non-boolean value is an error wherever it
+// is judged -- WHERE, a CASE condition, a join residual or the whole
+// join predicate -- naming the value, as AND, OR and NOT do.  A join
+// whose residual is such a value once returned no rows through the
+// nested loop and the sweep's fast lane, but threw once a row took the
+// sweep's slow lane (which judges the whole predicate).
+TEST(EdgeCaseTest, NonBooleanConditionsAreErrorsOnEveryPath) {
+  TemporalDB db(TimeDomain{0, 24});
+  ASSERT_TRUE(db.CreateTable("r", {"g", "s", "x"}).ok());
+  ASSERT_TRUE(
+      db.Insert("r", {Value::Int(1), Value::String("abc"), Value::Int(7)})
+          .ok());
+  for (const std::string sql :
+       {"SELECT g FROM r WHERE x",
+        "SELECT CASE WHEN x THEN 1 ELSE 0 END AS v FROM r",
+        "SELECT a.g FROM r a, r b WHERE a.g = b.g AND a.x"}) {
+    Result<Relation> query = db.Query(sql);
+    ASSERT_FALSE(query.ok()) << sql;
+    EXPECT_EQ(query.status().message(), "condition on a non-boolean value: 7")
+        << sql;
+  }
+  Result<Relation> text = db.Query("SELECT g FROM r WHERE s");
+  ASSERT_FALSE(text.ok());
+  EXPECT_EQ(text.status().message(), "condition on a non-boolean value: abc");
+
+  // k = k AND b1 < e2 AND b2 < e1 AND x: equi-key, overlap, residual x.
+  const Schema ls = Schema::FromNames({"k", "b", "e"});
+  const Schema rs = Schema::FromNames({"k", "x", "b", "e"});
+  PlanPtr join = MakeJoin(
+      MakeScan("l", ls), MakeScan("r", rs),
+      AndAll({Eq(Col(0), Col(3)), Lt(Col(1), Col(6)), Lt(Col(5), Col(2)),
+              Col(4)}));
+  ASSERT_TRUE(join->join.overlap.has_value());
+  ASSERT_NE(join->join.residual, nullptr);
+  const Relation left(ls, {{Value::Int(1), Value::Int(0), Value::Int(10)}});
+  for (bool slow_lane : {false, true}) {
+    Relation right(rs, {{Value::Int(1), Value::Int(7), Value::Int(2),
+                         Value::Int(5)}});
+    if (slow_lane) {  // a NULL begin: judged on the whole predicate
+      right.AddRow({Value::Int(1), Value::Int(7), Value::Null(), Value::Int(5)});
+    }
+    Catalog catalog;
+    catalog.Put("l", left);
+    catalog.Put("r", right);
+    const std::vector<std::function<Relation()>> paths = {
+        [&] { return NestedLoopJoin(*join, left, right); },
+        [&] { return IntervalOverlapJoin(*join, left, right, OpContext{}); },
+        [&] { return Execute(join, catalog); },
+    };
+    for (size_t p = 0; p < paths.size(); ++p) {
+      try {
+        paths[p]();
+        ADD_FAILURE() << "path " << p << " slow lane " << slow_lane
+                      << " returned rows";
+      } catch (const EngineError& e) {
+        EXPECT_NE(std::string(e.what()).find("on a non-boolean value: 7"),
+                  std::string::npos)
+            << "path " << p << ": " << e.what();
+      }
+    }
   }
 }
 

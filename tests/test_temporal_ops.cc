@@ -18,6 +18,7 @@
 #include "common/status.h"
 #include "common/str_util.h"
 #include "common/thread_pool.h"
+#include "engine/executor.h"
 #include "rewrite/period_enc.h"
 #include "tests/running_example.h"
 
@@ -639,6 +640,51 @@ TEST(SplitAggregateTest, DoubleSumsAreExactPerFragment) {
   }
 }
 
+// SUM and AVG of +inf and -inf: hash aggregation and the
+// split-aggregate's phase-1 partials add them with `+=`, which yields
+// the platform's default NaN, while the sweep counts its open
+// infinities.  Every plan must return the same NaN, bit for bit.
+TEST(SplitAggregateTest, NaNSumsAndAveragesHaveOneBitPattern) {
+  const double inf = std::numeric_limits<double>::infinity();
+  auto row = [](int64_t g, double x, TimePoint b, TimePoint e) {
+    return Row{Value::Int(g), Value::Double(x), Value::Int(b), Value::Int(e)};
+  };
+  // Group 1's rows share one (group, begin, end) cell, so one phase-1
+  // partial sums them; group 2's overlap in [2, 4) only in the sweep.
+  Relation rel(Schema::FromNames({"g", "x", "b", "e"}),
+               {row(1, inf, 0, 4), row(1, -inf, 0, 4), row(2, inf, 0, 4),
+                row(2, -inf, 2, 6)});
+  Catalog catalog;
+  catalog.Put("r", rel);
+  const std::vector<AggExpr> aggs = {{AggFunc::kSum, Col(1), "s"},
+                                     {AggFunc::kAvg, Col(1), "a"}};
+  const auto quiet =
+      std::bit_cast<uint64_t>(std::numeric_limits<double>::quiet_NaN());
+  int nans = 0;
+  auto check = [&](const Relation& out, const std::string& plan) {
+    for (const Row& r : out.rows()) {
+      for (size_t c : {1, 2}) {
+        const double* d = r[c].TryDouble();
+        if (d == nullptr || !std::isnan(*d)) continue;
+        ++nans;
+        EXPECT_EQ(std::bit_cast<uint64_t>(*d), quiet)
+            << plan << ": " << RowToString(r);
+      }
+    }
+  };
+  check(Execute(MakeAggregate(MakeScan("r", rel.schema()), {Col(0)},
+                              {Column("g")}, aggs),
+                catalog),
+        "hash aggregation");
+  for (bool pre : {true, false}) {
+    check(SplitAggregateRelation(rel, {0}, aggs, false, TimeDomain{0, 8}, pre),
+          StrCat("split-aggregate, pre-aggregation ", pre));
+  }
+  // SUM and AVG of both groups, and of the fragments [0, 4) of group 1
+  // and [2, 4) of group 2 with and without pre-aggregation.
+  EXPECT_EQ(nans, 12);
+}
+
 // Aggregate arguments that are expressions are evaluated row by row,
 // each row's endpoints decoded first and rows with empty intervals
 // skipped, so the first error is the one a row-at-a-time loop meets.
@@ -715,6 +761,13 @@ struct FullAggState {
            isum <= std::numeric_limits<int64_t>::max();
   }
 
+  // A NaN sum or average finalizes as quiet_NaN(), whatever NaN the
+  // running sum holds.
+  static Value QuietDouble(double d) {
+    return Value::Double(std::isnan(d) ? std::numeric_limits<double>::quiet_NaN()
+                                       : d);
+  }
+
   Value Finalize(AggFunc f, int64_t star) const {
     switch (f) {
       case AggFunc::kCountStar:
@@ -724,10 +777,10 @@ struct FullAggState {
       case AggFunc::kSum:
         if (!any) return Value::Null();
         return SumIsInt() ? Value::Int(static_cast<int64_t>(isum))
-                          : Value::Double(dsum);
+                          : QuietDouble(dsum);
       case AggFunc::kAvg:
         return count == 0 ? Value::Null()
-                          : Value::Double(dsum / static_cast<double>(count));
+                          : QuietDouble(dsum / static_cast<double>(count));
       case AggFunc::kMin:
         return any ? min_v : Value::Null();
       case AggFunc::kMax:

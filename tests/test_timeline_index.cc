@@ -149,15 +149,18 @@ TEST(TimelineIndexTest, AliveInRangeMatchesBruteForce) {
       TimePoint b = rng.Range(kDomain.tmin - 1, kDomain.tmax);
       TimePoint e = rng.Range(kDomain.tmin - 1, kDomain.tmax + 1);
       std::vector<uint32_t> expected;
+      std::vector<uint32_t> alive_at_b;  // AliveAt's replay merge
       for (size_t i = 0; i < rel->size(); ++i) {
         TimePoint rb = rel->rows()[i][2].AsInt();
         TimePoint re = rel->rows()[i][3].AsInt();
         if (rb < re && rb < e && re > b && b < e) {
           expected.push_back(static_cast<uint32_t>(i));
         }
+        if (rb <= b && b < re) alive_at_b.push_back(static_cast<uint32_t>(i));
       }
       EXPECT_EQ(index->AliveInRange(b, e), expected)
           << "[" << b << ", " << e << ") K=" << k;
+      EXPECT_EQ(index->AliveAt(b), alive_at_b) << "t=" << b << " K=" << k;
     }
   }
 }

@@ -13,6 +13,15 @@ Checks invariants that neither the compiler nor clang-tidy can express:
           // periodk-lint: columnar-lane-begin(<name>)
           // periodk-lint: columnar-lane-end(<name>)
 
+  row-eval-in-typed-lane
+      Inside a marked typed lane (the typed expression evaluator,
+      engine/typed_eval.cc) expressions run over whole typed columns:
+      Eval( / EvalBool( / ScratchRow / Get( evaluate or read one Value
+      row at a time and forfeit the typed path.  Delimited like the
+      columnar lanes:
+          // periodk-lint: typed-lane-begin(<name>)
+          // periodk-lint: typed-lane-end(<name>)
+
   layout-check-outside-storage
       Kernels read typed columns (Relation::ReadColumn) and emit through
       the output helpers (Relation::FromColumns / Gather / Concat), which
@@ -62,9 +71,13 @@ import tempfile
 ALLOW_RE = re.compile(r"periodk-lint:\s*allow\(([a-z-]+)\):?\s*(.*)")
 LANE_BEGIN_RE = re.compile(r"periodk-lint:\s*columnar-lane-begin\(([\w-]+)\)")
 LANE_END_RE = re.compile(r"periodk-lint:\s*columnar-lane-end\(([\w-]+)\)")
+TYPED_BEGIN_RE = re.compile(r"periodk-lint:\s*typed-lane-begin\(([\w-]+)\)")
+TYPED_END_RE = re.compile(r"periodk-lint:\s*typed-lane-end\(([\w-]+)\)")
 
 ROW_API_RE = re.compile(
     r"(?:\.|->)rows\(\)|\bAddRow\s*\(|\bmutable_rows\s*\(|\bReserve\s*\(")
+ROW_EVAL_RE = re.compile(
+    r"\bEval\s*\(|\bEvalBool\s*\(|\bScratchRow\b|\bGet\s*\(")
 LAYOUT_CHECK_RE = re.compile(r"\bis_columnar\s*\(")
 NAKED_MUTEX_RE = re.compile(
     r"std::(?:recursive_|shared_|timed_)?mutex\b"
@@ -157,15 +170,18 @@ def collect_allows(lines, findings, path):
     return allows
 
 
-def check_columnar_lanes(path, lines, findings):
+def check_lanes(path, lines, findings, begin_re, end_re, token_re, rule,
+                what):
+    """Lanes delimited by begin_re / end_re must close, must not nest,
+    and must not contain token_re; `what` says why, naming the lane."""
     lane = None  # (name, begin line)
     for idx, line in enumerate(lines, start=1):
-        begin = LANE_BEGIN_RE.search(line)
-        end = LANE_END_RE.search(line)
+        begin = begin_re.search(line)
+        end = end_re.search(line)
         if begin is not None:
             if lane is not None:
                 findings.append(Finding(
-                    path, idx, "row-api-in-columnar-lane",
+                    path, idx, rule,
                     f"lane '{begin.group(1)}' opened inside open lane "
                     f"'{lane[0]}' (line {lane[1]})"))
             lane = (begin.group(1), idx)
@@ -173,20 +189,28 @@ def check_columnar_lanes(path, lines, findings):
         if end is not None:
             if lane is None or end.group(1) != lane[0]:
                 findings.append(Finding(
-                    path, idx, "row-api-in-columnar-lane",
-                    f"stray lane end '{end.group(1)}'"))
+                    path, idx, rule, f"stray lane end '{end.group(1)}'"))
             lane = None
             continue
-        if lane is not None and ROW_API_RE.search(line) is not None:
-            findings.append(Finding(
-                path, idx, "row-api-in-columnar-lane",
-                f"row API inside columnar lane '{lane[0]}' "
-                "(rows()/AddRow/mutable_rows/Reserve decay the columnar "
-                "path)"))
+        if lane is not None and token_re.search(line) is not None:
+            findings.append(Finding(path, idx, rule, what.format(lane[0])))
     if lane is not None:
         findings.append(Finding(
-            path, lane[1], "row-api-in-columnar-lane",
-            f"lane '{lane[0]}' is never closed"))
+            path, lane[1], rule, f"lane '{lane[0]}' is never closed"))
+
+
+def check_columnar_lanes(path, lines, findings):
+    check_lanes(path, lines, findings, LANE_BEGIN_RE, LANE_END_RE,
+                ROW_API_RE, "row-api-in-columnar-lane",
+                "row API inside columnar lane '{}' (rows()/AddRow/"
+                "mutable_rows/Reserve decay the columnar path)")
+
+
+def check_typed_lanes(path, lines, findings):
+    check_lanes(path, lines, findings, TYPED_BEGIN_RE, TYPED_END_RE,
+                ROW_EVAL_RE, "row-eval-in-typed-lane",
+                "row evaluation inside typed lane '{}' (Eval/EvalBool/"
+                "ScratchRow/Get work one Value row at a time)")
 
 
 def check_layout_outside_storage(path, rel, stripped_lines, findings):
@@ -252,6 +276,7 @@ def lint_file(path, rel):
     stripped_lines = stripped.splitlines()
     allows = collect_allows(lines, findings, path)
     check_columnar_lanes(path, lines, findings)
+    check_typed_lanes(path, lines, findings)
     check_layout_outside_storage(path, rel, stripped_lines, findings)
     check_naked_mutex(path, rel, stripped_lines, findings)
     check_relation_by_value(path, stripped, findings)
@@ -335,6 +360,28 @@ void EmitChecked(const JoinSides& sides, uint32_t l, uint32_t r,
 }
 // periodk-lint: columnar-lane-end(hash-join)
 """,
+    # The row-at-a-time select the typed evaluator replaced: a scratch
+    # row loaded and judged one row at a time.
+    "src/engine/typed_lane_bad.cc": """\
+// periodk-lint: typed-lane-begin(select)
+Relation ExecSelect(const Plan& plan, const Relation& input) {
+  ScratchRow scratch({plan.predicate}, input);
+  std::vector<uint32_t> ids;
+  for (size_t i = 0; i < input.size(); ++i) {
+    if (plan.predicate->EvalBool(scratch.Load(i))) {
+      ids.push_back(static_cast<uint32_t>(i));
+    }
+  }
+  return GatherRows(plan, input, ids);
+}
+// periodk-lint: typed-lane-end(select)
+""",
+    "src/engine/typed_lane_ok.cc": """\
+// periodk-lint: typed-lane-begin(demo)
+std::optional<ColumnData> col = EvalTyped(*e, input);
+const int64_t* xs = col->ints();
+// periodk-lint: typed-lane-end(demo)
+""",
     "src/engine/layout_bad.cc": """\
 // is_columnar() in a comment is fine.
 Relation Kernel(const Relation& input) {
@@ -372,6 +419,7 @@ SELF_TEST_EXPECT = {
     ("append_lane_bad.cc", "row-api-in-columnar-lane"): 2,
     ("select_lane_bad.cc", "row-api-in-columnar-lane"): 4,
     ("join_lane_bad.cc", "row-api-in-columnar-lane"): 1,
+    ("typed_lane_bad.cc", "row-eval-in-typed-lane"): 2,
     ("layout_bad.cc", "layout-check-outside-storage"): 1,
     ("mutex_bad.cc", "naked-mutex"): 1,
     ("byvalue_bad.h", "relation-by-value"): 1,
