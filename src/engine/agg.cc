@@ -27,26 +27,24 @@ const char* AggFuncName(AggFunc f) {
   return "?";
 }
 
-namespace {
-
-// One NaN for every plan: `+=` of +inf and -inf yields the platform's
-// default NaN (negative on x86), the split-aggregate sweep quiet_NaN().
-double QuietNaN(double d) {
-  return std::isnan(d) ? std::numeric_limits<double>::quiet_NaN() : d;
+bool SumIsInt(bool all_int, __int128 isum) {
+  return all_int && isum >= std::numeric_limits<int64_t>::min() &&
+         isum <= std::numeric_limits<int64_t>::max();
 }
-
-}  // namespace
 
 void AggState::AccumulateInt(int64_t v, int64_t mult) {
   count += mult;
   isum += static_cast<__int128>(v) * mult;
-  dsum += static_cast<double>(v) * static_cast<double>(mult);
 }
 
 void AggState::AccumulateDouble(double v, int64_t mult) {
   count += mult;
   all_int = false;
-  dsum += v * static_cast<double>(mult);
+  if (mult == 1) {
+    dsum.Add(v);
+  } else {
+    dsum.AddTimes(v, mult);
+  }
 }
 
 void AggState::Accumulate(const Value& v, int64_t mult) {
@@ -113,7 +111,7 @@ void AggState::AccumulateColumn(const ColumnData& col, size_t row,
 void AggState::Merge(const AggState& other) {
   count += other.count;
   isum += other.isum;
-  dsum += other.dsum;
+  dsum.Merge(other.dsum);
   all_int = all_int && other.all_int;
   if (other.extreme.has_value()) Accumulate(*other.extreme);
 }
@@ -124,18 +122,15 @@ Value AggState::Finalize(int64_t star_count) const {
       return Value::Int(star_count);
     case AggFunc::kCount:
       return Value::Int(count);
-    case AggFunc::kSum: {
+    case AggFunc::kSum:
       if (count == 0) return Value::Null();
-      constexpr __int128 kInt64Min = std::numeric_limits<int64_t>::min();
-      constexpr __int128 kInt64Max = std::numeric_limits<int64_t>::max();
-      if (all_int && isum >= kInt64Min && isum <= kInt64Max) {
+      if (SumIsInt(all_int, isum)) {
         return Value::Int(static_cast<int64_t>(isum));
       }
-      return Value::Double(QuietNaN(dsum));
-    }
+      return Value::Double(dsum.Round(isum));
     case AggFunc::kAvg:
       if (count == 0) return Value::Null();
-      return Value::Double(QuietNaN(dsum / static_cast<double>(count)));
+      return Value::Double(dsum.Round(isum) / static_cast<double>(count));
     case AggFunc::kMin:
     case AggFunc::kMax:
       return extreme.value_or(Value::Null());
@@ -143,27 +138,90 @@ Value AggState::Finalize(int64_t star_count) const {
   throw EngineError("unknown aggregate function");
 }
 
-void ExactSum::Accumulate(double x, int sign) {
+namespace {
+
+// Bit 1074 of the fixed-point total weighs 2^0.
+constexpr int kUnitBit = 1074;
+
+int BitWidth(unsigned __int128 m) {
+  const auto high = static_cast<uint64_t>(m >> 64);
+  return high != 0 ? 64 + std::bit_width(high)
+                   : std::bit_width(static_cast<uint64_t>(m));
+}
+
+}  // namespace
+
+void ExactSum::AddTimes(double x, int64_t times) {
   const auto bits = std::bit_cast<uint64_t>(x);
   const auto biased = static_cast<int>((bits >> 52) & 0x7ff);
   uint64_t mantissa = bits & ((uint64_t{1} << 52) - 1);
+  const bool negative = (bits >> 63) != 0;
+  if (biased == 0x7ff) {  // NaN or ±inf: counted, resolved by Round
+    (mantissa != 0 ? nan_ : negative ? neg_inf_ : pos_inf_) += times;
+    return;
+  }
   if (biased != 0) mantissa |= uint64_t{1} << 52;
-  if (mantissa == 0) return;  // ±0.0
-  if ((bits >> 63) != 0) sign = -sign;
+  if (mantissa == 0 || times == 0) return;  // ±0.0
   // x = mantissa * 2^(pos - 1074): subnormals sit at pos 0.
   const int pos = biased == 0 ? 0 : biased - 1;
-  if (digits_.empty()) digits_.assign(kDigits, 0);
+  const uint64_t copies = times < 0 ? 0 - static_cast<uint64_t>(times)
+                                    : static_cast<uint64_t>(times);
+  AddMagnitude(static_cast<unsigned __int128>(mantissa) * copies, pos,
+               negative == (times < 0) ? 1 : -1);
+}
+
+void ExactSum::AddMagnitude(unsigned __int128 m, int pos, int sign) {
   const int k = pos / kDigitBits;
-  const auto wide = static_cast<unsigned __int128>(mantissa)
-                    << (pos % kDigitBits);
-  for (int j = 0; j < 3; ++j) {
-    const auto digit =
-        static_cast<int64_t>(static_cast<uint32_t>(wide >> (kDigitBits * j)));
-    digits_[static_cast<size_t>(k + j)] += sign * digit;
+  const int shift = pos % kDigitBits;
+  // m << shift in 32-bit digits: five at most, since m < 2^128.
+  const int n = (BitWidth(m) + shift + kDigitBits - 1) / kDigitBits;
+  if (k < lo_ || k + n > lo_ + static_cast<int>(digits_.size())) {
+    Widen(k, k + n);
   }
-  lo_ = std::min(lo_, k);
-  hi_ = std::max(hi_, k + 2);
-  if (++pending_ == kMaxPending) Normalize();
+  int64_t* d = digits_.data() + (k - lo_);
+  const unsigned __int128 low = m << shift;
+  for (int j = 0; j < std::min(n, 4); ++j) {
+    d[j] += sign * static_cast<int64_t>(
+                       static_cast<uint32_t>(low >> (kDigitBits * j)));
+  }
+  if (n == 5) {  // shift > 0 here, the bits `low` shifted out
+    d[4] += sign * static_cast<int64_t>(
+                       static_cast<uint32_t>(m >> (128 - shift)));
+  }
+  if (++pending_ >= kMaxPending) Normalize();
+}
+
+void ExactSum::Widen(int lo, int hi) {
+  if (digits_.empty()) {
+    digits_.assign(static_cast<size_t>(hi - lo), 0);
+    lo_ = lo;
+    return;
+  }
+  if (lo < lo_) {
+    digits_.insert(digits_.begin(), static_cast<size_t>(lo_ - lo), 0);
+    lo_ = lo;
+  }
+  if (hi - lo_ > static_cast<int>(digits_.size())) {
+    digits_.resize(static_cast<size_t>(hi - lo_), 0);
+  }
+}
+
+void ExactSum::Merge(const ExactSum& other) {
+  nan_ += other.nan_;
+  pos_inf_ += other.pos_inf_;
+  neg_inf_ += other.neg_inf_;
+  if (other.digits_.empty()) return;
+  // Each of other's digits is below (other.pending_ + 1) * 2^32 in
+  // magnitude: adding them counts as that many terms.
+  if (pending_ + other.pending_ + 1 >= kMaxPending) Normalize();
+  const int size = static_cast<int>(other.digits_.size());
+  Widen(other.lo_, other.lo_ + size);
+  for (int i = 0; i < size; ++i) {
+    digits_[static_cast<size_t>(other.lo_ - lo_ + i)] +=
+        other.digits_[static_cast<size_t>(i)];
+  }
+  pending_ += other.pending_ + 1;
+  if (pending_ >= kMaxPending) Normalize();
 }
 
 void ExactSum::Normalize() {
@@ -172,49 +230,93 @@ void ExactSum::Normalize() {
   // total is negative exactly when the top digit is.
   constexpr int64_t kMask = (int64_t{1} << kDigitBits) - 1;
   constexpr int64_t kHalf = int64_t{1} << (kDigitBits - 1);
-  for (int k = lo_; k < hi_ || (k + 1 < kDigits &&
-                                (digits_[static_cast<size_t>(k)] >= kHalf ||
-                                 digits_[static_cast<size_t>(k)] < -kHalf));
-       ++k) {
-    int64_t& d = digits_[static_cast<size_t>(k)];
-    const int64_t carry = d >> kDigitBits;  // floor division
-    d &= kMask;
-    digits_[static_cast<size_t>(k) + 1] += carry;
-    hi_ = std::max(hi_, k + 1);
+  for (size_t i = 0; i + 1 < digits_.size() ||
+                     (i < digits_.size() &&
+                      (digits_[i] >= kHalf || digits_[i] < -kHalf));
+       ++i) {
+    if (i + 1 == digits_.size()) digits_.push_back(0);
+    const int64_t carry = digits_[i] >> kDigitBits;  // floor division
+    digits_[i] &= kMask;
+    digits_[i + 1] += carry;
   }
   pending_ = 0;
 }
 
-double ExactSum::Round() {
-  if (hi_ < 0) return 0.0;
-  Normalize();
-  constexpr int64_t kMask = (int64_t{1} << kDigitBits) - 1;
-  // The magnitude's digits, each in [0, 2^32).
-  int64_t mag[kDigits];
-  const bool negative = digits_[static_cast<size_t>(hi_)] < 0;
-  int64_t carry = 0;
-  for (int k = lo_; k <= hi_; ++k) {
-    const int64_t d = digits_[static_cast<size_t>(k)];
-    const int64_t m = (negative ? -d : d) + carry;
-    carry = m >> kDigitBits;
-    mag[k] = m & kMask;
+double ExactSum::Round(__int128 plus) const {
+  if (nan_ > 0 || (pos_inf_ > 0 && neg_inf_ > 0)) {
+    return std::numeric_limits<double>::quiet_NaN();
   }
-  int top = hi_;
-  while (top >= lo_ && mag[top] == 0) --top;
-  if (top < lo_) return 0.0;
+  if (pos_inf_ > 0) return std::numeric_limits<double>::infinity();
+  if (neg_inf_ > 0) return -std::numeric_limits<double>::infinity();
+  constexpr int64_t kMask = (int64_t{1} << kDigitBits) - 1;
+  constexpr int64_t kHalf = int64_t{1} << (kDigitBits - 1);
+  // The stored digits plus `plus`, by digit index, in [lo, hi): room
+  // for the widest total, 2^63 terms of multiplicity 2^63 near 2^1024.
+  int64_t d[kDigits + 8];
+  int lo = lo_;
+  int hi = lo_ + static_cast<int>(digits_.size());
+  const unsigned __int128 plus_mag =
+      plus < 0 ? 0 - static_cast<unsigned __int128>(plus)
+               : static_cast<unsigned __int128>(plus);
+  const int plus_lo = kUnitBit / kDigitBits;
+  const int plus_shift = kUnitBit % kDigitBits;
+  const int plus_hi =
+      plus_lo + (BitWidth(plus_mag) + plus_shift + kDigitBits - 1) / kDigitBits;
+  if (plus != 0) {
+    if (lo == hi) {
+      lo = plus_lo;
+      hi = plus_lo;
+    }
+    lo = std::min(lo, plus_lo);
+    hi = std::max(hi, plus_hi);
+  }
+  if (lo == hi) return 0.0;
+  if (lo < lo_ || hi > lo_ + static_cast<int>(digits_.size())) {
+    std::fill(d + lo, d + hi, 0);
+  }
+  std::copy(digits_.begin(), digits_.end(), d + lo_);
+  if (plus != 0) {
+    const int sign = plus < 0 ? -1 : 1;
+    const unsigned __int128 low = plus_mag << plus_shift;
+    for (int k = plus_lo; k < plus_hi; ++k) {
+      const int j = k - plus_lo;
+      const auto digit = static_cast<uint32_t>(
+          j < 4 ? low >> (kDigitBits * j) : plus_mag >> (128 - plus_shift));
+      d[k] += sign * static_cast<int64_t>(digit);
+    }
+  }
+  // Carries: every digit but the top one into [0, 2^32), the top one
+  // signed, so the total is negative exactly when the top digit is.
+  for (int k = lo; k + 1 < hi || d[k] >= kHalf || d[k] < -kHalf; ++k) {
+    if (k + 1 == hi) d[hi++] = 0;
+    const int64_t carry = d[k] >> kDigitBits;  // floor division
+    d[k] &= kMask;
+    d[k + 1] += carry;
+  }
+  // The magnitude's digits, each in [0, 2^32).
+  const bool negative = d[hi - 1] < 0;
+  int64_t carry = 0;
+  for (int k = lo; k < hi; ++k) {
+    const int64_t m = (negative ? -d[k] : d[k]) + carry;
+    carry = m >> kDigitBits;
+    d[k] = m & kMask;
+  }
+  int top = hi - 1;
+  while (top >= lo && d[top] == 0) --top;
+  if (top < lo) return 0.0;
   // The 128-bit window of digits [top3 - 3, top3], and whether anything
   // nonzero lies below it.
   const int top3 = std::max(top, 3);
   auto digit = [&](int k) -> uint64_t {
-    return k >= lo_ && k <= hi_ ? static_cast<uint64_t>(mag[k]) : 0;
+    return k >= lo && k <= top ? static_cast<uint64_t>(d[k]) : 0;
   };
   unsigned __int128 window = 0;
   for (int k = top3; k >= top3 - 3; --k) {
     window = (window << kDigitBits) | digit(k);
   }
   bool sticky = false;
-  for (int k = lo_; k < top3 - 3; ++k) sticky = sticky || mag[k] != 0;
-  const int exponent = kDigitBits * (top3 - 3) - 1074;  // weight of bit 0
+  for (int k = lo; k < top3 - 3; ++k) sticky = sticky || d[k] != 0;
+  const int exponent = kDigitBits * (top3 - 3) - kUnitBit;  // bit 0's weight
   const auto high = static_cast<uint64_t>(window >> 64);
   const auto low = static_cast<uint64_t>(window);
   const int lead = high != 0 ? 127 - std::countl_zero(high)
@@ -231,9 +333,21 @@ double ExactSum::Round() {
     const unsigned __int128 half = static_cast<unsigned __int128>(1)
                                    << (shift - 1);
     if (rest > half || (rest == half && (sticky || (mantissa & 1) != 0))) {
-      ++mantissa;  // 2^53 at most: still exact as a double
+      ++mantissa;
     }
-    magnitude = std::ldexp(static_cast<double>(mantissa), exponent + shift);
+    // mantissa * 2^(exponent + shift), a normal double: more than 53
+    // bits cannot lie below 2^-1021.
+    int biased = exponent + shift + 52 + 1023;
+    if (mantissa >> 53 != 0) {  // rounded up to 2^53
+      mantissa >>= 1;
+      ++biased;
+    }
+    if (biased > 2046) {
+      return negative ? -std::numeric_limits<double>::infinity()
+                      : std::numeric_limits<double>::infinity();
+    }
+    magnitude = std::bit_cast<double>((static_cast<uint64_t>(biased) << 52) |
+                                      (mantissa & ((uint64_t{1} << 52) - 1)));
   }
   return negative ? -magnitude : magnitude;
 }

@@ -1,6 +1,7 @@
 #include "engine/interval_join.h"
 
 #include <algorithm>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -36,6 +37,61 @@ auto PairTest(const Relation& left, const Relation& right,
     return expr == nullptr || expr->EvalBool(scratch.Load(l, r));
   };
 }
+
+/// SQL `a < b` (false when either side is NULL or incomparable).
+bool StrictlyLess(const Value& a, const Value& b) {
+  const std::optional<int> c = SqlCompare(a, b);
+  return c.has_value() && *c < 0;
+}
+
+// The overlap conjunct `left begin < right end AND right begin < left
+// end` of an analyzed join, tested on pair (l, r) under SQL comparison:
+// integer endpoints directly, any other (NULL, double, string) through
+// their Values.  Endpoints are decoded once per row.
+class OverlapTest {
+ public:
+  OverlapTest(const OverlapSpec& ov, const Relation& left,
+              const Relation& right)
+      : left_(left, ov.left_begin, ov.left_end),
+        right_(right, ov.right_begin, ov.right_end) {}
+
+  bool operator()(size_t l, size_t r) const {
+    if (left_.is_int[l] != 0 && right_.is_int[r] != 0) {
+      return left_.b[l] < right_.e[r] && right_.b[r] < left_.e[l];
+    }
+    return StrictlyLess(left_.begin->Get(l), right_.end->Get(r)) &&
+           StrictlyLess(right_.begin->Get(r), left_.end->Get(l));
+  }
+
+ private:
+  // One side's endpoints: an integer pair, or (is_int 0) a row
+  // compared through its Values.
+  struct Ends {
+    Ends(const Relation& rel, int bcol, int ecol)
+        : begin(rel.ReadColumn(static_cast<size_t>(bcol))),
+          end(rel.ReadColumn(static_cast<size_t>(ecol))),
+          b(rel.size()),
+          e(rel.size()),
+          is_int(rel.size()) {
+      for (size_t i = 0; i < rel.size(); ++i) {
+        const int64_t* pb = begin->TryInt(i);
+        const int64_t* pe = end->TryInt(i);
+        is_int[i] = pb != nullptr && pe != nullptr;
+        if (is_int[i] != 0) {
+          b[i] = *pb;
+          e[i] = *pe;
+        }
+      }
+    }
+    TypedColumn begin;
+    TypedColumn end;
+    std::vector<int64_t> b;
+    std::vector<int64_t> e;
+    std::vector<char> is_int;
+  };
+  Ends left_;
+  Ends right_;
+};
 
 // The (left row, right row) pairs a join keeps, in emission order.
 struct JoinPairs {
@@ -158,12 +214,6 @@ void SweepBucket(Bucket& bucket, SweepScratch& scratch, const Emit& emit) {
   }
 }
 
-/// SQL `a < b` (false when either side is NULL or incomparable).
-bool StrictlyLess(const Value& a, const Value& b) {
-  const std::optional<int> c = SqlCompare(a, b);
-  return c.has_value() && *c < 0;
-}
-
 }  // namespace
 
 // periodk-lint: columnar-lane-begin(joins)
@@ -200,51 +250,14 @@ Relation NestedLoopJoin(const Plan& plan, const Relation& left,
   };
   std::vector<uint32_t> lid = key_ids(left.size(), 0);
   std::vector<uint32_t> rid = key_ids(right.size(), 1);
-  // Endpoints decoded once per row: an integer pair, or (is_int 0) a
-  // row compared under SQL rules through its Values.
-  struct Ends {
-    std::vector<TypedColumn> cols;  // begin, end
-    std::vector<int64_t> b, e;
-    std::vector<char> is_int;
-  };
-  auto decode = [](const Relation& rel, int bcol, int ecol) {
-    Ends out;
-    out.cols.push_back(rel.ReadColumn(static_cast<size_t>(bcol)));
-    out.cols.push_back(rel.ReadColumn(static_cast<size_t>(ecol)));
-    out.b.resize(rel.size());
-    out.e.resize(rel.size());
-    out.is_int.resize(rel.size());
-    for (size_t i = 0; i < rel.size(); ++i) {
-      const int64_t* b = out.cols[0]->TryInt(i);
-      const int64_t* e = out.cols[1]->TryInt(i);
-      out.is_int[i] = b != nullptr && e != nullptr;
-      if (out.is_int[i] != 0) {
-        out.b[i] = *b;
-        out.e[i] = *e;
-      }
-    }
-    return out;
-  };
-  const bool has_overlap = ja.overlap.has_value();
-  Ends le;
-  Ends re;
-  if (has_overlap) {
-    le = decode(left, ja.overlap->left_begin, ja.overlap->left_end);
-    re = decode(right, ja.overlap->right_begin, ja.overlap->right_end);
-  }
-  auto overlaps = [&](size_t l, size_t r) {
-    if (!has_overlap) return true;
-    if (le.is_int[l] != 0 && re.is_int[r] != 0) {
-      return le.b[l] < re.e[r] && re.b[r] < le.e[l];
-    }
-    return StrictlyLess(le.cols[0]->Get(l), re.cols[1]->Get(r)) &&
-           StrictlyLess(re.cols[0]->Get(r), le.cols[1]->Get(l));
-  };
+  std::optional<OverlapTest> overlaps;
+  if (ja.overlap.has_value()) overlaps.emplace(*ja.overlap, left, right);
   auto residual = PairTest(left, right, ja.residual);
   for (uint32_t l = 0; l < left.size(); ++l) {
     if (lid[l] == KeyIndex::kAbsent) continue;
     for (uint32_t r = 0; r < right.size(); ++r) {
-      if (rid[r] == lid[l] && overlaps(l, r) && residual(l, r)) {
+      if (rid[r] == lid[l] && (!overlaps || (*overlaps)(l, r)) &&
+          residual(l, r)) {
         pairs.Add(l, r);
       }
     }
@@ -351,31 +364,33 @@ Relation IntervalOverlapJoin(const Plan& plan, const Relation& left,
   stage(0, left, ov.left_begin, ov.left_end, candidates.left);
   stage(1, right, ov.right_begin, ov.right_end, candidates.right);
 
-  // Pairs with a malformed side are tested on the full original
-  // predicate, swept pairs on the residual only: the sweep has already
-  // established the equi-keys (by bucketing) and the overlap conjunct.
-  const auto full = PairTest(left, right, any_slow ? plan.predicate : nullptr);
+  // Bucketing has established the equi-keys.  Swept pairs overlap, so
+  // they are tested on the residual only; pairs with a malformed side
+  // are tested as the nested loop tests them, the overlap conjunct
+  // under SQL comparison and then the residual.
+  std::optional<OverlapTest> overlaps;
+  if (any_slow) overlaps.emplace(ov, left, right);
   const auto residual = PairTest(left, right, ja.residual);
   auto join_buckets = [&](int64_t begin, int64_t end, JoinPairs& pairs) {
-    auto full_test = full;
     auto residual_test = residual;
+    auto slow_test = [&](uint32_t l, uint32_t r) {
+      return (*overlaps)(l, r) && residual_test(l, r);
+    };
     SweepScratch scratch;
     for (int64_t bi = begin; bi < end; ++bi) {
       Bucket& bucket = buckets[static_cast<size_t>(bi)];
-      // Slow lane first (re-checking the already-matched keys is
-      // harmless and keeps the lane trivially equivalent to the
-      // nested-loop reference).
+      // Slow lane first.
       for (uint32_t l : bucket.slow_left) {
         for (const SweepRow& r : bucket.fast_right) {
-          if (full_test(l, r.row)) pairs.Add(l, r.row);
+          if (slow_test(l, r.row)) pairs.Add(l, r.row);
         }
         for (uint32_t r : bucket.slow_right) {
-          if (full_test(l, r)) pairs.Add(l, r);
+          if (slow_test(l, r)) pairs.Add(l, r);
         }
       }
       for (const SweepRow& l : bucket.fast_left) {
         for (uint32_t r : bucket.slow_right) {
-          if (full_test(l.row, r)) pairs.Add(l.row, r);
+          if (slow_test(l.row, r)) pairs.Add(l.row, r);
         }
       }
       SweepBucket(bucket, scratch, [&](uint32_t l, uint32_t r) {

@@ -1,14 +1,14 @@
 #include "engine/temporal_ops.h"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
+#include <bit>
 #include <map>
-#include <tuple>
+#include <optional>
 
 #include "common/status.h"
 #include "common/str_util.h"
 #include "common/thread_pool.h"
+#include "engine/event_sort.h"
 #include "engine/window.h"
 
 namespace periodk {
@@ -337,119 +337,121 @@ Relation SplitRelation(const Relation& left, const Relation& right,
 
 namespace {
 
-// Partial aggregate for one (group, begin, end) cell.
-struct Partial {
-  TimePoint begin = 0;
-  TimePoint end = 0;
-  int64_t star = 0;
-  std::vector<AggState> states;
+// One argument's per-cell state in the split-aggregate, folded column
+// by column in phase 1, for the count, sum and avg over it:
+//   * the cell's non-null values (count);
+//   * sum, avg over a column that can hold Ints (kInt, kMixed): their
+//     total in 128 bits (isum), so opens and closes cancel exactly and
+//     endpoint-magnitude values never overflow;
+//   * sum, avg over a kMixed column: how many values are Doubles
+//     (doubles; over a kDouble column every value is);
+//   * sum, avg over a column that can hold Doubles: each row's Double,
+//     0.0 for any other value, at the row's position in the cells' row
+//     array (terms), which the sweep adds and subtracts row by row.
+struct CellColumn {
+  std::vector<uint32_t> count;
+  std::vector<__int128> isum;
+  std::vector<uint32_t> doubles;
+  bool all_doubles = false;
+  std::vector<double> terms;
 };
 
-// Running sweep state for one aggregate function, opened and closed
-// partial by partial.  Each function keeps only what it needs:
-//   * count: the count of the open partials;
-//   * sum and avg: their count, their integer sum, the exact sum of
-//     their finite double sums (ExactSum), and how many of them hold
-//     NaN, +inf or -inf, so no closed partial leaves a trace in a later
-//     fragment and each fragment's double sum is rounded once;
-//   * min and max: an ordered multiset of their extrema (min/max
-//     distribute over the partial decomposition).
-//
-// The integer sum is maintained in 128-bit arithmetic so that summing
-// endpoint-magnitude values (a TimeDomain touching INT64_MIN/INT64_MAX
-// puts such values in plain columns) is never UB: opens and closes
-// cancel exactly, a fragment whose true sum fits int64 finalizes as
-// that exact integer, and one that does not widens to the double sum —
-// the same behavior AggState has on overflow.  (The 128-bit sum itself
-// cannot overflow: it would take 2^64 simultaneously open partials.)
-struct RunningAgg {
-  explicit RunningAgg(AggFunc f) : func(f) {}
-
-  AggFunc func;
+// A sum or avg over the open cells.
+struct RunningSum {
   int64_t count = 0;
-  int64_t n_nonint = 0;
   __int128 isum = 0;
+  int64_t doubles = 0;
   ExactSum dsum;
-  int64_t n_nan = 0;
-  int64_t n_pos_inf = 0;
-  int64_t n_neg_inf = 0;
-  std::map<Value, int64_t> extrema;
+};
 
-  void Open(const AggState& s) { Apply(s, 1); }
-  void Close(const AggState& s) { Apply(s, -1); }
+// True when two int or double columns hold the same cells: the same
+// NULLs and, bit for bit, the same values.
+bool SameCells(const ColumnData& a, const ColumnData& b) {
+  if (&a == &b) return true;
+  if (a.tag() != b.tag() || a.size() != b.size() ||
+      a.null_count() != b.null_count()) {
+    return false;
+  }
+  if (a.tag() != ColumnTag::kInt && a.tag() != ColumnTag::kDouble) {
+    return false;
+  }
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (a.IsNull(i) != b.IsNull(i)) return false;
+    if (a.IsNull(i)) continue;
+    const bool same = a.tag() == ColumnTag::kInt
+                          ? a.ints()[i] == b.ints()[i]
+                          : std::bit_cast<uint64_t>(a.doubles()[i]) ==
+                                std::bit_cast<uint64_t>(b.doubles()[i]);
+    if (!same) return false;
+  }
+  return true;
+}
 
-  Value Finalize(int64_t star) {
-    switch (func) {
-      case AggFunc::kCountStar:
-        return Value::Int(star);
-      case AggFunc::kCount:
-        return Value::Int(count);
-      case AggFunc::kSum:
-        if (count == 0) return Value::Null();
-        if (n_nonint == 0 &&
-            isum >= static_cast<__int128>(
-                        std::numeric_limits<int64_t>::min()) &&
-            isum <= static_cast<__int128>(
-                        std::numeric_limits<int64_t>::max())) {
-          return Value::Int(static_cast<int64_t>(isum));
-        }
-        return Value::Double(DoubleSum());
-      case AggFunc::kAvg:
-        if (count == 0) return Value::Null();
-        return Value::Double(DoubleSum() / static_cast<double>(count));
-      case AggFunc::kMin:
-        return extrema.empty() ? Value::Null() : extrema.begin()->first;
-      case AggFunc::kMax:
-        return extrema.empty() ? Value::Null() : extrema.rbegin()->first;
-    }
-    throw EngineError("unknown aggregate function");
+// A cell opens at its begin and closes at its end.
+struct CellEvent {
+  TimePoint time = 0;
+  uint32_t cell = 0;
+  bool is_end = false;
+};
+
+// One aggregate's finalized fragments: per fragment an int64 or a
+// double's bits and its type, or, for min and max, the Value itself.
+struct FragmentColumn {
+  std::vector<int64_t> bits;
+  std::vector<ValueType> types;
+  std::vector<Value> values;
+
+  void PushNull() {
+    bits.push_back(0);
+    types.push_back(ValueType::kNull);
+  }
+  void PushInt(int64_t v) {
+    bits.push_back(v);
+    types.push_back(ValueType::kInt);
+  }
+  void PushDouble(double v) {
+    bits.push_back(std::bit_cast<int64_t>(v));
+    types.push_back(ValueType::kDouble);
+  }
+  void Append(const FragmentColumn& other) {
+    bits.insert(bits.end(), other.bits.begin(), other.bits.end());
+    types.insert(types.end(), other.types.begin(), other.types.end());
+    values.insert(values.end(), other.values.begin(), other.values.end());
   }
 
- private:
-  void Apply(const AggState& s, int dir) {
-    switch (func) {
-      case AggFunc::kCountStar:
-        return;
-      case AggFunc::kCount:
-        count += dir * s.count;
-        return;
-      case AggFunc::kSum:
-      case AggFunc::kAvg:
-        count += dir * s.count;
-        isum += dir * s.isum;
-        if (!s.all_int) n_nonint += dir;
-        if (std::isnan(s.dsum)) {
-          n_nan += dir;
-        } else if (std::isinf(s.dsum)) {
-          (s.dsum > 0 ? n_pos_inf : n_neg_inf) += dir;
-        } else if (dir > 0) {
-          dsum.Add(s.dsum);
-        } else {
-          dsum.Subtract(s.dsum);
-        }
-        return;
-      case AggFunc::kMin:
-      case AggFunc::kMax:
-        if (!s.extreme.has_value()) return;
-        if (dir > 0) {
-          ++extrema[*s.extreme];
-        } else if (--extrema[*s.extreme] == 0) {
-          extrema.erase(*s.extreme);
-        }
-        return;
+  // The column FromValues would encode from the same cells: kInt or
+  // kDouble arrays, kMixed only when Int and Double fragments mix.
+  ColumnData Encode() && {
+    if (!values.empty()) return ColumnData::FromValues(values);
+    bool ints = false;
+    bool doubles = false;
+    bool nulls = false;
+    for (ValueType t : types) {
+      ints = ints || t == ValueType::kInt;
+      doubles = doubles || t == ValueType::kDouble;
+      nulls = nulls || t == ValueType::kNull;
     }
-  }
-
-  // The double sum of the open partials, IEEE-style: NaN when one is
-  // NaN or both infinities are open, else an open infinity, else the
-  // finite sums' exact total rounded once.
-  double DoubleSum() {
-    if (n_nan > 0 || (n_pos_inf > 0 && n_neg_inf > 0)) {
-      return std::numeric_limits<double>::quiet_NaN();
+    std::vector<uint8_t> null_flags;
+    if (nulls) {
+      null_flags.reserve(types.size());
+      for (ValueType t : types) null_flags.push_back(t == ValueType::kNull);
     }
-    if (n_pos_inf > 0) return std::numeric_limits<double>::infinity();
-    if (n_neg_inf > 0) return -std::numeric_limits<double>::infinity();
-    return dsum.Round();
+    if (!doubles) return ColumnData::FromInts(std::move(bits), null_flags);
+    if (!ints) {
+      std::vector<double> d(bits.size());
+      for (size_t i = 0; i < bits.size(); ++i) {
+        d[i] = std::bit_cast<double>(bits[i]);
+      }
+      return ColumnData::FromDoubles(std::move(d), null_flags);
+    }
+    std::vector<Value> cells(bits.size());
+    for (size_t i = 0; i < bits.size(); ++i) {
+      if (types[i] == ValueType::kInt) cells[i] = Value::Int(bits[i]);
+      if (types[i] == ValueType::kDouble) {
+        cells[i] = Value::Double(std::bit_cast<double>(bits[i]));
+      }
+    }
+    return ColumnData::FromValues(cells);
   }
 };
 
@@ -480,6 +482,20 @@ Relation SplitAggregateRelation(const Relation& input,
         TimePoint e = 0;
         return DecodeInterval(*bc, *ec, i, &b, &e);
       });
+  // Aggregates whose arguments hold the same cells read the first such
+  // argument, so they share its fold and its pass: the rewrite projects
+  // each aggregate's argument into a column of its own, and sum(x) and
+  // avg(x) arrive as two copies of x.
+  for (size_t a = 0; a < aggs.size(); ++a) {
+    if (arg_of[a] < 0) continue;
+    for (int j = 0; j < arg_of[a]; ++j) {
+      if (SameCells(*args[static_cast<size_t>(j)],
+                    *args[static_cast<size_t>(arg_of[a])])) {
+        arg_of[a] = j;
+        break;
+      }
+    }
+  }
   // gap_rows with grouping emits full-domain coverage per *observed*
   // group (count 0 where the group is absent) -- Teradata-style grouped
   // gaps; without grouping it implements the paper's correct global
@@ -494,93 +510,212 @@ Relation SplitAggregateRelation(const Relation& input,
   schema.Append(Column("a_begin"));
   schema.Append(Column("a_end"));
 
-  // Phase 1: pre-aggregate per (group, begin, end) cell.  Without the
-  // optimization every row becomes its own partial (ablation mode).
-  // Groups are kept in first-appearance order, so the fragment output
-  // order is a pure function of the logical input.
+  // periodk-lint: typed-lane-begin(split-aggregate)
+  // Phase 1: every row with a non-empty interval joins a cell, its
+  // (group, begin, end); without pre-aggregation (ablation mode) each
+  // row is a cell of its own.  Groups and cells are numbered in
+  // first-appearance order, so the fragment output order is a pure
+  // function of the logical input.
+  const size_t naggs = aggs.size();
   std::vector<TypedColumn> keys = ReadColumns(input, group_cols);
   KeyIndex groups(keys);
   std::vector<uint32_t> group_rep;  // representative input row per group
-  std::vector<std::vector<Partial>> group_partials;
-  PackedKeyMap cells(/*width=*/3, /*expected=*/64);  // (group, begin, end)
-  std::vector<uint32_t> cell_slot;  // cell id -> partial index in its group
+  std::vector<uint32_t> cell_group;
+  NewIntervals cell_span;
+  PackedKeyMap cell_ids(/*width=*/3, pre_aggregate ? input.size() : 0);
+  std::vector<uint32_t> rows;      // the rows in cells, in row order
+  std::vector<uint32_t> row_cell;  // and their cells
+  TimePoint min_time = 0;
+  TimePoint max_time = 0;
   for (size_t i = 0; i < input.size(); ++i) {
     TimePoint b = 0;
     TimePoint e = 0;
     if (!DecodeInterval(*bc, *ec, i, &b, &e)) continue;
-    uint32_t gid = groups.FindOrInsert(i);
-    if (gid == group_partials.size()) {
-      group_partials.emplace_back();
-      group_rep.push_back(static_cast<uint32_t>(i));
-    }
-    std::vector<Partial>& partials = group_partials[gid];
-    size_t slot = partials.size();
+    const uint32_t gid = groups.FindOrInsert(i);
+    if (gid == group_rep.size()) group_rep.push_back(static_cast<uint32_t>(i));
+    auto cid = static_cast<uint32_t>(cell_group.size());
     if (pre_aggregate) {
       const uint64_t cell[3] = {gid, static_cast<uint64_t>(b),
                                 static_cast<uint64_t>(e)};
-      uint32_t cid = cells.FindOrInsert(cell);
-      if (cid < cell_slot.size()) {
-        slot = cell_slot[cid];
-      } else {
-        cell_slot.push_back(static_cast<uint32_t>(slot));
-      }
+      cid = cell_ids.FindOrInsert(cell);
     }
-    if (slot == partials.size()) {
-      Partial p;
-      p.begin = b;
-      p.end = e;
-      p.states.reserve(aggs.size());
-      for (const AggExpr& a : aggs) p.states.emplace_back(a.func);
-      partials.push_back(std::move(p));
+    if (cid == cell_group.size()) {
+      cell_group.push_back(gid);
+      cell_span.begin.push_back(b);
+      cell_span.end.push_back(e);
     }
-    Partial& p = partials[slot];
-    p.star += 1;
-    for (size_t a = 0; a < aggs.size(); ++a) {
-      if (arg_of[a] >= 0) {
-        p.states[a].AccumulateColumn(*args[static_cast<size_t>(arg_of[a])], i);
-      }
-    }
+    min_time = rows.empty() ? b : std::min(min_time, b);
+    max_time = rows.empty() ? e : std::max(max_time, e);
+    rows.push_back(static_cast<uint32_t>(i));
+    row_cell.push_back(cid);
   }
+  const size_t ncells = cell_group.size();
   // Global aggregation over an empty input still produces the
   // full-domain gap row.  With grouping there is no such row: gaps are
   // emitted per *observed* group, and an empty input has none (a
   // synthetic empty-key group would emit rows narrower than the output
   // schema).
-  if (gap_rows && group_cols.empty() && group_partials.empty()) {
+  if (gap_rows && group_cols.empty() && group_rep.empty()) {
     group_rep.push_back(0);  // no key column reads it
-    group_partials.emplace_back();
+  }
+  const size_t ngroups = group_rep.size();
+
+  // Events, one open and one close per cell, ordered by group and then
+  // time: the radix sort on time, then a stable counting sort on the
+  // group.  Group g's events are events[group_events[g],
+  // group_events[g + 1]).
+  const auto for_each_event = [&](const auto& fn) {
+    for (bool is_end : {false, true}) {
+      for (size_t c = 0; c < ncells; ++c) {
+        fn(CellEvent{is_end ? cell_span.end[c] : cell_span.begin[c],
+                     static_cast<uint32_t>(c), is_end});
+      }
+    }
+  };
+  const std::vector<CellEvent> by_time = SortEventsByTime<CellEvent>(
+      2 * ncells, min_time, max_time, for_each_event);
+  std::vector<uint32_t> group_events(ngroups + 1, 0);
+  for (uint32_t g : cell_group) group_events[g + 1] += 2;
+  for (size_t g = 0; g < ngroups; ++g) group_events[g + 1] += group_events[g];
+  std::vector<CellEvent> events(by_time.size());
+  {
+    std::vector<uint32_t> fill(group_events.begin(), group_events.end() - 1);
+    for (const CellEvent& ev : by_time) {
+      events[fill[cell_group[ev.cell]]++] = ev;
+    }
+  }
+  // Cells renumbered in the order the sweep opens them, so each pass
+  // over the events reads the per-cell arrays nearly front to back.
+  std::vector<uint32_t> rank(ncells);
+  {
+    uint32_t next = 0;
+    for (const CellEvent& ev : events) {
+      if (!ev.is_end) rank[ev.cell] = next++;
+    }
+  }
+  for (CellEvent& ev : events) ev.cell = rank[ev.cell];
+  // Cell c's rows, in row order: rows[offsets[c], offsets[c + 1]) after
+  // a counting sort on the cell.  Its count(*) is their number.
+  std::vector<uint32_t> offsets(ncells + 1, 0);
+  for (uint32_t& c : row_cell) {
+    c = rank[c];
+    ++offsets[c + 1];
+  }
+  for (size_t c = 0; c < ncells; ++c) offsets[c + 1] += offsets[c];
+  {
+    std::vector<uint32_t> fill(offsets.begin(), offsets.end() - 1);
+    std::vector<uint32_t> by_cell(rows.size());
+    for (size_t k = 0; k < rows.size(); ++k) {
+      by_cell[fill[row_cell[k]]++] = rows[k];
+    }
+    rows = std::move(by_cell);
+  }
+  // Each argument folded over each cell's rows (CellColumn), sums only
+  // where a sum or avg reads it; min and max keep each cell's extreme
+  // Value, NULL for none.
+  std::vector<char> counted(args.size(), 0);
+  std::vector<char> summed(args.size(), 0);
+  for (size_t a = 0; a < naggs; ++a) {
+    const AggFunc func = aggs[a].func;
+    if (func == AggFunc::kCount || func == AggFunc::kSum ||
+        func == AggFunc::kAvg) {
+      counted[static_cast<size_t>(arg_of[a])] = 1;
+    }
+    if (func == AggFunc::kSum || func == AggFunc::kAvg) {
+      summed[static_cast<size_t>(arg_of[a])] = 1;
+    }
+  }
+  std::vector<CellColumn> cell_cols(args.size());
+  for (size_t j = 0; j < args.size(); ++j) {
+    if (counted[j] == 0) continue;
+    const ColumnData& col = *args[j];
+    const ColumnTag tag = col.tag();
+    const bool sums = summed[j] != 0;
+    CellColumn& cc = cell_cols[j];
+    cc.count.assign(ncells, 0);
+    if (sums && (tag == ColumnTag::kInt || tag == ColumnTag::kMixed)) {
+      cc.isum.assign(ncells, 0);
+    }
+    if (sums && tag == ColumnTag::kMixed) cc.doubles.assign(ncells, 0);
+    cc.all_doubles = sums && tag == ColumnTag::kDouble;
+    if (sums && (tag == ColumnTag::kDouble || tag == ColumnTag::kMixed)) {
+      cc.terms.assign(rows.size(), 0.0);
+    }
+    for (size_t c = 0; c < ncells; ++c) {
+      for (uint32_t k = offsets[c]; k < offsets[c + 1]; ++k) {
+        const uint32_t r = rows[k];
+        if (col.IsNull(r)) continue;
+        ++cc.count[c];
+        if (!sums) continue;
+        switch (tag) {
+          case ColumnTag::kInt:
+            cc.isum[c] += col.ints()[r];
+            break;
+          case ColumnTag::kDouble:
+            cc.terms[k] = col.doubles()[r];
+            break;
+          case ColumnTag::kMixed:
+            if (const int64_t* i = col.mixed()[r].TryInt()) {
+              cc.isum[c] += *i;
+            } else if (const double* d = col.mixed()[r].TryDouble()) {
+              ++cc.doubles[c];
+              cc.terms[k] = *d;
+            }
+            break;
+          case ColumnTag::kBool:
+          case ColumnTag::kString:
+            break;  // counted, but a non-numeric value adds nothing
+        }
+      }
+    }
+  }
+  std::vector<std::vector<Value>> extremes(naggs);
+  for (size_t a = 0; a < naggs; ++a) {
+    const AggFunc func = aggs[a].func;
+    if (func != AggFunc::kMin && func != AggFunc::kMax) continue;
+    // min and max order arbitrary Values (Value::Compare), as hash
+    // aggregation does.
+    const ColumnData& col = *args[static_cast<size_t>(arg_of[a])];
+    extremes[a].assign(ncells, Value::Null());
+    for (size_t c = 0; c < ncells; ++c) {
+      Value& extreme = extremes[a][c];
+      for (uint32_t k = offsets[c]; k < offsets[c + 1]; ++k) {
+        if (col.IsNull(rows[k])) continue;
+        // periodk-lint: allow(row-eval-in-typed-lane): min and max keep Values
+        Value v = col.Get(rows[k]);
+        const int order = extreme.is_null() ? 0 : v.Compare(extreme);
+        if (extreme.is_null() ||
+            (func == AggFunc::kMin ? order < 0 : order > 0)) {
+          extreme = std::move(v);
+        }
+      }
+    }
   }
 
-  // Phase 2: per group, sweep partial endpoints maintaining running
-  // aggregate state; each elementary fragment gets the finalized values.
-  // Fragment k is group rep[k]'s key, the values values[a][k] and the
+  // Phase 2: per group, sweep the cells' events.  A first pass finds
+  // the group's elementary fragments from its count(*) alone; then each
+  // argument of a count, sum or avg, and each min and max, runs its own
+  // pass over the events, moving counts and Int totals once per cell
+  // and each open row's Double through an ExactSum, and finalizes each
+  // fragment straight into its columns.
+  // Fragment k is group rep[k]'s key, the values cols[a][k] and the
   // interval [begin[k], end[k]).
   struct Fragments {
     std::vector<uint32_t> rep;
-    std::vector<std::vector<Value>> values;
+    std::vector<FragmentColumn> cols;
     NewIntervals intervals;
+    // The current group's fragments: fragment k is finalized once the
+    // events before at[k] are applied, over stars[k] rows.
+    std::vector<uint32_t> at;
+    std::vector<int64_t> stars;
   };
-  auto sweep_group = [&](size_t gi, Fragments& out) {
-    const std::vector<Partial>& partials = group_partials[gi];
-    // (time, is_close, partial index); closes and opens at equal time
-    // are both applied before the next segment is emitted.
-    std::vector<std::tuple<TimePoint, int, size_t>> events;
-    events.reserve(partials.size() * 2);
-    for (size_t i = 0; i < partials.size(); ++i) {
-      events.emplace_back(partials[i].begin, 0, i);
-      events.emplace_back(partials[i].end, 1, i);
-    }
-    std::sort(events.begin(), events.end(),
-              [](const auto& a, const auto& b) {
-                return std::get<0>(a) < std::get<0>(b);
-              });
-    std::vector<RunningAgg> running;
-    running.reserve(aggs.size());
-    for (const AggExpr& a : aggs) running.emplace_back(a.func);
+  auto sweep_group = [&](size_t g, Fragments& out) {
+    const uint32_t first = group_events[g];
+    const uint32_t last = group_events[g + 1];
+    out.at.clear();
+    out.stars.clear();
     int64_t star = 0;
-    TimePoint prev = domain.tmin;
-    bool have_prev = gap_rows;
-    auto emit = [&](TimePoint from, TimePoint to) {
+    auto fragment = [&](TimePoint from, TimePoint to, uint32_t i) {
       if (gap_rows) {
         // Gap rows declare the result complete over [tmin, tmax); input
         // intervals may exceed the domain, so fragments are clamped to
@@ -590,59 +725,136 @@ Relation SplitAggregateRelation(const Relation& input,
         to = std::min(to, domain.tmax);
       }
       if (from >= to) return;
-      out.rep.push_back(group_rep[gi]);
-      for (size_t a = 0; a < aggs.size(); ++a) {
-        out.values[a].push_back(running[a].Finalize(star));
-      }
+      out.at.push_back(i);
+      out.stars.push_back(star);
+      out.rep.push_back(group_rep[g]);
       out.intervals.begin.push_back(from);
       out.intervals.end.push_back(to);
     };
-    size_t i = 0;
-    while (i < events.size()) {
-      TimePoint t = std::get<0>(events[i]);
-      if (have_prev && (star > 0 || gap_rows)) emit(prev, t);
-      while (i < events.size() && std::get<0>(events[i]) == t) {
-        const Partial& p = partials[std::get<2>(events[i])];
-        if (std::get<1>(events[i]) == 0) {
-          star += p.star;
-          for (size_t a = 0; a < aggs.size(); ++a) running[a].Open(p.states[a]);
-        } else {
-          star -= p.star;
-          for (size_t a = 0; a < aggs.size(); ++a) {
-            running[a].Close(p.states[a]);
-          }
-        }
-        ++i;
+    // Closes and opens at equal time are all applied before the next
+    // fragment is emitted.
+    TimePoint prev = domain.tmin;
+    bool have_prev = gap_rows;
+    for (uint32_t i = first; i < last;) {
+      const TimePoint t = events[i].time;
+      if (have_prev && (star > 0 || gap_rows)) fragment(prev, t, i);
+      for (; i < last && events[i].time == t; ++i) {
+        const uint32_t c = events[i].cell;
+        const int64_t size = offsets[c + 1] - offsets[c];
+        star += events[i].is_end ? -size : size;
       }
       prev = t;
       have_prev = true;
     }
-    if (gap_rows && prev < domain.tmax) emit(prev, domain.tmax);
+    if (gap_rows && prev < domain.tmax) fragment(prev, domain.tmax, last);
+
+    // One pass: apply(cell, +1 / -1) opens or closes a cell,
+    // finalize() appends the open cells' values.
+    auto pass = [&](const auto& apply, const auto& finalize) {
+      size_t k = 0;
+      for (uint32_t i = first; i < last; ++i) {
+        for (; k < out.at.size() && out.at[k] == i; ++k) finalize();
+        apply(events[i].cell, events[i].is_end ? -1 : 1);
+      }
+      for (; k < out.at.size(); ++k) finalize();
+    };
+    for (size_t a = 0; a < naggs; ++a) {
+      if (aggs[a].func != AggFunc::kCountStar) continue;
+      for (int64_t s : out.stars) out.cols[a].PushInt(s);
+    }
+    // count, sum and avg: one pass per argument, finalizing every one
+    // of them that reads it, the exact total rounded once.
+    for (size_t j = 0; j < args.size(); ++j) {
+      if (counted[j] == 0) continue;
+      const CellColumn& cc = cell_cols[j];
+      RunningSum run;
+      auto apply = [&](uint32_t c, int dir) {
+        run.count += dir * int64_t{cc.count[c]};
+        if (!cc.isum.empty()) run.isum += dir * cc.isum[c];
+        if (!cc.doubles.empty()) run.doubles += dir * int64_t{cc.doubles[c]};
+        const uint32_t doubles =
+            cc.all_doubles ? cc.count[c]
+                           : cc.doubles.empty() ? 0 : cc.doubles[c];
+        if (doubles == 0) return;
+        for (uint32_t k = offsets[c]; k < offsets[c + 1]; ++k) {
+          if (dir > 0) {
+            run.dsum.Add(cc.terms[k]);
+          } else {
+            run.dsum.Subtract(cc.terms[k]);
+          }
+        }
+      };
+      auto finalize = [&] {
+        const int64_t doubles = cc.all_doubles ? run.count : run.doubles;
+        std::optional<double> total;
+        for (size_t a = 0; a < naggs; ++a) {
+          const AggFunc func = aggs[a].func;
+          if (arg_of[a] != static_cast<int>(j) || func == AggFunc::kMin ||
+              func == AggFunc::kMax) {
+            continue;
+          }
+          FragmentColumn& col = out.cols[a];
+          if (func == AggFunc::kCount) {
+            col.PushInt(run.count);
+          } else if (run.count == 0) {
+            col.PushNull();
+          } else if (func == AggFunc::kSum &&
+                     SumIsInt(doubles == 0, run.isum)) {
+            col.PushInt(static_cast<int64_t>(run.isum));
+          } else {
+            if (!total.has_value()) total = run.dsum.Round(run.isum);
+            col.PushDouble(func == AggFunc::kSum
+                               ? *total
+                               : *total / static_cast<double>(run.count));
+          }
+        }
+      };
+      pass(apply, finalize);
+    }
+    for (size_t a = 0; a < naggs; ++a) {
+      const AggFunc func = aggs[a].func;
+      if (func != AggFunc::kMin && func != AggFunc::kMax) continue;
+      std::map<Value, int64_t> extrema;  // the open cells' extremes
+      pass(
+          [&](uint32_t c, int dir) {
+            const Value& v = extremes[a][c];
+            if (v.is_null()) return;
+            if (dir > 0) {
+              ++extrema[v];
+            } else if (--extrema[v] == 0) {
+              extrema.erase(v);
+            }
+          },
+          [&] {
+            out.cols[a].values.push_back(
+                extrema.empty()              ? Value::Null()
+                : func == AggFunc::kMin ? extrema.begin()->first
+                                        : extrema.rbegin()->first);
+          });
+    }
   };
 
   // The per-group sweeps are independent; chunks of groups fan out to
   // the pool exactly like the coalesce sweep, each into its own
   // fragments, concatenated in chunk order.
-  size_t ngroups = group_partials.size();
   auto ranges = PlanChunks(ctx.num_threads(static_cast<int64_t>(input.size())),
                            static_cast<int64_t>(ngroups),
                            /*min_grain=*/1);
   std::vector<Fragments> chunks(ranges.size());
   FanOut(ctx, ranges, [&](size_t c, int64_t b, int64_t e) {
-    chunks[c].values.resize(aggs.size());
+    chunks[c].cols.resize(naggs);
     for (int64_t gi = b; gi < e; ++gi) {
       sweep_group(static_cast<size_t>(gi), chunks[c]);
     }
   });
-  auto append = [](auto& to, const auto& from) {
-    to.insert(to.end(), from.begin(), from.end());
-  };
   Fragments& all = chunks.front();
+  all.cols.resize(naggs);
   for (size_t c = 1; c < chunks.size(); ++c) {
+    auto append = [](auto& to, const auto& from) {
+      to.insert(to.end(), from.begin(), from.end());
+    };
     append(all.rep, chunks[c].rep);
-    for (size_t a = 0; a < aggs.size(); ++a) {
-      append(all.values[a], chunks[c].values[a]);
-    }
+    for (size_t a = 0; a < naggs; ++a) all.cols[a].Append(chunks[c].cols[a]);
     append(all.intervals.begin, chunks[c].intervals.begin);
     append(all.intervals.end, chunks[c].intervals.end);
   }
@@ -653,11 +865,10 @@ Relation SplitAggregateRelation(const Relation& input,
   for (const TypedColumn& k : keys) {
     cols.push_back(ColumnData::Gather(*k, all.rep));
   }
-  for (const std::vector<Value>& v : all.values) {
-    cols.push_back(ColumnData::FromValues(v));
-  }
+  for (FragmentColumn& col : all.cols) cols.push_back(std::move(col).Encode());
   cols.push_back(ColumnData::FromInts(std::move(all.intervals.begin)));
   cols.push_back(ColumnData::FromInts(std::move(all.intervals.end)));
+  // periodk-lint: typed-lane-end(split-aggregate)
   const size_t n = all.rep.size();
   return Relation::FromColumns(std::move(schema), std::move(cols), n);
 }

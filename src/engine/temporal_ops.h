@@ -54,10 +54,11 @@ Relation CoalesceRelation(const Relation& input, CoalesceImpl impl,
 Relation SplitRelation(const Relation& left, const Relation& right,
                        const std::vector<int>& group_cols);
 
-/// Split + aggregation in one operator, with pre-aggregation: input is
-/// first aggregated per (group, begin, end), then a per-group endpoint
-/// sweep maintains running aggregate state and emits one row
-/// (group..., aggs..., frag_begin, frag_end) per elementary fragment.
+/// Split + aggregation in one operator (Sec. 9): emits one row
+/// (group..., aggs..., frag_begin, frag_end) per elementary fragment of
+/// each group, aggregating the rows alive over it.  Rows are first
+/// gathered per (group, begin, end) cell (pre-aggregation), then a
+/// per-group endpoint sweep opens and closes the cells.
 /// With `gap_rows`, fragments covering the whole `domain` are emitted,
 /// including empty gaps (count = 0, sum/avg/min/max = NULL): for global
 /// aggregation this is the fused form of REWR's union-with-neutral-tuple
@@ -65,13 +66,14 @@ Relation SplitRelation(const Relation& left, const Relation& right,
 /// Teradata-style per-observed-group gaps (used by that baseline only --
 /// snapshot semantics has no gap rows for groups).
 /// `pre_aggregate = false` disables the pre-aggregation optimization
-/// (for the ablation benchmark): the sweep then treats every input row
-/// as its own partial.  With a pool in `ctx` the per-group endpoint
-/// sweeps fan out to workers.  Running integer sums are kept in 128-bit
-/// arithmetic: a fragment whose sum fits int64 finalizes as that exact
-/// integer even through transient overflow, and one that does not
-/// widens to the double sum — so aggregating endpoint-magnitude values
-/// (a TimeDomain touching INT64_MIN/INT64_MAX) is defined behavior.
+/// (for the ablation benchmark): every input row is then its own cell.
+/// It changes the work, not the result.  With a pool in `ctx` the
+/// per-group endpoint sweeps fan out to workers.  SUM and AVG follow
+/// AggState's exact rule (engine/agg.h): Int sums in 128 bits, so a
+/// fragment whose sum fits int64 finalizes as that exact integer even
+/// through transient overflow and aggregating endpoint-magnitude values
+/// (a TimeDomain touching INT64_MIN/INT64_MAX) is defined behavior;
+/// anything else is the exact total rounded once.
 Relation SplitAggregateRelation(const Relation& input,
                                 const std::vector<int>& group_cols,
                                 const std::vector<AggExpr>& aggs,

@@ -4,6 +4,8 @@
 #include <bit>
 #include <utility>
 
+#include "engine/event_sort.h"
+
 namespace periodk {
 
 namespace {
@@ -52,57 +54,6 @@ class AliveRows {
   std::vector<uint64_t> words_;    // bit i: row first_ + i is alive
   std::vector<uint64_t> summary_;  // bit w: words_[w] != 0
 };
-
-/// BuildFrom's event order, (time, is_end, row), by a stable LSD radix
-/// sort on time in O(count) instead of a comparison sort.  `for_each`
-/// feeds the events ordered on (is_end, row) -- every begin event, then
-/// every end event, each in row order -- so stable passes over the
-/// digits of time - min_time finish the order.  The key is unsigned:
-/// time - min_time cannot overflow, whatever part of the int64 range
-/// the endpoints span.  Digits are at most 16 bits, as few passes as
-/// the span needs; the first pass reads `for_each` itself, so a span
-/// below 2^16 takes one pass and no scratch copy of the events.
-template <typename EventT, typename ForEach>
-std::vector<EventT> SortEventsByTime(size_t count, TimePoint min_time,
-                                     TimePoint max_time,
-                                     const ForEach& for_each) {
-  const uint64_t span =
-      static_cast<uint64_t>(max_time) - static_cast<uint64_t>(min_time);
-  const int bits = std::bit_width(span);
-  const int passes = std::max(1, (bits + 15) / 16);
-  const int width = std::max(1, (bits + passes - 1) / passes);
-  const uint64_t mask = (uint64_t{1} << width) - 1;
-  std::vector<EventT> out(count);
-  std::vector<EventT> scratch(passes > 1 ? count : 0);
-  std::vector<size_t> offsets(size_t{1} << width);
-  // Ping-pong so that the last pass writes `out`.
-  std::vector<EventT>* src = nullptr;
-  std::vector<EventT>* dst = passes % 2 == 1 ? &out : &scratch;
-  for (int pass = 0; pass < passes; ++pass) {
-    const int shift = pass * width;
-    const auto digit = [&](const EventT& event) {
-      return static_cast<size_t>(((static_cast<uint64_t>(event.time) -
-                                   static_cast<uint64_t>(min_time)) >>
-                                  shift) &
-                                 mask);
-    };
-    const auto visit = [&](const auto& fn) {
-      if (src == nullptr) {
-        for_each(fn);
-      } else {
-        for (const EventT& event : *src) fn(event);
-      }
-    };
-    std::fill(offsets.begin(), offsets.end(), 0);
-    visit([&](const EventT& event) { ++offsets[digit(event)]; });
-    size_t next = 0;
-    for (size_t& offset : offsets) next += std::exchange(offset, next);
-    visit([&](const EventT& event) { (*dst)[offsets[digit(event)]++] = event; });
-    src = dst;
-    dst = dst == &out ? &scratch : &out;
-  }
-  return out;
-}
 
 }  // namespace
 
@@ -194,7 +145,8 @@ std::shared_ptr<const TimelineIndex> TimelineIndex::BuildFrom(
     ++valid;
   }
   // The valid rows' begin events, then their end events, each in row
-  // order: sorted on (is_end, row), as SortEventsByTime expects.
+  // order: fed sorted on (is_end, row), so the stable time sort yields
+  // (time, is_end, row).
   const auto for_each_event = [&](const auto& fn) {
     for (bool is_end : {false, true}) {
       for (size_t i = first_row; i < n; ++i) {

@@ -140,11 +140,11 @@ class TimelineIndex {
   std::vector<uint32_t> AliveAt(TimePoint t) const;
 
   /// Row ids (ascending) of rows whose interval overlaps [b, e):
-  /// begin < e and end > b.  Empty when b >= e.  Yields the pre-sorted
-  /// candidate list an endpoint sweep (interval join, coalesce) can
-  /// consume in place of sorting a full scan; the operators themselves
-  /// do not consult it yet (ROADMAP item — they run over arbitrary
-  /// intermediates, not just indexed base tables).
+  /// begin < e and end > b.  Empty when b >= e.  The executor's
+  /// interval-join pruning (ComputeJoinCandidates) asks it for the rows
+  /// of an indexed base-table side that can overlap the other side's
+  /// endpoint span; operators over intermediates, which have no index,
+  /// do not use it.
   /// Complexity: O(log #events + K + |result| log |result|).
   std::vector<uint32_t> AliveInRange(TimePoint b, TimePoint e) const;
 

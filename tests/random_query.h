@@ -28,6 +28,14 @@ struct RandomQueryConfig {
   // (the rows ride RandomAppendRows below).  Consulted only by drivers
   // that opt in; like every knob, zero draws no random numbers.
   double mid_insert_chance = 0.0;
+  // Inexact aggregate arguments: with this chance an aggregate reads
+  // c * s1 + d * s2 over both columns instead of one column, s1 and s2
+  // drawn from multiples of 0.1 and magnitudes from 1e-3 to 1e16 of
+  // either sign.  Such doubles are not dyadic and their sums cancel, so
+  // a plan that sums them in a different order or with a plain running
+  // sum rounds differently; exact sums make every plan agree bit for
+  // bit.
+  double inexact_arg_chance = 0.0;
 };
 
 class RandomQueryGenerator {
@@ -118,8 +126,7 @@ class RandomQueryGenerator {
     AggFunc funcs[] = {AggFunc::kCountStar, AggFunc::kCount, AggFunc::kSum,
                        AggFunc::kAvg, AggFunc::kMin, AggFunc::kMax};
     AggFunc f = funcs[rng_->Uniform(6)];
-    AggExpr agg{f, f == AggFunc::kCountStar ? nullptr : Col(RandomCol()),
-                "agg"};
+    AggExpr agg{f, f == AggFunc::kCountStar ? nullptr : AggArgument(), "agg"};
     if (rng_->Chance(0.5)) {
       return MakeAggregate(std::move(child), {Col(RandomCol(), "g")},
                            {Column("g")}, {std::move(agg)});
@@ -127,6 +134,21 @@ class RandomQueryGenerator {
     AggExpr agg2{AggFunc::kCountStar, nullptr, "cnt"};
     return MakeAggregate(std::move(child), {}, {},
                          {std::move(agg), std::move(agg2)});
+  }
+
+  // A column, or with inexact_arg_chance a double-valued blend of both.
+  ExprPtr AggArgument() {
+    const int c = RandomCol();
+    if (config_.inexact_arg_chance == 0 ||
+        !rng_->Chance(config_.inexact_arg_chance)) {
+      return Col(c);
+    }
+    static constexpr double kScales[] = {0.1,  -0.1, 0.3,  0.7,
+                                         1e-3, 1e16, -1e16, 2.5e15};
+    auto scaled = [&](int col) {
+      return Mul(Col(col), Lit(Value::Double(kScales[rng_->Uniform(8)])));
+    };
+    return Add(scaled(c), scaled(1 - c));
   }
 
   Rng* rng_;

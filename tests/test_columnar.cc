@@ -428,6 +428,7 @@ void CheckRandomPlansMatchRowPath(const NonIntegerData* mix) {
     qc.null_literal_chance = 0.2;   // NULL-heavy
     qc.union_dup_chance = 0.35;     // duplicate-amplifying
     qc.period_scan_chance = 0.25;
+    qc.inexact_arg_chance = 0.3;
     qc.allow_difference = options.semantics != SnapshotSemantics::kTeradata;
     RandomQueryGenerator gen(&rng, qc);
     PlanPtr query = gen.Generate(3 + static_cast<int>(rng.Uniform(2)));
@@ -645,6 +646,14 @@ uint32_t JoinKeyId(RowIds& ids, const JoinAnalysis& ja, const Row& row,
   return IdOf(ids, std::move(key));
 }
 
+// The overlap conjunct on a pair of rows under SQL comparison.
+bool SqlOverlaps(const OverlapSpec& ov, const Row& lr, const Row& rr) {
+  return SqlLess(lr[static_cast<size_t>(ov.left_begin)],
+                 rr[static_cast<size_t>(ov.right_end)]) &&
+         SqlLess(rr[static_cast<size_t>(ov.right_begin)],
+                 lr[static_cast<size_t>(ov.left_end)]);
+}
+
 // The nested loop, and the hash join (left-major, each left row's
 // matches in right order): an opaque predicate is tested on every pair;
 // an analyzed one as its equi-keys, then its overlap conjunct, then the
@@ -663,16 +672,9 @@ Relation RowNestedLoopJoin(const Plan& plan, const Relation& left,
     for (size_t r = 0; r < right.size(); ++r) {
       if (!opaque) {
         if (lid[l] == KeyIndex::kAbsent || rid[r] != lid[l]) continue;
-        if (ja.overlap.has_value()) {
-          const OverlapSpec& ov = *ja.overlap;
-          const Row& lr = left.rows()[l];
-          const Row& rr = right.rows()[r];
-          if (!SqlLess(lr[static_cast<size_t>(ov.left_begin)],
-                       rr[static_cast<size_t>(ov.right_end)]) ||
-              !SqlLess(rr[static_cast<size_t>(ov.right_begin)],
-                       lr[static_cast<size_t>(ov.left_end)])) {
-            continue;
-          }
+        if (ja.overlap.has_value() &&
+            !SqlOverlaps(*ja.overlap, left.rows()[l], right.rows()[r])) {
+          continue;
         }
       }
       Row row = Joined(left, right, l, r);
@@ -686,8 +688,9 @@ Relation RowNestedLoopJoin(const Plan& plan, const Relation& left,
 
 // The overlap join: equi-key buckets in first-appearance order (left
 // rows, then right rows).  Per bucket, the pairs with a malformed side
-// (not integers with begin < end) come first, tested on the full
-// predicate; then the plane sweep's pairs, tested on the residual: both
+// (not integers with begin < end) come first, tested as the nested
+// loop tests them (the overlap under SQL comparison, then the
+// residual); then the plane sweep's pairs, tested on the residual: both
 // sides in begin order, left first on ties, each arriving interval
 // paired with every still-open opposite one in arrival order.
 Relation RowOverlapJoin(const Plan& plan, const Relation& left,
@@ -728,13 +731,18 @@ Relation RowOverlapJoin(const Plan& plan, const Relation& left,
     Row row = Joined(left, right, l, r);
     if (Accepts(check, row)) out.AddRow(std::move(row));
   };
+  auto emit_slow = [&](size_t l, size_t r) {
+    if (SqlOverlaps(ov, left.rows()[l], right.rows()[r])) {
+      emit(l, r, ja.residual);
+    }
+  };
   for (Bucket& bucket : buckets) {
     for (size_t l : bucket.slow[0]) {
-      for (const Staged& r : bucket.fast[1]) emit(l, r.row, plan.predicate);
-      for (size_t r : bucket.slow[1]) emit(l, r, plan.predicate);
+      for (const Staged& r : bucket.fast[1]) emit_slow(l, r.row);
+      for (size_t r : bucket.slow[1]) emit_slow(l, r);
     }
     for (const Staged& l : bucket.fast[0]) {
-      for (size_t r : bucket.slow[1]) emit(l.row, r, plan.predicate);
+      for (size_t r : bucket.slow[1]) emit_slow(l.row, r);
     }
     for (std::vector<Staged>& fast : bucket.fast) {
       std::stable_sort(fast.begin(), fast.end(),
@@ -920,8 +928,8 @@ Relation RowSplit(const Relation& left, const Relation& right,
 
 // Split-aggregate, fragment by fragment: per group (first appearance),
 // the elementary fragments between its endpoints, each aggregated over
-// the rows open on it in row order (exact on the dyadic values the
-// tests draw).  With gap rows the fragments cover the domain.
+// the rows open on it in row order.  With gap rows the fragments cover
+// the domain.
 Relation RowSplitAggregate(const Relation& input,
                            const std::vector<int>& group_cols,
                            const std::vector<AggExpr>& aggs, bool gap_rows,
@@ -980,12 +988,7 @@ Relation RowSplitAggregate(const Relation& input,
       if (from >= to || (star == 0 && !gap_rows)) return;
       Row row = keys[g];
       for (const AggState& s : states) {
-        // The sweep yields the canonical quiet NaN for a NaN sum.
-        Value v = s.Finalize(star);
-        if (const double* d = v.TryDouble(); d != nullptr && std::isnan(*d)) {
-          v = Value::Double(std::numeric_limits<double>::quiet_NaN());
-        }
-        row.push_back(std::move(v));
+        row.push_back(s.Finalize(star));
       }
       row.push_back(Value::Int(from));
       row.push_back(Value::Int(to));

@@ -392,6 +392,7 @@ TEST(CostModelPropertyTest, CostOnAgreesWithCostOff) {
 
     RandomQueryConfig qc;
     qc.period_scan_chance = 0.25;
+    qc.inexact_arg_chance = 0.3;
     RandomQueryGenerator gen(&rng, qc);
     PlanPtr query = gen.Generate(3);
 

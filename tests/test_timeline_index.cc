@@ -653,6 +653,7 @@ void CheckRandomAsOfPlans(uint64_t seed, int iterations,
     qc.null_literal_chance = 0.1;
     qc.union_dup_chance = 0.2;
     qc.period_scan_chance = 0.3;
+    qc.inexact_arg_chance = 0.3;
     RandomQueryGenerator gen(&rng, qc);
     PlanPtr query = gen.Generate(static_cast<int>(rng.Uniform(5)));
     CostModel cost(&catalog, kDomain);

@@ -15,10 +15,12 @@ Checks invariants that neither the compiler nor clang-tidy can express:
 
   row-eval-in-typed-lane
       Inside a marked typed lane (the typed expression evaluator,
-      engine/typed_eval.cc) expressions run over whole typed columns:
-      Eval( / EvalBool( / ScratchRow / Get( evaluate or read one Value
-      row at a time and forfeit the typed path.  Delimited like the
-      columnar lanes:
+      engine/typed_eval.cc; the split-aggregate's phase 1, sweep and
+      finalize, engine/temporal_ops.cc) expressions and aggregates run
+      over whole typed columns: Eval( / EvalBool( / ScratchRow / Get(
+      evaluate or read one Value row at a time, and AggState folds one
+      Value-typed state per aggregate and cell, forfeiting the typed
+      path.  Delimited like the columnar lanes:
           // periodk-lint: typed-lane-begin(<name>)
           // periodk-lint: typed-lane-end(<name>)
 
@@ -77,7 +79,8 @@ TYPED_END_RE = re.compile(r"periodk-lint:\s*typed-lane-end\(([\w-]+)\)")
 ROW_API_RE = re.compile(
     r"(?:\.|->)rows\(\)|\bAddRow\s*\(|\bmutable_rows\s*\(|\bReserve\s*\(")
 ROW_EVAL_RE = re.compile(
-    r"\bEval\s*\(|\bEvalBool\s*\(|\bScratchRow\b|\bGet\s*\(")
+    r"\bEval\s*\(|\bEvalBool\s*\(|\bScratchRow\b|\bGet\s*\("
+    r"|\bAggState\b")
 LAYOUT_CHECK_RE = re.compile(r"\bis_columnar\s*\(")
 NAKED_MUTEX_RE = re.compile(
     r"std::(?:recursive_|shared_|timed_)?mutex\b"
@@ -210,7 +213,8 @@ def check_typed_lanes(path, lines, findings):
     check_lanes(path, lines, findings, TYPED_BEGIN_RE, TYPED_END_RE,
                 ROW_EVAL_RE, "row-eval-in-typed-lane",
                 "row evaluation inside typed lane '{}' (Eval/EvalBool/"
-                "ScratchRow/Get work one Value row at a time)")
+                "ScratchRow/Get work one Value row at a time, AggState "
+                "one Value-typed state)")
 
 
 def check_layout_outside_storage(path, rel, stripped_lines, findings):
@@ -376,6 +380,25 @@ Relation ExecSelect(const Plan& plan, const Relation& input) {
 }
 // periodk-lint: typed-lane-end(select)
 """,
+    # The split-aggregate's phase 1 before it was typed: per cell a
+    # partial holding a heap vector of AggStates, each fed one cell at a
+    # time, then opened and closed whole by the sweep.
+    "src/engine/split_agg_lane_bad.cc": """\
+// periodk-lint: typed-lane-begin(split-aggregate)
+struct Partial {
+  TimePoint begin = 0;
+  TimePoint end = 0;
+  int64_t star = 0;
+  std::vector<AggState> states;
+};
+Partial& p = partials[slot];
+p.star += 1;
+for (size_t a = 0; a < aggs.size(); ++a) {
+  p.states[a].AccumulateColumn(*args[static_cast<size_t>(arg_of[a])], i);
+}
+void Open(const AggState& s) { Apply(s, 1); }
+// periodk-lint: typed-lane-end(split-aggregate)
+""",
     "src/engine/typed_lane_ok.cc": """\
 // periodk-lint: typed-lane-begin(demo)
 std::optional<ColumnData> col = EvalTyped(*e, input);
@@ -420,6 +443,7 @@ SELF_TEST_EXPECT = {
     ("select_lane_bad.cc", "row-api-in-columnar-lane"): 4,
     ("join_lane_bad.cc", "row-api-in-columnar-lane"): 1,
     ("typed_lane_bad.cc", "row-eval-in-typed-lane"): 2,
+    ("split_agg_lane_bad.cc", "row-eval-in-typed-lane"): 2,
     ("layout_bad.cc", "layout-check-outside-storage"): 1,
     ("mutex_bad.cc", "naked-mutex"): 1,
     ("byvalue_bad.h", "relation-by-value"): 1,
