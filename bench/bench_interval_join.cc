@@ -1,11 +1,13 @@
 // Temporal-join hot path: the sweep-based interval-overlap join
 // (engine/interval_join.h) against the nested-loop reference it
-// replaces.  Three workloads mirror the join shapes of the paper's
+// replaces.  Four workloads mirror the join shapes of the paper's
 // Sec. 10 evaluation: the equi+overlap shape RewriteJoin emits, the
-// overlap-only self-join that previously degenerated to O(n^2), and a
+// overlap-only self-join that previously degenerated to O(n^2), a
 // skewed-duration mix (a few domain-spanning intervals among many short
-// ones) that stresses the sweep's active sets.  Record medians into
-// BENCH_interval_join.json per docs/benchmarks.md.
+// ones) that stresses the sweep's active sets, and sparse keys -- a
+// small input against a large one whose keys mostly miss, the shape of
+// TPC-BiH's snapshot joins, which stresses the staging.  Record medians
+// into BENCH_interval_join.json per docs/benchmarks.md.
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -68,7 +70,8 @@ int main() {
 
   bench::PrintBanner(
       "interval-overlap join vs nested-loop fallback",
-      "Scale via PERIODK_BENCH_JOIN_ROWS (rows per input, default 4000).");
+      "Scale via PERIODK_BENCH_JOIN_ROWS (rows per input, default 4000;\n"
+      "sparse-keys joins that many rows with 16 times as many).");
 
   Rng rng(20190731);
   std::vector<Workload> workloads;
@@ -103,9 +106,23 @@ int main() {
     workloads.push_back(std::move(w));
   }
 
+  {
+    // Sparse keys: `rows` rows against 16 times as many, whose keys
+    // are drawn from a range 16 times wider, so most of the large
+    // side's rows find no partner key; half of them span the domain.
+    Workload w;
+    w.name = "sparse-keys";
+    w.catalog.Put("l", MakeTable(&rng, rows, rows, 0.0));
+    w.catalog.Put("r", MakeTable(&rng, 16 * rows, 16 * rows, 0.5));
+    w.join = MakeJoin(MakeScan("l", EncodedSchema()),
+                      MakeScan("r", EncodedSchema()),
+                      And(Eq(Col(0), Col(4)), OverlapPred()));
+    workloads.push_back(std::move(w));
+  }
+
   bench::TablePrinter table(
-      {"Workload", "Rows/side", "Out rows", "NestedLoop", "Sweep", "Speedup"},
-      {18, 10, 12, 12, 12, 10});
+      {"Workload", "Rows l/r", "Out rows", "NestedLoop", "Sweep", "Speedup"},
+      {18, 12, 12, 12, 12, 10});
   table.PrintHeader();
   for (Workload& w : workloads) {
     const Relation& left = w.catalog.Get(w.join->left->table);
@@ -124,7 +141,9 @@ int main() {
         bench::TimeMedian([&] { Execute(w.join, w.catalog); }, repeats);
     char speedup[32];
     std::snprintf(speedup, sizeof(speedup), "%.1fx", nested / swept);
-    table.PrintRow({w.name, std::to_string(rows),
+    table.PrintRow({w.name,
+                    std::to_string(left.size()) + "/" +
+                        std::to_string(right.size()),
                     std::to_string(sweep.size()),
                     bench::TablePrinter::Seconds(nested),
                     bench::TablePrinter::Seconds(swept), speedup});

@@ -32,6 +32,21 @@ bool SumIsInt(bool all_int, __int128 isum) {
          isum <= std::numeric_limits<int64_t>::max();
 }
 
+int CompareExtremes(const Value& a, const Value& b) {
+  const double* x = a.TryDouble();
+  const double* y = b.TryDouble();
+  const bool a_nan = x != nullptr && std::isnan(*x);
+  const bool b_nan = y != nullptr && std::isnan(*y);
+  if (a_nan && b_nan) return 0;
+  if (a_nan || b_nan) {
+    const Value& other = a_nan ? b : a;
+    if (other.TryInt() != nullptr || other.TryDouble() != nullptr) {
+      return a_nan ? 1 : -1;  // NaN above every number
+    }
+  }
+  return a.Compare(b);
+}
+
 void AggState::AccumulateInt(int64_t v, int64_t mult) {
   count += mult;
   isum += static_cast<__int128>(v) * mult;
@@ -66,10 +81,14 @@ void AggState::Accumulate(const Value& v, int64_t mult) {
       }
       return;
     case AggFunc::kMin:
-      if (!extreme.has_value() || v.Compare(*extreme) < 0) extreme = v;
+      if (!extreme.has_value() || CompareExtremes(v, *extreme) < 0) {
+        extreme = v;
+      }
       return;
     case AggFunc::kMax:
-      if (!extreme.has_value() || v.Compare(*extreme) > 0) extreme = v;
+      if (!extreme.has_value() || CompareExtremes(v, *extreme) > 0) {
+        extreme = v;
+      }
       return;
   }
 }

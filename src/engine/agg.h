@@ -101,6 +101,21 @@ class ExactSum {
 /// and their exact total fits int64.
 bool SumIsInt(bool all_int, __int128 isum);
 
+/// The order MIN and MAX pick their extreme by, wherever they run (hash
+/// aggregation and its merge of parallel chunks, the split-aggregate's
+/// cells and its sweep): Value::Compare, except that NaN, which
+/// Value::Compare leaves unordered, equals NaN and is greater than
+/// every other number (PostgreSQL's rule).  A strict weak order over
+/// all Values, so an extreme never depends on the order values arrive.
+int CompareExtremes(const Value& a, const Value& b);
+
+/// CompareExtremes as a less-than: the sweep's ordered multiset.
+struct ExtremeLess {
+  bool operator()(const Value& a, const Value& b) const {
+    return CompareExtremes(a, b) < 0;
+  }
+};
+
 /// Incremental state for one aggregate over one group, with SQL
 /// semantics: count(*) counts rows, count(A) counts non-null A, the
 /// remaining functions ignore nulls and yield NULL on empty input.
@@ -108,8 +123,9 @@ bool SumIsInt(bool all_int, __int128 isum);
 /// distinct tuple instead of per duplicate).
 ///
 /// Each function keeps only what it needs: count(A) a count; sum and
-/// avg the count and the sums; min and max one extreme Value.  So sum,
-/// avg and count never build, copy or compare a Value.
+/// avg the count and the sums; min and max one extreme Value, ordered
+/// by CompareExtremes.  So sum, avg and count never build, copy or
+/// compare a Value.
 ///
 /// Sums are exact.  Int inputs add up in 128 bits, so summing
 /// endpoint-magnitude values (a TimeDomain touching INT64_MIN or
@@ -142,7 +158,7 @@ struct AggState {
 
   /// Merges partially aggregated state of the same function (parallel
   /// hash-aggregation chunks).  Counts and sums add up exactly; extremes
-  /// keep the lesser / greater.
+  /// keep the lesser / greater under CompareExtremes.
   void Merge(const AggState& other);
 
   Value Finalize(int64_t star_count) const;

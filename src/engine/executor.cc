@@ -1,7 +1,6 @@
 #include "engine/executor.h"
 
 #include <algorithm>
-#include <cmath>
 #include <exception>
 #include <iterator>
 #include <memory>
@@ -368,89 +367,6 @@ class ExecutionContext {
 
   OpContext Ctx() const { return OpContext{pool_, stats_, use_cost_model_}; }
 
-  /// Derives an interval-join sweep filter for one side of an overlap
-  /// join: when that side is a base-table scan with a current
-  /// TimelineIndex over exactly the overlap endpoint columns, rows
-  /// whose interval misses the opposite side's combined endpoint span
-  /// cannot satisfy the overlap conjunct against *any* opposite row —
-  /// fast lane or slow lane — and are excluded from the sweep.
-  /// Returns true and fills `keep` (one byte per source row) when
-  /// pruning applies; false leaves the join untouched.
-  bool ComputeJoinCandidates(const Plan& join_plan, bool left_side,
-                             const RelHandle& self, const Relation& other,
-                             std::vector<char>& keep) {
-    const PlanPtr& child = left_side ? join_plan.left : join_plan.right;
-    if (child->kind != PlanKind::kScan) return false;
-    std::shared_ptr<const TimelineIndex> index =
-        catalog_.GetIndex(child->table);
-    const OverlapSpec& ov = *join_plan.join.overlap;
-    int bcol = left_side ? ov.left_begin : ov.right_begin;
-    int ecol = left_side ? ov.left_end : ov.right_end;
-    if (index == nullptr || !index->BuiltFor(self.get()) ||
-        index->begin_col() != bcol || index->end_col() != ecol) {
-      return false;
-    }
-    // Combined span [lo, hi] of the opposite side's numeric endpoints:
-    // a row [b, e) of this side matches some opposite row [ob, oe) only
-    // if b < oe and ob < e, hence only if b < hi and e > lo.  Double
-    // endpoints compare numerically against integers under SQL
-    // semantics, so they widen the span via floor/ceil; NULL, string
-    // and bool endpoints can never satisfy the strict comparisons and
-    // do not contribute.
-    int obcol = left_side ? ov.right_begin : ov.left_begin;
-    int oecol = left_side ? ov.right_end : ov.left_end;
-    constexpr double kInt64Lo = -9223372036854775808.0;  // -2^63 exactly
-    constexpr double kInt64Hi = 9223372036854775808.0;   // 2^63 exactly
-    bool any = false;
-    TimePoint lo = 0;
-    TimePoint hi = 0;
-    bool give_up = false;
-    auto bound = [&](const Value& v, bool round_down,
-                     TimePoint* out) -> bool {
-      if (v.type() == ValueType::kInt) {
-        *out = v.AsInt();
-        return true;
-      }
-      if (v.type() != ValueType::kDouble) return false;
-      double d = round_down ? std::floor(v.AsDouble())
-                            : std::ceil(v.AsDouble());
-      if (!(d >= kInt64Lo && d < kInt64Hi)) {
-        give_up = true;  // non-finite or beyond int64: skip pruning
-        return false;
-      }
-      *out = static_cast<TimePoint>(d);
-      return true;
-    };
-    TypedColumn obc = other.ReadColumn(static_cast<size_t>(obcol));
-    TypedColumn oec = other.ReadColumn(static_cast<size_t>(oecol));
-    for (size_t i = 0; i < other.size(); ++i) {
-      TimePoint b = 0;
-      TimePoint e = 0;
-      bool has_b = bound(obc->Get(i), true, &b);
-      bool has_e = bound(oec->Get(i), false, &e);
-      if (give_up) return false;
-      if (!has_b || !has_e) continue;
-      if (!any || b < lo) lo = b;
-      if (!any || e > hi) hi = e;
-      any = true;
-    }
-    keep.assign(self->size(), 0);
-    if (any) {
-      // AliveInRange is defined on half-open [lo, hi); a collapsed span
-      // (every opposite interval empty or reversed) still matches rows
-      // covering it, and those are exactly the rows alive at lo.
-      std::vector<uint32_t> ids = lo < hi ? index->AliveInRange(lo, hi)
-                                          : index->AliveAt(lo);
-      for (uint32_t id : ids) keep[id] = 1;
-    }
-    if (stats_ != nullptr) {
-      ++stats_->index_join_prunes;
-      stats_->index_delta_events +=
-          static_cast<int64_t>(index->num_delta_events());
-    }
-    return true;
-  }
-
   RelHandle Compute(const PlanPtr& plan) {
     RelHandle h = ComputeImpl(plan);
     if (stats_ != nullptr) {
@@ -480,23 +396,6 @@ class ExecutionContext {
       case PlanKind::kJoin: {
         RelHandle l = ExecuteNode(plan->left);
         RelHandle r = ExecuteNode(plan->right);
-        if (use_timeline_index_ && plan->join.overlap.has_value() &&
-            plan->join_strategy == JoinStrategy::kAuto) {
-          JoinCandidates cands;
-          std::vector<char> keep_l;
-          std::vector<char> keep_r;
-          if (ComputeJoinCandidates(*plan, /*left_side=*/true, l, *r,
-                                    keep_l)) {
-            cands.left = &keep_l;
-          }
-          if (ComputeJoinCandidates(*plan, /*left_side=*/false, r, *l,
-                                    keep_r)) {
-            cands.right = &keep_r;
-          }
-          if (cands.left != nullptr || cands.right != nullptr) {
-            return Own(IntervalOverlapJoin(*plan, *l, *r, Ctx(), cands));
-          }
-        }
         return Own(ExecJoin(*plan, *l, *r, Ctx()));
       }
       case PlanKind::kUnionAll: {
@@ -708,7 +607,6 @@ std::string ExecStats::ToString() const {
                 ", parallel tasks: ", parallel_tasks,
                 ", index timeslices: ", index_timeslices,
                 ", index delta events: ", index_delta_events,
-                ", index join prunes: ", index_join_prunes,
                 ", cost gated fan-outs: ", cost_gated_fanouts);
 }
 

@@ -125,10 +125,6 @@ struct ExecStats {
   /// was fully compacted).  Measures how much uncompacted write traffic
   /// a read crossed — see TemporalDB's IndexMaintenanceStats.
   int64_t index_delta_events = 0;
-  /// Interval-join sides whose sweep input was pre-filtered with
-  /// TimelineIndex::AliveInRange candidates (rows provably outside the
-  /// opposite side's endpoint span skip the sweep).
-  int64_t index_join_prunes = 0;
   /// Partition fan-outs the cost gate kept sequential because the
   /// operator's input was below kParallelMinRows.
   int64_t cost_gated_fanouts = 0;

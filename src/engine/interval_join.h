@@ -9,9 +9,12 @@
 // loop opaque predicates and the planner's tiny overlap joins.  All
 // three read typed columns (Relation::ReadColumn) and group keys with
 // KeyIndex, whatever the storage layout of their inputs, and emit one
-// way: they collect the (left row, right row) pairs that pass, testing
-// each candidate pair's predicate on a two-source ScratchRow, and
-// gather the pairs (Relation::Gather) into columns.
+// way: they collect the (left row, right row) pairs that pass and
+// gather them (Relation::Gather) into columns.  The hash join and the
+// overlap join key the smaller input and look the larger one up, and
+// test their residual on the candidate pairs' gathered columns when
+// the typed evaluator admits it, on a two-source ScratchRow per pair
+// otherwise.
 #ifndef PERIODK_ENGINE_INTERVAL_JOIN_H_
 #define PERIODK_ENGINE_INTERVAL_JOIN_H_
 
@@ -21,32 +24,19 @@
 
 namespace periodk {
 
-/// Optional per-side sweep pruning, produced by the executor from a
-/// table's TimelineIndex (AliveInRange over the opposite side's
-/// endpoint span).  Bit i false marks source row i as provably unable
-/// to overlap anything on the opposite side, so the sweep's fast lane
-/// skips it; nullptr keeps every row.  Pruning never touches the slow
-/// lane (malformed-interval rows are absent from the index anyway), and
-/// the pruned join is row-identical — same rows, same order — to the
-/// unpruned one.
-struct JoinCandidates {
-  const std::vector<char>* left = nullptr;
-  const std::vector<char>* right = nullptr;
-};
-
 /// Executes a kJoin plan whose analysis carries an overlap conjunct
 /// (plan.join.overlap must be set).  Exactly equivalent to evaluating
 /// plan.predicate over the cross product: rows whose endpoint columns
 /// are not well-formed intervals (non-integer values, begin >= end) are
 /// routed through a per-partition nested-loop slow lane so SQL
 /// three-valued comparison semantics are preserved bit-for-bit.
-/// With a pool in `ctx` the equi-key partitions fan out to workers
-/// (a pure temporal join has one partition and stays sequential), each
-/// collecting its partitions' pairs; the pairs are gathered once, in
-/// partition order.
+/// Only the keys found on both inputs make partitions, in order of
+/// their first appearance on the left.  With a pool in `ctx` the
+/// partitions fan out to workers (a pure temporal join has one
+/// partition and stays sequential), each collecting and filtering its
+/// partitions' pairs; the pairs are gathered once, in partition order.
 Relation IntervalOverlapJoin(const Plan& plan, const Relation& left,
-                             const Relation& right, const OpContext& ctx = {},
-                             const JoinCandidates& candidates = {});
+                             const Relation& right, const OpContext& ctx = {});
 
 /// Reference implementation: O(n * m) nested loop evaluating the join
 /// predicate on every pair.  Kept as the correctness baseline for the
@@ -56,8 +46,8 @@ Relation NestedLoopJoin(const Plan& plan, const Relation& left,
                         const Relation& right);
 
 /// Equi-join on plan.join.equi_keys, built on the smaller input and
-/// probed with the other, with the residual checked per candidate pair
-/// after the pairs are put in left-major order (a counting sort when
+/// probed with the other, with the residual checked on the candidate
+/// pairs after they are put in left-major order (a counting sort when
 /// the left input was the build side).  Row-identical to
 /// NestedLoopJoin: left-major, each left row's matches in right order,
 /// and the same first residual error.

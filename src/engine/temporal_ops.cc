@@ -673,7 +673,7 @@ Relation SplitAggregateRelation(const Relation& input,
   for (size_t a = 0; a < naggs; ++a) {
     const AggFunc func = aggs[a].func;
     if (func != AggFunc::kMin && func != AggFunc::kMax) continue;
-    // min and max order arbitrary Values (Value::Compare), as hash
+    // min and max order arbitrary Values (CompareExtremes), as hash
     // aggregation does.
     const ColumnData& col = *args[static_cast<size_t>(arg_of[a])];
     extremes[a].assign(ncells, Value::Null());
@@ -683,7 +683,7 @@ Relation SplitAggregateRelation(const Relation& input,
         if (col.IsNull(rows[k])) continue;
         // periodk-lint: allow(row-eval-in-typed-lane): min and max keep Values
         Value v = col.Get(rows[k]);
-        const int order = extreme.is_null() ? 0 : v.Compare(extreme);
+        const int order = extreme.is_null() ? 0 : CompareExtremes(v, extreme);
         if (extreme.is_null() ||
             (func == AggFunc::kMin ? order < 0 : order > 0)) {
           extreme = std::move(v);
@@ -814,7 +814,8 @@ Relation SplitAggregateRelation(const Relation& input,
     for (size_t a = 0; a < naggs; ++a) {
       const AggFunc func = aggs[a].func;
       if (func != AggFunc::kMin && func != AggFunc::kMax) continue;
-      std::map<Value, int64_t> extrema;  // the open cells' extremes
+      // The open cells' extremes.
+      std::map<Value, int64_t, ExtremeLess> extrema;
       pass(
           [&](uint32_t c, int dir) {
             const Value& v = extremes[a][c];

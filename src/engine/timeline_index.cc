@@ -170,8 +170,6 @@ std::shared_ptr<const TimelineIndex> TimelineIndex::BuildFrom(
     index->event_times_.push_back(event.time);
     if (!event.is_end) {
       alive.Insert(event.row);
-      index->begin_times_.push_back(event.time);
-      index->begin_rows_.push_back(event.row);
     } else {
       alive.Erase(event.row);
     }
@@ -238,35 +236,6 @@ std::vector<uint32_t> TimelineIndex::AliveAt(TimePoint t) const {
     if (ri < removed.size() && removed[ri] == next) continue;
     out.push_back(next);
   }
-  return out;
-}
-
-std::vector<uint32_t> TimelineIndex::AliveInRange(TimePoint b,
-                                                  TimePoint e) const {
-  if (b >= e) return {};
-  if (base_ != nullptr) {
-    // Same id-partition argument as AliveAt: concat keeps the contract
-    // that candidates come back ascending.
-    std::vector<uint32_t> out = base_->AliveInRange(b, e);
-    std::vector<uint32_t> delta = delta_->AliveInRange(b, e);
-    out.insert(out.end(), delta.begin(), delta.end());
-    return out;
-  }
-  // A row overlaps [b, e) iff begin < e and end > b.  Rows with
-  // begin <= b are overlapping iff alive at b; the rest start inside
-  // (b, e).  The two sets are disjoint, so one sorted merge suffices.
-  std::vector<uint32_t> alive = AliveAt(b);
-  auto lo = std::upper_bound(begin_times_.begin(), begin_times_.end(), b);
-  auto hi = std::lower_bound(begin_times_.begin(), begin_times_.end(), e);
-  std::vector<uint32_t> started(
-      begin_rows_.begin() + (lo - begin_times_.begin()),
-      begin_rows_.begin() + (hi - begin_times_.begin()));
-  std::sort(started.begin(), started.end());
-
-  std::vector<uint32_t> out;
-  out.reserve(alive.size() + started.size());
-  std::merge(alive.begin(), alive.end(), started.begin(), started.end(),
-             std::back_inserter(out));
   return out;
 }
 

@@ -139,15 +139,6 @@ class TimelineIndex {
   /// Complexity: O(log #events + K + |result|).
   std::vector<uint32_t> AliveAt(TimePoint t) const;
 
-  /// Row ids (ascending) of rows whose interval overlaps [b, e):
-  /// begin < e and end > b.  Empty when b >= e.  The executor's
-  /// interval-join pruning (ComputeJoinCandidates) asks it for the rows
-  /// of an indexed base-table side that can overlap the other side's
-  /// endpoint span; operators over intermediates, which have no index,
-  /// do not use it.
-  /// Complexity: O(log #events + K + |result| log |result|).
-  std::vector<uint32_t> AliveInRange(TimePoint b, TimePoint e) const;
-
   /// Materialized tau_t: the alive rows with the two endpoint columns
   /// dropped, in source row order — result rows are identical, in
   /// identical order, to `TimesliceEncoded(source, t)`.
@@ -181,10 +172,6 @@ class TimelineIndex {
   // checkpoints_[c] = sorted row ids alive after the first
   // c * checkpoint_interval_ events (checkpoints_[0] is empty).
   std::vector<std::vector<uint32_t>> checkpoints_;
-  // Begin events only, sorted by time, for AliveInRange's "starts
-  // within [b, e)" lookup.
-  std::vector<TimePoint> begin_times_;
-  std::vector<uint32_t> begin_rows_;
   // Differential layer (both set or both null; see WithDelta).  When
   // set, this object's own event/checkpoint vectors are empty and every
   // lookup concatenates base answers (ids < delta_first_row_) with

@@ -4,7 +4,12 @@
 // statement form (the tau_T operator at the SQL level, Thm 6.3).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <limits>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "baseline/naive.h"
 #include "common/str_util.h"
@@ -160,6 +165,98 @@ TEST(SqlFeatureTest, SweepDoubleSumsForgetClosedRows) {
     EXPECT_EQ(as_of->rows()[0][1].AsDouble(), p.open);
     EXPECT_EQ(as_of->rows()[0][2].AsDouble(), p.open);
   }
+}
+
+// MIN and MAX order NaN above every number and equal to NaN
+// (PostgreSQL's rule), in hash aggregation and in the split-aggregate
+// alike, so an extreme is always a value of the snapshot: at every t
+// the SEQ VT fragment equals AS OF t and equals hash aggregation over
+// the rows alive at t, whatever the order the rows were inserted in,
+// with or without pre-aggregation, on 1 or 4 threads.
+TEST(SqlFeatureTest, MinMaxOrderNaNAboveEveryNumber) {
+  constexpr TimePoint kEnd = 12;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  struct Input {
+    double v;
+    TimePoint b;
+    TimePoint e;
+  };
+  std::vector<Input> inputs = {{1.0, 0, 4}, {2.0, 0, 6}, {nan, 0, 10}};
+  auto same = [](const Value& a, const Value& b) {
+    const double* x = a.TryDouble();
+    const double* y = b.TryDouble();
+    if (x != nullptr && y != nullptr && std::isnan(*x) && std::isnan(*y)) {
+      return true;
+    }
+    return a.type() == b.type() && a.Compare(b) == 0;
+  };
+  // The snapshot's extremes under the rule, for t < 10.
+  auto expected = [nan](TimePoint t) {
+    return std::pair<double, double>{t < 4 ? 1.0 : t < 6 ? 2.0 : nan, nan};
+  };
+  const std::string query = "(SELECT min(v) AS lo, max(v) AS hi FROM t)";
+  std::sort(inputs.begin(), inputs.end(),
+            [](const Input& a, const Input& b) { return a.e < b.e; });
+  do {
+    TemporalDB db(TimeDomain{0, kEnd});
+    ASSERT_TRUE(
+        db.CreatePeriodTable("t", {"v", "vt_b", "vt_e"}, "vt_b", "vt_e").ok());
+    for (const Input& in : inputs) {
+      ASSERT_TRUE(db.Insert("t", {Value::Double(in.v), Value::Int(in.b),
+                                  Value::Int(in.e)})
+                      .ok());
+    }
+    for (TimePoint t = 0; t < kEnd; ++t) {
+      // Hash aggregation over tau_t: a plain table of the rows alive
+      // at t, in insertion order.
+      TemporalDB plain(TimeDomain{0, kEnd});
+      ASSERT_TRUE(plain.CreateTable("t", {"v"}).ok());
+      for (const Input& in : inputs) {
+        if (in.b <= t && t < in.e) {
+          ASSERT_TRUE(plain.Insert("t", {Value::Double(in.v)}).ok());
+        }
+      }
+      auto hashed = plain.Query("SELECT min(v) AS lo, max(v) AS hi FROM t");
+      ASSERT_TRUE(hashed.ok()) << hashed.status().ToString();
+      ASSERT_EQ(hashed->size(), 1u);
+      const Row& want = hashed->rows()[0];
+      if (t < 10) {
+        EXPECT_TRUE(same(want[0], Value::Double(expected(t).first))) << t;
+        EXPECT_TRUE(same(want[1], Value::Double(expected(t).second))) << t;
+      }
+      for (bool pre_aggregate : {false, true}) {
+        for (int threads : {1, 4}) {
+          RewriteOptions options;
+          options.pre_aggregate = pre_aggregate;
+          options.num_threads = threads;
+          const std::string context =
+              StrCat("t=", t, " pre_aggregate=", pre_aggregate,
+                     " threads=", threads, " first v=", inputs[0].v);
+          auto seq = db.Query("SEQ VT " + query, options);
+          ASSERT_TRUE(seq.ok()) << seq.status().ToString();
+          int fragments = 0;
+          for (const Row& row : seq->rows()) {
+            if (row[2].AsInt() > t || t >= row[3].AsInt()) continue;
+            ++fragments;
+            EXPECT_TRUE(same(row[0], want[0]) && same(row[1], want[1]))
+                << context << ": " << RowToString(row) << " vs "
+                << RowToString(want);
+          }
+          EXPECT_EQ(fragments, 1) << context;
+          auto as_of =
+              db.Query(StrCat("SEQ VT AS OF ", t, " ", query), options);
+          ASSERT_TRUE(as_of.ok()) << as_of.status().ToString();
+          ASSERT_EQ(as_of->size(), 1u) << context;
+          const Row& got = as_of->rows()[0];
+          EXPECT_TRUE(same(got[0], want[0]) && same(got[1], want[1]))
+              << context << ": " << RowToString(got) << " vs "
+              << RowToString(want);
+        }
+      }
+    }
+  } while (std::next_permutation(
+      inputs.begin(), inputs.end(),
+      [](const Input& a, const Input& b) { return a.e < b.e; }));
 }
 
 TEST(SqlFeatureTest, AsOfOutsideDomainFails) {

@@ -966,8 +966,8 @@ struct FullAggState {
       all_int = false;
       sum.AddDouble(*d);
     }
-    if (!any || v.Compare(min_v) < 0) min_v = v;
-    if (!any || v.Compare(max_v) > 0) max_v = v;
+    if (!any || CompareExtremes(v, min_v) < 0) min_v = v;
+    if (!any || CompareExtremes(v, max_v) > 0) max_v = v;
     any = true;
   }
 
@@ -976,8 +976,12 @@ struct FullAggState {
     sum.Apply(other.sum, 1);
     all_int = all_int && other.all_int;
     if (other.any) {
-      if (!any || other.min_v.Compare(min_v) < 0) min_v = other.min_v;
-      if (!any || other.max_v.Compare(max_v) > 0) max_v = other.max_v;
+      if (!any || CompareExtremes(other.min_v, min_v) < 0) {
+        min_v = other.min_v;
+      }
+      if (!any || CompareExtremes(other.max_v, max_v) > 0) {
+        max_v = other.max_v;
+      }
     }
     any = any || other.any;
   }
@@ -1006,8 +1010,8 @@ struct FullRunningAgg {
   int64_t count = 0;
   int64_t n_nonint = 0;
   QuarterSum sum;
-  std::map<Value, int64_t> mins;
-  std::map<Value, int64_t> maxs;
+  std::map<Value, int64_t, ExtremeLess> mins;
+  std::map<Value, int64_t, ExtremeLess> maxs;
 
   void Apply(const FullAggState& s, int dir) {
     count += dir * s.count;
@@ -1161,8 +1165,8 @@ std::vector<Row> FullHashAggregate(const std::vector<Row>& rows,
 // The split-aggregate over full partials and full sweep state, in the
 // operator's own order: groups and partials in first-appearance order,
 // each group's events by time, at equal times the opens before the
-// closes, each in partial order.  (Value::Compare is no order on NaN,
-// so the extrema of a NaN-holding column depend on that order.)
+// closes, each in partial order.  (Extrema no longer depend on that
+// order: CompareExtremes orders NaN above every number.)
 std::vector<Row> FullSplitAggregate(const std::vector<Row>& rows,
                                     const std::vector<AggExpr>& aggs,
                                     bool pre_aggregate) {

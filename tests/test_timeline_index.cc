@@ -96,7 +96,6 @@ TEST(TimelineIndexTest, EmptyTableAndEmptyIntervals) {
   ASSERT_NE(index, nullptr);
   EXPECT_EQ(index->num_events(), 0u);
   EXPECT_TRUE(index->Timeslice(5).empty());
-  EXPECT_TRUE(index->AliveInRange(0, 16).empty());
 
   // Empty (b == e) and reversed (b > e) validity intervals are never
   // alive — exactly the scan path's behavior.
@@ -133,36 +132,6 @@ TEST(TimelineIndexTest, RefusesNonIntegerEndpointsAndNarrowSchemas) {
   EXPECT_EQ(TimelineIndex::Build(
                 std::make_shared<const Relation>(std::move(narrow))),
             nullptr);
-}
-
-TEST(TimelineIndexTest, AliveInRangeMatchesBruteForce) {
-  Rng rng(0x7136713);
-  for (int iter = 0; iter < 60; ++iter) {
-    Catalog catalog =
-        RandomEncodedCatalog(&rng, kDomain, /*max_rows=*/20, 0.0,
-                             /*empty_validity_chance=*/0.2);
-    auto rel = catalog.GetShared("r");
-    int64_t k = static_cast<int64_t>(rng.Uniform(6)) + 1;
-    auto index = TimelineIndex::Build(rel, k);
-    ASSERT_NE(index, nullptr);
-    for (int probe = 0; probe < 12; ++probe) {
-      TimePoint b = rng.Range(kDomain.tmin - 1, kDomain.tmax);
-      TimePoint e = rng.Range(kDomain.tmin - 1, kDomain.tmax + 1);
-      std::vector<uint32_t> expected;
-      std::vector<uint32_t> alive_at_b;  // AliveAt's replay merge
-      for (size_t i = 0; i < rel->size(); ++i) {
-        TimePoint rb = rel->rows()[i][2].AsInt();
-        TimePoint re = rel->rows()[i][3].AsInt();
-        if (rb < re && rb < e && re > b && b < e) {
-          expected.push_back(static_cast<uint32_t>(i));
-        }
-        if (rb <= b && b < re) alive_at_b.push_back(static_cast<uint32_t>(i));
-      }
-      EXPECT_EQ(index->AliveInRange(b, e), expected)
-          << "[" << b << ", " << e << ") K=" << k;
-      EXPECT_EQ(index->AliveAt(b), alive_at_b) << "t=" << b << " K=" << k;
-    }
-  }
 }
 
 TEST(TimelineIndexTest, RandomTablesRowExactAcrossCheckpointIntervals) {
@@ -229,15 +198,6 @@ TEST(TimelineIndexEventOrderTest, TiesAtOneTimePointMatchScan) {
     ASSERT_NE(index, nullptr);
     EXPECT_EQ(index->num_events(), 600u);
     ExpectIndexMatchesScanEverywhere(*index, *rel, StrCat("K=", k));
-    for (TimePoint b = 2; b <= 16; ++b) {
-      std::vector<uint32_t> expected;
-      for (size_t i = 0; i < rows.size(); ++i) {
-        if (rows[i][2] < b + 3 && rows[i][3] > b) {
-          expected.push_back(static_cast<uint32_t>(i));
-        }
-      }
-      EXPECT_EQ(index->AliveInRange(b, b + 3), expected) << "K=" << k;
-    }
   }
 }
 

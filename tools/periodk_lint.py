@@ -16,8 +16,10 @@ Checks invariants that neither the compiler nor clang-tidy can express:
   row-eval-in-typed-lane
       Inside a marked typed lane (the typed expression evaluator,
       engine/typed_eval.cc; the split-aggregate's phase 1, sweep and
-      finalize, engine/temporal_ops.cc) expressions and aggregates run
-      over whole typed columns: Eval( / EvalBool( / ScratchRow / Get(
+      finalize, engine/temporal_ops.cc; the overlap join's staging,
+      sweep and residual filter, engine/interval_join.cc) expressions
+      and aggregates run over whole typed columns: Eval( / EvalBool( /
+      ScratchRow / Get(
       evaluate or read one Value row at a time, and AggState folds one
       Value-typed state per aggregate and cell, forfeiting the typed
       path.  Delimited like the columnar lanes:
@@ -399,6 +401,16 @@ for (size_t a = 0; a < aggs.size(); ++a) {
 void Open(const AggState& s) { Apply(s, 1); }
 // periodk-lint: typed-lane-end(split-aggregate)
 """,
+    # The overlap join's residual before it was filtered typed: every
+    # swept pair loaded into a scratch row and judged one at a time.
+    "src/engine/overlap_join_lane_bad.cc": """\
+// periodk-lint: typed-lane-begin(overlap-join)
+ScratchRow scratch({ja.residual}, left, &right);
+SweepBucket(bucket, sweep, [&](uint32_t l, uint32_t r) {
+  if (ja.residual->EvalBool(scratch.Load(l, r))) pairs.Add(l, r);
+});
+// periodk-lint: typed-lane-end(overlap-join)
+""",
     "src/engine/typed_lane_ok.cc": """\
 // periodk-lint: typed-lane-begin(demo)
 std::optional<ColumnData> col = EvalTyped(*e, input);
@@ -444,6 +456,7 @@ SELF_TEST_EXPECT = {
     ("join_lane_bad.cc", "row-api-in-columnar-lane"): 1,
     ("typed_lane_bad.cc", "row-eval-in-typed-lane"): 2,
     ("split_agg_lane_bad.cc", "row-eval-in-typed-lane"): 2,
+    ("overlap_join_lane_bad.cc", "row-eval-in-typed-lane"): 2,
     ("layout_bad.cc", "layout-check-outside-storage"): 1,
     ("mutex_bad.cc", "naked-mutex"): 1,
     ("byvalue_bad.h", "relation-by-value"): 1,
