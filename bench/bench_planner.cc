@@ -1,13 +1,12 @@
 // Cost-based planning ablation (docs/architecture.md §11): the same
-// queries with the cost model's three decision points switched off
-// (structural behavior) vs on.  Three workloads isolate one decision
-// each: join-order picks the selective table first instead of the
-// structural left-deep order, tiny-nl runs a small overlap join as a
-// nested loop instead of partition-then-sweep, and fanout-gate keeps a
-// below-break-even aggregation off the thread pool.  Outputs are
-// checked equal (bag-equal for tiny-nl, whose nested-loop row order
-// legitimately differs; row-identical otherwise) before timing.
-// Record medians into BENCH_planner.json per docs/benchmarks.md.
+// queries with two of the cost model's decision points switched off
+// (structural behavior) vs on.  Each workload isolates one decision:
+// join-order picks the selective table first instead of the structural
+// left-deep order, and tiny-nl runs a small overlap join as a nested
+// loop instead of partition-then-sweep.  Outputs are checked bag-equal
+// (the reordered and nested-loop row orders legitimately differ) before
+// timing.  Record medians into BENCH_planner.json per
+// docs/benchmarks.md.
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -25,13 +24,10 @@ namespace {
 constexpr TimePoint kDomainEnd = 50000;
 
 // periodk-lint: allow(relation-by-value): ownership sink, callers move
-void PutWithStats(Catalog* catalog, const std::string& name, Relation rel,
-                  int begin_col = -1, int end_col = -1) {
+void PutWithStats(Catalog* catalog, const std::string& name, Relation rel) {
   rel.ToColumnar();
   catalog->Put(name, std::move(rel));
-  catalog->PutStats(name,
-                    TableStats::Collect(catalog->GetShared(name), begin_col,
-                                        end_col));
+  catalog->PutStats(name, TableStats::Collect(catalog->GetShared(name)));
 }
 
 Relation MakeKeyed(Rng* rng, int rows, int keys) {
@@ -55,14 +51,6 @@ Relation MakeIntervals(Rng* rng, int rows) {
   return rel;
 }
 
-bool SameRows(const Relation& a, const Relation& b) {
-  if (a.size() != b.size()) return false;
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (CompareRows(a.rows()[i], b.rows()[i]) != 0) return false;
-  }
-  return true;
-}
-
 }  // namespace
 }  // namespace periodk
 
@@ -73,8 +61,7 @@ int main() {
   int repeats = bench::EnvInt("PERIODK_BENCH_REPEATS", 3);
 
   bench::PrintBanner(
-      "cost-based planning off vs on: join order, tiny-join strategy, "
-      "fan-out gating",
+      "cost-based planning off vs on: join order, tiny-join strategy",
       "Scale via PERIODK_BENCH_PLANNER_ROWS (default 200000) and "
       "PERIODK_BENCH_PLANNER_PROBES (default 2000).");
 
@@ -99,19 +86,6 @@ int main() {
     Relation iv = MakeIntervals(&rng, 24);
     catalog.Put("iv", std::move(iv));
     catalog.PutStats("iv", TableStats::Collect(catalog.GetShared("iv"), 1, 2));
-  }
-  {
-    // 1024 interval rows over 64 group keys: below the fan-out
-    // break-even, so the gate should keep the coalesce sweep off the
-    // thread pool.
-    Relation small(Schema::FromNames({"k", "a_begin", "a_end"}));
-    small.Reserve(1024);
-    for (int i = 0; i < 1024; ++i) {
-      TimePoint b = rng.Range(0, kDomainEnd - 201);
-      small.AddRow({Value::Int(rng.Range(0, 63)), Value::Int(b),
-                    Value::Int(b + rng.Range(1, 200))});
-    }
-    PutWithStats(&catalog, "small", std::move(small), 1, 2);
   }
 
   TimeDomain domain{0, kDomainEnd};
@@ -186,38 +160,6 @@ int main() {
         },
         repeats);
     report("tiny-nl", 24, on_rows.size(), off_s, on_s);
-  }
-
-  // --- 3. Fan-out gating: a 1024-row coalesce (below kParallelMinRows)
-  // with an 8-thread budget.  Blind fan-out pays per-query pool
-  // dispatch, chunk bookkeeping, and stats merging; the gate keeps the
-  // sweep sequential.
-  {
-    PlanPtr agg = MakeCoalesce(scan("small"));
-    ExecOptions off;
-    off.num_threads = 8;
-    off.use_cost_model = false;
-    ExecOptions on;
-    on.num_threads = 8;
-    on.use_cost_model = true;
-    Relation off_rows = Execute(agg, catalog, off);
-    Relation on_rows = Execute(agg, catalog, on);
-    // The gate is row-identical: same rows, same order.
-    if (!SameRows(off_rows, on_rows)) {
-      std::fprintf(stderr, "FATAL: fan-out gate changes rows\n");
-      return 1;
-    }
-    double off_s = bench::TimeMedian(
-        [&] {
-          for (int i = 0; i < probes; ++i) Execute(agg, catalog, off);
-        },
-        repeats);
-    double on_s = bench::TimeMedian(
-        [&] {
-          for (int i = 0; i < probes; ++i) Execute(agg, catalog, on);
-        },
-        repeats);
-    report("fanout-gate", 1024, on_rows.size(), off_s, on_s);
   }
   return 0;
 }

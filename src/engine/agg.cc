@@ -44,7 +44,10 @@ int CompareExtremes(const Value& a, const Value& b) {
       return a_nan ? 1 : -1;  // NaN above every number
     }
   }
-  return a.Compare(b);
+  const int order = a.Compare(b);
+  if (order != 0 || a.type() == b.type()) return order;
+  // An Int and a Double of equal value: the Int ranks first.
+  return a.TryInt() != nullptr ? -1 : 1;
 }
 
 void AggState::AccumulateInt(int64_t v, int64_t mult) {
@@ -125,14 +128,6 @@ void AggState::AccumulateColumn(const ColumnData& col, size_t row,
       count += mult;  // counted, but a non-numeric value adds nothing
       return;
   }
-}
-
-void AggState::Merge(const AggState& other) {
-  count += other.count;
-  isum += other.isum;
-  dsum.Merge(other.dsum);
-  all_int = all_int && other.all_int;
-  if (other.extreme.has_value()) Accumulate(*other.extreme);
 }
 
 Value AggState::Finalize(int64_t star_count) const {
@@ -223,24 +218,6 @@ void ExactSum::Widen(int lo, int hi) {
   if (hi - lo_ > static_cast<int>(digits_.size())) {
     digits_.resize(static_cast<size_t>(hi - lo_), 0);
   }
-}
-
-void ExactSum::Merge(const ExactSum& other) {
-  nan_ += other.nan_;
-  pos_inf_ += other.pos_inf_;
-  neg_inf_ += other.neg_inf_;
-  if (other.digits_.empty()) return;
-  // Each of other's digits is below (other.pending_ + 1) * 2^32 in
-  // magnitude: adding them counts as that many terms.
-  if (pending_ + other.pending_ + 1 >= kMaxPending) Normalize();
-  const int size = static_cast<int>(other.digits_.size());
-  Widen(other.lo_, other.lo_ + size);
-  for (int i = 0; i < size; ++i) {
-    digits_[static_cast<size_t>(other.lo_ - lo_ + i)] +=
-        other.digits_[static_cast<size_t>(i)];
-  }
-  pending_ += other.pending_ + 1;
-  if (pending_ >= kMaxPending) Normalize();
 }
 
 void ExactSum::Normalize() {

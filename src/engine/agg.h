@@ -22,10 +22,10 @@ const char* AggFuncName(AggFunc f);
 /// Exact sum of doubles: one fixed-point integer over the whole
 /// double range (bit 0 weighs 2^-1074, the least subnormal), kept in
 /// 32-bit digits with delayed carries, plus counts of the NaN, +inf and
-/// -inf terms.  Add, Subtract and Merge never round; Round() rounds the
-/// exact total once, to nearest-even, so the result does not depend on
-/// the order of the terms, on how they were split across partial sums,
-/// nor on terms that were added and later subtracted.  Only the digits
+/// -inf terms.  Add, Subtract and AddTimes never round; Round() rounds
+/// the exact total once, to nearest-even, so the result depends neither
+/// on the order of the terms nor on terms that were added and later
+/// subtracted.  Only the digits
 /// the terms touch are stored: a sum of values of one magnitude holds
 /// a handful of digits, not the 68 the range spans.  SUM and AVG keep
 /// their non-integer terms here, in hash aggregation (AggState) and in
@@ -36,8 +36,6 @@ class ExactSum {
   void Subtract(double x) { AddOne(x, -1); }
   /// Adds `times` copies of x (a bag multiplicity; negative removes).
   void AddTimes(double x, int64_t times);
-  /// Adds every term of `other`, digit by digit.
-  void Merge(const ExactSum& other);
   /// The total plus the integer `plus`, rounded once: NaN when a NaN or
   /// both infinities are among the terms, else the infinity among them,
   /// else the finite total (+0.0 when it is zero, ±inf past the double
@@ -102,11 +100,13 @@ class ExactSum {
 bool SumIsInt(bool all_int, __int128 isum);
 
 /// The order MIN and MAX pick their extreme by, wherever they run (hash
-/// aggregation and its merge of parallel chunks, the split-aggregate's
-/// cells and its sweep): Value::Compare, except that NaN, which
-/// Value::Compare leaves unordered, equals NaN and is greater than
-/// every other number (PostgreSQL's rule).  A strict weak order over
-/// all Values, so an extreme never depends on the order values arrive.
+/// aggregation, the split-aggregate's cells and its sweep):
+/// Value::Compare, except that NaN, which Value::Compare leaves
+/// unordered, equals NaN and is greater than every other number
+/// (PostgreSQL's rule), and that an Int ranks before a Double of equal
+/// value (MIN(3, 3.0) is 3, MAX is 3.0).  A strict weak order over all
+/// Values, by value and then by type, so neither the extreme's value
+/// nor its type depends on the order values arrive.
 int CompareExtremes(const Value& a, const Value& b);
 
 /// CompareExtremes as a less-than: the sweep's ordered multiset.
@@ -134,10 +134,9 @@ struct ExtremeLess {
 /// INT64_MAX.  Double inputs add up in an ExactSum.  SUM is the Int
 /// total when every input was an Int and the total fits int64, else
 /// the exact total of all inputs rounded once; AVG is that rounded
-/// total over the count.  So neither the order of the inputs, nor how
-/// parallel chunks split and Merge them, nor multiplicities change a
-/// result, and the split-aggregate sweep finalizes every fragment by
-/// the same rule.
+/// total over the count.  So neither the order of the inputs nor
+/// multiplicities change a result, and the split-aggregate sweep
+/// finalizes every fragment by the same rule.
 struct AggState {
   explicit AggState(AggFunc f) : func(f) {}
 
@@ -155,11 +154,6 @@ struct AggState {
   /// arrays (ints(), doubles(), the validity bitmap) -- the inner loop
   /// of hash aggregation.
   void AccumulateColumn(const ColumnData& col, size_t row, int64_t mult = 1);
-
-  /// Merges partially aggregated state of the same function (parallel
-  /// hash-aggregation chunks).  Counts and sums add up exactly; extremes
-  /// keep the lesser / greater under CompareExtremes.
-  void Merge(const AggState& other);
 
   Value Finalize(int64_t star_count) const;
 

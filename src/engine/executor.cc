@@ -1,7 +1,6 @@
 #include "engine/executor.h"
 
 #include <algorithm>
-#include <exception>
 #include <iterator>
 #include <memory>
 #include <numeric>
@@ -11,12 +10,10 @@
 
 #include "common/status.h"
 #include "common/str_util.h"
-#include "common/thread_pool.h"
 #include "engine/interval_join.h"
 #include "engine/temporal_ops.h"
 #include "engine/timeline_index.h"
 #include "engine/typed_eval.h"
-#include "ra/cost_model.h"
 #include "stats/table_stats.h"
 
 namespace periodk {
@@ -122,7 +119,7 @@ Relation ExecProject(const Plan& plan, const Relation& input) {
 }
 
 Relation ExecJoin(const Plan& plan, const Relation& left,
-                  const Relation& right, const OpContext& ctx) {
+                  const Relation& right) {
   // The cost model's plan-level hint wins over the structural dispatch
   // (it is part of the plan shape: the sweep and the nested loop emit
   // rows in different orders, so this substitution is never silent).
@@ -134,7 +131,7 @@ Relation ExecJoin(const Plan& plan, const Relation& left,
   // equi-keys as partition keys), hash join on plain equi-keys, nested
   // loop only for genuinely opaque predicates.
   if (plan.join.overlap.has_value()) {
-    return IntervalOverlapJoin(plan, left, right, ctx);
+    return IntervalOverlapJoin(plan, left, right);
   }
   if (!plan.join.equi_keys.empty()) return HashJoin(plan, left, right);
   return NestedLoopJoin(plan, left, right);
@@ -205,15 +202,7 @@ struct GroupState {
   std::vector<AggState> states;
 };
 
-/// Hash-aggregation groups in *first-appearance order*: groups[g] is
-/// the g-th distinct key encountered, rep[g] its first input row.
-struct GroupTable {
-  std::vector<uint32_t> rep;
-  std::vector<GroupState> groups;
-};
-
-Relation ExecAggregate(const Plan& plan, const Relation& input,
-                       const OpContext& ctx) {
+Relation ExecAggregate(const Plan& plan, const Relation& input) {
   const size_t num_aggs = plan.aggs.size();
   // The kernel reads typed columns: the grouping keys, then each
   // aggregate's argument (EvalColumns: errors surface at the row and in
@@ -235,73 +224,40 @@ Relation ExecAggregate(const Plan& plan, const Relation& input,
   fresh.reserve(num_aggs);
   for (const AggExpr& a : plan.aggs) fresh.emplace_back(a.func);
 
-  // Finds or creates the group of row r in (index, table).
-  auto group_of = [&fresh](KeyIndex& index, GroupTable& table,
-                           uint32_t r) -> GroupState& {
-    uint32_t gid = index.FindOrInsert(r);
-    if (gid == table.groups.size()) {
-      table.rep.push_back(r);
-      table.groups.push_back({0, fresh});
+  // Groups in *first-appearance order*: groups[g] is the g-th distinct
+  // key encountered, rep[g] its first input row.
+  std::vector<uint32_t> rep;
+  std::vector<GroupState> groups;
+  KeyIndex index(keys);
+  for (size_t i = 0; i < input.size(); ++i) {
+    const auto r = static_cast<uint32_t>(i);
+    const uint32_t gid = index.FindOrInsert(r);
+    if (gid == groups.size()) {
+      rep.push_back(r);
+      groups.push_back({0, fresh});
     }
-    return table.groups[gid];
-  };
-  auto accumulate = [&](int64_t begin, int64_t end, GroupTable& table) {
-    KeyIndex index(keys, static_cast<size_t>(begin), static_cast<size_t>(end));
-    for (int64_t i = begin; i < end; ++i) {
-      auto r = static_cast<uint32_t>(i);
-      GroupState& g = group_of(index, table, r);
-      g.star_count += 1;
-      for (size_t a = 0; a < num_aggs; ++a) {
-        if (arg_of[a] >= 0) {
-          g.states[a].AccumulateColumn(*args[static_cast<size_t>(arg_of[a])], r);
-        }
-      }
-    }
-  };
-  // Partition-parallel: each chunk of the input builds a private group
-  // table, merged in chunk order at the join point (AggState partials
-  // merge exactly — the same machinery pre-aggregation uses), which
-  // keeps global first-appearance order.  The single-chunk path is the
-  // sequential operator, bit for bit.
-  auto ranges = PlanChunks(ctx.num_threads(static_cast<int64_t>(input.size())),
-                           static_cast<int64_t>(input.size()),
-                           /*min_grain=*/4096);
-  std::vector<GroupTable> tables(ranges.size());
-  FanOut(ctx, ranges, [&](size_t c, int64_t b, int64_t e) {
-    accumulate(b, e, tables[c]);
-  });
-  GroupTable table;
-  if (tables.size() == 1) {
-    table = std::move(tables.front());
-  } else {
-    KeyIndex index(keys);
-    for (GroupTable& src : tables) {
-      for (size_t g = 0; g < src.groups.size(); ++g) {
-        GroupState& dst = group_of(index, table, src.rep[g]);
-        dst.star_count += src.groups[g].star_count;
-        for (size_t a = 0; a < num_aggs; ++a) {
-          dst.states[a].Merge(src.groups[g].states[a]);
-        }
+    GroupState& g = groups[gid];
+    g.star_count += 1;
+    for (size_t a = 0; a < num_aggs; ++a) {
+      if (arg_of[a] >= 0) {
+        g.states[a].AccumulateColumn(*args[static_cast<size_t>(arg_of[a])], r);
       }
     }
   }
-  if (keys.empty() && table.groups.empty()) table.groups.push_back({0, fresh});
+  if (keys.empty() && groups.empty()) groups.push_back({0, fresh});
   // Keys gathered at each group's representative row, then one column
   // of finalized values per aggregate.
   std::vector<ColumnData> cols;
   cols.reserve(keys.size() + num_aggs);
-  for (const TypedColumn& k : keys) {
-    cols.push_back(ColumnData::Gather(*k, table.rep));
-  }
-  std::vector<Value> cells(table.groups.size());
+  for (const TypedColumn& k : keys) cols.push_back(ColumnData::Gather(*k, rep));
+  std::vector<Value> cells(groups.size());
   for (size_t a = 0; a < num_aggs; ++a) {
-    for (size_t g = 0; g < table.groups.size(); ++g) {
-      cells[g] = table.groups[g].states[a].Finalize(table.groups[g].star_count);
+    for (size_t g = 0; g < groups.size(); ++g) {
+      cells[g] = groups[g].states[a].Finalize(groups[g].star_count);
     }
     cols.push_back(ColumnData::FromValues(cells));
   }
-  return Relation::FromColumns(plan.schema, std::move(cols),
-                               table.groups.size());
+  return Relation::FromColumns(plan.schema, std::move(cols), groups.size());
 }
 // periodk-lint: columnar-lane-end(operators)
 
@@ -314,13 +270,10 @@ Relation ExecAggregate(const Plan& plan, const Relation& input,
 class ExecutionContext {
  public:
   ExecutionContext(const Catalog& catalog, ExecStats* stats,
-                   LazyThreadPool* pool, bool use_timeline_index,
-                   bool use_cost_model)
+                   bool use_timeline_index)
       : catalog_(catalog),
         stats_(stats),
-        pool_(pool),
-        use_timeline_index_(use_timeline_index),
-        use_cost_model_(use_cost_model) {}
+        use_timeline_index_(use_timeline_index) {}
 
   RelHandle Run(const PlanPtr& plan) {
     CountConsumers(plan);
@@ -365,14 +318,11 @@ class ExecutionContext {
     return std::make_shared<Relation>(std::move(relation));
   }
 
-  OpContext Ctx() const { return OpContext{pool_, stats_, use_cost_model_}; }
-
   RelHandle Compute(const PlanPtr& plan) {
     RelHandle h = ComputeImpl(plan);
     if (stats_ != nullptr) {
       // Actual output rows per node, for ExplainAnalyze's est-vs-actual
-      // rendering.  Only this top-level dispatch (calling thread)
-      // writes the map, never the chunk workers.
+      // rendering.
       stats_->node_rows[plan.get()] = static_cast<int64_t>(h->size());
     }
     return h;
@@ -396,7 +346,7 @@ class ExecutionContext {
       case PlanKind::kJoin: {
         RelHandle l = ExecuteNode(plan->left);
         RelHandle r = ExecuteNode(plan->right);
-        return Own(ExecJoin(*plan, *l, *r, Ctx()));
+        return Own(ExecJoin(*plan, *l, *r));
       }
       case PlanKind::kUnionAll: {
         RelHandle l = ExecuteNode(plan->left);
@@ -410,14 +360,14 @@ class ExecutionContext {
         return Own(ExecDifference(*plan, *l, *r));
       }
       case PlanKind::kAggregate:
-        return Own(ExecAggregate(*plan, *ExecuteNode(plan->left), Ctx()));
+        return Own(ExecAggregate(*plan, *ExecuteNode(plan->left)));
       case PlanKind::kDistinct:
         return Own(ExecDistinct(*plan, *ExecuteNode(plan->left)));
       case PlanKind::kSort:
         return Own(ExecSort(*plan, *ExecuteNode(plan->left)));
       case PlanKind::kCoalesce:
-        return Own(CoalesceRelation(*ExecuteNode(plan->left),
-                                    plan->coalesce_impl, Ctx()));
+        return Own(
+            CoalesceRelation(*ExecuteNode(plan->left), plan->coalesce_impl));
       case PlanKind::kSplit: {
         RelHandle l = ExecuteNode(plan->left);
         RelHandle r = ExecuteNode(plan->right);
@@ -426,7 +376,7 @@ class ExecutionContext {
       case PlanKind::kSplitAggregate:
         return Own(SplitAggregateRelation(
             *ExecuteNode(plan->left), plan->split_group, plan->aggs,
-            plan->gap_rows, plan->domain, plan->pre_aggregate, Ctx()));
+            plan->gap_rows, plan->domain, plan->pre_aggregate));
       case PlanKind::kTimeslice: {
         // Executing the child keeps the memo's consumer bookkeeping
         // exact and, for scans, is a zero-copy handle share anyway.
@@ -461,9 +411,7 @@ class ExecutionContext {
 
   const Catalog& catalog_;
   ExecStats* stats_;
-  LazyThreadPool* pool_;
   bool use_timeline_index_;
-  bool use_cost_model_;
   // Requests not yet served per node; nodes starting > 1 are shared.
   std::unordered_map<const Plan*, int> consumers_left_;
   // Results of shared nodes awaiting their remaining consumers.
@@ -471,29 +419,6 @@ class ExecutionContext {
 };
 
 }  // namespace
-
-void FanOut(const OpContext& ctx,
-            const std::vector<std::pair<int64_t, int64_t>>& ranges,
-            const std::function<void(size_t, int64_t, int64_t)>& body) {
-  if (ranges.size() <= 1) {
-    RunChunks(nullptr, ranges, body);
-    return;
-  }
-  std::vector<std::exception_ptr> errors(ranges.size());
-  RunChunks(ctx.pool->get(), ranges, [&](size_t c, int64_t b, int64_t e) {
-    try {
-      body(c, b, e);
-    } catch (...) {
-      errors[c] = std::current_exception();
-    }
-  });
-  for (const std::exception_ptr& error : errors) {
-    if (error) std::rethrow_exception(error);
-  }
-  if (ctx.stats != nullptr) {
-    ctx.stats->parallel_tasks += static_cast<int64_t>(ranges.size());
-  }
-}
 
 std::vector<int> FirstColumns(size_t n) {
   std::vector<int> cols(n);
@@ -512,16 +437,14 @@ ScratchRow::ScratchRow(const std::vector<ExprPtr>& exprs,
   std::sort(refs.begin(), refs.end());
   refs.erase(std::unique(refs.begin(), refs.end()), refs.end());
   const size_t split = left.schema().size();
-  auto cols = std::make_shared<std::vector<TypedColumn>>();
   for (int c : refs) {
     if (c < 0 || static_cast<size_t>(c) >= row_.size()) continue;
     const auto slot = static_cast<size_t>(c);
     slots_.push_back(slot);
     if (slot < split) ++left_slots_;
-    cols->push_back(slot < split ? left.ReadColumn(slot)
+    cols_.push_back(slot < split ? left.ReadColumn(slot)
                                  : right->ReadColumn(slot - split));
   }
-  cols_ = std::move(cols);
 }
 
 // periodk-lint: columnar-lane-begin(eval-columns)
@@ -587,39 +510,17 @@ std::vector<TypedColumn> EvalColumns(
 }
 // periodk-lint: columnar-lane-end(eval-columns)
 
-int OpContext::num_threads() const {
-  return pool == nullptr ? 1 : pool->num_threads();
-}
-
-int OpContext::num_threads(int64_t work) const {
-  const int n = num_threads();
-  if (use_cost_model && work < kParallelMinRows) {
-    if (n > 1 && stats != nullptr) ++stats->cost_gated_fanouts;
-    return 1;
-  }
-  return n;
-}
-
 std::string ExecStats::ToString() const {
   return StrCat("nodes executed: ", nodes_executed,
                 ", memo hits: ", memo_hits,
                 ", rows materialized: ", rows_materialized,
-                ", parallel tasks: ", parallel_tasks,
                 ", index timeslices: ", index_timeslices,
-                ", index delta events: ", index_delta_events,
-                ", cost gated fan-outs: ", cost_gated_fanouts);
+                ", index delta events: ", index_delta_events);
 }
 
 Relation Execute(const PlanPtr& plan, const Catalog& catalog,
                  const ExecOptions& options, ExecStats* stats) {
-  // Lazy: workers spawn only if some operator actually fans out, so
-  // small (single-chunk) queries cost no thread churn even at high
-  // num_threads settings.
-  LazyThreadPool pool(options.num_threads);
-  ExecutionContext context(catalog, stats,
-                           options.num_threads > 1 ? &pool : nullptr,
-                           options.use_timeline_index,
-                           options.use_cost_model);
+  ExecutionContext context(catalog, stats, options.use_timeline_index);
   return Materialize(context.Run(plan));
 }
 

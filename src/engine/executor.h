@@ -20,9 +20,8 @@
 // *snapshot* that shares table storage — the middleware pins such a
 // snapshot per query and publishes mutations copy-on-write, which makes
 // any number of concurrent executions against their pinned snapshots
-// safe.  Within one execution, operators fan their partitions out to a
-// work-stealing pool when ExecOptions::num_threads > 1; num_threads == 1
-// is bit-identical to the sequential executor.
+// safe.  One execution runs on its caller's thread: every operator is
+// one sequential loop.
 #ifndef PERIODK_ENGINE_EXECUTOR_H_
 #define PERIODK_ENGINE_EXECUTOR_H_
 
@@ -38,7 +37,6 @@
 
 namespace periodk {
 
-class LazyThreadPool;
 class TableStats;
 class TimelineIndex;
 
@@ -103,8 +101,6 @@ class Catalog {
 };
 
 /// Per-execution counters, for tests and EXPLAIN ANALYZE-style output.
-/// Parallel operators count their chunks at their join points (FanOut),
-/// on the calling thread, so no counter is ever written concurrently.
 struct ExecStats {
   /// Operator evaluations actually performed: one per *unique* reachable
   /// plan node, however many parents share it.
@@ -114,8 +110,7 @@ struct ExecStats {
   /// Rows written into freshly materialized operator outputs (borrowed
   /// scan/constant handles do not count).
   int64_t rows_materialized = 0;
-  /// Partition chunks executed on the thread pool (0 in sequential
-  /// runs: the single-chunk path never touches the pool).
+  /// Always 0: nothing in the library writes it; e2ebench still reads it.
   int64_t parallel_tasks = 0;
   /// kTimeslice nodes answered from a timeline index instead of the
   /// O(table) scan (shown by TemporalDB::ExplainAnalyze as index hits).
@@ -125,12 +120,10 @@ struct ExecStats {
   /// was fully compacted).  Measures how much uncompacted write traffic
   /// a read crossed — see TemporalDB's IndexMaintenanceStats.
   int64_t index_delta_events = 0;
-  /// Partition fan-outs the cost gate kept sequential because the
-  /// operator's input was below kParallelMinRows.
+  /// Always 0: nothing in the library writes it; e2ebench still reads it.
   int64_t cost_gated_fanouts = 0;
-  /// Actual output rows per executed plan node (filled only by the
-  /// top-level per-node dispatch, which runs on the calling thread, so
-  /// no entry is written concurrently).  Keys are plan-node identities;
+  /// Actual output rows per executed plan node.  Keys are plan-node
+  /// identities;
   /// consumers (ExplainAnalyze) render them by walking the plan, never
   /// by iterating this map, so pointer order cannot leak into output.
   std::map<const Plan*, int64_t> node_rows;
@@ -142,58 +135,17 @@ struct ExecStats {
 
 /// Execution-time knobs, distinct from the plan-shaping RewriteOptions.
 struct ExecOptions {
-  /// Intra-query parallelism: partitioned operators fan out to a
-  /// work-stealing pool of this many threads.  1 (the default) keeps
-  /// execution on the calling thread and bit-identical to the
-  /// pre-parallel executor.
+  /// Ignored: nothing in the library reads it; e2ebench still sets it.
   int num_threads = 1;
   /// Route kTimeslice-over-kScan through the table's TimelineIndex when
   /// the catalog carries a current one (checkpoint lookup + bounded
   /// replay instead of an O(table) scan).  The indexed result is
   /// row-identical — same rows, same order — to the scan path; false is
-  /// the num_threads-style bit-identical fallback that never consults
-  /// an index.
+  /// the bit-identical fallback that never consults an index.
   bool use_timeline_index = true;
-  /// Let the executor's *row-identical* cost gate fire: partitioned
-  /// operators skip the thread-pool fan-out when the input is below the
-  /// break-even size (ra/cost_model.h's kParallelMinRows).  The
-  /// sequential run produces the same rows in the same order, so this
-  /// is an execution-time knob (not part of the plan-cache key); false
-  /// reproduces the structural dispatch bit-identically.
+  /// Ignored: nothing in the library reads it; e2ebench still sets it.
   bool use_cost_model = true;
 };
-
-/// What an operator needs from its execution context: the pool to fan
-/// partitions out to (null = sequential; created lazily on the first
-/// multi-chunk fan-out, so single-chunk queries never spawn threads)
-/// and the run's stats to count into (null = not collected).
-struct OpContext {
-  LazyThreadPool* pool = nullptr;
-  ExecStats* stats = nullptr;
-  /// Mirrors ExecOptions::use_cost_model.  Default-off so operator
-  /// tests that aggregate-initialize {&pool, &stats} keep today's
-  /// ungated fan-out behavior.
-  bool use_cost_model = false;
-
-  /// Thread budget for PlanChunks; 1 when no pool was provided.
-  int num_threads() const;
-
-  /// Cost-gated thread budget for an operator touching `work` input
-  /// rows: 1 (skip the fan-out, counted in cost_gated_fanouts) when
-  /// the cost model is on and `work` is below kParallelMinRows,
-  /// otherwise num_threads().
-  int num_threads(int64_t work) const;
-};
-
-/// A partitioned operator's fan-out: body(chunk, begin, end) for every
-/// chunk of `ranges` (PlanChunks), inline for one chunk, else on the
-/// context's pool, each chunk counted as a parallel task.  Chunks fill
-/// their own slots, combined in chunk order, so the result depends on
-/// the chunk plan, never on worker scheduling; so does the error: the
-/// lowest failing chunk's, the one a single chunk would have met first.
-void FanOut(const OpContext& ctx,
-            const std::vector<std::pair<int64_t, int64_t>>& ranges,
-            const std::function<void(size_t, int64_t, int64_t)>& body);
 
 /// Column indices 0, 1, ..., n - 1.
 std::vector<int> FirstColumns(size_t n);
@@ -203,7 +155,7 @@ std::vector<int> FirstColumns(size_t n);
 /// in the columns the expressions reference, read through typed columns.
 /// A reference outside the row stays unfilled, so Expr::Eval raises its
 /// out-of-range error, with the row's arity, at the first row that
-/// evaluates it.  Copies share the columns and own their row.
+/// evaluates it.
 class ScratchRow {
  public:
   ScratchRow(const std::vector<ExprPtr>& exprs, const Relation& left,
@@ -212,7 +164,7 @@ class ScratchRow {
   const Row& Load(size_t i) { return Load(i, 0); }
   const Row& Load(size_t l, size_t r) {
     for (size_t k = 0; k < slots_.size(); ++k) {
-      row_[slots_[k]] = (*cols_)[k]->Get(k < left_slots_ ? l : r);
+      row_[slots_[k]] = cols_[k]->Get(k < left_slots_ ? l : r);
     }
     return row_;
   }
@@ -221,7 +173,7 @@ class ScratchRow {
   Row row_;
   std::vector<size_t> slots_;  // ascending: left's cells come first
   size_t left_slots_ = 0;
-  std::shared_ptr<const std::vector<TypedColumn>> cols_;
+  std::vector<TypedColumn> cols_;
 };
 
 /// The expression projection of project, aggregation and the

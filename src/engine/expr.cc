@@ -1,5 +1,6 @@
 #include "engine/expr.h"
 
+#include <bit>
 #include <cmath>
 #include <limits>
 
@@ -523,8 +524,15 @@ void CollectColumns(const ExprPtr& e, std::vector<int>* out) {
 bool ExprStructurallyEqual(const ExprPtr& a, const ExprPtr& b) {
   if (a->kind != b->kind) return false;
   if (a->column != b->column) return false;
-  if (a->literal.Compare(b->literal) != 0 ||
-      a->literal.type() != b->literal.type()) {
+  // Literals by type and, for doubles, by bits: Value::Compare ranks NaN
+  // equal to every number and -0.0 equal to 0.0.
+  if (a->literal.type() != b->literal.type()) return false;
+  if (const double* x = a->literal.TryDouble()) {
+    if (std::bit_cast<uint64_t>(*x) !=
+        std::bit_cast<uint64_t>(*b->literal.TryDouble())) {
+      return false;
+    }
+  } else if (a->literal.Compare(b->literal) != 0) {
     return false;
   }
   if (a->cmp != b->cmp || a->arith != b->arith || a->func != b->func ||

@@ -115,8 +115,10 @@ ExprPtr ShiftColumns(const ExprPtr& e, int offset);
 /// Appends all referenced column indices to `out`.
 void CollectColumns(const ExprPtr& e, std::vector<int>* out);
 
-/// Structural equality ignoring display names (used by the SQL binder to
-/// match SELECT expressions against GROUP BY expressions).
+/// Structural equality ignoring display names, literals equal only in
+/// type and, for doubles, in bits (used by the SQL binder to match
+/// SELECT expressions against GROUP BY expressions, and to project each
+/// distinct aggregate argument once).
 bool ExprStructurallyEqual(const ExprPtr& a, const ExprPtr& b);
 
 // Join-predicate decomposition (equi-keys, overlap conjunct, residual)

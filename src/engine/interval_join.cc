@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "engine/event_sort.h"
 #include "engine/typed_eval.h"
 #include "temporal/interval.h"
@@ -32,8 +31,8 @@ std::pair<std::vector<TypedColumn>, std::vector<TypedColumn>> ReadEquiKeys(
 }
 
 // A join condition as a test of pair (l, r) over a two-source scratch
-// row; a null condition accepts every pair.  Copies own their scratch
-// row: one per worker.  The nested loop's, the reference.
+// row; a null condition accepts every pair.  The nested loop's, the
+// reference.
 auto PairTest(const Relation& left, const Relation& right,
               const ExprPtr& expr) {
   return [expr, scratch = ScratchRow({expr}, left, &right)](
@@ -190,8 +189,7 @@ class OverlapTest {
 // typed (SelectTyped), and then cannot raise; otherwise, or when an
 // int64 overflow abandons the typed result, each pair is tested on a
 // scratch row in candidate order, so the first error is the first
-// failing candidate's.  Filter is const and may run on several workers
-// at once.
+// failing candidate's.
 class ResidualFilter {
  public:
   ResidualFilter(const Relation& left, const Relation& right,
@@ -226,7 +224,7 @@ class ResidualFilter {
   }
 
   /// Keeps the pairs of `pairs` the residual accepts, in order.
-  void Filter(JoinPairs& pairs) const {
+  void Filter(JoinPairs& pairs) {
     if (residual_ == nullptr || pairs.left.empty()) return;
     size_t kept = 0;
     auto keep = [&pairs, &kept](size_t k) {
@@ -244,10 +242,8 @@ class ResidualFilter {
     if (ids.has_value()) {
       for (uint32_t k : *ids) keep(k);
     } else {
-      // periodk-lint: allow(row-eval-in-typed-lane): the row path raises
-      ScratchRow scratch = *scratch_;
       for (size_t k = 0; k < pairs.left.size(); ++k) {
-        const Row& row = scratch.Load(pairs.left[k], pairs.right[k]);
+        const Row& row = scratch_->Load(pairs.left[k], pairs.right[k]);
         // periodk-lint: allow(row-eval-in-typed-lane): the row path raises
         if (residual_->EvalBool(row)) keep(k);
       }
@@ -362,10 +358,9 @@ StagedSide Stage(const Relation& rel, int bcol, int ecol, size_t num_buckets,
   return side;
 }
 
-// Reusable per-worker sweep scratch: the active sets keep arrival
-// (begin-stable) order and drop expired entries lazily during the
-// emission scan, so the emitted pair order is a pure function of the
-// staged rows.
+// Reusable sweep scratch: the active sets keep arrival (begin-stable)
+// order and drop expired entries lazily during the emission scan, so
+// the emitted pair order is a pure function of the staged rows.
 using ActiveEntry = std::pair<TimePoint, uint32_t>;
 struct SweepScratch {
   std::vector<ActiveEntry> active_l;
@@ -420,7 +415,7 @@ void SweepBucket(std::span<const SweepRow> ls, std::span<const SweepRow> rs,
 }  // namespace
 
 Relation IntervalOverlapJoin(const Plan& plan, const Relation& left,
-                             const Relation& right, const OpContext& ctx) {
+                             const Relation& right) {
   const JoinAnalysis& ja = plan.join;
   if (!ja.overlap.has_value()) {
     throw EngineError("IntervalOverlapJoin requires an overlap conjunct");
@@ -476,59 +471,35 @@ Relation IntervalOverlapJoin(const Plan& plan, const Relation& left,
 
   // Bucketing has established the equi-keys.  Swept pairs overlap;
   // pairs with a malformed side are candidates when the overlap
-  // conjunct holds under SQL comparison, which never raises.  Each
-  // chunk then tests its candidates, in order, on the residual.
+  // conjunct holds under SQL comparison, which never raises.  The
+  // candidates are then tested, in order, on the residual.
   std::optional<OverlapTest> overlaps;
   if (!ls.slow.empty() || !rs.slow.empty()) overlaps.emplace(ov, left, right);
-  const ResidualFilter residual(left, right, ja.residual);
-  auto join_buckets = [&](int64_t begin, int64_t end, JoinPairs& pairs) {
-    auto slow_pair = [&](uint32_t l, uint32_t r) {
-      if ((*overlaps)(l, r)) pairs.Add(l, r);
-    };
-    SweepScratch scratch;
-    for (auto b = static_cast<size_t>(begin); b < static_cast<size_t>(end);
-         ++b) {
-      // Slow lane first: each slow left row against the right's
-      // well-formed rows and then its slow rows, by row; then each
-      // well-formed left row, by row, against the right's slow rows.
-      if (!ls.Slow(b).empty()) {
-        const std::vector<uint32_t> fast_right = rs.FastByRow(b);
-        for (uint32_t l : ls.Slow(b)) {
-          for (uint32_t r : fast_right) slow_pair(l, r);
-          for (uint32_t r : rs.Slow(b)) slow_pair(l, r);
-        }
-      }
-      if (!rs.Slow(b).empty()) {
-        for (uint32_t l : ls.FastByRow(b)) {
-          for (uint32_t r : rs.Slow(b)) slow_pair(l, r);
-        }
-      }
-      SweepBucket(ls.Fast(b), rs.Fast(b), scratch,
-                  [&pairs](uint32_t l, uint32_t r) { pairs.Add(l, r); });
-    }
-    residual.Filter(pairs);
+  JoinPairs pairs;
+  auto slow_pair = [&](uint32_t l, uint32_t r) {
+    if ((*overlaps)(l, r)) pairs.Add(l, r);
   };
-
-  // The partitions the sweep needs anyway are the parallel work units:
-  // chunks of buckets fan out to the pool, each collecting its own
-  // pairs, concatenated in partition order afterwards — so the result
-  // row order depends only on the buckets, not on the chunk plan or on
-  // worker scheduling.  A single-bucket join (pure temporal, no
-  // equi-keys) stays sequential by construction.
-  auto ranges = PlanChunks(
-      ctx.num_threads(static_cast<int64_t>(left.size() + right.size())),
-      static_cast<int64_t>(num_buckets),
-      /*min_grain=*/1);
-  std::vector<JoinPairs> chunk_pairs(ranges.size());
-  FanOut(ctx, ranges, [&](size_t c, int64_t b, int64_t e) {
-    join_buckets(b, e, chunk_pairs[c]);
-  });
-  JoinPairs& pairs = chunk_pairs.front();
-  for (size_t c = 1; c < chunk_pairs.size(); ++c) {
-    const JoinPairs& p = chunk_pairs[c];
-    pairs.left.insert(pairs.left.end(), p.left.begin(), p.left.end());
-    pairs.right.insert(pairs.right.end(), p.right.begin(), p.right.end());
+  SweepScratch scratch;
+  for (size_t b = 0; b < num_buckets; ++b) {
+    // Slow lane first: each slow left row against the right's
+    // well-formed rows and then its slow rows, by row; then each
+    // well-formed left row, by row, against the right's slow rows.
+    if (!ls.Slow(b).empty()) {
+      const std::vector<uint32_t> fast_right = rs.FastByRow(b);
+      for (uint32_t l : ls.Slow(b)) {
+        for (uint32_t r : fast_right) slow_pair(l, r);
+        for (uint32_t r : rs.Slow(b)) slow_pair(l, r);
+      }
+    }
+    if (!rs.Slow(b).empty()) {
+      for (uint32_t l : ls.FastByRow(b)) {
+        for (uint32_t r : rs.Slow(b)) slow_pair(l, r);
+      }
+    }
+    SweepBucket(ls.Fast(b), rs.Fast(b), scratch,
+                [&pairs](uint32_t l, uint32_t r) { pairs.Add(l, r); });
   }
+  ResidualFilter(left, right, ja.residual).Filter(pairs);
   return GatherPairs(plan, left, right, pairs);
 }
 // periodk-lint: typed-lane-end(overlap-join)

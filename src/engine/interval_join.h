@@ -31,12 +31,10 @@ namespace periodk {
 /// routed through a per-partition nested-loop slow lane so SQL
 /// three-valued comparison semantics are preserved bit-for-bit.
 /// Only the keys found on both inputs make partitions, in order of
-/// their first appearance on the left.  With a pool in `ctx` the
-/// partitions fan out to workers (a pure temporal join has one
-/// partition and stays sequential), each collecting and filtering its
-/// partitions' pairs; the pairs are gathered once, in partition order.
+/// their first appearance on the left; the pairs are collected in
+/// partition order, filtered on the residual and gathered once.
 Relation IntervalOverlapJoin(const Plan& plan, const Relation& left,
-                             const Relation& right, const OpContext& ctx = {});
+                             const Relation& right);
 
 /// Reference implementation: O(n * m) nested loop evaluating the join
 /// predicate on every pair.  Kept as the correctness baseline for the

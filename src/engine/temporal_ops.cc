@@ -7,7 +7,6 @@
 
 #include "common/status.h"
 #include "common/str_util.h"
-#include "common/thread_pool.h"
 #include "engine/event_sort.h"
 #include "engine/window.h"
 
@@ -108,7 +107,7 @@ void SweepIntervalsToSegments(const Intervals& intervals,
 }  // namespace
 
 // periodk-lint: columnar-lane-begin(coalesce-native)
-Relation CoalesceNative(const Relation& input, const OpContext& ctx) {
+Relation CoalesceNative(const Relation& input) {
   size_t nattr = NonTemporalArity(input, "Coalesce");
   // Group by the attribute prefix in first-appearance order; each group
   // keeps its intervals and one representative row for emission.
@@ -130,28 +129,18 @@ Relation CoalesceNative(const Relation& input, const OpContext& ctx) {
     }
     intervals[gid].emplace_back(b, e);
   }
-  size_t ngroups = intervals.size();
 
-  // The per-group sweeps are independent: chunks of groups fan out to
-  // the pool, each into its own segment slots.
-  std::vector<std::vector<CoalescedSegment>> segments(ngroups);
-  auto ranges = PlanChunks(ctx.num_threads(static_cast<int64_t>(input.size())),
-                           static_cast<int64_t>(ngroups),
-                           /*min_grain=*/1);
-  FanOut(ctx, ranges, [&](size_t, int64_t b, int64_t e) {
-    std::vector<std::pair<TimePoint, int64_t>> events;
-    for (int64_t gi = b; gi < e; ++gi) {
-      SweepIntervalsToSegments(intervals[static_cast<size_t>(gi)], events,
-                               segments[static_cast<size_t>(gi)]);
-    }
-  });
-
-  // Emission in group order: each segment repeats its group's
-  // representative attributes `count` times with the new endpoints.
+  // Per group, in group order, a sweep; each segment repeats its
+  // group's representative attributes `count` times with the new
+  // endpoints.
   std::vector<uint32_t> src;
   NewIntervals coalesced;
-  for (size_t gi = 0; gi < ngroups; ++gi) {
-    for (const CoalescedSegment& s : segments[gi]) {
+  std::vector<std::pair<TimePoint, int64_t>> events;
+  std::vector<CoalescedSegment> segments;
+  for (size_t gi = 0; gi < intervals.size(); ++gi) {
+    segments.clear();
+    SweepIntervalsToSegments(intervals[gi], events, segments);
+    for (const CoalescedSegment& s : segments) {
       for (int64_t c = 0; c < s.count; ++c) {
         src.push_back(rep[gi]);
         coalesced.begin.push_back(s.begin);
@@ -252,9 +241,8 @@ Relation CoalesceWindow(const Relation& input) {
   return out;
 }
 
-Relation CoalesceRelation(const Relation& input, CoalesceImpl impl,
-                          const OpContext& ctx) {
-  return impl == CoalesceImpl::kNative ? CoalesceNative(input, ctx)
+Relation CoalesceRelation(const Relation& input, CoalesceImpl impl) {
+  return impl == CoalesceImpl::kNative ? CoalesceNative(input)
                                        : CoalesceWindow(input);
 }
 
@@ -364,29 +352,6 @@ struct RunningSum {
   ExactSum dsum;
 };
 
-// True when two int or double columns hold the same cells: the same
-// NULLs and, bit for bit, the same values.
-bool SameCells(const ColumnData& a, const ColumnData& b) {
-  if (&a == &b) return true;
-  if (a.tag() != b.tag() || a.size() != b.size() ||
-      a.null_count() != b.null_count()) {
-    return false;
-  }
-  if (a.tag() != ColumnTag::kInt && a.tag() != ColumnTag::kDouble) {
-    return false;
-  }
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (a.IsNull(i) != b.IsNull(i)) return false;
-    if (a.IsNull(i)) continue;
-    const bool same = a.tag() == ColumnTag::kInt
-                          ? a.ints()[i] == b.ints()[i]
-                          : std::bit_cast<uint64_t>(a.doubles()[i]) ==
-                                std::bit_cast<uint64_t>(b.doubles()[i]);
-    if (!same) return false;
-  }
-  return true;
-}
-
 // A cell opens at its begin and closes at its end.
 struct CellEvent {
   TimePoint time = 0;
@@ -412,11 +377,6 @@ struct FragmentColumn {
   void PushDouble(double v) {
     bits.push_back(std::bit_cast<int64_t>(v));
     types.push_back(ValueType::kDouble);
-  }
-  void Append(const FragmentColumn& other) {
-    bits.insert(bits.end(), other.bits.begin(), other.bits.end());
-    types.insert(types.end(), other.types.begin(), other.types.end());
-    values.insert(values.end(), other.values.begin(), other.values.end());
   }
 
   // The column FromValues would encode from the same cells: kInt or
@@ -461,20 +421,26 @@ Relation SplitAggregateRelation(const Relation& input,
                                 const std::vector<int>& group_cols,
                                 const std::vector<AggExpr>& aggs,
                                 bool gap_rows, const TimeDomain& domain,
-                                bool pre_aggregate, const OpContext& ctx) {
+                                bool pre_aggregate) {
   size_t nattr = NonTemporalArity(input, "SplitAggregate");
   TypedColumn bc = input.ReadColumn(nattr);
   TypedColumn ec = input.ReadColumn(nattr + 1);
-  // Aggregate arguments as typed columns.  Expressions are evaluated
-  // row by row, each row's endpoints decoded first and rows with empty
-  // intervals skipped -- the order the sweep decodes them -- so every
-  // error surfaces at the same row.
+  // Aggregate arguments as typed columns, one per structurally
+  // distinct expression, so sum(x) and avg(x) share x's fold and pass.
+  // Expressions are evaluated row by row, each row's endpoints decoded
+  // first and rows with empty intervals skipped -- the order the sweep
+  // decodes them -- so every error surfaces at the same row.
   std::vector<ExprPtr> arg_exprs;
   std::vector<int> arg_of(aggs.size(), -1);  // index into args
   for (size_t a = 0; a < aggs.size(); ++a) {
     if (aggs[a].func == AggFunc::kCountStar) continue;
-    arg_of[a] = static_cast<int>(arg_exprs.size());
-    arg_exprs.push_back(aggs[a].arg);
+    size_t j = 0;
+    while (j < arg_exprs.size() &&
+           !ExprStructurallyEqual(arg_exprs[j], aggs[a].arg)) {
+      ++j;
+    }
+    if (j == arg_exprs.size()) arg_exprs.push_back(aggs[a].arg);
+    arg_of[a] = static_cast<int>(j);
   }
   std::vector<TypedColumn> args =
       EvalColumns(input, arg_exprs, [&](size_t i) {
@@ -482,20 +448,6 @@ Relation SplitAggregateRelation(const Relation& input,
         TimePoint e = 0;
         return DecodeInterval(*bc, *ec, i, &b, &e);
       });
-  // Aggregates whose arguments hold the same cells read the first such
-  // argument, so they share its fold and its pass: the rewrite projects
-  // each aggregate's argument into a column of its own, and sum(x) and
-  // avg(x) arrive as two copies of x.
-  for (size_t a = 0; a < aggs.size(); ++a) {
-    if (arg_of[a] < 0) continue;
-    for (int j = 0; j < arg_of[a]; ++j) {
-      if (SameCells(*args[static_cast<size_t>(j)],
-                    *args[static_cast<size_t>(arg_of[a])])) {
-        arg_of[a] = j;
-        break;
-      }
-    }
-  }
   // gap_rows with grouping emits full-domain coverage per *observed*
   // group (count 0 where the group is absent) -- Teradata-style grouped
   // gaps; without grouping it implements the paper's correct global
@@ -709,7 +661,9 @@ Relation SplitAggregateRelation(const Relation& input,
     std::vector<uint32_t> at;
     std::vector<int64_t> stars;
   };
-  auto sweep_group = [&](size_t g, Fragments& out) {
+  Fragments out;
+  out.cols.resize(naggs);
+  for (size_t g = 0; g < ngroups; ++g) {
     const uint32_t first = group_events[g];
     const uint32_t last = group_events[g + 1];
     out.at.clear();
@@ -833,44 +787,20 @@ Relation SplitAggregateRelation(const Relation& input,
                                         : extrema.rbegin()->first);
           });
     }
-  };
-
-  // The per-group sweeps are independent; chunks of groups fan out to
-  // the pool exactly like the coalesce sweep, each into its own
-  // fragments, concatenated in chunk order.
-  auto ranges = PlanChunks(ctx.num_threads(static_cast<int64_t>(input.size())),
-                           static_cast<int64_t>(ngroups),
-                           /*min_grain=*/1);
-  std::vector<Fragments> chunks(ranges.size());
-  FanOut(ctx, ranges, [&](size_t c, int64_t b, int64_t e) {
-    chunks[c].cols.resize(naggs);
-    for (int64_t gi = b; gi < e; ++gi) {
-      sweep_group(static_cast<size_t>(gi), chunks[c]);
-    }
-  });
-  Fragments& all = chunks.front();
-  all.cols.resize(naggs);
-  for (size_t c = 1; c < chunks.size(); ++c) {
-    auto append = [](auto& to, const auto& from) {
-      to.insert(to.end(), from.begin(), from.end());
-    };
-    append(all.rep, chunks[c].rep);
-    for (size_t a = 0; a < naggs; ++a) all.cols[a].Append(chunks[c].cols[a]);
-    append(all.intervals.begin, chunks[c].intervals.begin);
-    append(all.intervals.end, chunks[c].intervals.end);
   }
+
   // Keys gathered at each fragment's group representative, each
   // aggregate column encoded once, then the fragment endpoints.
   std::vector<ColumnData> cols;
   cols.reserve(schema.size());
   for (const TypedColumn& k : keys) {
-    cols.push_back(ColumnData::Gather(*k, all.rep));
+    cols.push_back(ColumnData::Gather(*k, out.rep));
   }
-  for (FragmentColumn& col : all.cols) cols.push_back(std::move(col).Encode());
-  cols.push_back(ColumnData::FromInts(std::move(all.intervals.begin)));
-  cols.push_back(ColumnData::FromInts(std::move(all.intervals.end)));
+  for (FragmentColumn& col : out.cols) cols.push_back(std::move(col).Encode());
+  cols.push_back(ColumnData::FromInts(std::move(out.intervals.begin)));
+  cols.push_back(ColumnData::FromInts(std::move(out.intervals.end)));
   // periodk-lint: typed-lane-end(split-aggregate)
-  const size_t n = all.rep.size();
+  const size_t n = out.rep.size();
   return Relation::FromColumns(std::move(schema), std::move(cols), n);
 }
 

@@ -29,8 +29,7 @@ namespace periodk {
 /// intervals, emitting `count` duplicates per maximal constant-count
 /// interval.  O(n log n) from the per-group endpoint sort; this is the
 /// "inside the database kernel" implementation the paper proposes.
-/// With a pool in `ctx` the per-group sweeps fan out to workers.
-Relation CoalesceNative(const Relation& input, const OpContext& ctx = {});
+Relation CoalesceNative(const Relation& input);
 
 /// SQL-style multiset coalescing via analytic window functions,
 /// mirroring the rewriting the paper's middleware ships to the backend
@@ -44,8 +43,7 @@ Relation CoalesceNative(const Relation& input, const OpContext& ctx = {});
 Relation CoalesceWindow(const Relation& input);
 
 /// Dispatches on the requested implementation.
-Relation CoalesceRelation(const Relation& input, CoalesceImpl impl,
-                          const OpContext& ctx = {});
+Relation CoalesceRelation(const Relation& input, CoalesceImpl impl);
 
 /// N_G(left, right) (Def 8.3): splits every interval of `left` at all
 /// endpoint time points of G-group-mates in left UNION right.  Output
@@ -67,8 +65,7 @@ Relation SplitRelation(const Relation& left, const Relation& right,
 /// snapshot semantics has no gap rows for groups).
 /// `pre_aggregate = false` disables the pre-aggregation optimization
 /// (for the ablation benchmark): every input row is then its own cell.
-/// It changes the work, not the result.  With a pool in `ctx` the
-/// per-group endpoint sweeps fan out to workers.  SUM and AVG follow
+/// It changes the work, not the result.  SUM and AVG follow
 /// AggState's exact rule (engine/agg.h): Int sums in 128 bits, so a
 /// fragment whose sum fits int64 finalizes as that exact integer even
 /// through transient overflow and aggregating endpoint-magnitude values
@@ -78,8 +75,7 @@ Relation SplitAggregateRelation(const Relation& input,
                                 const std::vector<int>& group_cols,
                                 const std::vector<AggExpr>& aggs,
                                 bool gap_rows, const TimeDomain& domain,
-                                bool pre_aggregate = true,
-                                const OpContext& ctx = {});
+                                bool pre_aggregate = true);
 
 /// tau_T over an encoded relation: rows whose interval contains t, with
 /// the two temporal columns dropped.

@@ -32,9 +32,9 @@ constexpr int64_t kMaxCompactionEvents = 4096;
 /// Cache key for a (SQL text, rewrite options) pair.  Every option that
 /// changes the produced plan is part of the key — use_cost_model shapes
 /// plans (join reorder, strategy hints), so it is included — and plans
-/// cached under different options never alias.  num_threads and
-/// use_timeline_index are deliberately absent: they only change how a
-/// plan executes, never the plan itself.
+/// cached under different options never alias.  use_timeline_index is
+/// deliberately absent: it only changes how a plan executes, never the
+/// plan itself.
 std::string PlanCacheKey(const std::string& sql,
                          const RewriteOptions& options) {
   return StrCat(static_cast<int>(options.semantics),
@@ -544,9 +544,7 @@ Result<std::string> TemporalDB::ExplainAnalyze(const std::string& sql) const {
   try {
     ExecStats stats;
     ExecOptions exec;
-    exec.num_threads = options_.num_threads;
     exec.use_timeline_index = options_.use_timeline_index;
-    exec.use_cost_model = options_.use_cost_model;
     if (exec.use_timeline_index) {
       EnsureTimelineIndexes(*plan, snap, options_.use_cost_model);
     }
@@ -579,8 +577,8 @@ Result<std::string> TemporalDB::ExplainAnalyze(const std::string& sql) const {
                   index_maintenance_stats().ToString(), "\n",
                   result.size(), " result rows\n");
   } catch (const std::exception& error) {
-    // EngineError plus anything execution-adjacent (e.g. std::thread
-    // failing to spawn pool workers): the boundary never throws.
+    // EngineError plus anything execution-adjacent (e.g.
+    // std::bad_alloc): the boundary never throws.
     return Status::Internal(error.what());
   }
 }
@@ -596,17 +594,15 @@ Result<Relation> TemporalDB::Query(const std::string& sql,
   if (!plan.ok()) return plan.status();
   try {
     ExecOptions exec;
-    exec.num_threads = options.num_threads;
     exec.use_timeline_index = options.use_timeline_index;
-    exec.use_cost_model = options.use_cost_model;
     // First indexed read builds the (per-snapshot, COW-shared) index.
     if (exec.use_timeline_index) {
       EnsureTimelineIndexes(*plan, snap, options.use_cost_model);
     }
     return Execute(*plan, snap.catalog, exec);
   } catch (const std::exception& error) {
-    // EngineError plus anything execution-adjacent (e.g. std::thread
-    // failing to spawn pool workers): the boundary never throws.
+    // EngineError plus anything execution-adjacent (e.g.
+    // std::bad_alloc): the boundary never throws.
     return Status::Internal(error.what());
   }
 }

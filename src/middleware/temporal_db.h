@@ -149,10 +149,10 @@ class TemporalDB {
                                   std::vector<Row> rows);
 
   /// Parses, binds, (for SEQ VT queries) rewrites, and executes against
-  /// a pinned catalog snapshot.  Planning is served from the plan cache
-  /// when possible; options.num_threads > 1 fans partitioned operators
-  /// out to a work-stealing pool, and options.use_timeline_index routes
-  /// AS-OF timeslices through lazily built timeline indexes.
+  /// a pinned catalog snapshot on the calling thread.  Planning is
+  /// served from the plan cache when possible, and
+  /// options.use_timeline_index routes AS-OF timeslices through lazily
+  /// built timeline indexes.
   /// Thread-safe: any number of concurrent Query() calls may race any
   /// writer; each observes one consistent snapshot.  Never throws; all
   /// failures (parse/bind/execution) come back as the Status.
@@ -180,7 +180,7 @@ class TemporalDB {
 
   /// EXPLAIN ANALYZE: executes the statement and appends the engine's
   /// execution counters (nodes executed, memo hits, rows materialized,
-  /// parallel tasks).
+  /// index timeslices and delta events).
   [[nodiscard]] Result<std::string> ExplainAnalyze(
       const std::string& sql) const;
 

@@ -4,10 +4,10 @@
 // interval profiles the stats collector gathers for period tables — and
 // every consumer treats an estimate as a *hint*: the rewriter orders
 // commutative join clusters (ReorderJoins), plan build marks tiny joins
-// for nested-loop execution (ApplyJoinStrategyHints), the executor
-// gates partition fan-out, and TemporalDB sizes timeline-index
-// checkpoints.  All of it sits behind RewriteOptions/ExecOptions::
-// use_cost_model; off reproduces the structural behavior bit-identically.
+// for nested-loop execution (ApplyJoinStrategyHints), and TemporalDB
+// sizes timeline-index checkpoints.  All of it sits behind
+// RewriteOptions::use_cost_model; off reproduces the structural
+// behavior bit-identically.
 #ifndef PERIODK_RA_COST_MODEL_H_
 #define PERIODK_RA_COST_MODEL_H_
 
@@ -24,17 +24,11 @@ namespace periodk {
 class Catalog;
 class TableStats;
 
-/// Break-even thresholds of the planner's hint and the executor's gate.
-///
-/// An overlap join whose estimated input product is below this is
-/// planned as a nested loop: the sweep's setup costs more than |L|*|R|
-/// compares (ApplyJoinStrategyHints).
+/// Break-even threshold of the planner's hint (ApplyJoinStrategyHints):
+/// an overlap join whose estimated input product is below this is
+/// planned as a nested loop, whose |L|*|R| compares cost less than the
+/// sweep's setup.
 inline constexpr int64_t kTinyJoinProduct = 1024;
-/// Partitioned operators fan out to the thread pool only when the
-/// operator's input work (rows) reaches this; below it the chunk
-/// bookkeeping and stats merging dominate (BENCH_parallel.json showed
-/// blind fan-out losing ~25% on small aggregations).
-inline constexpr int64_t kParallelMinRows = 2048;
 
 /// Cardinality estimator over one catalog snapshot.  One instance is
 /// built per planning pass and discarded with it.  Estimates never

@@ -225,9 +225,11 @@ PlanPtr SnapshotRewriter::RewriteAggregate(const PlanPtr& q) const {
   bool add_gap_tuple = ours && global && unfused;
 
   // Normalize: materialize group expressions and aggregate arguments as
-  // columns (group1..groupG, arg1..argK, a_begin, a_end).  count(*) is
-  // rewritten to count(lit 1) on the unfused path so that the neutral
-  // tuple (all NULLs) is not counted -- Fig. 4's count(*) rule.
+  // columns (group1..groupG, arg1..argK, a_begin, a_end), one column per
+  // structurally distinct argument, so sum(x) and avg(x) read one x.
+  // count(*) is rewritten to count(lit 1) on the unfused path so that
+  // the neutral tuple (all NULLs) is not counted -- Fig. 4's count(*)
+  // rule.
   std::vector<ExprPtr> proj;
   std::vector<Column> proj_names;
   for (size_t g = 0; g < n_groups; ++g) {
@@ -246,10 +248,16 @@ PlanPtr SnapshotRewriter::RewriteAggregate(const PlanPtr& q) const {
         continue;
       }
     }
-    int arg_col = static_cast<int>(proj.size());
-    proj.push_back(agg.arg);
-    proj_names.emplace_back(StrCat("agg_arg_", a));
-    agg.arg = Col(arg_col, proj_names.back().name);
+    size_t arg_col = n_groups;
+    while (arg_col < proj.size() &&
+           !ExprStructurallyEqual(proj[arg_col], agg.arg)) {
+      ++arg_col;
+    }
+    if (arg_col == proj.size()) {
+      proj.push_back(agg.arg);
+      proj_names.emplace_back(StrCat("agg_arg_", a));
+    }
+    agg.arg = Col(static_cast<int>(arg_col), proj_names[arg_col].name);
     aggs.push_back(std::move(agg));
   }
   size_t n_args = proj.size() - n_groups;

@@ -57,14 +57,10 @@ struct RewriteOptions {
   /// Pre-aggregate per (group, begin, end) inside the fused operator.
   bool pre_aggregate = true;
   CoalesceImpl coalesce_impl = CoalesceImpl::kNative;
-  /// Intra-query parallelism for execution (not a rewrite knob, but
-  /// plumbed here so middleware callers configure one options struct):
-  /// partitioned operators fan out to this many threads; 1 keeps
-  /// execution sequential and bit-identical.  Does not change the
-  /// produced plan, so it is excluded from the plan-cache key.
+  /// Ignored: nothing in the library reads it; e2ebench still sets it.
   int num_threads = 1;
   /// Serve timeslices from lazily built per-table timeline indexes
-  /// (engine/timeline_index.h).  Like num_threads, an execution knob:
+  /// (engine/timeline_index.h).  An execution knob, not a rewrite one:
   /// it never changes the produced plan (and is excluded from the
   /// plan-cache key); false keeps the O(table) scan path bit for bit.
   bool use_timeline_index = true;
@@ -73,8 +69,7 @@ struct RewriteOptions {
   /// and tiny overlap joins are marked for the nested loop.  Plan
   /// *shaping* — reordering changes row order — so this is part of the
   /// middleware's plan-cache key; false reproduces today's structural
-  /// plans bit-identically.  (The executor's row-identical gates are
-  /// the separate ExecOptions::use_cost_model.)
+  /// plans bit-identically.
   bool use_cost_model = true;
 };
 

@@ -2,8 +2,7 @@
 // docs/architecture.md §9): encode-time tag selection, sorted string
 // dictionaries, validity bitmaps, the lazily materialized row view --
 // and whole-plan equivalence: the vectorized kernel fast paths must
-// produce row-for-row identical output to the row storage path at
-// num_threads=1, and bag-equal output under parallel execution.
+// produce row-for-row identical output to the row storage path.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -22,7 +21,6 @@
 #include "common/rng.h"
 #include "common/status.h"
 #include "common/str_util.h"
-#include "common/thread_pool.h"
 #include "engine/agg.h"
 #include "engine/column.h"
 #include "engine/executor.h"
@@ -394,10 +392,9 @@ std::optional<std::string> OutcomeDiff(const Outcome& got,
 
 /// 200 randomized rewritten plans, NULL-heavy data and
 /// duplicate-amplifying query shapes, executed over row and columnar
-/// storage of the same base tables.  At num_threads=1 the outputs must
-/// be row-for-row identical -- or both runs must throw the same error;
-/// under the chunked parallel paths they must stay bag-equal (or both
-/// throw).  With `mix` the tables hold non-integer data
+/// storage of the same base tables.  The outputs must be row-for-row
+/// identical -- or both runs must throw the same error.  With `mix` the
+/// tables hold non-integer data
 /// (NonIntegerData), which exercises the Value-key grouping and the
 /// error paths; without it no plan may throw.
 void CheckRandomPlansMatchRowPath(const NonIntegerData* mix) {
@@ -447,16 +444,6 @@ void CheckRandomPlansMatchRowPath(const NonIntegerData* mix) {
       auto diff = ExactDiff(*by_cols.rows, *by_rows.rows);
       ASSERT_FALSE(diff.has_value()) << "seed " << seed << ": " << *diff
                                      << "\nplan:\n" << plan->ToString();
-    }
-
-    ExecOptions parallel;
-    parallel.num_threads = 4;
-    Outcome by_cols_mt = RunPlan(plan, cols_cat, parallel);
-    ASSERT_EQ(by_cols_mt.rows.has_value(), by_rows.rows.has_value())
-        << "seed " << seed << " (parallel): " << by_cols_mt.error;
-    if (by_rows.rows.has_value()) {
-      ASSERT_TRUE(by_cols_mt.rows->BagEquals(*by_rows.rows))
-          << "seed " << seed << " (parallel)\nplan:\n" << plan->ToString();
     }
   }
 }
@@ -597,8 +584,8 @@ TEST(ColumnarEquivalenceTest, OutOfRangeColumnsFailOnlyOverRows) {
 // columns.  The references below are the row-building loops they ran
 // before, over the inputs' row views.  Every operator must match its
 // reference in rows, order, cell types (double bits) and the first
-// error thrown, over row-stored and columnar inputs, at 1 and 4
-// threads, and must emit columns.
+// error thrown, over row-stored and columnar inputs, and must emit
+// columns.
 
 // Keys compared under Value::Compare through a hash map, as the set
 // operations and the groupings compared them (KeyIndex's Value keys are
@@ -1130,11 +1117,10 @@ Relation OperatorTable(Rng* rng, size_t rows, const TableShape& shape,
 struct LayoutCase {
   std::string name;
   std::function<Relation(const Catalog&)> reference;
-  std::function<Relation(const Catalog&, const OpContext&)> run;
+  std::function<Relation(const Catalog&)> run;
 };
 
-// Runs the case over both catalogs at 1 and 4 threads; adds to the
-// error and row tallies.
+// Runs the case over both catalogs; adds to the error and row tallies.
 void ExpectLayoutOnly(const LayoutCase& c, const Catalog& rows_cat,
                       const Catalog& cols_cat, const std::string& context,
                       int* errors, int* rows_out) {
@@ -1145,30 +1131,15 @@ void ExpectLayoutOnly(const LayoutCase& c, const Catalog& rows_cat,
     ++*errors;
   }
   for (const Catalog* catalog : {&rows_cat, &cols_cat}) {
-    for (int threads : {1, 4}) {
-      LazyThreadPool pool(threads);
-      OpContext ctx{threads > 1 ? &pool : nullptr, nullptr};
-      Outcome got = Capture([&] { return c.run(*catalog, ctx); });
-      const std::string where =
-          StrCat(context, " ", c.name,
-                 catalog == &rows_cat ? " rows" : " columns", " t", threads);
-      auto diff = OutcomeDiff(got, want);
-      ASSERT_FALSE(diff.has_value()) << where << ": " << *diff;
-      if (got.rows.has_value()) {
-        EXPECT_TRUE(got.rows->is_columnar()) << where;
-      }
+    Outcome got = Capture([&] { return c.run(*catalog); });
+    const std::string where = StrCat(
+        context, " ", c.name, catalog == &rows_cat ? " rows" : " columns");
+    auto diff = OutcomeDiff(got, want);
+    ASSERT_FALSE(diff.has_value()) << where << ": " << *diff;
+    if (got.rows.has_value()) {
+      EXPECT_TRUE(got.rows->is_columnar()) << where;
     }
   }
-}
-
-// The plan run through the executor with the pool's thread count and
-// no cost gate, so small inputs fan out too.
-Relation ExecuteUngated(const PlanPtr& plan, const Catalog& catalog,
-                        const OpContext& ctx) {
-  ExecOptions options;
-  options.num_threads = ctx.num_threads();
-  options.use_cost_model = false;
-  return Execute(plan, catalog, options);
 }
 
 // The join predicates: equi-keys, an overlap conjunct, both, or an
@@ -1238,7 +1209,7 @@ TEST(ColumnarEquivalenceTest, OperatorsChangeOnlyTheLayout) {
                        [=](const Catalog& c) {
                          return RowNestedLoopJoin(*join, c.Get("l"), c.Get("r"));
                        },
-                       [=](const Catalog& c, const OpContext&) {
+                       [=](const Catalog& c) {
                          auto [lrel, rrel] = inputs(c);
                          return NestedLoopJoin(*join, lrel, rrel);
                        }});
@@ -1247,16 +1218,16 @@ TEST(ColumnarEquivalenceTest, OperatorsChangeOnlyTheLayout) {
                          [=](const Catalog& c) {
                            return RowOverlapJoin(*join, c.Get("l"), c.Get("r"));
                          },
-                         [=](const Catalog& c, const OpContext& ctx) {
+                         [=](const Catalog& c) {
                            auto [lrel, rrel] = inputs(c);
-                           return IntervalOverlapJoin(*join, lrel, rrel, ctx);
+                           return IntervalOverlapJoin(*join, lrel, rrel);
                          }});
       } else if (analyzed) {
         cases.push_back({name + " hash",
                          [=](const Catalog& c) {
                            return RowNestedLoopJoin(*join, c.Get("l"), c.Get("r"));
                          },
-                         [=](const Catalog& c, const OpContext&) {
+                         [=](const Catalog& c) {
                            auto [lrel, rrel] = inputs(c);
                            return HashJoin(*join, lrel, rrel);
                          }});
@@ -1270,9 +1241,7 @@ TEST(ColumnarEquivalenceTest, OperatorsChangeOnlyTheLayout) {
     auto add_plan = [&](const std::string& name, const PlanPtr& plan,
                         std::function<Relation(const Catalog&)> reference) {
       cases.push_back({name, std::move(reference),
-                       [=](const Catalog& c, const OpContext& ctx) {
-                         return ExecuteUngated(plan, c, ctx);
-                       }});
+                       [=](const Catalog& c) { return Execute(plan, c); }});
     };
     PlanPtr union_all = MakeUnionAll(ls, rs);
     add_plan("union", union_all, [=](const Catalog& c) {
@@ -1322,7 +1291,7 @@ TEST(ColumnarEquivalenceTest, OperatorsChangeOnlyTheLayout) {
                      [=](const Catalog& c) {
                        return RowSplit(c.Get("l"), c.Get("r"), group_cols);
                      },
-                     [=](const Catalog& c, const OpContext&) {
+                     [=](const Catalog& c) {
                        return SplitRelation(c.Get("l"), c.Get("r"), group_cols);
                      }});
     const bool gap_rows = rng.Chance(0.5);
@@ -1337,9 +1306,9 @@ TEST(ColumnarEquivalenceTest, OperatorsChangeOnlyTheLayout) {
            return RowSplitAggregate(c.Get("l"), group_cols, split_aggs,
                                     gap_rows, domain);
          },
-         [=](const Catalog& c, const OpContext& ctx) {
+         [=](const Catalog& c) {
            return SplitAggregateRelation(c.Get("l"), group_cols, split_aggs,
-                                         gap_rows, domain, pre_aggregate, ctx);
+                                         gap_rows, domain, pre_aggregate);
          }});
 
     for (const LayoutCase& c : cases) {
@@ -1351,39 +1320,6 @@ TEST(ColumnarEquivalenceTest, OperatorsChangeOnlyTheLayout) {
   // Both outcomes occur often enough to mean something.
   EXPECT_GT(errors, 200);
   EXPECT_GT(rows_out, 8000);
-}
-
-TEST(ColumnarEquivalenceTest, ChunkedHashAggregationChangesOnlyTheLayout) {
-  // Large enough for the aggregation's 4096-row chunks to fan out; no
-  // NaN, so merging the chunks' extrema equals one pass over the rows.
-  const Schema schema = OperatorSchema();
-  for (int seed = 0; seed < 2; ++seed) {
-    Rng rng(static_cast<uint64_t>(seed) + 0xa66);
-    TableShape shape{2, {"a", "abc", "green"}, 0, /*nan_args=*/false};
-    Catalog rows_cat;
-    rows_cat.Put("l", OperatorTable(&rng, 9000, shape, nullptr));
-    Catalog cols_cat = Columnarized(rows_cat);
-    PlanPtr aggregate = MakeAggregate(
-        MakeScan("l", schema), {Col(kKey), Col(kStr)},
-        {Column("k"), Column("s")},
-        {{AggFunc::kCountStar, nullptr, "cnt"},
-         {AggFunc::kSum, Col(kArg), "sum_v"},
-         {AggFunc::kAvg, Col(kArg), "avg_v"},
-         {AggFunc::kMin, Col(kArg), "min_v"},
-         {AggFunc::kMax, Col(kMix), "max_m"}});
-    LayoutCase c{"aggregate",
-                 [&](const Catalog& cat) {
-                   return RowAggregate(*aggregate, cat.Get("l"));
-                 },
-                 [&](const Catalog& cat, const OpContext& ctx) {
-                   return ExecuteUngated(aggregate, cat, ctx);
-                 }};
-    int errors = 0;
-    int rows_out = 0;
-    ExpectLayoutOnly(c, rows_cat, cols_cat, StrCat("seed ", seed), &errors,
-                     &rows_out);
-    EXPECT_EQ(errors, 0);
-  }
 }
 
 TEST(ColumnarEquivalenceTest, HashJoinMatchesNestedLoopOnRandomEquiJoins) {
@@ -1476,11 +1412,9 @@ TEST(ColumnarEquivalenceTest, EveryOperatorButWindowCoalescingEmitsColumns) {
   EXPECT_GT(checked, 500);
 }
 
-TEST(ColumnarEquivalenceTest, SplitAggregateChunksOfDifferentSumTagsConcat) {
+TEST(ColumnarEquivalenceTest, SplitAggregateSumTagsDifferByGroup) {
   // Group 0's SUM overflows int64 and widens to double; every other
-  // group's stays an int.  At 4 threads the groups sweep in different
-  // chunks, so the SUM column mixes the two tags across chunks; the
-  // cells must equal the 1-thread run's.
+  // group's stays an int, so the SUM column mixes the two tags.
   constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
   Relation input(Schema::FromNames({"g", "v", "a_begin", "a_end"}));
   for (int g = 0; g < 8; ++g) {
@@ -1493,14 +1427,7 @@ TEST(ColumnarEquivalenceTest, SplitAggregateChunksOfDifferentSumTagsConcat) {
   const std::vector<AggExpr> aggs = {{AggFunc::kSum, Col(1), "sum_v"},
                                      {AggFunc::kCountStar, nullptr, "cnt"}};
   Relation one = SplitAggregateRelation(input, {0}, aggs, false, {0, 10});
-  LazyThreadPool pool(4);
-  ExecStats stats;
-  Relation four = SplitAggregateRelation(input, {0}, aggs, false, {0, 10},
-                                         true, OpContext{&pool, &stats});
-  EXPECT_GT(stats.parallel_tasks, 1);
-  EXPECT_TRUE(four.is_columnar());
-  auto diff = ExactDiff(four, one);
-  EXPECT_FALSE(diff.has_value()) << *diff;
+  EXPECT_TRUE(one.is_columnar());
   ASSERT_FALSE(one.empty());
   EXPECT_EQ(one.rows().front()[1].type(), ValueType::kDouble);
   EXPECT_EQ(one.rows().back()[1].type(), ValueType::kInt);

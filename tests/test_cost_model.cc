@@ -1,7 +1,7 @@
 // Cost-based planning (docs/architecture.md §11): table statistics
 // collection, cardinality estimation, the join-reorder and
-// strategy-hint transforms, the executor's row-identical gates, the
-// plan cache's use_cost_model keying, and the cost-on/cost-off
+// strategy-hint transforms, the plan cache's use_cost_model keying,
+// timeline-index checkpoint sizing, and the cost-on/cost-off
 // equivalence property over randomized snapshot queries.
 #include "ra/cost_model.h"
 
@@ -204,36 +204,6 @@ TEST(ReorderJoinsTest, FlatEstimatesKeepThePlanBitIdentical) {
   EXPECT_EQ(ReorderJoins(join, cost).get(), join.get());
 }
 
-// --- Executor gates (row-identical substitutions). -------------------------
-
-TEST(CostGateTest, SmallInputsSkipTheThreadPool) {
-  // 100-row coalesce with ~100 groups: enough chunks to fan out at 4
-  // threads, far below kParallelMinRows.
-  Catalog catalog;
-  Relation rel(Schema::FromNames({"g", "a_begin", "a_end"}));
-  for (int i = 0; i < 100; ++i) {
-    rel.AddRow({Value::Int(i), Value::Int(i % 8), Value::Int(i % 8 + 4)});
-  }
-  catalog.Put("t", std::move(rel));
-  PlanPtr plan = MakeCoalesce(ScanOf(catalog, "t"));
-
-  ExecOptions off;
-  off.num_threads = 4;
-  off.use_cost_model = false;
-  ExecStats stats_off;
-  Relation rows_off = Execute(plan, catalog, off, &stats_off);
-  EXPECT_GT(stats_off.parallel_tasks, 0);
-
-  ExecOptions on = off;
-  on.use_cost_model = true;
-  ExecStats stats_on;
-  Relation rows_on = Execute(plan, catalog, on, &stats_on);
-  EXPECT_EQ(stats_on.parallel_tasks, 0);
-  EXPECT_GE(stats_on.cost_gated_fanouts, 1);
-  // Chunked and sequential runs are bit-identical by construction.
-  EXPECT_EQ(rows_on.ToString(), rows_off.ToString());
-}
-
 // --- Timeline-index checkpoint sizing. -------------------------------------
 
 TEST(CostModelTest, PickCheckpointIntervalTracksAliveSet) {
@@ -410,24 +380,14 @@ TEST(CostModelPropertyTest, CostOnAgreesWithCostOff) {
     PlanPtr plan_on = ApplyJoinStrategyHints(costed.Rewrite(query), cost);
     if (plan_on->ToString() != plan_off->ToString()) ++reordered_plans;
 
-    ExecOptions exec_off;
-    exec_off.use_cost_model = false;
-    Relation rows_off = Execute(plan_off, catalog, exec_off);
-
-    ExecOptions exec_on;
-    exec_on.use_cost_model = true;
-    Relation rows_on = Execute(plan_on, catalog, exec_on);
+    Relation rows_off = Execute(plan_off, catalog);
+    Relation rows_on = Execute(plan_on, catalog);
     EXPECT_TRUE(rows_on.BagEquals(rows_off))
         << "seed " << seed << "\ncost-on plan:\n" << plan_on->ToString()
         << "\ncost-off plan:\n" << plan_off->ToString();
     if (plan_on->ToString() == plan_off->ToString()) {
       EXPECT_EQ(rows_on.ToString(), rows_off.ToString()) << "seed " << seed;
     }
-
-    ExecOptions exec_parallel = exec_on;
-    exec_parallel.num_threads = 4;
-    Relation rows_parallel = Execute(plan_on, catalog, exec_parallel);
-    EXPECT_TRUE(rows_parallel.BagEquals(rows_on)) << "seed " << seed;
   }
   // The corpus must actually exercise the cost-shaped paths, not just
   // reproduce the structural plans 48 times.

@@ -439,7 +439,7 @@ TEST(EdgeCaseTest, NonBooleanConditionsAreErrorsOnEveryPath) {
     catalog.Put("r", right);
     const std::vector<std::function<Relation()>> paths = {
         [&] { return NestedLoopJoin(*join, left, right); },
-        [&] { return IntervalOverlapJoin(*join, left, right, OpContext{}); },
+        [&] { return IntervalOverlapJoin(*join, left, right); },
         [&] { return Execute(join, catalog); },
     };
     for (size_t p = 0; p < paths.size(); ++p) {

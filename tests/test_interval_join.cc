@@ -20,7 +20,6 @@
 
 #include "common/rng.h"
 #include "common/str_util.h"
-#include "common/thread_pool.h"
 #include "engine/executor.h"
 #include "engine/interval_join.h"
 #include "engine/typed_eval.h"
@@ -460,11 +459,11 @@ std::optional<std::string> OutcomeDiff(const Outcome& got,
 TEST(FlatOverlapJoinTest, MatchesBucketStagingRowForRow) {
   // The flat staging (keys of the smaller input, buckets only for keys
   // on both sides, one offsets + rows array per side, radix-sorted
-  // sweeps, residuals filtered per chunk) against the bucket staging:
-  // both size orders, NULL keys, duplicate, two-column, string,
-  // int-vs-double and kMixed keys, a pure temporal join, malformed and
-  // int64-wide intervals, residuals the type pass admits and residuals
-  // that raise, row-stored and columnar inputs, 1, 2 and 4 threads.
+  // sweeps, residuals filtered once) against the bucket staging: both
+  // size orders, NULL keys, duplicate, two-column, string, int-vs-double
+  // and kMixed keys, a pure temporal join, malformed and int64-wide
+  // intervals, residuals the type pass admits and residuals that raise,
+  // row-stored and columnar inputs.
   constexpr int kA = kInputArity;
   const ExprPtr overlap =
       And(Lt(Col(kBegin), Col(kA + kEnd)), Lt(Col(kA + kBegin), Col(kEnd)));
@@ -476,9 +475,6 @@ TEST(FlatOverlapJoinTest, MatchesBucketStagingRowForRow) {
                            overlap})},
       {"mixed key", And(Eq(Col(kMixedKey), Col(kA + kMixedKey)), overlap)},
   };
-  LazyThreadPool one(1);
-  LazyThreadPool two(2);
-  LazyThreadPool four(4);
   int left_smaller = 0;
   int right_smaller = 0;
   int slow = 0;
@@ -502,17 +498,13 @@ TEST(FlatOverlapJoinTest, MatchesBucketStagingRowForRow) {
       if (rng.Chance(0.7)) plan.join.residual = RandomResidual(&rng);
       const Outcome want =
           Capture([&] { return BucketOverlapJoin(plan, left, right); });
-      for (LazyThreadPool* pool : {&one, &two, &four}) {
-        const OpContext ctx{pool, nullptr};
-        const Outcome got = Capture(
-            [&] { return IntervalOverlapJoin(plan, left, right, ctx); });
-        const std::optional<std::string> diff = OutcomeDiff(got, want);
-        ASSERT_FALSE(diff.has_value())
-            << "seed " << seed << " " << name << " threads "
-            << pool->num_threads() << " residual "
-            << (plan.join.residual ? plan.join.residual->ToString() : "none")
-            << ": " << *diff;
-      }
+      const Outcome got =
+          Capture([&] { return IntervalOverlapJoin(plan, left, right); });
+      const std::optional<std::string> diff = OutcomeDiff(got, want);
+      ASSERT_FALSE(diff.has_value())
+          << "seed " << seed << " " << name << " residual "
+          << (plan.join.residual ? plan.join.residual->ToString() : "none")
+          << ": " << *diff;
       raised += want.rows.has_value() ? 0 : 1;
       if (plan.join.residual != nullptr && want.rows.has_value() &&
           !want.rows->empty()) {

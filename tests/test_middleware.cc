@@ -394,22 +394,5 @@ TEST(MiddlewareTest, PrepareOnUnknownTableReturnsStatus) {
   EXPECT_TRUE(ok.ok()) << ok.status().ToString();
 }
 
-TEST(MiddlewareTest, QueryWithThreadCountMatchesSequential) {
-  TemporalDB db = MakeExampleDB();
-  const char* sql =
-      "SEQ VT (SELECT w.skill, count(*) AS cnt FROM works w, assign a "
-      "WHERE w.skill = a.skill GROUP BY w.skill)";
-  auto sequential = db.Query(sql);
-  ASSERT_TRUE(sequential.ok()) << sequential.status().ToString();
-  RewriteOptions parallel = db.options();
-  parallel.num_threads = 4;
-  auto threaded = db.Query(sql, parallel);
-  ASSERT_TRUE(threaded.ok()) << threaded.status().ToString();
-  EXPECT_TRUE(sequential->BagEquals(*threaded));
-  // num_threads is not part of the plan identity: the second query hit
-  // the plan cached by the first.
-  EXPECT_GE(db.plan_cache_stats().hits, 1);
-}
-
 }  // namespace
 }  // namespace periodk

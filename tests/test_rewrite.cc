@@ -7,6 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <functional>
+#include <limits>
+#include <utility>
+
 #include "baseline/naive.h"
 #include "engine/temporal_ops.h"
 #include "rewrite/period_enc.h"
@@ -207,6 +213,109 @@ TEST(RewriteExampleTest, DistinctUnderSnapshotSemantics) {
                   {{Value::String("SP")}, Interval(18, 20)},
                   {{Value::String("NS")}, Interval(8, 16)}});
   EXPECT_TRUE(ours.BagEquals(expect));
+}
+
+// --- Aggregate arguments. ---------------------------------------------------
+
+// The number of columns named agg_arg_* in the projection that
+// materializes `plan`'s aggregate arguments, and how many of them pass
+// column `col` of the input through.
+std::pair<int, int> ArgumentColumns(const PlanPtr& plan, int col) {
+  const Plan* args = nullptr;
+  std::function<void(const PlanPtr&)> find = [&](const PlanPtr& node) {
+    if (node == nullptr || args != nullptr) return;
+    if (node->kind == PlanKind::kProject &&
+        node->schema.Find("", "agg_arg_0") >= 0) {
+      args = node.get();
+      return;
+    }
+    find(node->left);
+    find(node->right);
+  };
+  find(plan);
+  EXPECT_NE(args, nullptr) << plan->ToString();
+  if (args == nullptr) return {0, 0};
+  int named = 0;
+  int passed = 0;
+  for (size_t c = 0; c < args->exprs.size(); ++c) {
+    if (!args->schema.at(c).name.starts_with("agg_arg_")) continue;
+    ++named;
+    const ExprPtr& e = args->exprs[c];
+    passed += e->kind == ExprKind::kColumn && e->column == col;
+  }
+  return {named, passed};
+}
+
+TEST(RewriteAggregateTest, EqualArgumentsShareOneProjectedColumn) {
+  // sum(x), avg(x) and count(x) read one projected x.  Literals are
+  // equal only in type and bits, so x + NaN and x + 1.0, and x * -0.0
+  // and x * 0.0, keep columns of their own.  Sharing changes no cell:
+  // the result equals, row for row and bit for bit, the same query with
+  // avg over x * 1 and count over x * 1 * 1, which share nothing.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  Relation t(Schema::FromNames({"g", "x", "a_begin", "a_end"}));
+  const double xs[] = {1.5, -2.0, 0.25, 3.0, -0.5, 1.5};
+  for (int i = 0; i < 12; ++i) {
+    t.AddRow({Value::Int(i % 2),
+              i == 7 ? Value::Null() : Value::Double(xs[i % 6]),
+              Value::Int(i), Value::Int(i + 3 + i % 4)});
+  }
+  Catalog catalog;
+  catalog.Put("t", t);
+  const ExprPtr x = Col(1, "x");
+  const ExprPtr one = LitInt(1);
+  auto query = [&](const ExprPtr& avg_arg, const ExprPtr& count_arg) {
+    return MakeAggregate(
+        MakeScan("t", Schema::FromNames({"g", "x"})), {Col(0, "g")},
+        {Column("g")},
+        {{AggFunc::kSum, x, "s"},
+         {AggFunc::kAvg, avg_arg, "a"},
+         {AggFunc::kCount, count_arg, "c"},
+         {AggFunc::kMin, Add(x, Lit(Value::Double(nan))), "min_nan"},
+         {AggFunc::kMin, Add(x, Lit(Value::Double(1.0))), "min_one"},
+         {AggFunc::kMin, Mul(x, Lit(Value::Double(-0.0))), "min_neg_zero"},
+         {AggFunc::kMin, Mul(x, Lit(Value::Double(0.0))), "min_zero"}});
+  };
+  for (bool fuse : {true, false}) {
+    RewriteOptions options;
+    options.fuse_aggregation = fuse;
+    SnapshotRewriter rewriter(TimeDomain{0, 24}, options);
+    const PlanPtr shared = rewriter.Rewrite(query(x, x));
+    const PlanPtr apart =
+        rewriter.Rewrite(query(Mul(x, one), Mul(Mul(x, one), one)));
+    // x and the four mins; then x, x * 1, x * 1 * 1 and the four mins.
+    EXPECT_EQ(ArgumentColumns(shared, 1), std::pair(5, 1)) << fuse;
+    EXPECT_EQ(ArgumentColumns(apart, 1), std::pair(7, 1)) << fuse;
+
+    const Relation got = Execute(shared, catalog);
+    const Relation want = Execute(apart, catalog);
+    ASSERT_EQ(got.size(), want.size()) << fuse;
+    for (size_t r = 0; r < got.size(); ++r) {
+      for (size_t c = 0; c < got.schema().size(); ++c) {
+        const Value& a = got.rows()[r][c];
+        const Value& b = want.rows()[r][c];
+        const double* d = a.TryDouble();
+        const bool same =
+            a.type() == b.type() &&
+            (d != nullptr ? std::bit_cast<uint64_t>(*d) ==
+                                std::bit_cast<uint64_t>(*b.TryDouble())
+                          : a.Compare(b) == 0);
+        EXPECT_TRUE(same) << "fuse " << fuse << " row " << r << ": "
+                          << RowToString(got.rows()[r]) << " vs "
+                          << RowToString(want.rows()[r]);
+      }
+    }
+    // min(x + NaN) is NaN wherever x has a value (NaN ranks above every
+    // number), which sharing min(x + 1.0)'s column would have hidden.
+    bool saw_nan = false;
+    for (const Row& row : got.rows()) {
+      const double* d = row[4].TryDouble();
+      saw_nan = saw_nan || (d != nullptr && std::isnan(*d));
+      EXPECT_TRUE(row[4].is_null() || (d != nullptr && std::isnan(*d)))
+          << RowToString(row);
+    }
+    EXPECT_TRUE(saw_nan);
+  }
 }
 
 }  // namespace

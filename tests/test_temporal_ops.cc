@@ -19,7 +19,6 @@
 #include "common/rng.h"
 #include "common/status.h"
 #include "common/str_util.h"
-#include "common/thread_pool.h"
 #include "engine/executor.h"
 #include "rewrite/period_enc.h"
 #include "tests/running_example.h"
@@ -431,13 +430,6 @@ TEST(ExtremeDomainTest, PlainAggregateSumWidensOnOverflow) {
   Value sum = state.Finalize(2);
   ASSERT_EQ(sum.type(), ValueType::kDouble);
   EXPECT_NEAR(sum.AsDouble(), 2.0 * 9.223372036854775e18, 1e7);
-  // Merge-side overflow widens too (the parallel aggregation path).
-  AggState a(AggFunc::kSum);
-  a.Accumulate(Value::Int(kTimeMax - 1));
-  AggState b(AggFunc::kSum);
-  b.Accumulate(Value::Int(kTimeMax - 2));
-  a.Merge(b);
-  EXPECT_EQ(a.Finalize(2).type(), ValueType::kDouble);
 }
 
 TEST(ExtremeDomainTest, CoalesceBothImplsAtBothExtremes) {
@@ -568,57 +560,52 @@ bool IdenticalCell(const Value& a, const Value& b) {
 // The windowed digits against an integer reference: terms whose
 // magnitudes span 90 bits arrive in random order (so the stored window
 // grows at both ends), some with multiplicities, some subtracted again,
-// split across two sums that are merged, and each total is rounded with
-// an integer added on.  Every result must be the correctly rounded
-// exact total.
+// and each total is rounded with an integer added on.  Every result
+// must be the correctly rounded exact total.
 TEST(ExactSumTest, WindowedDigitsMatchAnIntegerReference) {
   Rng rng(0x5e7d1);
   for (int iter = 0; iter < 400; ++iter) {
     const int offset =
         iter % 2 == 0 ? 0 : static_cast<int>(rng.Range(-980, 900));
-    ExactSum parts[2];
+    ExactSum sum;
     __int128 exact = 0;
     std::vector<std::pair<double, __int128>> added;
     for (int i = 0, n = 1 + static_cast<int>(rng.Uniform(80)); i < n; ++i) {
       __int128 scaled = 0;
       const double x = RandomDyadic(&rng, offset, &scaled);
-      ExactSum& part = parts[rng.Uniform(2)];
       const int64_t times = rng.Chance(0.2) ? rng.Range(-40, 40) : 1;
       if (times == 1) {
-        part.Add(x);
+        sum.Add(x);
         added.emplace_back(x, scaled);
       } else {
-        part.AddTimes(x, times);
+        sum.AddTimes(x, times);
       }
       exact += scaled * times;
       if (!added.empty() && rng.Chance(0.1)) {
-        parts[rng.Uniform(2)].Subtract(added.back().first);
+        sum.Subtract(added.back().first);
         exact -= added.back().second;
         added.pop_back();
       }
     }
     const std::string context = StrCat("iter ", iter, " offset ", offset);
-    ExactSum merged = parts[0];
-    merged.Merge(parts[1]);
-    ASSERT_TRUE(SameDouble(merged.Round(), RoundScaled(exact, offset)))
-        << context << ": " << merged.Round() << " vs "
+    ASSERT_TRUE(SameDouble(sum.Round(), RoundScaled(exact, offset)))
+        << context << ": " << sum.Round() << " vs "
         << RoundScaled(exact, offset);
     if (offset == 0) {
       // Round(plus) adds plus * 2^0, which the reference scales by 2^35.
       const __int128 plus = rng.Range(-(int64_t{1} << 60), int64_t{1} << 60);
-      EXPECT_TRUE(SameDouble(merged.Round(plus),
+      EXPECT_TRUE(SameDouble(sum.Round(plus),
                              RoundScaled(exact + (plus << kDyadicScale), 0)))
           << context << " plus " << static_cast<int64_t>(plus);
     }
   }
 }
 
-// SUM and AVG are exactly rounded totals, so neither the row order, nor
-// pre-aggregation, nor the thread count moves a bit of them: the
-// split-aggregate and hash aggregation over three permutations of each
-// input.  Values include cancellation (1e16 + 1.0 - 1e16), NaN, ±inf
-// and -0.0, integer sums past int64, and a column mixing Ints and
-// Doubles.
+// SUM and AVG are exactly rounded totals, so neither the row order nor
+// pre-aggregation moves a bit of them: the split-aggregate and hash
+// aggregation over three permutations of each input.  Values include
+// cancellation (1e16 + 1.0 - 1e16), NaN, ±inf and -0.0, integer sums
+// past int64, and a column mixing Ints and Doubles.
 TEST(ExactSumTest, SumsAreBitIdenticalAcrossPlans) {
   const double inf = std::numeric_limits<double>::infinity();
   const double doubles[] = {1e16, -1e16, 1.0, 0.1, 0.3, -0.7, 1e-3, 2.5e15};
@@ -635,8 +622,8 @@ TEST(ExactSumTest, SumsAreBitIdenticalAcrossPlans) {
   int specials_seen = 0;
   int overflows_seen = 0;
   for (int iter = 0; iter < 30; ++iter) {
-    // Some inputs large enough for hash aggregation to chunk and merge;
-    // those draw no NaN or infinity, which would hide their digits.
+    // Some inputs are large; those draw no NaN or infinity, which would
+    // hide their digits.
     const size_t n = iter % 10 == 0 ? 9000 : 20 + rng.Uniform(300);
     const double special_chance = n > 1000 ? 0.0 : 0.02;
     std::vector<Row> rows;
@@ -703,28 +690,20 @@ TEST(ExactSumTest, SumsAreBitIdenticalAcrossPlans) {
       Catalog catalog;
       catalog.Put("t", Relation(schema, std::move(permuted)));
       const Relation& input = catalog.Get("t");
-      for (int threads : {1, 2, 4}) {
-        LazyThreadPool pool(threads);
-        OpContext ctx{threads > 1 ? &pool : nullptr, nullptr};
-        for (bool pre : {true, false}) {
-          check(want_split,
-                sorted(SplitAggregateRelation(input, {0}, aggs, false,
-                                              TimeDomain{0, 40}, pre, ctx),
-                       fragment_key),
-                StrCat("iter ", iter, " split-aggregate, permutation ", perm,
-                       ", threads ", threads, ", pre ", pre));
-        }
-        ExecOptions options;
-        options.num_threads = threads;
-        options.use_cost_model = false;  // no cost gate: small inputs chunk too
-        check(want_hash,
-              sorted(Execute(MakeAggregate(MakeScan("t", schema), {Col(0)},
-                                           {Column("g")}, aggs),
-                             catalog, options),
-                     {0}),
-              StrCat("iter ", iter, " hash aggregation, permutation ", perm,
-                     ", threads ", threads));
+      for (bool pre : {true, false}) {
+        check(want_split,
+              sorted(SplitAggregateRelation(input, {0}, aggs, false,
+                                            TimeDomain{0, 40}, pre),
+                     fragment_key),
+              StrCat("iter ", iter, " split-aggregate, permutation ", perm,
+                     ", pre ", pre));
       }
+      check(want_hash,
+            sorted(Execute(MakeAggregate(MakeScan("t", schema), {Col(0)},
+                                         {Column("g")}, aggs),
+                           catalog),
+                   {0}),
+            StrCat("iter ", iter, " hash aggregation, permutation ", perm));
     }
   }
   EXPECT_GT(specials_seen, 50);
@@ -772,47 +751,43 @@ TEST(SplitAggregateTest, DoubleSumsAreExactPerFragment) {
     std::vector<AggExpr> aggs = {{AggFunc::kSum, Col(1), "s"},
                                  {AggFunc::kAvg, Col(1), "a"}};
     for (bool pre : {true, false}) {
-      for (int threads : {1, 4}) {
-        LazyThreadPool pool(threads);
-        OpContext ctx{threads > 1 ? &pool : nullptr, nullptr};
-        Relation out = SplitAggregateRelation(rel, {0}, aggs, false,
-                                              TimeDomain{0, 80}, pre, ctx);
-        ASSERT_GT(out.size(), 0u);
-        for (const Row& row : out.rows()) {
-          const TimePoint from = row[3].AsInt();
-          const TimePoint to = row[4].AsInt();
-          __int128 exact = 0;
-          int64_t count = 0;
-          int nan = 0;
-          int pos = 0;
-          int neg = 0;
-          for (const Input& in : inputs) {
-            if (in.g != row[0].AsInt() || in.b > from || in.e < to) continue;
-            ++count;
-            if (std::isnan(in.x)) {
-              ++nan;
-            } else if (std::isinf(in.x)) {
-              ++(in.x > 0 ? pos : neg);
-            } else {
-              exact += in.scaled;
-            }
+      Relation out = SplitAggregateRelation(rel, {0}, aggs, false,
+                                            TimeDomain{0, 80}, pre);
+      ASSERT_GT(out.size(), 0u);
+      for (const Row& row : out.rows()) {
+        const TimePoint from = row[3].AsInt();
+        const TimePoint to = row[4].AsInt();
+        __int128 exact = 0;
+        int64_t count = 0;
+        int nan = 0;
+        int pos = 0;
+        int neg = 0;
+        for (const Input& in : inputs) {
+          if (in.g != row[0].AsInt() || in.b > from || in.e < to) continue;
+          ++count;
+          if (std::isnan(in.x)) {
+            ++nan;
+          } else if (std::isinf(in.x)) {
+            ++(in.x > 0 ? pos : neg);
+          } else {
+            exact += in.scaled;
           }
-          ASSERT_GT(count, 0);
-          const double want = nan > 0 || (pos > 0 && neg > 0)
-                                  ? std::numeric_limits<double>::quiet_NaN()
-                              : pos > 0 ? inf
-                              : neg > 0 ? -inf
-                                        : RoundScaled(exact, offset);
-          const std::string context =
-              StrCat("iter ", iter, " offset ", offset, " pre ", pre,
-                     " threads ", threads, " fragment ", RowToString(row));
-          ASSERT_EQ(row[1].type(), ValueType::kDouble) << context;
-          EXPECT_TRUE(SameDouble(row[1].AsDouble(), want))
-              << context << ": want " << want;
-          EXPECT_TRUE(SameDouble(row[2].AsDouble(),
-                                 want / static_cast<double>(count)))
-              << context;
         }
+        ASSERT_GT(count, 0);
+        const double want = nan > 0 || (pos > 0 && neg > 0)
+                                ? std::numeric_limits<double>::quiet_NaN()
+                            : pos > 0 ? inf
+                            : neg > 0 ? -inf
+                                      : RoundScaled(exact, offset);
+        const std::string context =
+            StrCat("iter ", iter, " offset ", offset, " pre ", pre,
+                   " fragment ", RowToString(row));
+        ASSERT_EQ(row[1].type(), ValueType::kDouble) << context;
+        EXPECT_TRUE(SameDouble(row[1].AsDouble(), want))
+            << context << ": want " << want;
+        EXPECT_TRUE(SameDouble(row[2].AsDouble(),
+                               want / static_cast<double>(count)))
+            << context;
       }
     }
   }
@@ -971,21 +946,6 @@ struct FullAggState {
     any = true;
   }
 
-  void Merge(const FullAggState& other) {
-    count += other.count;
-    sum.Apply(other.sum, 1);
-    all_int = all_int && other.all_int;
-    if (other.any) {
-      if (!any || CompareExtremes(other.min_v, min_v) < 0) {
-        min_v = other.min_v;
-      }
-      if (!any || CompareExtremes(other.max_v, max_v) > 0) {
-        max_v = other.max_v;
-      }
-    }
-    any = any || other.any;
-  }
-
   Value Finalize(AggFunc f, int64_t star) const {
     switch (f) {
       case AggFunc::kCountStar:
@@ -1107,52 +1067,32 @@ std::vector<AggExpr> EveryAggregate() {
   return aggs;
 }
 
-// Hash aggregation over full states, chunked and merged exactly as the
-// executor chunks its input at `threads` without the cost gate.
+// Hash aggregation over full states, groups in first-appearance order.
 std::vector<Row> FullHashAggregate(const std::vector<Row>& rows,
-                                   const std::vector<AggExpr>& aggs,
-                                   int threads) {
+                                   const std::vector<AggExpr>& aggs) {
   struct Group {
     Row key;
     int64_t star = 0;
     std::vector<FullAggState> states;
   };
-  using Table = std::vector<Group>;
-  auto find = [&](Table& table,
-                  std::unordered_map<Row, size_t, RowHash, RowEq>& index,
-                  const Row& key) -> Group& {
-    auto [it, inserted] = index.try_emplace(key, table.size());
+  std::vector<Group> groups;
+  std::unordered_map<Row, size_t, RowHash, RowEq> index;
+  for (const Row& row : rows) {
+    auto [it, inserted] = index.try_emplace({row[kGroup]}, groups.size());
     if (inserted) {
-      table.push_back({key, 0, std::vector<FullAggState>(aggs.size())});
+      groups.push_back(
+          {{row[kGroup]}, 0, std::vector<FullAggState>(aggs.size())});
     }
-    return table[it->second];
-  };
-  Table merged;
-  std::unordered_map<Row, size_t, RowHash, RowEq> merged_index;
-  const auto n = static_cast<int64_t>(rows.size());
-  for (auto [b, e] : PlanChunks(threads, n, /*min_grain=*/4096)) {
-    Table chunk;
-    std::unordered_map<Row, size_t, RowHash, RowEq> index;
-    for (int64_t i = b; i < e; ++i) {
-      const Row& row = rows[static_cast<size_t>(i)];
-      Group& g = find(chunk, index, {row[kGroup]});
-      g.star += 1;
-      for (size_t a = 0; a < aggs.size(); ++a) {
-        if (aggs[a].arg != nullptr) {
-          g.states[a].Accumulate(row[static_cast<size_t>(aggs[a].arg->column)]);
-        }
-      }
-    }
-    for (const Group& src : chunk) {
-      Group& dst = find(merged, merged_index, src.key);
-      dst.star += src.star;
-      for (size_t a = 0; a < aggs.size(); ++a) {
-        dst.states[a].Merge(src.states[a]);
+    Group& g = groups[it->second];
+    g.star += 1;
+    for (size_t a = 0; a < aggs.size(); ++a) {
+      if (aggs[a].arg != nullptr) {
+        g.states[a].Accumulate(row[static_cast<size_t>(aggs[a].arg->column)]);
       }
     }
   }
   std::vector<Row> out;
-  for (const Group& g : merged) {
+  for (const Group& g : groups) {
     Row row = g.key;
     for (size_t a = 0; a < aggs.size(); ++a) {
       row.push_back(g.states[a].Finalize(aggs[a].func, g.star));
@@ -1242,16 +1182,16 @@ std::vector<Row> FullSplitAggregate(const std::vector<Row>& rows,
 }
 
 // Each function's own state gives the output that tracking every field
-// for every function gives: hash aggregation at 1 and 4 threads and the
-// split-aggregate with pre-aggregation on and off, bit for bit, SUM and
-// AVG at the exactly rounded totals.
+// for every function gives: hash aggregation and the split-aggregate
+// with pre-aggregation on and off, bit for bit, SUM and AVG at the
+// exactly rounded totals.
 TEST(AggStateTest, PerFunctionStateMatchesFullTracking) {
   Rng rng(0xa995);
   const std::vector<AggExpr> aggs = EveryAggregate();
   Schema schema = Schema::FromNames(
       {"g", "i", "d", "s", "b", "n", "m", "a_begin", "a_end"});
   for (int iter = 0; iter < 16; ++iter) {
-    // Some inputs large enough for the parallel aggregation to chunk.
+    // Some inputs are large.
     const size_t n = iter % 8 == 0 ? 9000 : rng.Uniform(200);
     std::vector<Row> rows;
     for (size_t r = 0; r < n; ++r) {
@@ -1279,14 +1219,8 @@ TEST(AggStateTest, PerFunctionStateMatchesFullTracking) {
     };
     PlanPtr plan = MakeAggregate(MakeScan("t", schema), {Col(kGroup)},
                                  {Column("g")}, aggs);
-    for (int threads : {1, 4}) {
-      ExecOptions options;
-      options.num_threads = threads;
-      options.use_cost_model = false;
-      Relation got = Execute(plan, catalog, options);
-      check(got.rows(), FullHashAggregate(rows, aggs, threads),
-            StrCat("iter ", iter, " hash aggregation, threads ", threads));
-    }
+    check(Execute(plan, catalog).rows(), FullHashAggregate(rows, aggs),
+          StrCat("iter ", iter, " hash aggregation"));
     for (bool pre : {true, false}) {
       Relation got = SplitAggregateRelation(catalog.Get("t"), {kGroup}, aggs,
                                             false, TimeDomain{0, 20}, pre);

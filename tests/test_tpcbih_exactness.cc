@@ -1,8 +1,8 @@
 // Exactness of the TPC-BiH Table 3 queries across plans: SUM and AVG
 // are exactly rounded totals (engine/agg.h), so the answer depends on
 // the query and the data only.  At SF 0.01, seeds 1-6, every query
-// returns the same rows, bit for bit, with the cost model on or off,
-// pre-aggregation on or off, and on 1 or 4 threads.
+// returns the same rows, bit for bit, with the cost model on or off and
+// with pre-aggregation on or off.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -57,7 +57,6 @@ TEST(TpcBihExactnessTest, EveryPlanReturnsTheSameBits) {
       {"cost model off", [](RewriteOptions* o) { o->use_cost_model = false; }},
       {"pre-aggregation off",
        [](RewriteOptions* o) { o->pre_aggregate = false; }},
-      {"4 threads", [](RewriteOptions* o) { o->num_threads = 4; }},
   };
   std::vector<std::vector<std::string>> differing(std::size(axes));
   int compared = 0;
@@ -68,7 +67,7 @@ TEST(TpcBihExactnessTest, EveryPlanReturnsTheSameBits) {
     TemporalDB db(config.domain);
     ASSERT_TRUE(LoadTpcBih(&db, config).ok());
     for (const WorkloadQuery& q : TpcBihWorkload()) {
-      RewriteOptions base;  // cost model and pre-aggregation on, 1 thread
+      RewriteOptions base;  // cost model and pre-aggregation on
       Result<Relation> want = db.Query(q.sql, base);
       ASSERT_TRUE(want.ok()) << q.name << ": " << want.status().ToString();
       for (size_t a = 0; a < std::size(axes); ++a) {
@@ -83,7 +82,7 @@ TEST(TpcBihExactnessTest, EveryPlanReturnsTheSameBits) {
       }
     }
   }
-  EXPECT_EQ(compared, 6 * 11 * 3);
+  EXPECT_EQ(compared, 6 * 11 * 2);
   for (size_t a = 0; a < std::size(axes); ++a) {
     std::string list;
     for (const std::string& d : differing[a]) list += "\n  " + d;

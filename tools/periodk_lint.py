@@ -40,6 +40,13 @@ Checks invariants that neither the compiler nor clang-tidy can express:
       so Clang's thread-safety analysis sees every lock.  Raw
       std::mutex & friends are invisible to the analysis.
 
+  thread-spawn-in-src
+      A query runs on its caller's thread: every operator is one
+      sequential loop, and concurrency exists only between queries
+      (snapshot readers against writers).  std::thread, std::jthread
+      and std::async anywhere in src/ would start work inside a query
+      again.
+
   relation-by-value
       Relation is a deep container (row vectors or whole columns);
       passing it by value copies the table.  Take const Relation& (or
@@ -88,6 +95,7 @@ NAKED_MUTEX_RE = re.compile(
     r"std::(?:recursive_|shared_|timed_)?mutex\b"
     r"|std::condition_variable(?:_any)?\b"
     r"|std::(?:lock_guard|unique_lock|shared_lock|scoped_lock)\b")
+THREAD_SPAWN_RE = re.compile(r"std::(?:thread|jthread|async)\b")
 # A Relation parameter passed by value: `Relation ident` directly
 # followed by `,` / `)` / `=` (default argument).  References, rvalue
 # references and pointers do not match.  DOTALL so parameters on
@@ -243,6 +251,16 @@ def check_naked_mutex(path, rel, stripped_lines, findings):
                 f"common/thread_annotations.h instead of {m.group(0)}"))
 
 
+def check_thread_spawn(path, stripped_lines, findings):
+    for idx, line in enumerate(stripped_lines, start=1):
+        m = THREAD_SPAWN_RE.search(line)
+        if m is not None:
+            findings.append(Finding(
+                path, idx, "thread-spawn-in-src",
+                f"{m.group(0)} in src/: a query runs on its caller's "
+                f"thread; concurrency is only between queries"))
+
+
 def check_relation_by_value(path, stripped, findings):
     for m in RELATION_BY_VALUE_RE.finditer(stripped):
         # Position the finding on the line of the Relation token, where
@@ -285,6 +303,7 @@ def lint_file(path, rel):
     check_typed_lanes(path, lines, findings)
     check_layout_outside_storage(path, rel, stripped_lines, findings)
     check_naked_mutex(path, rel, stripped_lines, findings)
+    check_thread_spawn(path, stripped_lines, findings)
     check_relation_by_value(path, stripped, findings)
     check_missing_nodiscard(path, rel, stripped, findings)
     return [f for f in findings
@@ -434,6 +453,20 @@ TypedColumn Relation::ReadColumn(size_t c) const {
 #include <mutex>
 std::mutex raw_mu;
 """,
+    # The deleted work-stealing pool's worker spawn: its constructor
+    # emplaced one std::thread per extra thread into the member vector,
+    # so the finding is on the member's type.
+    "src/common/thread_pool_bad.cc": """\
+ThreadPool::ThreadPool(int num_threads) {
+  for (int i = 1; i < num_threads; ++i) {
+    workers_.emplace_back(&ThreadPool::WorkerLoop, this,
+                          static_cast<size_t>(i));
+  }
+}
+std::vector<std::thread> workers_;
+// periodk-lint: allow(thread-spawn-in-src): suppressed twin for the test
+std::vector<std::thread> allowed_workers_;
+""",
     "src/ra/byvalue_bad.h": """\
 void Consume(Relation relation);
 // periodk-lint: allow(relation-by-value): ownership sink for the test
@@ -459,6 +492,7 @@ SELF_TEST_EXPECT = {
     ("overlap_join_lane_bad.cc", "row-eval-in-typed-lane"): 2,
     ("layout_bad.cc", "layout-check-outside-storage"): 1,
     ("mutex_bad.cc", "naked-mutex"): 1,
+    ("thread_pool_bad.cc", "thread-spawn-in-src"): 1,
     ("byvalue_bad.h", "relation-by-value"): 1,
     ("nodiscard_bad.h", "missing-nodiscard"): 1,
     ("reasonless.cc", "suppression-missing-reason"): 1,
