@@ -45,7 +45,12 @@ int CompareExtremes(const Value& a, const Value& b) {
     }
   }
   const int order = a.Compare(b);
-  if (order != 0 || a.type() == b.type()) return order;
+  if (order != 0) return order;
+  if (x != nullptr && y != nullptr) {  // -0.0 and 0.0: -0.0 ranks first
+    return static_cast<int>(std::signbit(*y)) -
+           static_cast<int>(std::signbit(*x));
+  }
+  if (a.type() == b.type()) return 0;
   // An Int and a Double of equal value: the Int ranks first.
   return a.TryInt() != nullptr ? -1 : 1;
 }

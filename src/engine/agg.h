@@ -103,10 +103,12 @@ bool SumIsInt(bool all_int, __int128 isum);
 /// aggregation, the split-aggregate's cells and its sweep):
 /// Value::Compare, except that NaN, which Value::Compare leaves
 /// unordered, equals NaN and is greater than every other number
-/// (PostgreSQL's rule), and that an Int ranks before a Double of equal
+/// (PostgreSQL's rule), that -0.0 ranks before 0.0 (MIN(0.0, -0.0) is
+/// -0.0, MAX is 0.0), and that an Int ranks before a Double of equal
 /// value (MIN(3, 3.0) is 3, MAX is 3.0).  A strict weak order over all
-/// Values, by value and then by type, so neither the extreme's value
-/// nor its type depends on the order values arrive.
+/// Values, by value, then sign of zero, then type, so neither the
+/// extreme's value, its sign nor its type depends on the order values
+/// arrive.
 int CompareExtremes(const Value& a, const Value& b);
 
 /// CompareExtremes as a less-than: the sweep's ordered multiset.

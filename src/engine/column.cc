@@ -180,150 +180,9 @@ ColumnData ColumnData::Encode(const std::vector<Row>& rows, size_t col) {
                      [&](size_t i) -> const Value& { return rows[i][col]; });
 }
 
-ColumnData ColumnData::Encode(const std::vector<Row>& rows, size_t col,
-                              const std::vector<uint32_t>& ids) {
-  return EncodeCells(ids.size(), [&](size_t k) -> const Value& {
-    return rows[ids[k]][col];
-  });
-}
-
 ColumnData ColumnData::FromValues(const std::vector<Value>& cells) {
   return EncodeCells(cells.size(),
                      [&](size_t i) -> const Value& { return cells[i]; });
-}
-
-ColumnData ColumnData::Append(const ColumnData& stored,
-                              const std::vector<Row>& rows, size_t col) {
-  const size_t m = stored.size_;
-  const size_t n = m + rows.size();
-  // Encode of the concatenation keeps stored's tag iff every non-null
-  // batch cell has stored's cell type (or stored is already mixed); an
-  // all-NULL kInt column receiving ints stays kInt.
-  size_t batch_nulls = 0;
-  bool keeps_tag = true;
-  for (const Row& row : rows) {
-    const ValueType type = row[col].type();
-    if (type == ValueType::kNull) {
-      ++batch_nulls;
-    } else if (stored.tag_ != ColumnTag::kMixed &&
-               type != CellType(stored.tag_)) {
-      keeps_tag = false;
-    }
-  }
-  if (!keeps_tag) {
-    // The batch changes the representation: re-encode the column.
-    std::vector<Value> head;
-    head.reserve(m);
-    for (size_t i = 0; i < m; ++i) head.push_back(stored.Get(i));
-    return EncodeCells(n, [&](size_t i) -> const Value& {
-      return i < m ? head[i] : rows[i - m][col];
-    });
-  }
-
-  ColumnData out;
-  out.tag_ = stored.tag_;
-  out.size_ = n;
-  out.null_count_ = stored.null_count_ + batch_nulls;
-  out.has_nan_ = stored.has_nan_;
-  out.dict_ = stored.dict_;
-  if (out.null_count_ > 0) {
-    out.InitValidity();
-    if (stored.has_nulls()) {
-      std::copy(stored.validity_.begin(), stored.validity_.end(),
-                out.validity_.begin());
-    } else {
-      std::fill(out.validity_.begin(), out.validity_.begin() + m / 64,
-                ~uint64_t{0});
-      if (m % 64 != 0) out.validity_[m / 64] = (uint64_t{1} << (m % 64)) - 1;
-    }
-    for (size_t k = 0; k < rows.size(); ++k) {
-      if (!rows[k][col].is_null()) out.SetValid(m + k);
-    }
-  }
-  // periodk-lint: columnar-lane-begin(column-append)
-  switch (out.tag_) {
-    case ColumnTag::kInt:
-      out.ints_.reserve(n);
-      out.ints_.insert(out.ints_.end(), stored.ints_.begin(),
-                       stored.ints_.end());
-      for (const Row& row : rows) {
-        const int64_t* v = row[col].TryInt();
-        out.ints_.push_back(v != nullptr ? *v : 0);
-      }
-      break;
-    case ColumnTag::kDouble:
-      out.doubles_.reserve(n);
-      out.doubles_.insert(out.doubles_.end(), stored.doubles_.begin(),
-                          stored.doubles_.end());
-      for (const Row& row : rows) {
-        const double* v = row[col].TryDouble();
-        out.doubles_.push_back(v != nullptr ? *v : 0.0);
-        if (v != nullptr && std::isnan(*v)) out.has_nan_ = true;
-      }
-      break;
-    case ColumnTag::kBool:
-      out.bools_.reserve(n);
-      out.bools_.insert(out.bools_.end(), stored.bools_.begin(),
-                        stored.bools_.end());
-      for (const Row& row : rows) {
-        const bool* v = row[col].TryBool();
-        out.bools_.push_back(v != nullptr && *v ? 1 : 0);
-      }
-      break;
-    case ColumnTag::kString: {
-      // The batch's strings the sorted dictionary lacks, sorted too.
-      const std::vector<std::string>& old_dict = stored.dict_->values();
-      std::vector<std::string_view> fresh;
-      for (const Row& row : rows) {
-        const std::string* s = row[col].TryString();
-        if (s != nullptr &&
-            !std::binary_search(old_dict.begin(), old_dict.end(), *s)) {
-          fresh.push_back(*s);
-        }
-      }
-      std::sort(fresh.begin(), fresh.end());
-      fresh.erase(std::unique(fresh.begin(), fresh.end()), fresh.end());
-      out.codes_.reserve(n);
-      if (fresh.empty()) {
-        out.codes_.insert(out.codes_.end(), stored.codes_.begin(),
-                          stored.codes_.end());
-      } else {
-        // Merge the two sorted lists; remap[k] is old code k's new code.
-        std::vector<std::string> merged;
-        merged.reserve(old_dict.size() + fresh.size());
-        std::vector<uint32_t> remap(old_dict.size());
-        size_t j = 0;
-        for (size_t k = 0; k < old_dict.size(); ++k) {
-          while (j < fresh.size() && fresh[j] < old_dict[k]) {
-            merged.emplace_back(fresh[j++]);
-          }
-          remap[k] = static_cast<uint32_t>(merged.size());
-          merged.push_back(old_dict[k]);
-        }
-        while (j < fresh.size()) merged.emplace_back(fresh[j++]);
-        out.dict_ = std::make_shared<const StringDict>(std::move(merged));
-        for (uint32_t code : stored.codes_) out.codes_.push_back(remap[code]);
-      }
-      const std::vector<std::string>& dict = out.dict_->values();
-      for (const Row& row : rows) {
-        const std::string* s = row[col].TryString();
-        out.codes_.push_back(
-            s == nullptr ? 0
-                         : static_cast<uint32_t>(
-                               std::lower_bound(dict.begin(), dict.end(), *s) -
-                               dict.begin()));
-      }
-      break;
-    }
-    case ColumnTag::kMixed:
-      out.mixed_.reserve(n);
-      out.mixed_.insert(out.mixed_.end(), stored.mixed_.begin(),
-                        stored.mixed_.end());
-      for (const Row& row : rows) out.mixed_.push_back(row[col]);
-      break;
-  }
-  // periodk-lint: columnar-lane-end(column-append)
-  return out;
 }
 
 template <typename T>
@@ -383,7 +242,6 @@ ColumnData ColumnData::Gather(const ColumnData& src,
   out.tag_ = src.tag_;
   out.size_ = indices.size();
   out.dict_ = src.dict_;
-  out.has_nan_ = src.has_nan_;
   size_t nulls = 0;
   if (src.has_nulls()) {
     out.InitValidity();
@@ -409,6 +267,11 @@ ColumnData ColumnData::Gather(const ColumnData& src,
       for (size_t k = 0; k < indices.size(); ++k) {
         out.doubles_[k] = src.doubles_[indices[k]];
       }
+      if (src.has_nan_) {  // only a gathered NaN counts
+        for (size_t k = 0; k < indices.size() && !out.has_nan_; ++k) {
+          out.has_nan_ = std::isnan(out.doubles_[k]) && !out.IsNull(k);
+        }
+      }
       break;
     case ColumnTag::kBool:
       out.bools_.resize(indices.size());
@@ -430,43 +293,133 @@ ColumnData ColumnData::Gather(const ColumnData& src,
   return out;
 }
 
+namespace {
+
+/// The dictionary of string parts put back to back: the part dictionary
+/// with the most entries when it holds every other part's entries (an
+/// append of known strings keeps the stored dictionary object), else the
+/// sorted union of them all.
+std::shared_ptr<const StringDict> ConcatDict(
+    const std::vector<const ColumnData*>& parts) {
+  const ColumnData* widest = *std::max_element(
+      parts.begin(), parts.end(), [](const ColumnData* a, const ColumnData* b) {
+        return a->dict()->size() < b->dict()->size();
+      });
+  const std::vector<std::string>& kept = widest->dict()->values();
+  std::vector<std::string_view> fresh;
+  for (const ColumnData* p : parts) {
+    if (p->dict() == widest->dict()) continue;
+    for (const std::string& s : p->dict()->values()) {
+      if (!std::binary_search(kept.begin(), kept.end(), s)) fresh.push_back(s);
+    }
+  }
+  if (fresh.empty()) return widest->dict();
+  std::sort(fresh.begin(), fresh.end());
+  fresh.erase(std::unique(fresh.begin(), fresh.end()), fresh.end());
+  std::vector<std::string> merged;
+  merged.reserve(kept.size() + fresh.size());
+  size_t j = 0;
+  for (const std::string& s : kept) {
+    while (j < fresh.size() && fresh[j] < s) merged.emplace_back(fresh[j++]);
+    merged.push_back(s);
+  }
+  while (j < fresh.size()) merged.emplace_back(fresh[j++]);
+  return std::make_shared<const StringDict>(std::move(merged));
+}
+
+/// Code k of `from` as a code of `into`, which holds every entry of
+/// `from`: one binary search per entry (both are sorted).
+std::vector<uint32_t> Recode(const StringDict& from, const StringDict& into) {
+  const std::vector<std::string>& dict = into.values();
+  std::vector<uint32_t> codes;
+  codes.reserve(from.size());
+  auto it = dict.begin();
+  for (const std::string& s : from.values()) {
+    it = std::lower_bound(it, dict.end(), s);
+    codes.push_back(static_cast<uint32_t>(it - dict.begin()));
+  }
+  return codes;
+}
+
+}  // namespace
+
+void ColumnData::OrValidity(const ColumnData& part, size_t base) {
+  const size_t shift = base & 63;
+  uint64_t* word = validity_.data() + (base >> 6);
+  for (size_t w = 0; w * 64 < part.size_; ++w) {
+    uint64_t bits = part.has_nulls() ? part.validity_[w] : ~uint64_t{0};
+    const size_t left = part.size_ - w * 64;
+    if (left < 64) bits &= (uint64_t{1} << left) - 1;
+    word[w] |= bits << shift;
+    if (shift != 0 && (bits >> (64 - shift)) != 0) {
+      word[w + 1] |= bits >> (64 - shift);
+    }
+  }
+}
+
 ColumnData ColumnData::Concat(const std::vector<const ColumnData*>& parts) {
-  // Empty parts hold no cell, so their encoding does not matter.
-  auto first = std::find_if(parts.begin(), parts.end(),
-                            [](const ColumnData* p) { return p->size_ > 0; });
-  if (first == parts.end()) first = parts.begin();
-  if (!std::all_of(parts.begin(), parts.end(), [&](const ColumnData* p) {
-        return p->size_ == 0 || p->SameEncoding(**first);
+  // Parts holding a non-NULL cell decide the tag; the others (empty or
+  // all NULL) hold no cell to type and fit any.
+  ColumnData out;
+  std::vector<const ColumnData*> typed;
+  for (const ColumnData* p : parts) {
+    out.size_ += p->size_;
+    out.null_count_ += p->null_count_;
+    if (p->null_count_ == p->size_) continue;
+    typed.push_back(p);
+    out.has_nan_ = out.has_nan_ || p->has_nan_;
+  }
+  if (std::any_of(typed.begin(), typed.end(), [&](const ColumnData* p) {
+        return p->tag_ != typed.front()->tag_;
       })) {
-    std::vector<Value> cells;  // encoded apart: Encode of all the cells
+    std::vector<Value> cells;  // tags differ: Encode of all the cells
+    cells.reserve(out.size_);
     for (const ColumnData* p : parts) {
       for (size_t i = 0; i < p->size_; ++i) cells.push_back(p->Get(i));
     }
     return FromValues(cells);
   }
-  ColumnData out;
-  out.tag_ = (*first)->tag_;
-  out.dict_ = (*first)->dict_;
-  for (const ColumnData* p : parts) {
-    out.size_ += p->size_;
-    out.null_count_ += p->null_count_;
-    out.has_nan_ = out.has_nan_ || p->has_nan_;
-  }
+  out.tag_ = typed.empty() ? ColumnTag::kInt : typed.front()->tag_;
+  if (out.tag_ == ColumnTag::kString) out.dict_ = ConcatDict(typed);
   if (out.null_count_ > 0) out.InitValidity();
   size_t base = 0;
   for (const ColumnData* p : parts) {
-    // Only the payload vector of the shared tag is non-empty.
-    out.ints_.insert(out.ints_.end(), p->ints_.begin(), p->ints_.end());
-    out.doubles_.insert(out.doubles_.end(), p->doubles_.begin(),
-                        p->doubles_.end());
-    out.bools_.insert(out.bools_.end(), p->bools_.begin(), p->bools_.end());
-    out.codes_.insert(out.codes_.end(), p->codes_.begin(), p->codes_.end());
-    out.mixed_.insert(out.mixed_.end(), p->mixed_.begin(), p->mixed_.end());
-    if (out.null_count_ > 0) {
-      for (size_t i = 0; i < p->size_; ++i) {
-        if (!p->IsNull(i)) out.SetValid(base + i);
+    // A part without a non-NULL cell adds placeholders, whatever its tag.
+    const bool cells = p->null_count_ < p->size_;
+    const auto extend = [&](auto& payload, const auto& part_payload) {
+      payload.reserve(out.size_);
+      if (cells) {
+        payload.insert(payload.end(), part_payload.begin(), part_payload.end());
+      } else {
+        payload.resize(payload.size() + p->size_);
       }
+    };
+    switch (out.tag_) {
+      case ColumnTag::kInt:
+        extend(out.ints_, p->ints_);
+        break;
+      case ColumnTag::kDouble:
+        extend(out.doubles_, p->doubles_);
+        break;
+      case ColumnTag::kBool:
+        extend(out.bools_, p->bools_);
+        break;
+      case ColumnTag::kString:
+        if (!cells || p->dict_ == out.dict_) {
+          extend(out.codes_, p->codes_);
+        } else {
+          const std::vector<uint32_t> code = Recode(*p->dict_, *out.dict_);
+          out.codes_.reserve(out.size_);
+          for (size_t i = 0; i < p->size_; ++i) {
+            out.codes_.push_back(p->IsNull(i) ? 0 : code[p->codes_[i]]);
+          }
+        }
+        break;
+      case ColumnTag::kMixed:
+        extend(out.mixed_, p->mixed_);
+        break;
     }
+    if (out.null_count_ > 0) out.OrValidity(*p, base);
     base += p->size_;
   }
   return out;

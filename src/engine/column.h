@@ -13,9 +13,9 @@
 // columnar, a ColumnData::Encode of that one column when it is
 // row-stored -- decode endpoints with TryInt, and group with KeyIndex:
 // packed uint64 keys in a PackedKeyMap, or Value keys read off the
-// columns where packing cannot reproduce Value::Compare.  Only output
-// assembly depends on the layout (Relation::Gather).  Appends extend a
-// stored column without re-encoding it (ColumnData::Append).
+// columns where packing cannot reproduce Value::Compare.  Appends and
+// UNION ALL put columns back to back with ColumnData::Concat, which
+// copies the parts' payloads instead of re-encoding their cells.
 #ifndef PERIODK_ENGINE_COLUMN_H_
 #define PERIODK_ENGINE_COLUMN_H_
 
@@ -65,23 +65,6 @@ class ColumnData {
   /// one hash lookup per cell plus one sort of the distinct values.
   static ColumnData Encode(const std::vector<Row>& rows, size_t col);
 
-  /// Encode of the cells rows[ids[k]][col] only: a gather from a
-  /// row-stored source, O(ids) whatever the size of `rows`.
-  static ColumnData Encode(const std::vector<Row>& rows, size_t col,
-                           const std::vector<uint32_t>& ids);
-
-  /// `stored` followed by column `col` of `rows`: equal (tag, nulls,
-  /// cells, dictionary) to Encode of the concatenated rows, at the cost
-  /// of one copy of stored's typed payload and bitmap plus encoding the
-  /// batch.  String batches merge their new strings into the sorted
-  /// dictionary and remap the stored codes in one pass; with no new
-  /// string the dictionary is shared.  A batch that changes the tag
-  /// (say, a double into an int column, or strings into an all-NULL
-  /// one) re-encodes the whole column.  The copy-on-write append path
-  /// (Relation::Append, TemporalDB::InsertRows).
-  static ColumnData Append(const ColumnData& stored,
-                           const std::vector<Row>& rows, size_t col);
-
   /// Encode over a column of cells: computed expression outputs.
   static ColumnData FromValues(const std::vector<Value>& cells);
 
@@ -97,21 +80,19 @@ class ColumnData {
                               const std::vector<uint8_t>& nulls = {});
 
   /// out[k] = src[indices[k]] -- the gather emission of the kernels'
-  /// output helper.  Dictionary columns share src's dictionary.
+  /// output helper.  Dictionary columns share src's dictionary; the NaN
+  /// flag is set only when a gathered cell is NaN.
   static ColumnData Gather(const ColumnData& src,
                            const std::vector<uint32_t>& indices);
 
-  /// `parts` back to back.  Parts with one encoding (SameEncoding:
-  /// say, chunks gathered from one column) are copied as they are; parts
-  /// encoded apart, such as strings under different dictionaries or an
-  /// int part next to a double one, are re-encoded as Encode of the
-  /// concatenated cells.  Empty parts do not count.
+  /// `parts` back to back (UNION ALL, every append): Encode of the
+  /// concatenated cells, built from the parts' payloads.  A part with no
+  /// non-NULL cell fits any tag; parts of one tag keep it, their payloads
+  /// and validity words copied, strings under one sorted dictionary (the
+  /// largest part's, shared, when it holds every other part's entries,
+  /// else the union) with the other parts' codes recoded per entry.
+  /// Parts whose tags differ are re-encoded cell by cell.
   static ColumnData Concat(const std::vector<const ColumnData*>& parts);
-
-  /// Same tag and, for strings, the same dictionary object.
-  bool SameEncoding(const ColumnData& other) const {
-    return tag_ == other.tag_ && dict_ == other.dict_;
-  }
 
   ColumnTag tag() const { return tag_; }
   size_t size() const { return size_; }
@@ -170,6 +151,8 @@ class ColumnData {
                               const std::vector<uint8_t>& nulls);
 
   void InitValidity();               // all-invalid bitmap of size_ bits
+  /// ORs `part`'s validity into the clear bits [base, base + size).
+  void OrValidity(const ColumnData& part, size_t base);
   void SetValid(size_t i) { validity_[i >> 6] |= uint64_t{1} << (i & 63); }
 };
 

@@ -18,10 +18,12 @@ namespace periodk {
 /// O(count) instead of a comparison sort: events of equal time keep
 /// the order they were fed in.  The key is unsigned: time - min_time
 /// cannot overflow, whatever part of the int64 range the endpoints
-/// span.  Digits are at most 16 bits, as few passes as the span needs;
-/// the first pass reads `for_each` itself, so a span below 2^16 takes
-/// one pass and no scratch copy of the events.  `for_each(fn)` must
-/// call fn(event) for the same events in the same order each time.
+/// span.  A digit is at most clamp(bit_width(count), 4, 16) bits wide,
+/// so a pass clears and sums no more bucket offsets than about twice
+/// the events it moves, and there are as few passes as the span needs;
+/// the first pass reads `for_each` itself, so a span within one digit
+/// takes one pass and no scratch copy of the events.  `for_each(fn)`
+/// must call fn(event) for the same events in the same order each time.
 template <typename EventT, typename ForEach>
 std::vector<EventT> SortEventsByTime(size_t count, TimePoint min_time,
                                      TimePoint max_time,
@@ -29,7 +31,9 @@ std::vector<EventT> SortEventsByTime(size_t count, TimePoint min_time,
   const uint64_t span =
       static_cast<uint64_t>(max_time) - static_cast<uint64_t>(min_time);
   const int bits = std::bit_width(span);
-  const int passes = std::max(1, (bits + 15) / 16);
+  const int max_width =
+      std::clamp(static_cast<int>(std::bit_width(count)), 4, 16);
+  const int passes = std::max(1, (bits + max_width - 1) / max_width);
   const int width = std::max(1, (bits + passes - 1) / passes);
   const uint64_t mask = (uint64_t{1} << width) - 1;
   std::vector<EventT> out(count);

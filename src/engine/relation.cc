@@ -99,24 +99,6 @@ void Relation::ToColumnar() {
   rows_ready_.store(false, std::memory_order_relaxed);
 }
 
-Relation Relation::Append(const Relation& stored,
-                          const std::vector<Row>& rows) {
-  for (const Row& row : rows) {
-    if (row.size() != stored.schema_.size()) {
-      stored.ThrowArityMismatch("Append", row.size());
-    }
-  }
-  std::vector<ColumnData> columns;
-  columns.reserve(stored.schema_.size());
-  // periodk-lint: columnar-lane-begin(relation-append)
-  for (size_t c = 0; c < stored.schema_.size(); ++c) {
-    columns.push_back(ColumnData::Append(*stored.ReadColumn(c), rows, c));
-  }
-  // periodk-lint: columnar-lane-end(relation-append)
-  return FromColumns(stored.schema_, std::move(columns),
-                     stored.size() + rows.size());
-}
-
 void Relation::MaterializeRows() const {
   MutexLock lock(rows_mu_);
   if (rows_ready_.load(std::memory_order_relaxed)) return;
@@ -156,10 +138,8 @@ Relation Relation::Gather(Schema schema,
   cols.reserve(schema.size());
   for (const GatherSource& s : sources) {
     for (int c : s.cols) {
-      const auto col = static_cast<size_t>(c);
-      cols.push_back(s.rel.columnar_
-                         ? ColumnData::Gather(s.rel.columns_[col], s.ids)
-                         : ColumnData::Encode(s.rel.rows_, col, s.ids));
+      cols.push_back(ColumnData::Gather(
+          *s.rel.ReadColumn(static_cast<size_t>(c)), s.ids));
     }
   }
   if (intervals != nullptr) {
@@ -187,10 +167,14 @@ Relation Relation::Concat(Schema schema,
     std::vector<TypedColumn> typed;  // a column's address survives moves
     std::vector<const ColumnData*> pieces;
     for (const Relation* p : parts) {
+      if (p->empty()) continue;
       typed.push_back(p->ReadColumn(c));
       pieces.push_back(&*typed.back());
     }
-    cols.push_back(ColumnData::Concat(pieces));
+    // A lone non-empty part is its column, moved when freshly encoded:
+    // a load into an empty table keeps the encoded batch, uncopied.
+    cols.push_back(typed.size() == 1 ? std::move(typed.front()).Release()
+                                     : ColumnData::Concat(pieces));
   }
   // periodk-lint: columnar-lane-end(concat)
   return FromColumns(std::move(schema), std::move(cols), n);
@@ -210,12 +194,6 @@ void Relation::CheckRowArities() const {
                                " has ", schema_.size(), " columns"));
     }
   }
-}
-
-void Relation::SortRows() {
-  DecayToRows();
-  std::sort(rows_.begin(), rows_.end(),
-            [](const Row& a, const Row& b) { return CompareRows(a, b) < 0; });
 }
 
 bool Relation::BagEquals(const Relation& other) const {

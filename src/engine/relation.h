@@ -8,17 +8,17 @@
 //     (engine/column.h): base tables and every operator output but
 //     window coalescing's;
 //   * row storage, vector<Row>: the construction form of constants, the
-//     baselines, window coalescing and tests.
+//     baselines, window coalescing, appended batches and tests.
 // Kernels do not branch on the layout.  They read typed columns
 // through ReadColumn and build their output with FromColumns, Gather
-// or Concat, which emit columns whatever their sources' layout; those
-// helpers, and Append, which extends a relation's typed columns by a
-// batch without a row view, are the only code that looks at how a
-// relation is stored.  The row API is preserved over both layouts:
+// or Concat, which emit columns whatever their sources' layout; only
+// ReadColumn, the row view, ToColumnar and the decaying mutators look
+// at how a relation is stored.  Appends are Concat of the stored
+// relation and the batch.  The row API is preserved over both layouts:
 // rows() on a columnar relation lazily materializes a cached row *view*
 // (thread-safe -- base tables are shared across concurrent queries),
-// and the mutating entry points (AddRow, SortRows, Reserve) decay
-// columnar storage back to rows first.
+// and the mutating entry points (AddRow, Reserve) decay columnar
+// storage back to rows first.
 #ifndef PERIODK_ENGINE_RELATION_H_
 #define PERIODK_ENGINE_RELATION_H_
 
@@ -98,26 +98,18 @@ class Relation {
   /// The kernels' output helper, columnar.  Output row k is, source by
   /// source, the `cols` of row `ids[k]`, then (when given) the int
   /// endpoints intervals->begin[k], intervals->end[k], moved out of
-  /// *intervals.  A columnar source's columns are gathered (dictionaries
-  /// shared); a row-stored source's gathered cells are encoded, so the
-  /// cost is O(ids) either way.
+  /// *intervals.  Each column is ColumnData::Gather of the source's
+  /// column as ReadColumn reads it (dictionaries shared).
   [[nodiscard]] static Relation Gather(
       Schema schema, const std::vector<GatherSource>& sources,
       NewIntervals* intervals = nullptr);
 
-  /// `parts` back to back under `schema` (UNION ALL), columnar:
-  /// ColumnData::Concat of each column as ReadColumn reads it.  Rejects
-  /// parts whose arity differs from the schema.
+  /// `parts` back to back under `schema` (UNION ALL, every append),
+  /// columnar: ColumnData::Concat of the non-empty parts' columns as
+  /// ReadColumn reads them; a lone one is taken as it is, moved when
+  /// encoded.  Rejects parts whose arity differs from the schema.
   [[nodiscard]] static Relation Concat(
       Schema schema, const std::vector<const Relation*>& parts);
-
-  /// `stored` followed by `rows`, columnar: each column is
-  /// ColumnData::Append of stored's column (borrowed when columnar,
-  /// encoded when row-stored) and the batch, so a copy-on-write append
-  /// costs the batch plus a copy of the stored columns and never builds
-  /// a row view.  Rejects rows whose arity differs from the schema.
-  [[nodiscard]] static Relation Append(const Relation& stored,
-                                       const std::vector<Row>& rows);
 
   /// Re-encodes row storage as typed columns (no-op when already
   /// columnar).  The row vector is released; rows() rebuilds it on
@@ -136,10 +128,6 @@ class Relation {
     if (columnar_) DecayToRows();
     rows_.reserve(n);
   }
-
-  /// Sorts rows lexicographically; canonical order for comparisons and
-  /// printing (a multiset has no inherent order).
-  void SortRows();
 
   /// Bag equality: same schema arity and same multiset of rows.
   [[nodiscard]] bool BagEquals(const Relation& other) const;

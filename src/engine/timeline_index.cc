@@ -97,6 +97,7 @@ std::shared_ptr<const TimelineIndex> TimelineIndex::WithDelta(
   index->checkpoint_interval_ = core->checkpoint_interval_;
   index->out_schema_ = core->out_schema_;
   index->keep_cols_ = core->keep_cols_;
+  index->ReadKeptColumns();
   index->delta_first_row_ = first_row;
   index->base_ = std::move(core);
   index->delta_ = std::move(delta);
@@ -175,6 +176,8 @@ std::shared_ptr<const TimelineIndex> TimelineIndex::BuildFrom(
     }
     if ((i + 1) % k == 0) index->checkpoints_.push_back(alive.Sorted());
   }
+  // A delta (first_row > 0) is only replayed by the index wrapping it.
+  if (first_row == 0) index->ReadKeptColumns();
   return index;
 }
 
@@ -239,10 +242,21 @@ std::vector<uint32_t> TimelineIndex::AliveAt(TimePoint t) const {
   return out;
 }
 
+void TimelineIndex::ReadKeptColumns() {
+  for (int c : keep_cols_) {
+    kept_.push_back(source_->ReadColumn(static_cast<size_t>(c)));
+  }
+}
+
 Relation TimelineIndex::Timeslice(TimePoint t) const {
   // `alive` is ascending, so rows come out in source order.
-  std::vector<uint32_t> alive = AliveAt(t);
-  return Relation::Gather(out_schema_, {{*source_, keep_cols_, alive}});
+  const std::vector<uint32_t> alive = AliveAt(t);
+  std::vector<ColumnData> cols;
+  cols.reserve(kept_.size());
+  for (const TypedColumn& column : kept_) {
+    cols.push_back(ColumnData::Gather(*column, alive));
+  }
+  return Relation::FromColumns(out_schema_, std::move(cols), alive.size());
 }
 
 }  // namespace periodk

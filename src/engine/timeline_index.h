@@ -80,7 +80,7 @@ class TimelineIndex {
   /// Differential wrap: an index for `source` that answers from `base`
   /// plus a delta built over only the appended row range — O(appended)
   /// instead of O(table) for a columnar source (a row-stored one has
-  /// its endpoint columns encoded whole, Relation::ReadColumn).  Preconditions checked (nullptr returned on
+  /// its columns encoded whole, Relation::ReadColumn).  Preconditions checked (nullptr returned on
   /// violation, so callers fall back to a full build or the scan):
   /// `source` must have the same arity as base's relation, at least as
   /// many rows (the copy-on-write append contract: prefix rows are
@@ -153,6 +153,8 @@ class TimelineIndex {
       std::shared_ptr<const Relation> source, int begin_col, int end_col,
       int64_t checkpoint_interval, size_t first_row);
 
+  void ReadKeptColumns();  // fills kept_
+
   struct Event {
     TimePoint time = 0;
     uint32_t row = 0;
@@ -165,6 +167,9 @@ class TimelineIndex {
   int64_t checkpoint_interval_ = kDefaultCheckpointInterval;
   Schema out_schema_;          // source schema minus the endpoint columns
   std::vector<int> keep_cols_;  // source column ids of out_schema_
+  // keep_cols_ read once (not by a delta): borrowed from a columnar
+  // source_, encoded from a row-stored one; a lookup gathers from them.
+  std::vector<TypedColumn> kept_;
   // Globally sorted by (time, is_end, row); event_times_ mirrors the
   // times for branch-free binary search.
   std::vector<Event> events_;

@@ -46,7 +46,7 @@ std::string PlanCacheKey(const std::string& sql,
 }
 
 /// A whole table as the catalog stores it: typed columns.  Appends
-/// extend the stored columns instead (Relation::Append).
+/// concatenate the stored columns and the batch's (Relation::Concat).
 std::shared_ptr<const Relation> StoreColumnar(Relation&& relation) {
   relation.ToColumnar();
   return std::make_shared<const Relation>(std::move(relation));
@@ -269,10 +269,11 @@ Status TemporalDB::InsertRows(const std::string& table,
   // Copy-on-write outside the reader lock: pinned snapshots keep the
   // old relation and statistics alive and untouched.  The next version
   // extends both by the batch -- the stored columns are copied, never
-  // re-encoded, and only the batch is profiled.
+  // re-encoded, and only the batch is encoded and profiled.
   // periodk-lint: columnar-lane-begin(insert-rows)
-  auto next =
-      std::make_shared<const Relation>(Relation::Append(*current, rows));
+  const Relation batch(current->schema(), std::move(rows));
+  auto next = std::make_shared<const Relation>(
+      Relation::Concat(current->schema(), {current.get(), &batch}));
   std::shared_ptr<const TableStats> stats =
       TableStats::Extend(*current_stats, next);
   // periodk-lint: columnar-lane-end(insert-rows)

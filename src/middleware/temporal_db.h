@@ -35,7 +35,7 @@
 // are stored columnar (engine/column.h), so every query scans typed
 // column arrays: a table written whole (CreateTable, CreatePeriodTable,
 // PutPeriodTable) is encoded and profiled once, and an append extends
-// the stored columns and statistics by the batch (Relation::Append,
+// the stored columns and statistics by the batch (Relation::Concat,
 // TableStats::Extend) -- it costs the batch plus one copy of the
 // stored columns, never a re-encode or a row view.
 // Point-in-time reads (SEQ VT AS OF, Timeslice) are answered from
@@ -141,7 +141,7 @@ class TemporalDB {
   /// before any row lands, so a failure leaves the table untouched, and
   /// readers pinned to the old snapshot keep seeing the table without
   /// the batch.  The next version extends the stored typed columns and
-  /// statistics by the batch (Relation::Append, TableStats::Extend): it
+  /// statistics by the batch (Relation::Concat, TableStats::Extend): it
   /// costs the batch, one copy of the stored columns and at most one
   /// probe pass per stored column for its distinct count -- never a
   /// re-encode, a re-profile or a row view.  Thread-safe.

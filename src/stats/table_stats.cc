@@ -163,7 +163,6 @@ void TableStats::AddIntervals(const ColumnData& bc, const ColumnData& ec,
     const int64_t* bi = bc.TryInt(i);
     const int64_t* ei = ec.TryInt(i);
     if (bi == nullptr || ei == nullptr || *bi >= *ei) continue;
-    const int64_t len = *ei - *bi;
     if (interval_count_ == 0) {
       min_begin_ = *bi;
       max_end_ = *ei;
@@ -172,12 +171,7 @@ void TableStats::AddIntervals(const ColumnData& bc, const ColumnData& ec,
       max_end_ = std::max(max_end_, *ei);
     }
     ++interval_count_;
-    length_sum_ += len;
-    int bucket = 0;
-    for (int64_t v = len; v > 1 && bucket < kLengthBuckets - 1; v >>= 1) {
-      ++bucket;
-    }
-    ++length_histogram_[bucket];
+    length_sum_ += *ei - *bi;
   }
 }
 
@@ -208,12 +202,7 @@ std::string TableStats::ToString() const {
     out += StrCat("\n  period(", names_[static_cast<size_t>(begin_col_)], ", ",
                   names_[static_cast<size_t>(end_col_)],
                   "): intervals=", interval_count_, " length_sum=", length_sum_,
-                  " span=[", min_begin_, "..", max_end_, ") hist=[");
-    for (int b = 0; b < kLengthBuckets; ++b) {
-      if (b > 0) out += ",";
-      out += StrCat(length_histogram_[b]);
-    }
-    out += "]";
+                  " span=[", min_begin_, "..", max_end_, ")");
   }
   return out;
 }

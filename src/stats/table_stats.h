@@ -11,7 +11,6 @@
 #ifndef PERIODK_STATS_TABLE_STATS_H_
 #define PERIODK_STATS_TABLE_STATS_H_
 
-#include <array>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -41,14 +40,10 @@ struct ColumnStats {
 /// Immutable statistics snapshot of one relation.
 class TableStats {
  public:
-  /// log2 interval-length histogram buckets: bucket i counts intervals
-  /// with floor(log2(length)) == i, the last bucket absorbs the tail.
-  static constexpr int kLengthBuckets = 16;
-
   /// Collects statistics over `source` in one pass.  When `begin_col` /
   /// `end_col` name the stored interval columns of a period table, the
-  /// interval profile (length histogram, average length, observed
-  /// domain coverage) is collected too; -1/-1 means no period columns.
+  /// interval profile (interval count, total length, observed span) is
+  /// collected too; -1/-1 means no period columns.
   /// Ill-formed cells (non-int endpoints, begin >= end) are skipped.
   [[nodiscard]] static std::shared_ptr<const TableStats> Collect(
       std::shared_ptr<const Relation> source, int begin_col = -1,
@@ -98,9 +93,6 @@ class TableStats {
   int64_t span() const {
     return interval_count_ == 0 ? 0 : max_end_ - min_begin_;
   }
-  const std::array<int64_t, kLengthBuckets>& length_histogram() const {
-    return length_histogram_;
-  }
   /// Average number of rows alive at a random point of the observed
   /// span: sum of interval lengths / span.  Sizes timeline-index
   /// checkpoints and overlap-join estimates.
@@ -131,7 +123,6 @@ class TableStats {
   int64_t length_sum_ = 0;
   TimePoint min_begin_ = 0;
   TimePoint max_end_ = 0;
-  std::array<int64_t, kLengthBuckets> length_histogram_{};
 };
 
 }  // namespace periodk

@@ -2,6 +2,7 @@
 
 #include <sqlite3.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <string>
@@ -157,15 +158,17 @@ Value NormalizeValue(const Value& v) {
 }
 
 Relation Normalized(const Relation& rel) {
-  Relation out(rel.schema());
+  std::vector<Row> rows;
+  rows.reserve(rel.size());
   for (const Row& row : rel.rows()) {
     Row r;
     r.reserve(row.size());
     for (const Value& v : row) r.push_back(NormalizeValue(v));
-    out.AddRow(std::move(r));
+    rows.push_back(std::move(r));
   }
-  out.SortRows();
-  return out;
+  std::sort(rows.begin(), rows.end(),
+            [](const Row& a, const Row& b) { return CompareRows(a, b) < 0; });
+  return Relation(rel.schema(), std::move(rows));
 }
 
 /// Equality for the diff: NULL matches only NULL; numerics compare

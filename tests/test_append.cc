@@ -1,14 +1,18 @@
-// Copy-on-write appends (ColumnData::Append, Relation::Append,
-// TableStats::Extend, TemporalDB::InsertRows): extending the stored
-// columns and statistics by a batch must give exactly what re-encoding
-// the concatenated rows and collecting statistics from scratch gives --
-// the same column tag, null count, dictionary and cells, and the same
-// TableStats rendering -- across NULLs, -0.0 and NaN, new strings that
-// shift the stored dictionary codes, batches that change a column's
-// tag, empty batches, empty tables and non-trailing period columns.
-// Versions held from before an append must read unchanged after it.
+// Column concatenation and copy-on-write appends (ColumnData::Concat,
+// Relation::Concat, TableStats::Extend, TemporalDB::InsertRows):
+// putting columns back to back, and extending the stored columns and
+// statistics by a batch, must give exactly what re-encoding the
+// concatenated cells and collecting statistics from scratch gives --
+// the same column tag, null count, NaN flag and cells, a dictionary
+// holding every string, and the same TableStats rendering -- across
+// NULLs, -0.0 and NaN, strings under different dictionaries, new
+// strings that shift the stored dictionary codes, parts that change a
+// column's tag, empty and all-NULL parts, empty tables and
+// non-trailing period columns.  Versions held from before an append
+// must read unchanged after it.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <limits>
@@ -39,28 +43,50 @@ bool SameCell(const Value& a, const Value& b) {
   return a == b;
 }
 
-/// `got` is what ColumnData::Encode makes of column `col` of `rows`.
-void ExpectEncodes(const ColumnData& got, const std::vector<Row>& rows,
-                   size_t col, const std::string& context) {
-  const ColumnData want = ColumnData::Encode(rows, col);
+/// `got` has the tag, NULLs, NaN flag and cells of `want`.
+void ExpectSameCells(const ColumnData& got, const ColumnData& want,
+                     const std::string& context) {
   ASSERT_EQ(got.size(), want.size()) << context;
   ASSERT_EQ(ColumnTagName(got.tag()), std::string(ColumnTagName(want.tag())))
       << context;
   EXPECT_EQ(got.null_count(), want.null_count()) << context;
   EXPECT_EQ(got.has_nan(), want.has_nan()) << context;
-  if (want.tag() == ColumnTag::kString) {
-    EXPECT_EQ(got.dict()->values(), want.dict()->values()) << context;
-  }
   for (size_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(got.IsNull(i), want.IsNull(i)) << context << " row " << i;
     ASSERT_TRUE(SameCell(got.Get(i), want.Get(i)))
         << context << " row " << i << ": " << got.Get(i).ToString()
         << " vs " << want.Get(i).ToString();
   }
 }
 
+/// `got` is what ColumnData::Encode makes of column `col` of `rows`,
+/// dictionary included.
+void ExpectEncodes(const ColumnData& got, const std::vector<Row>& rows,
+                   size_t col, const std::string& context) {
+  const ColumnData want = ColumnData::Encode(rows, col);
+  ExpectSameCells(got, want, context);
+  if (want.tag() == ColumnTag::kString) {
+    EXPECT_EQ(got.dict()->values(), want.dict()->values()) << context;
+  }
+}
+
 std::vector<Row> Concat(std::vector<Row> head, const std::vector<Row>& tail) {
   head.insert(head.end(), tail.begin(), tail.end());
   return head;
+}
+
+/// `stored` followed by column `col` of `rows`, as an append builds it:
+/// ColumnData::Concat of the stored column and the encoded batch.
+ColumnData AppendColumn(const ColumnData& stored, const std::vector<Row>& rows,
+                        size_t col) {
+  const ColumnData batch = ColumnData::Encode(rows, col);
+  return ColumnData::Concat({&stored, &batch});
+}
+
+/// `stored` followed by `rows`, as TemporalDB::InsertRows builds it.
+Relation AppendRows(const Relation& stored, std::vector<Row> rows) {
+  const Relation batch(stored.schema(), std::move(rows));
+  return Relation::Concat(stored.schema(), {&stored, &batch});
 }
 
 /// The kinds of cell a generated column draws.
@@ -124,7 +150,7 @@ class Cells {
   int64_t lowest_ = 0;
 };
 
-// --- ColumnData::Append -----------------------------------------------------
+// --- Appends through ColumnData::Concat -------------------------------------
 
 TEST(ColumnAppendTest, RandomBatchesEqualEncodeOfConcatenation) {
   Cells cells(20261017);
@@ -152,7 +178,7 @@ TEST(ColumnAppendTest, RandomBatchesEqualEncodeOfConcatenation) {
       batch.push_back({Value::Int(1), cells.Draw(batch_kind, batch_nulls)});
     }
     const ColumnData stored = ColumnData::Encode(stored_rows, 1);
-    const ColumnData appended = ColumnData::Append(stored, batch, 1);
+    const ColumnData appended = AppendColumn(stored, batch, 1);
     const std::string context =
         StrCat("trial ", trial, ": ", m, " stored, ", b, " appended");
     ExpectEncodes(appended, Concat(stored_rows, batch), 1, context);
@@ -172,7 +198,7 @@ TEST(ColumnAppendTest, NewStringsShiftStoredCodes) {
                             {Value::Null()},
                             {Value::String("")}};
   const ColumnData stored = ColumnData::Encode(stored_rows, 0);
-  const ColumnData appended = ColumnData::Append(stored, batch, 0);
+  const ColumnData appended = AppendColumn(stored, batch, 0);
   ExpectEncodes(appended, Concat(stored_rows, batch), 0, "shifted");
   EXPECT_EQ(appended.dict()->values(),
             (std::vector<std::string>{"", "a", "m", "q", "z"}));
@@ -186,7 +212,7 @@ TEST(ColumnAppendTest, KnownStringsShareTheDictionary) {
   std::vector<Row> stored_rows = {{Value::String("x")}, {Value::String("y")}};
   std::vector<Row> batch = {{Value::String("y")}, {Value::Null()}};
   const ColumnData stored = ColumnData::Encode(stored_rows, 0);
-  const ColumnData appended = ColumnData::Append(stored, batch, 0);
+  const ColumnData appended = AppendColumn(stored, batch, 0);
   ExpectEncodes(appended, Concat(stored_rows, batch), 0, "shared");
   EXPECT_EQ(appended.dict(), stored.dict());
 }
@@ -212,11 +238,142 @@ TEST(ColumnAppendTest, BatchesThatChangeTheTagReEncode) {
   };
   for (size_t k = 0; k < cases.size(); ++k) {
     const ColumnData stored = ColumnData::Encode(cases[k].stored, 0);
-    const ColumnData appended = ColumnData::Append(stored, cases[k].batch, 0);
+    const ColumnData appended = AppendColumn(stored, cases[k].batch, 0);
     EXPECT_EQ(appended.tag(), cases[k].tag) << "case " << k;
     ExpectEncodes(appended, Concat(cases[k].stored, cases[k].batch), 0,
                   StrCat("case ", k));
   }
+}
+
+// --- ColumnData::Concat -----------------------------------------------------
+
+/// One part of a concatenation: a column and the cells it holds.
+struct Part {
+  ColumnData column;
+  std::vector<Row> cells;  // one single-cell row per row of `column`
+};
+
+/// Gathers rows `ids` of `source` (the column `encoded`).
+Part GatherPart(const std::vector<Row>& source, const ColumnData& encoded,
+                const std::vector<uint32_t>& ids) {
+  Part part{ColumnData::Gather(encoded, ids), {}};
+  for (uint32_t i : ids) part.cells.push_back(source[i]);
+  return part;
+}
+
+TEST(ColumnConcatTest, RandomPartsEqualEncodeOfConcatenation) {
+  Cells cells(20261021);
+  Rng& rng = cells.rng();
+  const double null_shares[] = {0.0, 0.2, 1.0};
+  const size_t lengths[] = {0, 1, 63, 64, 65, 127, 128, 129};
+  for (int trial = 0; trial < 2000; ++trial) {
+    // Source columns, each Encode of cells of one kind.  A part is a
+    // source as encoded; a gather from one, of a subset of its rows
+    // (the dictionary keeps entries no gathered cell uses; two gathers
+    // from one source share its dictionary object) or of its NULL rows
+    // only (an all-NULL part under the source's tag); or Encode of a
+    // subset of its cells, whose dictionary the source's holds.  A
+    // gather from a kMixed column may hold one kind under kMixed, which
+    // Encode never makes, so kMixed sources are gathered only for their
+    // NULL rows.
+    std::vector<std::vector<Row>> sources(1 + rng.Uniform(3));
+    std::vector<Kind> kinds;
+    std::vector<ColumnData> encoded;
+    for (std::vector<Row>& source : sources) {
+      const Kind kind = kKinds[rng.Uniform(6)];
+      const double null_share = null_shares[rng.Uniform(3)];
+      const size_t n =
+          rng.Chance(0.5) ? lengths[rng.Uniform(8)] : rng.Uniform(100);
+      for (size_t i = 0; i < n; ++i) {
+        source.push_back({cells.Draw(kind, null_share)});
+      }
+      kinds.push_back(kind);
+      encoded.push_back(ColumnData::Encode(source, 0));
+    }
+    std::vector<Part> parts;
+    const size_t k = 1 + rng.Uniform(4);
+    for (size_t p = 0; p < k; ++p) {
+      const size_t s = rng.Uniform(sources.size());
+      const uint64_t form = rng.Uniform(4);
+      std::vector<uint32_t> ids;
+      for (uint32_t i = 0; i < sources[s].size(); ++i) {
+        if (form == 2 ? sources[s][i][0].is_null() : rng.Chance(0.6)) {
+          ids.push_back(i);
+        }
+      }
+      if (form == 0 || (form == 1 && kinds[s] == Kind::kMixed)) {
+        parts.push_back({encoded[s], sources[s]});
+      } else if (form == 3) {
+        Part part = GatherPart(sources[s], encoded[s], ids);
+        part.column = ColumnData::Encode(part.cells, 0);
+        parts.push_back(std::move(part));
+      } else {
+        parts.push_back(GatherPart(sources[s], encoded[s], ids));
+      }
+    }
+    std::vector<const ColumnData*> pointers;
+    std::vector<Row> all;
+    for (const Part& part : parts) {
+      pointers.push_back(&part.column);
+      all.insert(all.end(), part.cells.begin(), part.cells.end());
+    }
+    const ColumnData got = ColumnData::Concat(pointers);
+    const std::string context = StrCat("trial ", trial, ", ", k, " parts");
+    ExpectSameCells(got, ColumnData::Encode(all, 0), context);
+    if (got.tag() != ColumnTag::kString) continue;
+    // The dictionary: the union of the dictionaries of the parts that
+    // hold a string, by pointer when one of them holds all the others.
+    std::vector<std::string> want_dict;
+    for (const Part& part : parts) {
+      if (part.column.tag() != ColumnTag::kString ||
+          part.column.null_count() == part.column.size()) {
+        continue;
+      }
+      const std::vector<std::string>& values = part.column.dict()->values();
+      want_dict.insert(want_dict.end(), values.begin(), values.end());
+    }
+    std::sort(want_dict.begin(), want_dict.end());
+    want_dict.erase(std::unique(want_dict.begin(), want_dict.end()),
+                    want_dict.end());
+    EXPECT_EQ(got.dict()->values(), want_dict) << context;
+    for (const Part& part : parts) {
+      if (part.column.tag() == ColumnTag::kString &&
+          part.column.null_count() < part.column.size() &&
+          part.column.dict()->values() == want_dict) {
+        EXPECT_TRUE(std::any_of(pointers.begin(), pointers.end(),
+                                [&](const ColumnData* c) {
+                                  return c->dict() == got.dict();
+                                }))
+            << context << ": a part's dictionary holds every string";
+        break;
+      }
+    }
+  }
+}
+
+TEST(ColumnConcatTest, AllNullPartsTakeTheTypedPartsTag) {
+  const ColumnData strings =
+      ColumnData::Encode({{Value::String("b")}, {Value::Null()}}, 0);
+  const ColumnData doubles = ColumnData::Encode(
+      {{Value::Double(std::numeric_limits<double>::quiet_NaN())},
+       {Value::Null()}},
+      0);
+  const ColumnData no_cell = ColumnData::Encode({{Value::Null()}}, 0);
+  // All-NULL parts under the string and double tags.
+  const ColumnData null_string = ColumnData::Gather(strings, {1});
+  const ColumnData null_double = ColumnData::Gather(doubles, {1, 1});
+  EXPECT_EQ(null_double.tag(), ColumnTag::kDouble);
+  EXPECT_FALSE(null_double.has_nan());
+  const ColumnData with_strings =
+      ColumnData::Concat({&no_cell, &null_double, &strings, &null_string});
+  EXPECT_EQ(with_strings.tag(), ColumnTag::kString);
+  EXPECT_EQ(with_strings.dict(), strings.dict());
+  EXPECT_EQ(with_strings.null_count(), 5u);
+  EXPECT_EQ(with_strings.Get(3), Value::String("b"));
+  const ColumnData nothing = ColumnData::Concat({&null_string, &null_double});
+  EXPECT_EQ(nothing.tag(), ColumnTag::kInt);
+  EXPECT_EQ(nothing.null_count(), 3u);
+  EXPECT_FALSE(nothing.has_nan());
 }
 
 TEST(RelationAppendTest, ColumnarWhateverTheStoredLayout) {
@@ -228,7 +385,7 @@ TEST(RelationAppendTest, ColumnarWhateverTheStoredLayout) {
   Relation columnar(schema, stored_rows);
   columnar.ToColumnar();
   for (const Relation* stored : {&row_stored, &columnar}) {
-    Relation appended = Relation::Append(*stored, batch);
+    Relation appended = AppendRows(*stored, batch);
     ASSERT_TRUE(appended.is_columnar());
     ASSERT_EQ(appended.size(), 3u);
     for (size_t c = 0; c < schema.size(); ++c) {
@@ -236,8 +393,9 @@ TEST(RelationAppendTest, ColumnarWhateverTheStoredLayout) {
                     StrCat("column ", c));
     }
   }
+  const Relation narrow(Schema::FromNames({"k"}), {{Value::Int(1)}});
   EXPECT_THROW(
-      { (void)Relation::Append(columnar, {{Value::Int(1)}}); }, EngineError);
+      { (void)Relation::Concat(schema, {&columnar, &narrow}); }, EngineError);
 }
 
 // --- TableStats::Extend -----------------------------------------------------
@@ -281,8 +439,7 @@ TEST(TableStatsExtendTest, RandomAppendsEqualCollect) {
     std::shared_ptr<const TableStats> old_stats =
         TableStats::Collect(old_rel, begin, end);
     const std::string old_rendering = old_stats->ToString();
-    auto next = std::make_shared<const Relation>(
-        Relation::Append(*old_rel, batch));
+    auto next = std::make_shared<const Relation>(AppendRows(*old_rel, batch));
     std::shared_ptr<const TableStats> extended =
         TableStats::Extend(*old_stats, next);
     EXPECT_TRUE(extended->BuiltFor(next.get()));
@@ -306,7 +463,7 @@ TEST(TableStatsExtendTest, DistinctCountsFollowKeyEquality) {
           {Value::Int(5), Value::Null(), Value::Null()}});
   stored->ToColumnar();
   auto stats = TableStats::Collect(stored);
-  auto next = std::make_shared<const Relation>(Relation::Append(
+  auto next = std::make_shared<const Relation>(AppendRows(
       *stored,
       {{Value::Int(5), Value::Double(-0.0), Value::Double(nan)},
        {Value::Int(7), Value::Double(2.0), Value::Double(1.0)},

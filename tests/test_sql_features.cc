@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <string>
 #include <utility>
@@ -339,6 +341,66 @@ TEST(SqlFeatureTest, MinMaxRankAnIntBeforeAnEqualDouble) {
               << want.ToString();
         }
       }
+    }
+  }
+}
+
+// MIN and MAX rank -0.0 before 0.0.  A period table holds both over the
+// same [0, 10), which makes one fragment, so coalescing has nothing to
+// merge: whichever value arrives first, and with or without
+// pre-aggregation, the SEQ VT fragment, AS OF 5 and hash aggregation
+// over the rows alive at 5 all return min = -0.0 and max = 0.0, bit for
+// bit.
+TEST(SqlFeatureTest, MinMaxRankNegativeZeroBeforeZero) {
+  const std::string query = "(SELECT min(v) AS lo, max(v) AS hi FROM t)";
+  auto expect_zeros = [](const Row& row, const std::string& context) {
+    ASSERT_NE(row[0].TryDouble(), nullptr) << context;
+    ASSERT_NE(row[1].TryDouble(), nullptr) << context;
+    EXPECT_EQ(std::bit_cast<uint64_t>(*row[0].TryDouble()),
+              std::bit_cast<uint64_t>(-0.0))
+        << context << ": " << RowToString(row);
+    EXPECT_EQ(std::bit_cast<uint64_t>(*row[1].TryDouble()),
+              std::bit_cast<uint64_t>(0.0))
+        << context << ": " << RowToString(row);
+  };
+  for (bool negative_first : {true, false}) {
+    std::vector<Value> values = {Value::Double(-0.0), Value::Double(0.0)};
+    if (!negative_first) std::swap(values[0], values[1]);
+    TemporalDB db(TimeDomain{0, 12});
+    ASSERT_TRUE(
+        db.CreatePeriodTable("t", {"v", "vt_b", "vt_e"}, "vt_b", "vt_e").ok());
+    // Hash aggregation over tau_5: a plain table of both rows.
+    TemporalDB plain(TimeDomain{0, 12});
+    ASSERT_TRUE(plain.CreateTable("t", {"v"}).ok());
+    for (const Value& v : values) {
+      ASSERT_TRUE(db.Insert("t", {v, Value::Int(0), Value::Int(10)}).ok());
+      ASSERT_TRUE(plain.Insert("t", {v}).ok());
+    }
+    const std::string order = StrCat("-0.0 first=", negative_first);
+    auto hashed = plain.Query(query.substr(1, query.size() - 2));
+    ASSERT_TRUE(hashed.ok()) << hashed.status().ToString();
+    ASSERT_EQ(hashed->size(), 1u);
+    expect_zeros(hashed->rows()[0], order + " hash aggregation");
+    for (bool pre_aggregate : {false, true}) {
+      RewriteOptions options;
+      options.pre_aggregate = pre_aggregate;
+      const std::string context =
+          StrCat(order, " pre_aggregate=", pre_aggregate);
+      auto seq = db.Query("SEQ VT " + query, options);
+      ASSERT_TRUE(seq.ok()) << seq.status().ToString();
+      int fragments = 0;
+      for (const Row& row : seq->rows()) {
+        if (row[2].AsInt() > 5 || 5 >= row[3].AsInt()) continue;
+        ++fragments;
+        EXPECT_EQ(row[2].AsInt(), 0) << context;
+        EXPECT_EQ(row[3].AsInt(), 10) << context;
+        expect_zeros(row, context + " SEQ VT");
+      }
+      EXPECT_EQ(fragments, 1) << context;
+      auto as_of = db.Query("SEQ VT AS OF 5 " + query, options);
+      ASSERT_TRUE(as_of.ok()) << as_of.status().ToString();
+      ASSERT_EQ(as_of->size(), 1u) << context;
+      expect_zeros(as_of->rows()[0], context + " AS OF 5");
     }
   }
 }

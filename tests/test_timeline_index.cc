@@ -526,7 +526,9 @@ void AppendWithDeltas(Rng* rng, Catalog* catalog) {
         rng, kDomain, /*period_layout=*/name == "p",
         1 + static_cast<int>(rng->Uniform(4)), /*null_chance=*/0.15,
         /*empty_validity_chance=*/0.15);
-    auto next = std::make_shared<const Relation>(Relation::Append(*old_rel, rows));
+    const Relation batch(old_rel->schema(), std::move(rows));
+    auto next = std::make_shared<const Relation>(
+        Relation::Concat(old_rel->schema(), {old_rel.get(), &batch}));
     catalog->PutShared(name, next);
     if (old_index != nullptr) {
       auto delta = TimelineIndex::WithDelta(old_index, next);
